@@ -29,6 +29,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .exactnum import DomainError, LegForm, Surd, classify_triple, exact_sqrt
 from .family import (
     FamilyMember,
@@ -38,7 +39,7 @@ from .family import (
     heron_member,
     theta_of_member,
 )
-from .geometry import Point2, QuadConstruction, Vertex, construct_quad
+from .geometry import Point2, QuadConstruction, Vertex, construct_quad, interior_angle_degrees
 from .svgfig import render_svg
 from .trigsolve import (
     EquationCoeffs,
@@ -59,8 +60,6 @@ from .verify import (
 )
 
 __all__ = ["ParseError", "main"]
-
-_VERSION = "0.1.0"
 
 
 class ParseError(ValueError):
@@ -153,24 +152,13 @@ def _theta_payload(tan: Fraction, degrees: float) -> dict:
     }
 
 
-_TRAVERSAL = (Vertex.GAMMA, Vertex.B, Vertex.GAMMA2, Vertex.GAMMA1)
-
-
-def _interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
-    i = _TRAVERSAL.index(which)
-    here = q.vertex(which)
-    u = q.vertex(_TRAVERSAL[i - 1]) - here
-    v = q.vertex(_TRAVERSAL[(i + 1) % 4]) - here
-    return math.degrees(math.atan2(abs(float(u.cross(v))), float(u.dot(v))))
-
-
 def _envelope(command: str, inputs: dict, result: object, errata) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "result": result,
         "errata": [er.to_payload() for er in errata],
-        "version": _VERSION,
+        "version": __version__,
     }
 
 
@@ -270,11 +258,6 @@ def _triple_payload(alpha: Fraction, beta: Fraction, gamma: Fraction) -> dict | 
 
 
 def _construct_result_payload(q: QuadConstruction) -> dict:
-    area = (
-        q.alpha * q.beta / 2
-        + (q.beta * q.beta / 2) * (q.alpha / q.gamma)
-        + q.alpha * (q.beta + q.gamma) / 2
-    )
     radius = math.sqrt(float(q.radius_squared))
     return {
         "triple": _triple_payload(q.alpha, q.beta, q.gamma),
@@ -302,10 +285,10 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
             "Gamma2": str(q.tan_gamma2),
         },
         "angles_degrees": {
-            "B": _round10(_interior_angle_degrees(q, Vertex.B)),
-            "Gamma": _round10(_interior_angle_degrees(q, Vertex.GAMMA)),
-            "Gamma1": _round10(_interior_angle_degrees(q, Vertex.GAMMA1)),
-            "Gamma2": _round10(_interior_angle_degrees(q, Vertex.GAMMA2)),
+            "B": _round10(interior_angle_degrees(q, Vertex.B)),
+            "Gamma": _round10(interior_angle_degrees(q, Vertex.GAMMA)),
+            "Gamma1": _round10(interior_angle_degrees(q, Vertex.GAMMA1)),
+            "Gamma2": _round10(interior_angle_degrees(q, Vertex.GAMMA2)),
         },
         "theta": _theta_payload(q.tan_theta, q.theta_degrees),
         "circumcircle": {
@@ -313,7 +296,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
             "radius_squared": str(q.radius_squared),
             "radius_approx": _round10(radius),
         },
-        "area": _rational_length_payload(area),
+        "area": _rational_length_payload(q.area),
     }
 
 
@@ -344,10 +327,9 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
-def _member_payload(member: FamilyMember) -> dict:
+def _member_payload(member: FamilyMember, errata) -> dict:
     p = member.params
     theta = theta_of_member(member)
-    errata = [er.ident for er in errata_for_member(member)]
     return {
         "params": {
             "t1": p.t1,
@@ -379,45 +361,31 @@ def _member_payload(member: FamilyMember) -> dict:
         "area": str(member.area),
         "is_heron": member.is_heron,
         "theta": _theta_payload(theta.tan, theta.degrees),
-        "errata": errata,
+        "errata": [er.ident for er in errata],
     }
 
 
-def _dedupe_errata(errata_lists) -> list:
-    seen = {}
-    for errata in errata_lists:
-        for er in errata:
-            seen.setdefault((er.ident, er.printed, er.computed), er)
-    return list(seen.values())
-
-
-_LEG_FORM_BY_FLAG = {
-    "even-first": LegForm.EVEN_LEG_FIRST,
-    "odd-first": LegForm.ODD_LEG_FIRST,
-}
+def _collect_errata(seen: dict, errata) -> None:
+    """Add errata to ``seen``, keeping the first of each (id, printed, computed)."""
+    for er in errata:
+        seen.setdefault((er.ident, er.printed, er.computed), er)
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    members = list(
-        enumerate_family(
-            args.t_max,
-            args.delta_max,
-            heron_only=args.heron_only,
-            leg_form=_LEG_FORM_BY_FLAG[args.leg_form],
-        )
-    )
-    result = {
-        "count": len(members),
-        "members": [_member_payload(m) for m in members],
-    }
+    payloads = []
+    seen: dict = {}
+    for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
+        errata = errata_for_member(member)
+        payloads.append(_member_payload(member, errata))
+        _collect_errata(seen, errata)
+    result = {"count": len(payloads), "members": payloads}
     inputs = {
         "t_max": args.t_max,
         "delta_max": args.delta_max,
         "heron_only": args.heron_only,
-        "leg_form": args.leg_form,
+        "leg_form": "even-first",
     }
-    errata = _dedupe_errata(errata_for_member(m) for m in members)
-    _emit_json(_envelope("family", inputs, result, errata), args.out)
+    _emit_json(_envelope("family", inputs, result, seen.values()), args.out)
     return 0
 
 
@@ -460,7 +428,7 @@ def _heron_row(t1: int, t2: int, member: FamilyMember) -> dict:
 
 def _cmd_heron_table(args: argparse.Namespace) -> int:
     rows = []
-    members = []
+    seen: dict = {}
     failures = 0
     for t1, t2, _form, m, n, L in generating_pairs(args.t_max):
         for j in range(1, args.delta_multiples + 1):
@@ -476,7 +444,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
             row["verified"] = not report.has_failures
             row["errata"] = [er.ident for er in report.errata]
             rows.append(row)
-            members.append(member)
+            _collect_errata(seen, report.errata)
 
     if args.format == "csv":
         buf = io.StringIO()
@@ -492,8 +460,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
             "delta_multiples": args.delta_multiples,
             "format": args.format,
         }
-        errata = _dedupe_errata(errata_for_member(m) for m in members)
-        _emit_json(_envelope("heron-table", inputs, result, errata), args.out)
+        _emit_json(_envelope("heron-table", inputs, result, seen.values()), args.out)
     if failures:
         print(f"heron-quad: {failures} row(s) failed verification", file=sys.stderr)
         return 4
@@ -611,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_VERSION}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -641,12 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--t-max", type=_parse_int, required=True)
     fp.add_argument("--delta-max", type=_parse_int, required=True)
     fp.add_argument("--heron-only", action="store_true")
-    fp.add_argument(
-        "--leg-form",
-        choices=sorted(_LEG_FORM_BY_FLAG),
-        default="even-first",
-        help="which leg of the triple is the even one (only even-first exists)",
-    )
     fp.add_argument("--out", default=None, help="write output to this file")
     fp.set_defaults(func=_cmd_family)
 

@@ -2,8 +2,8 @@
 
 Three layers live here:
 
-* arbitrary-precision rationals (the stdlib ``Fraction``, re-exported as
-  ``Rational``) plus exact square-root helpers,
+* arbitrary-precision rationals (the stdlib ``Fraction``) plus exact
+  square-root helpers,
 * quadratic surds ``coefficient * sqrt(radicand)`` kept in a normal form
   with a squarefree radicand, so equality is structural,
 * the Euclid parametrization of Pythagorean triples and its inverse.
@@ -26,7 +26,6 @@ __all__ = [
     "DomainError",
     "LegForm",
     "PythTriple",
-    "Rational",
     "Surd",
     "classify_triple",
     "divides_via_power",
@@ -37,14 +36,11 @@ __all__ = [
     "scaled_triple",
     "squarefree_decompose",
     "surd_add_same_radicand",
-    "surd_eq",
     "surd_mul",
     "surd_normalize",
     "surd_scale",
     "surd_sqrt",
 ]
-
-Rational = Fraction
 
 
 class DomainError(ValueError):
@@ -224,11 +220,6 @@ def surd_add_same_radicand(u: Surd, v: Surd) -> Surd:
     if total == 0:
         return Surd(Fraction(0), 1)
     return Surd(total, u.radicand)
-
-
-def surd_eq(u: Surd, v: Surd) -> bool:
-    """Equality of values; structural equality of normal forms decides it."""
-    return u == v
 
 
 class LegForm(Enum):

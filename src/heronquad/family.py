@@ -3,8 +3,9 @@
 A generator pair (m, n) with m > n >= 1, gcd(m, n) = 1, m + n odd, and
 m^2 + n^2 = L^2 a perfect square feeds the even-leg-first right triple
 (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2)) for a scale d >= 1. Closed forms
-for the member (cross-checked against a fresh coordinate construction on
-every call):
+for the member (cross-checked against its coordinate construction on every
+call; the member keeps that construction as ``quad`` so ``verify_member``
+runs its oracles on it instead of building it again):
 
     sides      2*d*m*n, 2*d*m*n, 2*d*m*L, 2*d*m*(m^2 - n^2)/L
     diagonals  2*d*m^2, 4*d*m^2*n/L
@@ -21,21 +22,13 @@ whichever form lands m > n is the usable one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .exactnum import (
-    DomainError,
-    LegForm,
-    Surd,
-    check_generator_pair,
-    exact_sqrt,
-    gcd,
-    surd_eq,
-)
-from .geometry import construct_quad, quad_area
+from .exactnum import DomainError, Surd, check_generator_pair, exact_sqrt, gcd
+from .geometry import QuadConstruction, construct_quad, quad_area
 
 __all__ = [
     "FamilyMember",
@@ -76,6 +69,11 @@ class GeneratorParams:
         """The integral hypotenuse-like length sqrt(a^2 + (b+g)^2) = 2*d*m*L."""
         return 2 * self.delta * self.m * self.L
 
+    def triple(self) -> tuple[int, int, int]:
+        """The even-leg-first triple (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2))."""
+        d, m, n = self.delta, self.m, self.n
+        return 2 * d * m * n, d * (m * m - n * n), d * (m * m + n * n)
+
 
 @dataclass(frozen=True)
 class FamilyMember:
@@ -94,14 +92,10 @@ class FamilyMember:
     tan_gamma2: Fraction
     area: Fraction
     is_heron: bool
+    quad: QuadConstruction = field(repr=False, compare=False)
 
     def triple(self) -> tuple[int, int, int]:
-        p = self.params
-        return (
-            2 * p.delta * p.m * p.n,
-            p.delta * (p.m * p.m - p.n * p.n),
-            p.delta * (p.m * p.m + p.n * p.n),
-        )
+        return self.params.triple()
 
 
 def _check_t_pair(t1: int, t2: int) -> None:
@@ -167,22 +161,22 @@ def family_member(
         tan_gamma2=Fraction(m, n),
         area=Fraction(4 * delta * delta * m**5 * n, L * L),
         is_heron=delta % L == 0,
+        quad=construct_quad(*params.triple()),
     )
     _cross_check(member)
     return member
 
 
 def _cross_check(member: FamilyMember) -> None:
-    # closed forms must agree with a fresh coordinate construction
-    a, b, g = (Fraction(v) for v in member.triple())
-    q = construct_quad(a, b, g)
+    # closed forms must agree with the coordinate construction
+    q = member.quad
     consistent = (
         q.side_gamma_b == member.side_gamma_b
         and q.side_b_gamma2 == member.side_b_gamma2
-        and surd_eq(q.side_gamma2_gamma1, Surd(Fraction(member.side_gamma2_gamma1), 1))
-        and surd_eq(q.side_gamma_gamma1, Surd(member.side_gamma_gamma1, 1))
+        and q.side_gamma2_gamma1 == Surd(Fraction(member.side_gamma2_gamma1), 1)
+        and q.side_gamma_gamma1 == Surd(member.side_gamma_gamma1, 1)
         and q.diag_b_gamma1 == member.diag_b_gamma1
-        and surd_eq(q.diag_gamma_gamma2, Surd(member.diag_gamma_gamma2, 1))
+        and q.diag_gamma_gamma2 == Surd(member.diag_gamma_gamma2, 1)
         and q.tan_b == member.tan_b
         and q.tan_gamma == member.tan_gamma
         and q.tan_gamma1 == member.tan_gamma1
@@ -239,11 +233,7 @@ def generating_pairs(t_max: int) -> Iterator[tuple[int, int, TForm, int, int, in
 
 
 def enumerate_family(
-    t_max: int,
-    delta_max: int,
-    *,
-    heron_only: bool = False,
-    leg_form: LegForm = LegForm.EVEN_LEG_FIRST,
+    t_max: int, delta_max: int, *, heron_only: bool = False
 ) -> Iterator[FamilyMember]:
     """Enumerate members ordered by (t1, t2, form, delta), each exactly once.
 
@@ -251,11 +241,6 @@ def enumerate_family(
     delta_max. Only the even-leg-first family exists here; the odd-leg-first
     parametrization would need m^2 + n^2 = 2*L^2 and is out of scope.
     """
-    if leg_form is not LegForm.EVEN_LEG_FIRST:
-        raise DomainError(
-            "odd-leg-first members would satisfy m^2 + n^2 = 2*L^2; "
-            "that family is out of scope for this generator"
-        )
     if delta_max < 1:
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
     for t1, t2, form, m, n, L in generating_pairs(t_max):

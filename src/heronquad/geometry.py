@@ -34,6 +34,7 @@ __all__ = [
     "construct_quad",
     "construct_quad_float",
     "dist_squared",
+    "interior_angle_degrees",
     "interior_tangent_from_coords",
     "quad_area",
 ]
@@ -100,6 +101,13 @@ class QuadConstruction:
     theta_degrees: float
     circumcenter: Point2
     radius_squared: Fraction
+
+    @property
+    def area(self) -> Fraction:
+        """Closed-form area from the triple alone, computed on access; the
+        oracles recompute it from the coordinates."""
+        a, b, g = self.alpha, self.beta, self.gamma
+        return a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2
 
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         """Traversal order Gamma, B, Gamma2, Gamma1."""
@@ -184,6 +192,13 @@ def construct_quad(
 _ORDER = (Vertex.GAMMA, Vertex.B, Vertex.GAMMA2, Vertex.GAMMA1)
 
 
+def _edge_vectors(q: QuadConstruction, which: Vertex) -> tuple[Point2, Point2]:
+    """Vectors from a vertex to its two neighbours in the traversal order."""
+    idx = _ORDER.index(which)
+    here = q.vertex(which)
+    return q.vertex(_ORDER[idx - 1]) - here, q.vertex(_ORDER[(idx + 1) % 4]) - here
+
+
 def interior_tangent_from_coords(q: QuadConstruction, which: Vertex) -> Fraction | None:
     """Tangent of the interior angle at a vertex, from coordinates alone.
 
@@ -191,16 +206,17 @@ def interior_tangent_from_coords(q: QuadConstruction, which: Vertex) -> Fraction
     so tan = |u x v| / (u . v) is exact in rational arithmetic. ``None``
     signals a right angle (zero dot product, infinite tangent).
     """
-    idx = _ORDER.index(which)
-    here = q.vertex(_ORDER[idx])
-    prev = q.vertex(_ORDER[idx - 1])
-    nxt = q.vertex(_ORDER[(idx + 1) % 4])
-    u = prev - here
-    v = nxt - here
+    u, v = _edge_vectors(q, which)
     dot = u.dot(v)
     if dot == 0:
         return None
     return abs(u.cross(v)) / dot
+
+
+def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
+    """The interior angle at a vertex in degrees, from coordinates alone."""
+    u, v = _edge_vectors(q, which)
+    return math.degrees(math.atan2(abs(float(u.cross(v))), float(u.dot(v))))
 
 
 def quad_area(q: QuadConstruction) -> Fraction:

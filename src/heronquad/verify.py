@@ -27,7 +27,6 @@ from .geometry import (
     QuadConstruction,
     Vertex,
     angle_identity_check,
-    construct_quad,
     dist_squared,
     interior_tangent_from_coords,
     quad_area,
@@ -353,8 +352,10 @@ def _construction_checks(q: QuadConstruction) -> list[Check]:
 
     det = concyclicity_determinant(g, b, g2, g1)
     checks.append(_check("concyclicity-determinant", det == 0, 0, det))
-    checks.append(_check("concyclic", concyclic(g, b, g2, g1), True, concyclic(g, b, g2, g1)))
-    checks.append(_check("ptolemy-identity", ptolemy_check(q), "holds", "holds" if ptolemy_check(q) else "violated"))
+    on_circle = concyclic(g, b, g2, g1)
+    checks.append(_check("concyclic", on_circle, True, on_circle))
+    holds = ptolemy_check(q)
+    checks.append(_check("ptolemy-identity", holds, "holds", "holds" if holds else "violated"))
 
     right = (g2 - b).dot(g1 - b)
     checks.append(_check("right-angle-at-B", right == 0, 0, right))
@@ -395,11 +396,12 @@ def _construction_checks(q: QuadConstruction) -> list[Check]:
     )
 
     area_coords = shoelace(list(q.vertices()))
-    a, beta, gamma = q.alpha, q.beta, q.gamma
-    area_closed = a * beta / 2 + (beta * beta / 2) * (a / gamma) + a * (beta + gamma) / 2
+    area_closed = q.area
     checks.append(_check("area-shoelace-vs-closed", area_coords == area_closed, area_closed, area_coords))
-    checks.append(_check("area-helper-agrees", quad_area(q) == area_coords, area_coords, quad_area(q)))
+    area_helper = quad_area(q)
+    checks.append(_check("area-helper-agrees", area_helper == area_coords, area_coords, area_helper))
 
+    a, beta, gamma = q.alpha, q.beta, q.gamma
     checks.append(
         _check("theta-tangent", q.tan_theta == a / (beta + gamma), a / (beta + gamma), q.tan_theta)
     )
@@ -445,8 +447,7 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     checks plus the member closed forms, the Heron criterion, and the
     registered errata."""
     p = member.params
-    a, b, g = (Fraction(v) for v in member.triple())
-    q = construct_quad(a, b, g)
+    q = member.quad
     checks = _construction_checks(q)
 
     gv, bv, g2v, g1v = q.vertices()
@@ -503,6 +504,7 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     )
 
     theta = Fraction(n, m)
+    a, b, g = q.alpha, q.beta, q.gamma
     checks.append(_check("member-theta-n-over-m", theta == a / (b + g), a / (b + g), theta))
 
     errata = errata_for_member(member)

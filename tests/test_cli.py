@@ -207,20 +207,6 @@ class TestFamilyCommand:
         assert member["is_heron"] is False
         assert member["errata"] == ["family-tangent-closed-form"]
 
-    def test_odd_leg_form_domain_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            "family",
-            "--t-max",
-            "3",
-            "--delta-max",
-            "2",
-            "--leg-form",
-            "odd-first",
-        )
-        assert code == 3
-        assert "out of scope" in err
-
 
 class TestHeronTableCommand:
     def test_default_json_rows(self, capsys):

@@ -21,7 +21,6 @@ from heronquad.exactnum import (
     scaled_triple,
     squarefree_decompose,
     surd_add_same_radicand,
-    surd_eq,
     surd_mul,
     surd_normalize,
     surd_scale,
@@ -194,8 +193,8 @@ class TestSurd:
         assert surd_mul(u, u) == Surd(Fraction(63), 1)
 
     def test_surd_eq_structural(self):
-        assert surd_eq(surd_normalize(2, 12), surd_normalize(4, 3))
-        assert not surd_eq(surd_normalize(1, 2), surd_normalize(1, 3))
+        assert surd_normalize(2, 12) == surd_normalize(4, 3)
+        assert surd_normalize(1, 2) != surd_normalize(1, 3)
 
 
 class TestTripleParametrization:

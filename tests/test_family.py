@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, LegForm, exact_sqrt
+from heronquad.exactnum import DomainError, exact_sqrt
 from heronquad.family import (
     TForm,
     coprimality_certificate,
@@ -190,10 +190,6 @@ class TestEnumerateFamily:
         members = list(enumerate_family(3, 3))
         keys = [(mem.params.t1, mem.params.t2, mem.params.delta) for mem in members]
         assert keys == sorted(keys)
-
-    def test_odd_leg_first_out_of_scope(self):
-        with pytest.raises(DomainError, match="2\\*L\\^2"):
-            list(enumerate_family(3, 3, leg_form=LegForm.ODD_LEG_FIRST))
 
     def test_t_metadata_round_trip(self):
         for mem in enumerate_family(5, 2):

@@ -16,6 +16,7 @@ from heronquad.geometry import (
     construct_quad,
     construct_quad_float,
     dist_squared,
+    interior_angle_degrees,
     interior_tangent_from_coords,
     quad_area,
 )
@@ -140,6 +141,9 @@ class TestInteriorTangents:
         q = construct_quad(12, 35, 37)
         assert q.tan_b + q.tan_gamma1 == 0
         assert q.tan_gamma + q.tan_gamma2 == 0
+        for one, other in ((Vertex.B, Vertex.GAMMA1), (Vertex.GAMMA, Vertex.GAMMA2)):
+            total = interior_angle_degrees(q, one) + interior_angle_degrees(q, other)
+            assert math.isclose(total, 180.0, rel_tol=1e-12)
 
 
 class TestFloatConstruction:
@@ -179,3 +183,4 @@ class TestQuadArea:
         q = construct_quad(t.a, t.b, t.c)
         a, b, g = q.alpha, q.beta, q.gamma
         assert quad_area(q) == a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2
+        assert q.area == quad_area(q)

@@ -1,0 +1,66 @@
+"""Work counts: each subject is constructed once and each oracle is
+evaluated once per verification (the determinant also runs inside
+``concyclic``, so at most twice)."""
+
+import json
+import sys
+from collections import Counter
+
+import pytest
+
+from heronquad import geometry, verify
+from heronquad.cli import main
+from heronquad.family import family_member
+
+COUNTED = (
+    (geometry, "construct_quad"),
+    (verify, "concyclicity_determinant"),
+    (verify, "ptolemy_check"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls, patched under every heronquad module that imported the name."""
+    tally = Counter()
+    modules = [
+        mod
+        for name, mod in list(sys.modules.items())
+        if name == "heronquad" or name.startswith("heronquad.")
+    ]
+    for home, name in COUNTED:
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            tally[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return tally
+
+
+def test_heron_table_constructs_each_row_once(calls, capsys):
+    assert main(["heron-table", "--t-max", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["count"]
+    assert rows > 0
+    assert calls["construct_quad"] == rows
+
+
+def test_verify_construction_evaluates_each_oracle_once(calls):
+    q = geometry.construct_quad(120, 35, 125)
+    calls.clear()
+    assert not verify.verify_construction(q).has_failures
+    assert 1 <= calls["concyclicity_determinant"] <= 2
+    assert calls["ptolemy_check"] == 1
+    assert calls["construct_quad"] == 0
+
+
+def test_verify_member_reuses_the_member_construction(calls):
+    member = family_member(5, 4, 3)
+    assert calls["construct_quad"] == 1
+    calls.clear()
+    assert not verify.verify_member(member).has_failures
+    assert calls["construct_quad"] == 0
+    assert calls["ptolemy_check"] == 1

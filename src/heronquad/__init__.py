@@ -6,141 +6,4 @@ surds); floats appear only in approximations for display and in the
 floating-point fallback paths that are explicitly labeled as such.
 """
 
-from .exactnum import (
-    DomainError,
-    LegForm,
-    PythTriple,
-    Surd,
-    classify_triple,
-    divides_via_power,
-    exact_sqrt,
-    fraction_sqrt,
-    primitive_triple,
-    scaled_triple,
-    squarefree_decompose,
-    surd_add_same_radicand,
-    surd_mul,
-    surd_normalize,
-    surd_scale,
-    surd_sqrt,
-)
-from .family import (
-    FamilyMember,
-    GeneratorParams,
-    TForm,
-    ThetaValue,
-    coprimality_certificate,
-    enumerate_family,
-    family_member,
-    generating_pairs,
-    heron_member,
-    mnl_from_t,
-    theta_of_member,
-)
-from .geometry import (
-    AngleIdentity,
-    Point2,
-    QuadConstruction,
-    QuadConstructionFloat,
-    Vertex,
-    angle_identity_check,
-    construct_quad,
-    construct_quad_float,
-    dist_squared,
-    interior_tangent_from_coords,
-    quad_area,
-)
-from .svgfig import render_svg
-from .trigsolve import (
-    BaseAngle,
-    EquationCoeffs,
-    FamilyTag,
-    HalfAngleQuadratic,
-    SolutionKind,
-    SolutionSet,
-    classify,
-    enumerate_solutions,
-    half_angle_quadratic,
-    residual,
-)
-from .verify import (
-    Check,
-    CheckStatus,
-    Erratum,
-    VerificationReport,
-    concyclic,
-    concyclicity_determinant,
-    errata_for_member,
-    errata_for_triple,
-    ptolemy_check,
-    shoelace,
-    verify_construction,
-    verify_member,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngleIdentity",
-    "BaseAngle",
-    "Check",
-    "CheckStatus",
-    "DomainError",
-    "EquationCoeffs",
-    "Erratum",
-    "FamilyMember",
-    "FamilyTag",
-    "GeneratorParams",
-    "HalfAngleQuadratic",
-    "LegForm",
-    "Point2",
-    "PythTriple",
-    "QuadConstruction",
-    "QuadConstructionFloat",
-    "SolutionKind",
-    "SolutionSet",
-    "Surd",
-    "TForm",
-    "ThetaValue",
-    "VerificationReport",
-    "Vertex",
-    "__version__",
-    "angle_identity_check",
-    "classify",
-    "classify_triple",
-    "concyclic",
-    "concyclicity_determinant",
-    "construct_quad",
-    "construct_quad_float",
-    "coprimality_certificate",
-    "dist_squared",
-    "divides_via_power",
-    "enumerate_family",
-    "enumerate_solutions",
-    "errata_for_member",
-    "errata_for_triple",
-    "exact_sqrt",
-    "family_member",
-    "fraction_sqrt",
-    "generating_pairs",
-    "half_angle_quadratic",
-    "heron_member",
-    "interior_tangent_from_coords",
-    "mnl_from_t",
-    "primitive_triple",
-    "ptolemy_check",
-    "quad_area",
-    "render_svg",
-    "residual",
-    "scaled_triple",
-    "shoelace",
-    "squarefree_decompose",
-    "surd_add_same_radicand",
-    "surd_mul",
-    "surd_normalize",
-    "surd_scale",
-    "surd_sqrt",
-    "theta_of_member",
-    "verify_construction",
-    "verify_member",
-]

@@ -72,14 +72,22 @@ class ParseError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def _parse_number(text: str) -> Fraction | float:
-    """Integers and p/q stay exact; decimal literals become floats."""
-    if _RATIONAL_RE.match(text):
-        return Fraction(text)
+def _parse_float(text: str) -> float:
+    """A finite float; NaN and infinities have no place in a JSON envelope."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_number(text: str) -> Fraction | float:
+    """Integers and p/q stay exact; decimal literals become finite floats."""
+    if _RATIONAL_RE.match(text):
+        return Fraction(text)
+    return _parse_float(text)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -97,6 +105,7 @@ def _parse_int(text: str) -> int:
         raise ParseError(f"not an integer: {text!r}") from None
 
 
+_parse_float.__name__ = "float"
 _parse_number.__name__ = "number"
 _parse_rational.__name__ = "rational"
 _parse_int.__name__ = "integer"
@@ -171,7 +180,13 @@ def _emit_text(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(envelope: dict, out_path: str | None) -> None:
-    _emit_text(json.dumps(envelope, indent=2, ensure_ascii=False) + "\n", out_path)
+    try:
+        text = json.dumps(envelope, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError:
+        raise DomainError(
+            "a result is not finite (float overflow); it has no JSON representation"
+        ) from None
+    _emit_text(text + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +574,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     _emit_json(_envelope("verify", inputs, result, report.errata), args.out)
     if report.has_failures:
-        failed = sum(1 for c in report.checks if c.status is CheckStatus.FAIL)
-        print(f"heron-quad: verification failed: {failed} check(s)", file=sys.stderr)
+        failed = [c.name for c in report.checks if c.status is CheckStatus.FAIL]
+        print(
+            f"heron-quad: verification failed: {len(failed)} check(s): {', '.join(failed)}",
+            file=sys.stderr,
+        )
         return 4
     return 0
 
@@ -589,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", default="0..0", help="period range MIN..MAX (default 0..0)")
     sp.add_argument(
         "--zero-tol",
-        type=float,
+        type=_parse_float,
         default=1e-12,
         help="relative zero tolerance for float coefficients (default 1e-12)",
     )

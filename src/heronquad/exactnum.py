@@ -35,8 +35,6 @@ __all__ = [
     "primitive_triple",
     "scaled_triple",
     "squarefree_decompose",
-    "surd_add_same_radicand",
-    "surd_mul",
     "surd_normalize",
     "surd_scale",
     "surd_sqrt",
@@ -197,29 +195,6 @@ def surd_scale(u: Surd, factor: Fraction | int) -> Surd:
     if factor == 0 or u.coefficient == 0:
         return Surd(Fraction(0), 1)
     return Surd(u.coefficient * factor, u.radicand)
-
-
-def surd_mul(u: Surd, v: Surd) -> Surd:
-    """Exact product; the radicand product renormalizes (sqrt(d)^2 = d)."""
-    return surd_normalize(u.coefficient * v.coefficient, u.radicand * v.radicand)
-
-
-def surd_add_same_radicand(u: Surd, v: Surd) -> Surd:
-    """Exact sum of two surds over one radical; mixed radicands are refused.
-
-    Zero operands are compatible with anything. A sum collapsing to zero
-    renormalizes to ``Surd(0, 1)``.
-    """
-    if u.coefficient == 0:
-        return v
-    if v.coefficient == 0:
-        return u
-    if u.radicand != v.radicand:
-        raise DomainError(f"cannot add surds over sqrt({u.radicand}) and sqrt({v.radicand})")
-    total = u.coefficient + v.coefficient
-    if total == 0:
-        return Surd(Fraction(0), 1)
-    return Surd(total, u.radicand)
 
 
 class LegForm(Enum):

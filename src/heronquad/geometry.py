@@ -28,11 +28,9 @@ __all__ = [
     "AngleIdentity",
     "Point2",
     "QuadConstruction",
-    "QuadConstructionFloat",
     "Vertex",
     "angle_identity_check",
     "construct_quad",
-    "construct_quad_float",
     "dist_squared",
     "interior_angle_degrees",
     "interior_tangent_from_coords",
@@ -133,7 +131,7 @@ class QuadConstruction:
 def _as_rational(value: Fraction | int | str, name: str) -> Fraction:
     if isinstance(value, float):
         raise DomainError(
-            f"{name} must be rational on the exact path; use construct_quad_float for floats"
+            f"{name} must be rational (an int, Fraction or decimal string), not a float"
         )
     try:
         return Fraction(value)
@@ -251,51 +249,3 @@ def angle_identity_check(q: QuadConstruction) -> AngleIdentity:
     theta = math.degrees(math.atan2(float(q.alpha), float(q.beta + q.gamma)))
     values = (phi, omega, theta)
     return AngleIdentity(phi, omega, theta, max(values) - min(values))
-
-
-@dataclass(frozen=True)
-class QuadConstructionFloat:
-    """Float-only variant for approximate inputs; makes no exactness claims."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    vertices: tuple[tuple[float, float], ...]
-    sides: tuple[float, float, float, float]
-    diagonals: tuple[float, float]
-    tangents: tuple[float, float, float, float]
-    theta_degrees: float
-
-
-def construct_quad_float(
-    alpha: float, beta: float, gamma: float, *, rel_tol: float = 1e-9
-) -> QuadConstructionFloat:
-    """Float path for arbitrary positive reals near a right triple.
-
-    Accepts inputs with |alpha^2 + beta^2 - gamma^2| within ``rel_tol``
-    (relative); everything is computed in floats.
-    """
-    a, b, g = float(alpha), float(beta), float(gamma)
-    for name, value in (("alpha", a), ("beta", b), ("gamma", g)):
-        if not value > 0:
-            raise DomainError(f"{name} must be positive, got {value}")
-    defect = abs(a * a + b * b - g * g)
-    if defect > rel_tol * max(a * a + b * b, g * g):
-        raise DomainError(
-            f"alpha^2 + beta^2 = {a * a + b * b} is not within {rel_tol} (relative) of gamma^2 = {g * g}"
-        )
-    v_gamma = (a * a / g, a * b / g)
-    v_b = (0.0, 0.0)
-    v_gamma2 = (0.0, -a)
-    v_gamma1 = (b + g, 0.0)
-    hyp = math.hypot(a, b + g)
-    return QuadConstructionFloat(
-        alpha=a,
-        beta=b,
-        gamma=g,
-        vertices=(v_gamma, v_b, v_gamma2, v_gamma1),
-        sides=(a, a, hyp, b * hyp / g),
-        diagonals=(b + g, a * hyp / g),
-        tangents=(-a / b, a / (b - g), a / b, (b + g) / a),
-        theta_degrees=math.degrees(math.atan2(a, b + g)),
-    )

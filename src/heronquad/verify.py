@@ -1,10 +1,11 @@
 """Independent oracles and verification reports for the constructions.
 
 The oracles work from vertex coordinates and exact arithmetic only - a
-4x4 concyclicity determinant, the Ptolemy identity evaluated in surd
-arithmetic on coordinate distances, and a general shoelace with an exact
-self-intersection test. None of them consult the closed forms they are
-used to check, so a bug in the closed forms cannot hide.
+4x4 concyclicity determinant, the Ptolemy identity decided by squaring
+products of squared coordinate distances in rationals, and a general
+shoelace with an exact self-intersection test. None of them consult the
+closed forms they are used to check, so a bug in the closed forms cannot
+hide.
 
 Known misprints in the published reference values are kept in a small
 registry. When a verification touches one of those quantities the report
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactnum import DomainError, Surd, surd_add_same_radicand, surd_mul, surd_sqrt
+from .exactnum import DomainError, Surd
 from .family import FamilyMember
 from .geometry import (
     Point2,
@@ -98,30 +99,20 @@ def _surd_square(u: Surd) -> Fraction:
     return u.coefficient * u.coefficient * u.radicand
 
 
-def _surd_equals_sum(total: Surd, u: Surd, v: Surd) -> bool:
-    """Decide total == u + v exactly for nonnegative surds.
-
-    Same radicand: direct normal-form comparison. Mixed radicands: square
-    twice - total^2 - u^2 - v^2 must equal 2uv, and a rational can only
-    equal a surd whose radicand is 1.
-    """
-    if u.radicand == v.radicand:
-        return total == surd_add_same_radicand(u, v)
-    cross = surd_mul(u, v)
-    gap = _surd_square(total) - _surd_square(u) - _surd_square(v)
-    if cross.radicand == 1:
-        return gap == 2 * cross.coefficient
-    return False
-
-
 def ptolemy_check(q: QuadConstruction) -> bool:
     """Ptolemy identity from coordinates alone: for a cyclic quadrilateral
-    the diagonal product equals the sum of the opposite-side products."""
+    the diagonal product equals the sum of the opposite-side products.
+
+    With squared products P (diagonals), A and B (opposite sides),
+    sqrt(P) = sqrt(A) + sqrt(B) holds exactly when P - A - B >= 0 and
+    (P - A - B)^2 = 4AB, so the test stays in rationals.
+    """
     g, b, g2, g1 = q.vertices()
-    diag_product = surd_mul(surd_sqrt(dist_squared(g, g2)), surd_sqrt(dist_squared(b, g1)))
-    first = surd_mul(surd_sqrt(dist_squared(g, b)), surd_sqrt(dist_squared(g2, g1)))
-    second = surd_mul(surd_sqrt(dist_squared(b, g2)), surd_sqrt(dist_squared(g, g1)))
-    return _surd_equals_sum(diag_product, first, second)
+    diag_sq = dist_squared(g, g2) * dist_squared(b, g1)
+    first_sq = dist_squared(g, b) * dist_squared(g2, g1)
+    second_sq = dist_squared(b, g2) * dist_squared(g, g1)
+    gap = diag_sq - first_sq - second_sq
+    return gap >= 0 and gap * gap == 4 * first_sq * second_sq
 
 
 def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:

@@ -111,6 +111,22 @@ class TestSolveCommand:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("nan", "1", "1"), ("1", "1", "1", "--zero-tol", "nan")]
+    )
+    def test_non_finite_input_is_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert out == ""
+        assert "nan" in err
+
+    def test_float_overflow_is_domain_error(self, capsys):
+        # a*a overflows; the envelope would carry Infinity, which is not JSON
+        code, out, err = run(capsys, "solve", "1e308", "1e308", "1")
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err
+
 
 class TestConstructCommand:
     def test_worked_example_payload(self, capsys):
@@ -320,7 +336,7 @@ class TestVerifyCommand:
         envelope_path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", "--input", str(envelope_path))
         assert code == 4
-        assert "verification failed" in err
+        assert "verification failed: 1 check(s): payload-consistency" in err
         result = json.loads(out)["result"]
         assert result["verdict"] == "fail"
         failing = [c["name"] for c in result["checks"] if c["status"] == "fail"]

@@ -20,8 +20,6 @@ from heronquad.exactnum import (
     primitive_triple,
     scaled_triple,
     squarefree_decompose,
-    surd_add_same_radicand,
-    surd_mul,
     surd_normalize,
     surd_scale,
     surd_sqrt,
@@ -143,54 +141,9 @@ class TestSurd:
         assert str(u) == "3√10"
         assert str(surd_normalize(Fraction(12, 5), 10)) == "(12/5)√10"
 
-    def test_add_same_radicand(self):
-        a = surd_normalize(2, 5)
-        b = surd_normalize(3, 5)
-        assert surd_add_same_radicand(a, b) == surd_normalize(5, 5)
-
-    def test_add_zero_any_radicand(self):
-        zero = Surd(Fraction(0), 1)
-        a = surd_normalize(2, 7)
-        assert surd_add_same_radicand(zero, a) == a
-        assert surd_add_same_radicand(a, zero) == a
-
-    def test_add_mixed_radicands_rejected(self):
-        with pytest.raises(DomainError):
-            surd_add_same_radicand(surd_normalize(1, 2), surd_normalize(1, 3))
-
-    def test_cancellation_returns_canonical_zero(self):
-        a = surd_normalize(2, 5)
-        b = surd_normalize(-2, 5)
-        assert surd_add_same_radicand(a, b) == Surd(Fraction(0), 1)
-
     def test_scale(self):
         assert surd_scale(surd_normalize(2, 3), Fraction(-1, 2)) == surd_normalize(-1, 3)
         assert surd_scale(surd_normalize(2, 3), 0) == Surd(Fraction(0), 1)
-
-    @given(
-        st.fractions(min_value=-50, max_value=50, max_denominator=20),
-        st.integers(min_value=1, max_value=300),
-        st.fractions(min_value=-50, max_value=50, max_denominator=20),
-        st.integers(min_value=1, max_value=300),
-    )
-    def test_mul_matches_floats(self, c1, r1, c2, r2):
-        u, v = surd_normalize(c1, r1), surd_normalize(c2, r2)
-        w = surd_mul(u, v)
-        assert math.isclose(float(w), float(u) * float(v), rel_tol=1e-9, abs_tol=1e-9)
-
-    @given(
-        st.integers(min_value=-20, max_value=20),
-        st.integers(min_value=1, max_value=100),
-        st.integers(min_value=-20, max_value=20),
-        st.integers(min_value=1, max_value=100),
-    )
-    def test_mul_commutes(self, c1, r1, c2, r2):
-        u, v = surd_normalize(c1, r1), surd_normalize(c2, r2)
-        assert surd_mul(u, v) == surd_mul(v, u)
-
-    def test_mul_square_collapses_to_rational(self):
-        u = surd_normalize(3, 7)
-        assert surd_mul(u, u) == Surd(Fraction(63), 1)
 
     def test_surd_eq_structural(self):
         assert surd_normalize(2, 12) == surd_normalize(4, 3)

@@ -1,5 +1,5 @@
 """The coordinate embedding: exact vertices, lengths, tangents, the
-circumcircle, and the float fallback for non-Pythagorean inputs."""
+circumcircle, and the rejection of non-Pythagorean or float inputs."""
 
 import math
 from fractions import Fraction
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, Surd, scaled_triple, surd_normalize
+from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
 from heronquad.geometry import (
     Point2,
     Vertex,
     angle_identity_check,
     construct_quad,
-    construct_quad_float,
     dist_squared,
     interior_angle_degrees,
     interior_tangent_from_coords,
@@ -88,7 +87,7 @@ class TestConstructValidation:
             construct_quad(3, -4, 5)
 
     def test_rejects_floats_pointing_at_float_api(self):
-        with pytest.raises(DomainError, match="construct_quad_float"):
+        with pytest.raises(DomainError, match="not a float"):
             construct_quad(3.0, 4, 5)
 
 
@@ -144,26 +143,6 @@ class TestInteriorTangents:
         for one, other in ((Vertex.B, Vertex.GAMMA1), (Vertex.GAMMA, Vertex.GAMMA2)):
             total = interior_angle_degrees(q, one) + interior_angle_degrees(q, other)
             assert math.isclose(total, 180.0, rel_tol=1e-12)
-
-
-class TestFloatConstruction:
-    def test_matches_exact_on_pythagorean_input(self):
-        q = construct_quad(3, 4, 5)
-        f = construct_quad_float(3.0, 4.0, 5.0)
-        for (ex, ey), (fx, fy) in zip(
-            [(float(p.x), float(p.y)) for p in q.vertices()], f.vertices
-        ):
-            assert math.isclose(ex, fx, abs_tol=1e-9)
-            assert math.isclose(ey, fy, abs_tol=1e-9)
-        assert math.isclose(f.theta_degrees, q.theta_degrees, abs_tol=1e-9)
-
-    def test_rejects_far_from_pythagorean(self):
-        with pytest.raises(DomainError):
-            construct_quad_float(3.0, 4.0, 5.5)
-
-    def test_accepts_slightly_perturbed(self):
-        f = construct_quad_float(3.0, 4.0, 5.0 * (1 + 1e-12))
-        assert f.sides[0] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestQuadArea:

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
@@ -74,10 +74,33 @@ class TestPtolemy:
 
     def test_detects_scaled_diagonal_claim(self):
         q = construct_quad(120, 35, 125)
-        tampered = dataclasses.replace(
-            q, v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + Fraction(1, 10**6))
+        # tiny moves give 20-digit squared products, which the check must
+        # decide without factoring them
+        for move in (Fraction(1, 10**6), Fraction(1, 10**7)):
+            tampered = dataclasses.replace(
+                q, v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + move)
+            )
+            assert not ptolemy_check(tampered)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=1, max_value=29),
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=0, max_value=5, max_denominator=10**7),
+        ),
+    )
+    def test_agrees_with_concyclicity_under_moves(self, delta, m, n, eps):
+        # Ptolemy's equality holds exactly for the cyclic order, so moving
+        # Gamma1 along the x-axis must flip both oracles together
+        assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
+        t = scaled_triple(delta, m, n)
+        q = construct_quad(t.a, t.b, t.c)
+        moved = dataclasses.replace(
+            q, v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
         )
-        assert not ptolemy_check(tampered)
+        assert ptolemy_check(moved) == (concyclicity_determinant(*moved.vertices()) == 0)
 
 
 class TestShoelace:

@@ -1,6 +1,7 @@
-"""Work counts: each subject is constructed once and each oracle is
+"""Work counts: each subject is constructed once, each oracle is
 evaluated once per verification (the determinant also runs inside
-``concyclic``, so at most twice)."""
+``concyclic``, so at most twice), and verifying a built construction
+factors nothing."""
 
 import json
 import sys
@@ -8,11 +9,12 @@ from collections import Counter
 
 import pytest
 
-from heronquad import geometry, verify
+from heronquad import exactnum, geometry, verify
 from heronquad.cli import main
 from heronquad.family import family_member
 
 COUNTED = (
+    (exactnum, "squarefree_decompose"),
     (geometry, "construct_quad"),
     (verify, "concyclicity_determinant"),
     (verify, "ptolemy_check"),
@@ -55,6 +57,7 @@ def test_verify_construction_evaluates_each_oracle_once(calls):
     assert 1 <= calls["concyclicity_determinant"] <= 2
     assert calls["ptolemy_check"] == 1
     assert calls["construct_quad"] == 0
+    assert calls["squarefree_decompose"] == 0
 
 
 def test_verify_member_reuses_the_member_construction(calls):

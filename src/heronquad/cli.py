@@ -441,6 +441,12 @@ def _heron_row(t1: int, t2: int, member: FamilyMember) -> dict:
     }
 
 
+def _failed_checks(report: VerificationReport) -> str:
+    """``N check(s): name1, name2`` for the failing checks of a report."""
+    failed = [c.name for c in report.checks if c.status is CheckStatus.FAIL]
+    return f"{len(failed)} check(s): {', '.join(failed)}"
+
+
 def _cmd_heron_table(args: argparse.Namespace) -> int:
     rows = []
     seen: dict = {}
@@ -452,7 +458,8 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
             if report.has_failures:
                 failures += 1
                 print(
-                    f"heron-quad: verification failed for (m={m}, n={n}, delta={j * L})",
+                    f"heron-quad: verification failed for (m={m}, n={n}, delta={j * L}): "
+                    f"{_failed_checks(report)}",
                     file=sys.stderr,
                 )
             row = _heron_row(t1, t2, member)
@@ -574,11 +581,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     _emit_json(_envelope("verify", inputs, result, report.errata), args.out)
     if report.has_failures:
-        failed = [c.name for c in report.checks if c.status is CheckStatus.FAIL]
-        print(
-            f"heron-quad: verification failed: {len(failed)} check(s): {', '.join(failed)}",
-            file=sys.stderr,
-        )
+        print(f"heron-quad: verification failed: {_failed_checks(report)}", file=sys.stderr)
         return 4
     return 0
 

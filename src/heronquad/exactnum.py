@@ -179,14 +179,19 @@ def surd_normalize(coefficient: Fraction | int, radicand: int) -> Surd:
 def surd_sqrt(value: Fraction | int) -> Surd:
     """Exact square root of a nonnegative rational as a Surd.
 
-    ``sqrt(p/q) = sqrt(p*q) / q``, then square parts move outside.
+    For reduced ``p/q`` the numerator and denominator are split apart,
+    ``p = s^2 * r`` and ``q = t^2 * u``, so ``sqrt(p/q) = s/(t*u) * sqrt(r*u)``.
+    ``r*u`` is squarefree because ``gcd(p, q) = 1``, and a square numerator
+    or denominator costs one ``isqrt`` instead of a split of ``p*q``.
     """
     value = Fraction(value)
     if value < 0:
         raise DomainError(f"surd_sqrt needs a nonnegative value, got {value}")
     if value == 0:
         return Surd(Fraction(0), 1)
-    return surd_normalize(Fraction(1, value.denominator), value.numerator * value.denominator)
+    s, r = squarefree_decompose(value.numerator)
+    t, u = squarefree_decompose(value.denominator)
+    return Surd(Fraction(s, t * u), r * u)
 
 
 def surd_scale(u: Surd, factor: Fraction | int) -> Surd:

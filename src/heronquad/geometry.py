@@ -154,36 +154,34 @@ def construct_quad(
             f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
         )
     zero = Fraction(0)
-    v_b = Point2(zero, zero)
-    v_a = Point2(g, zero)
-    v_gamma = Point2(a * a / g, a * b / g)
-    v_gamma2 = Point2(zero, -a)
-    v_gamma1 = Point2(b + g, zero)
-    hyp_squared = a * a + (b + g) ** 2
-    hyp = surd_sqrt(hyp_squared)
+    bg = b + g
+    # hyp^2 = a^2 + (b+g)^2 = 2g(b+g), so hyp = (b+g)*sqrt(2g/(b+g)); for a
+    # scaled Euclid triple 2g/(b+g) is c0/m^2 or 2c0/(m+n)^2, so only the
+    # primitive hypotenuse c0 is split, never the whole hyp^2
+    hyp = surd_scale(surd_sqrt(2 * g / bg), bg)
     return QuadConstruction(
         alpha=a,
         beta=b,
         gamma=g,
-        v_gamma=v_gamma,
-        v_b=v_b,
-        v_gamma2=v_gamma2,
-        v_gamma1=v_gamma1,
-        v_a=v_a,
+        v_gamma=Point2(a * a / g, a * b / g),
+        v_b=Point2(zero, zero),
+        v_gamma2=Point2(zero, -a),
+        v_gamma1=Point2(bg, zero),
+        v_a=Point2(g, zero),
         side_gamma_b=a,
         side_b_gamma2=a,
         side_gamma2_gamma1=hyp,
         side_gamma_gamma1=surd_scale(hyp, b / g),
-        diag_b_gamma1=b + g,
+        diag_b_gamma1=bg,
         diag_gamma_gamma2=surd_scale(hyp, a / g),
         tan_b=-a / b,
         tan_gamma=a / (b - g),
         tan_gamma1=a / b,
-        tan_gamma2=(b + g) / a,
-        tan_theta=a / (b + g),
-        theta_degrees=math.degrees(math.atan2(float(a), float(b + g))),
-        circumcenter=Point2((b + g) / 2, -a / 2),
-        radius_squared=hyp_squared / 4,
+        tan_gamma2=bg / a,
+        tan_theta=a / bg,
+        theta_degrees=math.degrees(math.atan2(float(a), float(bg))),
+        circumcenter=Point2(bg / 2, -a / 2),
+        radius_squared=g * bg / 2,
     )
 
 

@@ -5,7 +5,9 @@ The oracles work from vertex coordinates and exact arithmetic only - a
 products of squared coordinate distances in rationals, and a general
 shoelace with an exact self-intersection test. None of them consult the
 closed forms they are used to check, so a bug in the closed forms cannot
-hide.
+hide. Each verification measures every coordinate quantity once (the
+determinant, the six squared lengths, the four interior tangents and the
+shoelace area), and every claim is compared against that one measurement.
 
 Known misprints in the published reference values are kept in a small
 registry. When a verification touches one of those quantities the report
@@ -78,21 +80,21 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
     return 0
 
 
+def _no_collinear_triple(pts: Sequence[Point2]) -> bool:
+    # a collinear triple can zero the determinant, yet no circle passes through it
+    distinct = list(dict.fromkeys(pts))
+    if len(distinct) < 3:
+        raise DomainError("concyclicity needs at least three distinct points")
+    return all(_orient(*trio) != 0 for trio in combinations(distinct, 3))
+
+
 def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
     """Whether four points lie on one circle, decided exactly.
 
     Degenerate inputs: fewer than three distinct points is an error; a
-    collinear triple (which can also zero the determinant) returns False
-    because no circle passes through it.
+    collinear triple returns False because no circle passes through it.
     """
-    pts = (p1, p2, p3, p4)
-    distinct = list(dict.fromkeys(pts))
-    if len(distinct) < 3:
-        raise DomainError("concyclicity needs at least three distinct points")
-    for trio in combinations(distinct, 3):
-        if _orient(*trio) == 0:
-            return False
-    return concyclicity_determinant(*pts) == 0
+    return _no_collinear_triple((p1, p2, p3, p4)) and concyclicity_determinant(p1, p2, p3, p4) == 0
 
 
 def _surd_square(u: Surd) -> Fraction:
@@ -329,6 +331,20 @@ def _check(name: str, ok: bool, expected: object, actual: object) -> Check:
     )
 
 
+def _same(name: str, expected: object, actual: object) -> Check:
+    """An equality check: passes exactly when ``expected == actual``."""
+    return _check(name, expected == actual, expected, actual)
+
+
+_LENGTH_NAMES = (
+    "side-Gamma-B",
+    "side-B-Gamma2",
+    "side-Gamma2-Gamma1",
+    "side-Gamma-Gamma1",
+    "diagonal-B-Gamma1",
+    "diagonal-Gamma-Gamma2",
+)
+
 _TANGENT_NAMES = (
     (Vertex.B, "B"),
     (Vertex.GAMMA, "Gamma"),
@@ -337,73 +353,58 @@ _TANGENT_NAMES = (
 )
 
 
-def _construction_checks(q: QuadConstruction) -> list[Check]:
-    checks: list[Check] = []
+@dataclass(frozen=True)
+class _Measured:
+    """Coordinate measurements of one verification, in check order."""
+
+    lengths_squared: tuple[Fraction, ...]  # _LENGTH_NAMES
+    tangents: tuple[Fraction | None, ...]  # _TANGENT_NAMES
+    area: Fraction  # shoelace
+
+
+def _construction_checks(q: QuadConstruction) -> tuple[list[Check], _Measured]:
     g, b, g2, g1 = q.vertices()
-
     det = concyclicity_determinant(g, b, g2, g1)
-    checks.append(_check("concyclicity-determinant", det == 0, 0, det))
-    on_circle = concyclic(g, b, g2, g1)
-    checks.append(_check("concyclic", on_circle, True, on_circle))
-    holds = ptolemy_check(q)
-    checks.append(_check("ptolemy-identity", holds, "holds", "holds" if holds else "violated"))
-
-    right = (g2 - b).dot(g1 - b)
-    checks.append(_check("right-angle-at-B", right == 0, 0, right))
-
+    checks = [
+        _same("concyclicity-determinant", 0, det),
+        _same("concyclic", True, _no_collinear_triple((g, b, g2, g1)) and det == 0),
+        _same("ptolemy-identity", "holds", "holds" if ptolemy_check(q) else "violated"),
+        _same("right-angle-at-B", 0, (g2 - b).dot(g1 - b)),
+    ]
     for point, label in ((g, "Gamma"), (b, "B"), (g2, "Gamma2"), (g1, "Gamma1")):
-        r2 = dist_squared(point, q.circumcenter)
         checks.append(
-            _check(f"circumradius-{label}", r2 == q.radius_squared, q.radius_squared, r2)
+            _same(f"circumradius-{label}", q.radius_squared, dist_squared(point, q.circumcenter))
         )
 
+    measured = _Measured(
+        lengths_squared=tuple(
+            dist_squared(p, r) for p, r in ((g, b), (b, g2), (g2, g1), (g, g1), (b, g1), (g, g2))
+        ),
+        tangents=tuple(interior_tangent_from_coords(q, v) for v, _ in _TANGENT_NAMES),
+        area=shoelace([g, b, g2, g1]),
+    )
     # stored lengths vs coordinate distances (compared on squares: exact)
-    length_specs = (
-        ("side-Gamma-B", dist_squared(g, b), q.side_gamma_b * q.side_gamma_b),
-        ("side-B-Gamma2", dist_squared(b, g2), q.side_b_gamma2 * q.side_b_gamma2),
-        ("side-Gamma2-Gamma1", dist_squared(g2, g1), _surd_square(q.side_gamma2_gamma1)),
-        ("side-Gamma-Gamma1", dist_squared(g, g1), _surd_square(q.side_gamma_gamma1)),
-        ("diagonal-B-Gamma1", dist_squared(b, g1), q.diag_b_gamma1 * q.diag_b_gamma1),
-        ("diagonal-Gamma-Gamma2", dist_squared(g, g2), _surd_square(q.diag_gamma_gamma2)),
+    stored_squares = (
+        q.side_gamma_b * q.side_gamma_b,
+        q.side_b_gamma2 * q.side_b_gamma2,
+        _surd_square(q.side_gamma2_gamma1),
+        _surd_square(q.side_gamma_gamma1),
+        q.diag_b_gamma1 * q.diag_b_gamma1,
+        _surd_square(q.diag_gamma_gamma2),
     )
-    for name, coord_sq, stored_sq in length_specs:
-        checks.append(_check(name, coord_sq == stored_sq, coord_sq, stored_sq))
+    for name, coord_sq, stored_sq in zip(_LENGTH_NAMES, measured.lengths_squared, stored_squares):
+        checks.append(_same(name, coord_sq, stored_sq))
+    for (vertex, label), tangent in zip(_TANGENT_NAMES, measured.tangents):
+        checks.append(_same(f"tangent-{label}", tangent, q.tangent(vertex)))
 
-    for vertex, label in _TANGENT_NAMES:
-        measured = interior_tangent_from_coords(q, vertex)
-        stored = q.tangent(vertex)
-        checks.append(_check(f"tangent-{label}", measured == stored, measured, stored))
-
-    checks.append(
-        _check("tangent-sum-B-Gamma1", q.tan_b + q.tan_gamma1 == 0, 0, q.tan_b + q.tan_gamma1)
-    )
-    checks.append(
-        _check(
-            "tangent-sum-Gamma-Gamma2",
-            q.tan_gamma + q.tan_gamma2 == 0,
-            0,
-            q.tan_gamma + q.tan_gamma2,
-        )
-    )
-
-    area_coords = shoelace(list(q.vertices()))
-    area_closed = q.area
-    checks.append(_check("area-shoelace-vs-closed", area_coords == area_closed, area_closed, area_coords))
-    area_helper = quad_area(q)
-    checks.append(_check("area-helper-agrees", area_helper == area_coords, area_coords, area_helper))
+    checks.append(_same("tangent-sum-B-Gamma1", 0, q.tan_b + q.tan_gamma1))
+    checks.append(_same("tangent-sum-Gamma-Gamma2", 0, q.tan_gamma + q.tan_gamma2))
+    checks.append(_same("area-shoelace-vs-closed", q.area, measured.area))
+    checks.append(_same("area-helper-agrees", measured.area, quad_area(q)))
 
     a, beta, gamma = q.alpha, q.beta, q.gamma
-    checks.append(
-        _check("theta-tangent", q.tan_theta == a / (beta + gamma), a / (beta + gamma), q.tan_theta)
-    )
-    checks.append(
-        _check(
-            "shared-base-angle-identity",
-            (gamma - beta) / a == a / (gamma + beta),
-            a / (gamma + beta),
-            (gamma - beta) / a,
-        )
-    )
+    checks.append(_same("theta-tangent", a / (beta + gamma), q.tan_theta))
+    checks.append(_same("shared-base-angle-identity", a / (gamma + beta), (gamma - beta) / a))
     spread = angle_identity_check(q).max_spread_degrees
     checks.append(_check("angle-spread-below-1e-10-deg", spread < 1e-10, "< 1e-10", spread))
 
@@ -411,11 +412,9 @@ def _construction_checks(q: QuadConstruction) -> list[Check]:
     u = q.v_b - q.v_a
     v = q.v_gamma - q.v_a
     prod = gamma * beta  # |u| * |v| for this embedding
-    checks.append(_check("double-angle-cos", u.dot(v) / prod == beta / gamma, beta / gamma, u.dot(v) / prod))
-    checks.append(
-        _check("double-angle-sin", abs(u.cross(v)) / prod == a / gamma, a / gamma, abs(u.cross(v)) / prod)
-    )
-    return checks
+    checks.append(_same("double-angle-cos", beta / gamma, u.dot(v) / prod))
+    checks.append(_same("double-angle-sin", a / gamma, abs(u.cross(v)) / prod))
+    return checks, measured
 
 
 def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
@@ -428,7 +427,7 @@ def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
 def verify_construction(q: QuadConstruction) -> VerificationReport:
     """Full oracle pass over one construction."""
     errata = errata_for_triple(q.alpha, q.beta, q.gamma)
-    checks = _construction_checks(q) + _erratum_checks(errata)
+    checks = _construction_checks(q)[0] + _erratum_checks(errata)
     subject = f"construction({q.alpha}, {q.beta}, {q.gamma})"
     return VerificationReport(subject, tuple(checks), errata)
 
@@ -439,35 +438,22 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     registered errata."""
     p = member.params
     q = member.quad
-    checks = _construction_checks(q)
+    checks, measured = _construction_checks(q)
 
-    gv, bv, g2v, g1v = q.vertices()
-    member_lengths = (
-        ("member-side-Gamma-B", dist_squared(gv, bv), Fraction(member.side_gamma_b) ** 2),
-        ("member-side-B-Gamma2", dist_squared(bv, g2v), Fraction(member.side_b_gamma2) ** 2),
-        (
-            "member-side-Gamma2-Gamma1",
-            dist_squared(g2v, g1v),
-            Fraction(member.side_gamma2_gamma1) ** 2,
-        ),
-        ("member-side-Gamma-Gamma1", dist_squared(gv, g1v), member.side_gamma_gamma1**2),
-        ("member-diagonal-B-Gamma1", dist_squared(bv, g1v), Fraction(member.diag_b_gamma1) ** 2),
-        ("member-diagonal-Gamma-Gamma2", dist_squared(gv, g2v), member.diag_gamma_gamma2**2),
+    closed_lengths = (
+        member.side_gamma_b,
+        member.side_b_gamma2,
+        member.side_gamma2_gamma1,
+        member.side_gamma_gamma1,
+        member.diag_b_gamma1,
+        member.diag_gamma_gamma2,
     )
-    for name, coord_sq, closed_sq in member_lengths:
-        checks.append(_check(name, coord_sq == closed_sq, coord_sq, closed_sq))
+    for name, coord_sq, closed in zip(_LENGTH_NAMES, measured.lengths_squared, closed_lengths):
+        checks.append(_same(f"member-{name}", coord_sq, Fraction(closed) ** 2))
+    closed_tangents = (member.tan_b, member.tan_gamma, member.tan_gamma1, member.tan_gamma2)
+    for (_, label), tangent, closed in zip(_TANGENT_NAMES, measured.tangents, closed_tangents):
+        checks.append(_same(f"member-tangent-{label}", tangent, closed))
 
-    member_tangents = (
-        ("member-tangent-B", Vertex.B, member.tan_b),
-        ("member-tangent-Gamma", Vertex.GAMMA, member.tan_gamma),
-        ("member-tangent-Gamma1", Vertex.GAMMA1, member.tan_gamma1),
-        ("member-tangent-Gamma2", Vertex.GAMMA2, member.tan_gamma2),
-    )
-    for name, vertex, closed in member_tangents:
-        measured = interior_tangent_from_coords(q, vertex)
-        checks.append(_check(name, measured == closed, measured, closed))
-
-    area_coords = shoelace(list(q.vertices()))
     m, n, L, delta = p.m, p.n, p.L, p.delta
     mm_nn = m * m - n * n
     bracket = (
@@ -475,9 +461,9 @@ def verify_member(member: FamilyMember) -> VerificationReport:
         * (mm_nn + Fraction(mm_nn * mm_nn, m * m + n * n) + 2 * m * m)
     )
     reduced = Fraction(4 * delta * delta * m**5 * n, L * L)
-    checks.append(_check("member-area-vs-shoelace", member.area == area_coords, area_coords, member.area))
-    checks.append(_check("member-area-bracket-form", member.area == bracket, bracket, member.area))
-    checks.append(_check("member-area-reduced-form", member.area == reduced, reduced, member.area))
+    checks.append(_same("member-area-vs-shoelace", measured.area, member.area))
+    checks.append(_same("member-area-bracket-form", bracket, member.area))
+    checks.append(_same("member-area-reduced-form", reduced, member.area))
 
     integral = (
         member.side_gamma_gamma1.denominator == 1
@@ -494,9 +480,8 @@ def verify_member(member: FamilyMember) -> VerificationReport:
         )
     )
 
-    theta = Fraction(n, m)
     a, b, g = q.alpha, q.beta, q.gamma
-    checks.append(_check("member-theta-n-over-m", theta == a / (b + g), a / (b + g), theta))
+    checks.append(_same("member-theta-n-over-m", a / (b + g), Fraction(n, m)))
 
     errata = errata_for_member(member)
     checks += _erratum_checks(errata)

@@ -2,12 +2,16 @@
 file output, CSV and SVG emission, and the verify modes."""
 
 import csv
+import dataclasses
 import io
 import json
+import time
 
 import pytest
 
+from heronquad import cli
 from heronquad.cli import main
+from heronquad.verify import CheckStatus
 
 
 def run(capsys, *argv):
@@ -181,6 +185,28 @@ class TestConstructCommand:
         assert content.startswith("<svg")
         assert "Γ₂" in content
 
+    @pytest.mark.parametrize(
+        "triple, exact",
+        [
+            # m = 1e9+7, n = 2: only the primitive hypotenuse gets split
+            (
+                ("4000000028", "1000000014000000045", "1000000014000000053"),
+                {"coef": "2000000014", "radicand": 1000000014000000053},
+            ),
+            # (3, 4, 5) over a 14-digit prime: the denominator is never factored
+            (
+                ("3/10000000000037", "4/10000000000037", "5/10000000000037"),
+                {"coef": "3/10000000000037", "radicand": 10},
+            ),
+        ],
+        ids=["prime-m-1e9", "prime-denominator-1e13"],
+    )
+    def test_large_radicand_finishes(self, capsys, triple, exact):
+        start = time.perf_counter()
+        doc = run_json(capsys, "construct", *triple)
+        assert time.perf_counter() - start < 1.0
+        assert doc["result"]["sides"]["Gamma2-Gamma1"]["exact"] == exact
+
     def test_non_pythagorean_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "3", "4", "6")
         assert code == 3
@@ -287,6 +313,24 @@ class TestHeronTableCommand:
         doc = run_json(capsys, "heron-table", "--t-max", "3", "--delta-multiples", "2")
         deltas = [(r["m"], r["n"], r["delta"]) for r in doc["result"]["rows"]]
         assert deltas == [(4, 3, 5), (4, 3, 10), (12, 5, 13), (12, 5, 26)]
+
+    def test_failing_row_names_its_checks(self, capsys, monkeypatch):
+        real_verify = cli.verify_member
+
+        def one_failure(member):
+            report = real_verify(member)
+            first = dataclasses.replace(report.checks[0], status=CheckStatus.FAIL)
+            return dataclasses.replace(report, checks=(first,) + report.checks[1:])
+
+        monkeypatch.setattr(cli, "verify_member", one_failure)
+        code, out, err = run(capsys, "heron-table", "--t-max", "3")
+        assert code == 4
+        assert (
+            "verification failed for (m=4, n=3, delta=5): "
+            "1 check(s): concyclicity-determinant" in err
+        )
+        assert "2 row(s) failed verification" in err
+        assert [r["verified"] for r in json.loads(out)["result"]["rows"]] == [False, False]
 
     def test_csv_round_trip_values(self, capsys):
         _, out, _ = run(capsys, "heron-table", "--t-max", "4", "--format", "csv")

@@ -135,6 +135,14 @@ class TestSurd:
         v = surd_sqrt(Fraction(49, 4))
         assert v.is_rational and v.as_fraction() == Fraction(7, 2)
 
+    @given(st.integers(min_value=0, max_value=2_000), st.integers(min_value=1, max_value=2_000))
+    def test_sqrt_matches_brute_force(self, p, q):
+        x = Fraction(p, q)
+        u = surd_sqrt(x)
+        assert u.coefficient * u.coefficient * u.radicand == x
+        assert u.coefficient >= 0
+        assert all(u.radicand % (k * k) for k in range(2, math.isqrt(u.radicand) + 1))
+
     def test_float_and_str(self):
         u = surd_normalize(Fraction(3), 10)
         assert math.isclose(float(u), 3 * math.sqrt(10))

@@ -43,6 +43,9 @@ CASES = [
         0,
     ),
     ("svg", [["svg", "120", "35", "125"]], 0),
+    # irrational hypotenuses: m = 1000003 even leg first, m = 1009 odd leg first
+    ("construct-surd-even-first", [["construct", "4000012", "1000006000005", "1000006000013"]], 0),
+    ("verify-triple-surd-odd-first", [["verify", "--triple", "1018077", "4036", "1018085"]], 0),
 ]
 
 

@@ -1,7 +1,7 @@
 """Work counts: each subject is constructed once, each oracle is
-evaluated once per verification (the determinant also runs inside
-``concyclic``, so at most twice), and verifying a built construction
-factors nothing."""
+evaluated once per verification, each coordinate quantity is measured
+once per verification, and verifying a built construction factors
+nothing."""
 
 import json
 import sys
@@ -16,8 +16,11 @@ from heronquad.family import family_member
 COUNTED = (
     (exactnum, "squarefree_decompose"),
     (geometry, "construct_quad"),
+    (geometry, "dist_squared"),
+    (geometry, "interior_tangent_from_coords"),
     (verify, "concyclicity_determinant"),
     (verify, "ptolemy_check"),
+    (verify, "shoelace"),
 )
 
 
@@ -54,7 +57,7 @@ def test_verify_construction_evaluates_each_oracle_once(calls):
     q = geometry.construct_quad(120, 35, 125)
     calls.clear()
     assert not verify.verify_construction(q).has_failures
-    assert 1 <= calls["concyclicity_determinant"] <= 2
+    assert calls["concyclicity_determinant"] == 1
     assert calls["ptolemy_check"] == 1
     assert calls["construct_quad"] == 0
     assert calls["squarefree_decompose"] == 0
@@ -67,3 +70,14 @@ def test_verify_member_reuses_the_member_construction(calls):
     assert not verify.verify_member(member).has_failures
     assert calls["construct_quad"] == 0
     assert calls["ptolemy_check"] == 1
+
+
+def test_verify_member_measures_each_quantity_once(calls):
+    member = family_member(5, 4, 3)
+    calls.clear()
+    assert not verify.verify_member(member).has_failures
+    assert calls["concyclicity_determinant"] == 1
+    assert calls["shoelace"] == 1
+    assert calls["interior_tangent_from_coords"] == 4
+    # 6 in ptolemy_check, 4 circumradii, 6 measured lengths
+    assert calls["dist_squared"] == 16

@@ -39,9 +39,19 @@ from .family import (
     heron_member,
     theta_of_member,
 )
-from .geometry import Point2, QuadConstruction, Vertex, construct_quad, interior_angle_degrees
+from .geometry import (
+    ANGLES,
+    SEGMENTS,
+    Point2,
+    QuadConstruction,
+    Vertex,
+    construct_quad,
+    interior_angle_degrees,
+)
 from .svgfig import render_svg
 from .trigsolve import (
+    K_ABS_MAX,
+    K_PERIODS_MAX,
     EquationCoeffs,
     SolutionKind,
     classify,
@@ -71,6 +81,13 @@ class ParseError(ValueError):
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
+# Every exact number read from the command line or a --input file has at
+# most this many digits in its numerator and in its denominator, so the
+# values the commands print stay far below Python's 4,300-digit int-to-str
+# limit. An exponent of five or more digits is refused before it is expanded.
+_MAX_DIGITS = 300
+_HUGE_EXPONENT_RE = re.compile(r"e[+-]?[0_]*[1-9](_?\d){4}", re.IGNORECASE)
+
 
 def _parse_float(text: str) -> float:
     """A finite float; NaN and infinities have no place in a JSON envelope."""
@@ -83,26 +100,37 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _bounded(value: Fraction | int, text: str) -> Fraction | int:
+    limit = 10**_MAX_DIGITS
+    if abs(value.numerator) >= limit or value.denominator >= limit:
+        raise ParseError(f"{text!r} has more than {_MAX_DIGITS} digits")
+    return value
+
+
 def _parse_number(text: str) -> Fraction | float:
     """Integers and p/q stay exact; decimal literals become finite floats."""
     if _RATIONAL_RE.match(text):
-        return Fraction(text)
+        return _bounded(Fraction(text), text)
     return _parse_float(text)
 
 
 def _parse_rational(text: str) -> Fraction:
     """Exact rational from an integer, p/q, or decimal literal."""
+    if _HUGE_EXPONENT_RE.search(text):
+        raise ParseError(f"{text!r} has more than {_MAX_DIGITS} digits")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {text!r}") from None
+    return _bounded(value, text)
 
 
 def _parse_int(text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParseError(f"not an integer: {text!r}") from None
+    return _bounded(value, text)
 
 
 _parse_float.__name__ = "float"
@@ -142,15 +170,21 @@ def _vertex_payload(p: Point2) -> dict:
     }
 
 
-def _rational_length_payload(value: Fraction) -> dict:
-    return {"exact": str(value), "approx": _round10(float(value))}
+def _length_payload(value: Fraction | Surd) -> dict:
+    if isinstance(value, Surd):
+        exact: object = {"coef": str(value.coefficient), "radicand": value.radicand}
+    else:
+        exact = str(value)
+    return {"exact": exact, "approx": _round10(float(value))}
 
 
-def _surd_length_payload(value: Surd) -> dict:
-    return {
-        "exact": {"coef": str(value.coefficient), "radicand": value.radicand},
-        "approx": _round10(float(value)),
-    }
+def _measures_payload(obj: QuadConstruction | FamilyMember, length_payload) -> dict:
+    """``sides``, ``diagonals`` and ``tangents``, named by the geometry tables."""
+    payload: dict = {"sides": {}, "diagonals": {}}
+    for kind, label, _, attr in SEGMENTS:
+        payload[kind + "s"][label] = length_payload(getattr(obj, attr))
+    payload["tangents"] = {vertex.value: str(getattr(obj, attr)) for vertex, attr in ANGLES}
+    return payload
 
 
 def _theta_payload(tan: Fraction, degrees: float) -> dict:
@@ -174,9 +208,12 @@ def _envelope(command: str, inputs: dict, result: object, errata) -> dict:
 def _emit_text(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_path}: {exc}") from None
 
 
 def _emit_json(envelope: dict, out_path: str | None) -> None:
@@ -201,18 +238,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     families = []
     for fam in solutions.families:
-        tan_half: object
-        if fam.tan_half is None:
-            tan_half = None
-        elif isinstance(fam.tan_half, Fraction):
-            tan_half = str(fam.tan_half)
-        else:
-            tan_half = _round10(fam.tan_half)
         families.append(
             {
                 "tag": fam.tag.value,
                 "exact": fam.exact,
-                "tan_half": tan_half,
+                "tan_half": None if fam.tan_half is None else _num_payload(fam.tan_half),
                 "base_radians": _round10(fam.base),
                 "base_degrees": _round10(math.degrees(fam.base)),
             }
@@ -277,33 +307,12 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
     return {
         "triple": _triple_payload(q.alpha, q.beta, q.gamma),
         "vertices": {
-            "Gamma": _vertex_payload(q.v_gamma),
-            "B": _vertex_payload(q.v_b),
-            "Gamma2": _vertex_payload(q.v_gamma2),
-            "Gamma1": _vertex_payload(q.v_gamma1),
+            **{vertex.value: _vertex_payload(p) for vertex, p in zip(Vertex, q.vertices())},
             "A": _vertex_payload(q.v_a),
         },
-        "sides": {
-            "Gamma-B": _rational_length_payload(q.side_gamma_b),
-            "B-Gamma2": _rational_length_payload(q.side_b_gamma2),
-            "Gamma2-Gamma1": _surd_length_payload(q.side_gamma2_gamma1),
-            "Gamma-Gamma1": _surd_length_payload(q.side_gamma_gamma1),
-        },
-        "diagonals": {
-            "B-Gamma1": _rational_length_payload(q.diag_b_gamma1),
-            "Gamma-Gamma2": _surd_length_payload(q.diag_gamma_gamma2),
-        },
-        "tangents": {
-            "B": str(q.tan_b),
-            "Gamma": str(q.tan_gamma),
-            "Gamma1": str(q.tan_gamma1),
-            "Gamma2": str(q.tan_gamma2),
-        },
+        **_measures_payload(q, _length_payload),
         "angles_degrees": {
-            "B": _round10(interior_angle_degrees(q, Vertex.B)),
-            "Gamma": _round10(interior_angle_degrees(q, Vertex.GAMMA)),
-            "Gamma1": _round10(interior_angle_degrees(q, Vertex.GAMMA1)),
-            "Gamma2": _round10(interior_angle_degrees(q, Vertex.GAMMA2)),
+            vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
         "theta": _theta_payload(q.tan_theta, q.theta_degrees),
         "circumcircle": {
@@ -311,7 +320,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
             "radius_squared": str(q.radius_squared),
             "radius_approx": _round10(radius),
         },
-        "area": _rational_length_payload(q.area),
+        "area": _length_payload(q.area),
     }
 
 
@@ -319,8 +328,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     q = construct_quad(args.alpha, args.beta, args.gamma)
     result = _construct_result_payload(q)
     if args.svg is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(q))
+        _emit_text(render_svg(q), args.svg)
         result["svg_path"] = args.svg
     inputs = {
         "alpha": str(args.alpha),
@@ -357,22 +365,7 @@ def _member_payload(member: FamilyMember, errata) -> dict:
             "k": p.k,
         },
         "triple": list(member.triple()),
-        "sides": {
-            "Gamma-B": str(member.side_gamma_b),
-            "B-Gamma2": str(member.side_b_gamma2),
-            "Gamma2-Gamma1": str(member.side_gamma2_gamma1),
-            "Gamma-Gamma1": str(member.side_gamma_gamma1),
-        },
-        "diagonals": {
-            "B-Gamma1": str(member.diag_b_gamma1),
-            "Gamma-Gamma2": str(member.diag_gamma_gamma2),
-        },
-        "tangents": {
-            "B": str(member.tan_b),
-            "Gamma": str(member.tan_gamma),
-            "Gamma1": str(member.tan_gamma1),
-            "Gamma2": str(member.tan_gamma2),
-        },
+        **_measures_payload(member, str),
         "area": str(member.area),
         "is_heron": member.is_heron,
         "theta": _theta_payload(theta.tan, theta.degrees),
@@ -407,38 +400,26 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # subcommand: heron-table
 
-_CSV_COLUMNS = (
-    "t1",
-    "t2",
-    "m",
-    "n",
-    "delta",
-    "B_Gamma",
-    "Gamma_Gamma1",
-    "Gamma1_Gamma2",
-    "Gamma2_B",
-    "B_Gamma1",
-    "Gamma_Gamma2",
-    "Area",
+# the published table's length and area columns, in its order and naming,
+# with the member attribute each one shows
+_CSV_MEMBER_COLUMNS = (
+    ("B_Gamma", "side_gamma_b"),
+    ("Gamma_Gamma1", "side_gamma_gamma1"),
+    ("Gamma1_Gamma2", "side_gamma2_gamma1"),
+    ("Gamma2_B", "side_b_gamma2"),
+    ("B_Gamma1", "diag_b_gamma1"),
+    ("Gamma_Gamma2", "diag_gamma_gamma2"),
+    ("Area", "area"),
 )
+_CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_MEMBER_COLUMNS)
 
 
 def _heron_row(t1: int, t2: int, member: FamilyMember) -> dict:
     p = member.params
-    return {
-        "t1": t1,
-        "t2": t2,
-        "m": p.m,
-        "n": p.n,
-        "delta": p.delta,
-        "B_Gamma": str(member.side_gamma_b),
-        "Gamma_Gamma1": str(member.side_gamma_gamma1),
-        "Gamma1_Gamma2": str(member.side_gamma2_gamma1),
-        "Gamma2_B": str(member.side_b_gamma2),
-        "B_Gamma1": str(member.diag_b_gamma1),
-        "Gamma_Gamma2": str(member.diag_gamma_gamma2),
-        "Area": str(member.area),
-    }
+    row = {"t1": t1, "t2": t2, "m": p.m, "n": p.n, "delta": p.delta}
+    for column, attr in _CSV_MEMBER_COLUMNS:
+        row[column] = str(getattr(member, attr))
+    return row
 
 
 def _failed_checks(report: VerificationReport) -> str:
@@ -503,7 +484,9 @@ def _verify_triple(a: int, b: int, c: int) -> VerificationReport:
 
 
 def _verify_envelope_file(path: str, doc: dict) -> VerificationReport:
-    inputs = doc.get("inputs", {})
+    inputs, stored = doc.get("inputs", {}), doc.get("result", {})
+    if not isinstance(inputs, dict) or not isinstance(stored, dict):
+        raise ParseError(f"{path}: construct envelope needs 'inputs' and 'result' objects")
     try:
         alpha = _parse_rational(str(inputs["alpha"]))
         beta = _parse_rational(str(inputs["beta"]))
@@ -512,8 +495,7 @@ def _verify_envelope_file(path: str, doc: dict) -> VerificationReport:
         raise ParseError(f"construct envelope lacks input {missing}") from None
     q = construct_quad(alpha, beta, gamma)
     regenerated = _construct_result_payload(q)
-    stored = {k: v for k, v in doc.get("result", {}).items() if k != "svg_path"}
-    consistent = stored == regenerated
+    consistent = {k: v for k, v in stored.items() if k != "svg_path"} == regenerated
     consistency = Check(
         "payload-consistency",
         CheckStatus.PASS if consistent else CheckStatus.FAIL,
@@ -532,7 +514,7 @@ def _verify_input_file(path: str) -> VerificationReport:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too long or deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -591,6 +573,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    digits = f"at most {_MAX_DIGITS} digits in numerator and denominator"
     parser = argparse.ArgumentParser(
         prog="heron-quad",
         description=(
@@ -604,10 +587,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="classify and enumerate equation solutions")
-    sp.add_argument("alpha", type=_parse_number)
-    sp.add_argument("beta", type=_parse_number)
-    sp.add_argument("gamma", type=_parse_number)
-    sp.add_argument("--k", default="0..0", help="period range MIN..MAX (default 0..0)")
+    for name in ("alpha", "beta", "gamma"):
+        sp.add_argument(
+            name, type=_parse_number, help=f"integer or p/q, exact ({digits}), or a decimal float"
+        )
+    sp.add_argument(
+        "--k",
+        default="0..0",
+        help=(
+            f"period range MIN..MAX (default 0..0); at most {K_PERIODS_MAX} periods "
+            f"with |k| <= {K_ABS_MAX} (exit 3 past that)"
+        ),
+    )
     sp.add_argument(
         "--zero-tol",
         type=_parse_float,
@@ -618,9 +609,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_solve)
 
     cp = sub.add_parser("construct", help="build the quadrilateral for a right triple")
-    cp.add_argument("alpha", type=_parse_rational)
-    cp.add_argument("beta", type=_parse_rational)
-    cp.add_argument("gamma", type=_parse_rational)
+    for name in ("alpha", "beta", "gamma"):
+        cp.add_argument(name, type=_parse_rational, help=f"integer, p/q or decimal, {digits}")
     cp.add_argument("--svg", default=None, help="also render an SVG to this file")
     cp.add_argument("--out", default=None, help="write output to this file")
     cp.set_defaults(func=_cmd_construct)
@@ -652,14 +642,13 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--params", nargs=3, type=_parse_int, metavar=("DELTA", "M", "N"), default=None
     )
-    group.add_argument("--input", default=None, help="JSON document to verify")
+    group.add_argument("--input", default=None, help=f"JSON document to verify (numbers: {digits})")
     vp.add_argument("--out", default=None, help="write output to this file")
     vp.set_defaults(func=_cmd_verify)
 
     gp = sub.add_parser("svg", help="render a construction as SVG")
-    gp.add_argument("alpha", type=_parse_rational)
-    gp.add_argument("beta", type=_parse_rational)
-    gp.add_argument("gamma", type=_parse_rational)
+    for name in ("alpha", "beta", "gamma"):
+        gp.add_argument(name, type=_parse_rational, help=f"integer, p/q or decimal, {digits}")
     gp.add_argument("--out", default=None, help="write the SVG to this file")
     gp.set_defaults(func=_cmd_svg)
 
@@ -677,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"heron-quad: parse error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:  # overflow: a value past the float range
         print(f"heron-quad: domain error: {exc}", file=sys.stderr)
         return 3
 

@@ -90,13 +90,20 @@ def divides_via_power(a: int, b: int, n: int) -> bool:
     return b**n % a**n == 0
 
 
+# Largest trial divisor squarefree_decompose may try: every integer below 2^60
+# (the m = 1e9+7 hypotenuse 1000000014000000053 among them) still splits.
+_TRIAL_DIVISION_LIMIT = 2**20
+
+
 def squarefree_decompose(c: int) -> tuple[int, int]:
     """Write ``c = s*s*d`` with ``d`` squarefree; returns ``(s, d)``.
 
     Fast path: perfect squares fall out of one ``isqrt``. Otherwise trial
     division up to the cube root peels off small square factors; the
     cofactor then has at most two prime factors, so a single ``exact_sqrt``
-    settles whether a large square remains.
+    settles whether a large square remains. A cube root past
+    ``_TRIAL_DIVISION_LIMIT`` (once the small factors are out) is a
+    ``DomainError``, so the cost stays bounded.
     """
     if c < 1:
         raise DomainError(f"squarefree_decompose needs a positive integer, got {c}")
@@ -108,6 +115,11 @@ def squarefree_decompose(c: int) -> tuple[int, int]:
     rest = c
     p = 2
     while p * p * p <= rest:
+        if p > _TRIAL_DIVISION_LIMIT:
+            raise DomainError(
+                f"squarefree split of an integer of {c.bit_length()} bits needs trial "
+                f"division past {_TRIAL_DIVISION_LIMIT}; its square root is out of reach"
+            )
         if rest % p == 0:
             exponent = 0
             while rest % p == 0:

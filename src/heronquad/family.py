@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .exactnum import DomainError, Surd, check_generator_pair, exact_sqrt, gcd
-from .geometry import QuadConstruction, construct_quad, quad_area
+from .geometry import ANGLES, SEGMENTS, QuadConstruction, construct_quad, quad_area
 
 __all__ = [
     "FamilyMember",
@@ -167,24 +167,23 @@ def family_member(
     return member
 
 
+# every closed form a member shares, by attribute name, with its construction
+_SHARED_ATTRIBUTES = tuple(attr for *_, attr in SEGMENTS) + tuple(attr for _, attr in ANGLES)
+
+
 def _cross_check(member: FamilyMember) -> None:
     # closed forms must agree with the coordinate construction
     q = member.quad
-    consistent = (
-        q.side_gamma_b == member.side_gamma_b
-        and q.side_b_gamma2 == member.side_b_gamma2
-        and q.side_gamma2_gamma1 == Surd(Fraction(member.side_gamma2_gamma1), 1)
-        and q.side_gamma_gamma1 == Surd(member.side_gamma_gamma1, 1)
-        and q.diag_b_gamma1 == member.diag_b_gamma1
-        and q.diag_gamma_gamma2 == Surd(member.diag_gamma_gamma2, 1)
-        and q.tan_b == member.tan_b
-        and q.tan_gamma == member.tan_gamma
-        and q.tan_gamma1 == member.tan_gamma1
-        and q.tan_gamma2 == member.tan_gamma2
-        and quad_area(q) == member.area
-    )
-    if not consistent:
-        raise RuntimeError(f"closed forms disagree with coordinates for {member.params}")
+    for attr in _SHARED_ATTRIBUTES:
+        built, closed = getattr(q, attr), getattr(member, attr)
+        if isinstance(built, Surd) and built.is_rational:
+            built = built.coefficient
+        if built != closed:
+            raise RuntimeError(
+                f"closed form {attr} disagrees with coordinates for {member.params}"
+            )
+    if quad_area(q) != member.area:
+        raise RuntimeError(f"closed-form area disagrees with coordinates for {member.params}")
 
 
 def heron_member(m: int, n: int, L: int, j: int = 1) -> FamilyMember:

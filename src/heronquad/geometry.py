@@ -25,9 +25,11 @@ from fractions import Fraction
 from .exactnum import DomainError, Surd, surd_scale, surd_sqrt
 
 __all__ = [
+    "ANGLES",
     "AngleIdentity",
     "Point2",
     "QuadConstruction",
+    "SEGMENTS",
     "Vertex",
     "angle_identity_check",
     "construct_quad",
@@ -61,6 +63,8 @@ def dist_squared(p: Point2, q: Point2) -> Fraction:
 
 
 class Vertex(Enum):
+    """The four vertices, in traversal order."""
+
     GAMMA = "Gamma"
     B = "B"
     GAMMA2 = "Gamma2"
@@ -71,10 +75,10 @@ class Vertex(Enum):
 class QuadConstruction:
     """The embedded quadrilateral with its exact lengths and angle tangents.
 
-    Sides follow the traversal (Gamma-B, B-Gamma2, Gamma2-Gamma1,
-    Gamma1-Gamma); the diagonals are B-Gamma1 and Gamma-Gamma2. Interior
-    angle tangents are the exact closed forms -a/b, a/(b-g), a/b, (b+g)/a
-    at B's opposite pairs; coordinates reproduce them (see the verifier).
+    ``SEGMENTS`` names the six lengths and ``ANGLES`` the four interior
+    angle tangents, which are the exact closed forms -a/b, a/(b-g), a/b,
+    (b+g)/a at B, Gamma, Gamma1, Gamma2; coordinates reproduce them (see
+    the verifier).
     """
 
     alpha: Fraction
@@ -112,20 +116,33 @@ class QuadConstruction:
         return (self.v_gamma, self.v_b, self.v_gamma2, self.v_gamma1)
 
     def vertex(self, which: Vertex) -> Point2:
-        return {
-            Vertex.GAMMA: self.v_gamma,
-            Vertex.B: self.v_b,
-            Vertex.GAMMA2: self.v_gamma2,
-            Vertex.GAMMA1: self.v_gamma1,
-        }[which]
+        return self.vertices()[_ORDER.index(which)]
 
     def tangent(self, which: Vertex) -> Fraction:
-        return {
-            Vertex.GAMMA: self.tan_gamma,
-            Vertex.B: self.tan_b,
-            Vertex.GAMMA2: self.tan_gamma2,
-            Vertex.GAMMA1: self.tan_gamma1,
-        }[which]
+        return next(getattr(self, attr) for vertex, attr in ANGLES if vertex is which)
+
+
+# The six lengths as (kind, label, endpoints, attribute): the four sides in
+# traversal order, then the two diagonals. ``QuadConstruction`` and
+# ``FamilyMember`` name each length by the same attribute.
+SEGMENTS = (
+    ("side", "Gamma-B", (Vertex.GAMMA, Vertex.B), "side_gamma_b"),
+    ("side", "B-Gamma2", (Vertex.B, Vertex.GAMMA2), "side_b_gamma2"),
+    ("side", "Gamma2-Gamma1", (Vertex.GAMMA2, Vertex.GAMMA1), "side_gamma2_gamma1"),
+    ("side", "Gamma-Gamma1", (Vertex.GAMMA, Vertex.GAMMA1), "side_gamma_gamma1"),
+    ("diagonal", "B-Gamma1", (Vertex.B, Vertex.GAMMA1), "diag_b_gamma1"),
+    ("diagonal", "Gamma-Gamma2", (Vertex.GAMMA, Vertex.GAMMA2), "diag_gamma_gamma2"),
+)
+
+# The four interior-angle tangents as (vertex, attribute), in report order
+# (B and Gamma1 are opposite, as are Gamma and Gamma2).
+ANGLES = (
+    (Vertex.B, "tan_b"),
+    (Vertex.GAMMA, "tan_gamma"),
+    (Vertex.GAMMA1, "tan_gamma1"),
+    (Vertex.GAMMA2, "tan_gamma2"),
+)
+_ORDER = tuple(Vertex)
 
 
 def _as_rational(value: Fraction | int | str, name: str) -> Fraction:
@@ -185,14 +202,12 @@ def construct_quad(
     )
 
 
-_ORDER = (Vertex.GAMMA, Vertex.B, Vertex.GAMMA2, Vertex.GAMMA1)
-
-
 def _edge_vectors(q: QuadConstruction, which: Vertex) -> tuple[Point2, Point2]:
     """Vectors from a vertex to its two neighbours in the traversal order."""
+    pts = q.vertices()
     idx = _ORDER.index(which)
-    here = q.vertex(which)
-    return q.vertex(_ORDER[idx - 1]) - here, q.vertex(_ORDER[(idx + 1) % 4]) - here
+    here = pts[idx]
+    return pts[idx - 1] - here, pts[(idx + 1) % 4] - here
 
 
 def interior_tangent_from_coords(q: QuadConstruction, which: Vertex) -> Fraction | None:

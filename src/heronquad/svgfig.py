@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 
-from .geometry import QuadConstruction
+from .geometry import ANGLES, QuadConstruction, Vertex
 
 __all__ = ["render_svg"]
 
 _WIDTH = 800.0
 _HEIGHT = 600.0
 _MARGIN = 0.10
+_GLYPHS = {Vertex.GAMMA: "Γ", Vertex.B: "B", Vertex.GAMMA2: "Γ₂", Vertex.GAMMA1: "Γ₁"}
 
 
 def _fmt(value: float) -> str:
@@ -28,12 +29,9 @@ def render_svg(q: QuadConstruction) -> str:
     radius = math.sqrt(float(q.radius_squared))
 
     points = {
-        "Γ": (float(q.v_gamma.x), float(q.v_gamma.y)),
-        "B": (float(q.v_b.x), float(q.v_b.y)),
-        "Γ₂": (float(q.v_gamma2.x), float(q.v_gamma2.y)),
-        "Γ₁": (float(q.v_gamma1.x), float(q.v_gamma1.y)),
-        "A": (float(q.v_a.x), float(q.v_a.y)),
+        _GLYPHS[vertex]: (float(p.x), float(p.y)) for vertex, p in zip(Vertex, q.vertices())
     }
+    points["A"] = (float(q.v_a.x), float(q.v_a.y))
 
     xs = [p[0] for p in points.values()] + [cx - radius, cx + radius]
     ys = [p[1] for p in points.values()] + [cy - radius, cy + radius]
@@ -55,8 +53,7 @@ def render_svg(q: QuadConstruction) -> str:
         sy = _HEIGHT - (offset_y + (y - min_y) * scale)
         return sx, sy
 
-    quad_labels = ("Γ", "B", "Γ₂", "Γ₁")
-    quad_pts = [to_svg(*points[name]) for name in quad_labels]
+    quad_pts = [to_svg(*points[_GLYPHS[vertex]]) for vertex in Vertex]
     path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in quad_pts)
 
     ccx, ccy = to_svg(cx, cy)
@@ -101,22 +98,16 @@ def render_svg(q: QuadConstruction) -> str:
             f'font-size="16" fill="{fill}">{name}</text>'
         )
 
-    tangents = (
-        ("tan at B", q.tan_b),
-        ("tan at Γ", q.tan_gamma),
-        ("tan at Γ₁", q.tan_gamma1),
-        ("tan at Γ₂", q.tan_gamma2),
-    )
     text_y = 24.0
     parts.append(
         f'<text x="12" y="{_fmt(text_y)}" font-family="sans-serif" font-size="14" '
         f'fill="#333333">θ = {q.theta_degrees:.5f}°, tan θ = {q.tan_theta}</text>'
     )
-    for label, value in tangents:
+    for vertex, attr in ANGLES:
         text_y += 18.0
         parts.append(
             f'<text x="12" y="{_fmt(text_y)}" font-family="sans-serif" font-size="14" '
-            f'fill="#333333">{label} = {value}</text>'
+            f'fill="#333333">tan at {_GLYPHS[vertex]} = {getattr(q, attr)}</text>'
         )
 
     parts.append("</svg>")

@@ -33,6 +33,8 @@ __all__ = [
     "EquationCoeffs",
     "FamilyTag",
     "HalfAngleQuadratic",
+    "K_ABS_MAX",
+    "K_PERIODS_MAX",
     "SolutionKind",
     "SolutionSet",
     "classify",
@@ -45,6 +47,12 @@ Number = Fraction | float
 
 # adjacent enumerated solutions closer than this merge into one
 _MERGE_TOL = 1e-12
+
+# Enumeration bounds: |k| past K_ABS_MAX leaves too few float digits for
+# x = base + 2*k*pi to mean much, and K_PERIODS_MAX periods already print
+# tens of thousands of solutions.
+K_ABS_MAX = 10**6
+K_PERIODS_MAX = 10**4
 
 
 def _coerce(value: Number | int, name: str) -> Number:
@@ -195,10 +203,15 @@ def enumerate_solutions(solutions: SolutionSet, k_min: int, k_max: int) -> list[
     """Concrete solutions base + 2*k*pi for k in [k_min, k_max], sorted.
 
     Near-duplicates (within 1e-12) merge. An empty set enumerates to an
-    empty list; the all-reals set is uncountable and refused.
+    empty list; the all-reals set is uncountable and refused, and so is a
+    range past |k| = K_ABS_MAX or wider than K_PERIODS_MAX periods.
     """
     if k_min > k_max:
         raise DomainError(f"empty k range: k_min={k_min} > k_max={k_max}")
+    if max(-k_min, k_max) > K_ABS_MAX:
+        raise DomainError(f"the k range reaches past |k| = {K_ABS_MAX}")
+    if k_max - k_min >= K_PERIODS_MAX:
+        raise DomainError(f"the k range spans more than {K_PERIODS_MAX} periods")
     if solutions.kind is SolutionKind.ALL_REALS:
         raise DomainError("every real x is a solution; enumeration is uncountable")
     if solutions.kind is SolutionKind.EMPTY:

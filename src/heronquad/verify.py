@@ -26,6 +26,8 @@ from typing import Sequence
 from .exactnum import DomainError, Surd
 from .family import FamilyMember
 from .geometry import (
+    ANGLES,
+    SEGMENTS,
     Point2,
     QuadConstruction,
     Vertex,
@@ -62,13 +64,17 @@ def _det3(rows: Sequence[tuple[Fraction, Fraction, Fraction]]) -> Fraction:
 
 def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> Fraction:
     """det of rows (x^2 + y^2, x, y, 1); zero iff the points share a circle
-    (or a line, which the caller must exclude)."""
-    rows = [(p.x * p.x + p.y * p.y, p.x, p.y) for p in (p1, p2, p3, p4)]
-    det = Fraction(0)
-    for i in range(4):
-        minor = [rows[j] for j in range(4) if j != i]
-        det += (-1) ** (i + 1) * _det3(minor)
-    return det
+    (or a line, which the caller must exclude).
+
+    Translating every point by -p4 is a column operation, so it keeps the
+    determinant; the last row becomes (0, 0, 0, 1), which leaves one 3x3
+    determinant of the translated first three rows.
+    """
+    rows = []
+    for p in (p1, p2, p3):
+        dx, dy = p.x - p4.x, p.y - p4.y
+        rows.append((dx * dx + dy * dy, dx, dy))
+    return _det3(rows)
 
 
 def _orient(a: Point2, b: Point2, c: Point2) -> int:
@@ -97,8 +103,11 @@ def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
     return _no_collinear_triple((p1, p2, p3, p4)) and concyclicity_determinant(p1, p2, p3, p4) == 0
 
 
-def _surd_square(u: Surd) -> Fraction:
-    return u.coefficient * u.coefficient * u.radicand
+def _square(value: Fraction | int | Surd) -> Fraction | int:
+    """Exact square of a rational or surd length."""
+    if isinstance(value, Surd):
+        return value.coefficient * value.coefficient * value.radicand
+    return value * value
 
 
 def ptolemy_check(q: QuadConstruction) -> bool:
@@ -336,29 +345,12 @@ def _same(name: str, expected: object, actual: object) -> Check:
     return _check(name, expected == actual, expected, actual)
 
 
-_LENGTH_NAMES = (
-    "side-Gamma-B",
-    "side-B-Gamma2",
-    "side-Gamma2-Gamma1",
-    "side-Gamma-Gamma1",
-    "diagonal-B-Gamma1",
-    "diagonal-Gamma-Gamma2",
-)
-
-_TANGENT_NAMES = (
-    (Vertex.B, "B"),
-    (Vertex.GAMMA, "Gamma"),
-    (Vertex.GAMMA1, "Gamma1"),
-    (Vertex.GAMMA2, "Gamma2"),
-)
-
-
 @dataclass(frozen=True)
 class _Measured:
     """Coordinate measurements of one verification, in check order."""
 
-    lengths_squared: tuple[Fraction, ...]  # _LENGTH_NAMES
-    tangents: tuple[Fraction | None, ...]  # _TANGENT_NAMES
+    lengths_squared: tuple[Fraction, ...]  # SEGMENTS
+    tangents: tuple[Fraction | None, ...]  # ANGLES
     area: Fraction  # shoelace
 
 
@@ -371,31 +363,22 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], _Measured]:
         _same("ptolemy-identity", "holds", "holds" if ptolemy_check(q) else "violated"),
         _same("right-angle-at-B", 0, (g2 - b).dot(g1 - b)),
     ]
-    for point, label in ((g, "Gamma"), (b, "B"), (g2, "Gamma2"), (g1, "Gamma1")):
-        checks.append(
-            _same(f"circumradius-{label}", q.radius_squared, dist_squared(point, q.circumcenter))
-        )
+    for vertex, point in zip(Vertex, (g, b, g2, g1)):
+        radius_sq = dist_squared(point, q.circumcenter)
+        checks.append(_same(f"circumradius-{vertex.value}", q.radius_squared, radius_sq))
 
     measured = _Measured(
         lengths_squared=tuple(
-            dist_squared(p, r) for p, r in ((g, b), (b, g2), (g2, g1), (g, g1), (b, g1), (g, g2))
+            dist_squared(q.vertex(one), q.vertex(other)) for _, _, (one, other), _ in SEGMENTS
         ),
-        tangents=tuple(interior_tangent_from_coords(q, v) for v, _ in _TANGENT_NAMES),
+        tangents=tuple(interior_tangent_from_coords(q, vertex) for vertex, _ in ANGLES),
         area=shoelace([g, b, g2, g1]),
     )
     # stored lengths vs coordinate distances (compared on squares: exact)
-    stored_squares = (
-        q.side_gamma_b * q.side_gamma_b,
-        q.side_b_gamma2 * q.side_b_gamma2,
-        _surd_square(q.side_gamma2_gamma1),
-        _surd_square(q.side_gamma_gamma1),
-        q.diag_b_gamma1 * q.diag_b_gamma1,
-        _surd_square(q.diag_gamma_gamma2),
-    )
-    for name, coord_sq, stored_sq in zip(_LENGTH_NAMES, measured.lengths_squared, stored_squares):
-        checks.append(_same(name, coord_sq, stored_sq))
-    for (vertex, label), tangent in zip(_TANGENT_NAMES, measured.tangents):
-        checks.append(_same(f"tangent-{label}", tangent, q.tangent(vertex)))
+    for (kind, label, _, attr), coord_sq in zip(SEGMENTS, measured.lengths_squared):
+        checks.append(_same(f"{kind}-{label}", coord_sq, _square(getattr(q, attr))))
+    for (vertex, attr), tangent in zip(ANGLES, measured.tangents):
+        checks.append(_same(f"tangent-{vertex.value}", tangent, getattr(q, attr)))
 
     checks.append(_same("tangent-sum-B-Gamma1", 0, q.tan_b + q.tan_gamma1))
     checks.append(_same("tangent-sum-Gamma-Gamma2", 0, q.tan_gamma + q.tan_gamma2))
@@ -440,19 +423,10 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     q = member.quad
     checks, measured = _construction_checks(q)
 
-    closed_lengths = (
-        member.side_gamma_b,
-        member.side_b_gamma2,
-        member.side_gamma2_gamma1,
-        member.side_gamma_gamma1,
-        member.diag_b_gamma1,
-        member.diag_gamma_gamma2,
-    )
-    for name, coord_sq, closed in zip(_LENGTH_NAMES, measured.lengths_squared, closed_lengths):
-        checks.append(_same(f"member-{name}", coord_sq, Fraction(closed) ** 2))
-    closed_tangents = (member.tan_b, member.tan_gamma, member.tan_gamma1, member.tan_gamma2)
-    for (_, label), tangent, closed in zip(_TANGENT_NAMES, measured.tangents, closed_tangents):
-        checks.append(_same(f"member-tangent-{label}", tangent, closed))
+    for (kind, label, _, attr), coord_sq in zip(SEGMENTS, measured.lengths_squared):
+        checks.append(_same(f"member-{kind}-{label}", coord_sq, _square(getattr(member, attr))))
+    for (vertex, attr), tangent in zip(ANGLES, measured.tangents):
+        checks.append(_same(f"member-tangent-{vertex.value}", tangent, getattr(member, attr)))
 
     m, n, L, delta = p.m, p.n, p.L, p.delta
     mm_nn = m * m - n * n

@@ -50,6 +50,33 @@ class TestEnvelope:
         doc = json.loads(target.read_text())
         assert doc["command"] == "solve"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "3", "4", "5", "--out"),
+            ("construct", "3", "4", "5", "--svg"),
+            ("svg", "3", "4", "5", "--out"),
+            ("family", "--t-max", "3", "--delta-max", "2", "--out"),
+            ("heron-table", "--out"),
+            ("verify", "--triple", "3", "4", "5", "--out"),
+        ],
+        ids=[
+            "construct-out",
+            "construct-svg",
+            "svg-out",
+            "family-out",
+            "heron-table-out",
+            "verify-out",
+        ],
+    )
+    def test_unwritable_output_is_parse_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.out"
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"heron-quad: parse error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
 
 class TestSolveCommand:
     def test_tangency_case(self, capsys):
@@ -131,6 +158,27 @@ class TestSolveCommand:
         assert out == ""
         assert "domain error" in err
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (f"{10**400}..{10**400}", "reaches past |k| = 1000000"),
+            ("0..3000000", "reaches past |k| = 1000000"),
+            ("0..10000", "spans more than 10000 periods"),
+        ],
+        ids=["magnitude-1e400", "magnitude-3e6", "width"],
+    )
+    def test_k_range_cap_is_domain_error(self, capsys, k, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", "3", "4", "5", f"--k={k}")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == f"heron-quad: domain error: the k range {message}\n"
+
+    def test_k_range_at_the_caps_enumerates(self, capsys):
+        doc = run_json(capsys, "solve", "3", "4", "5", "--k=990001..1000000")
+        assert len(doc["result"]["solutions"]["values"]) == 10_000
+
 
 class TestConstructCommand:
     def test_worked_example_payload(self, capsys):
@@ -206,6 +254,49 @@ class TestConstructCommand:
         doc = run_json(capsys, "construct", *triple)
         assert time.perf_counter() - start < 1.0
         assert doc["result"]["sides"]["Gamma2-Gamma1"]["exact"] == exact
+
+    def test_prime_hypotenuse_past_trial_division_budget(self, capsys):
+        # m = 1e12+7, n = 2: the 25-digit primitive hypotenuse needs trial
+        # divisors past 2^20, so the split is refused instead of running on
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "construct",
+            "4000000000028",
+            "1000000000014000000000045",
+            "1000000000014000000000053",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("heron-quad: domain error: squarefree split")
+        assert err.count("\n") == 1
+
+    def test_float_approximation_overflow_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "construct", "3e200", "4e200", "5e200")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("heron-quad: domain error: ") and "too large" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "1e5000", "1", "1"),
+            ("construct", f"1/{10**300}", "1", "1"),
+            ("construct", "1e100000", "1", "1"),
+            ("solve", str(10**300), "1", "1"),
+            ("verify", "--params", str(10**300), "4", "3"),
+        ],
+        ids=["exponent", "denominator", "long-exponent", "solve-integer", "verify-integer"],
+    )
+    def test_too_many_digits_is_parse_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_non_pythagorean_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "3", "4", "6")
@@ -409,6 +500,42 @@ class TestVerifyCommand:
     def test_input_mode_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"alpha": "\xff"}', "'utf-8' codec can't decode"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+        ],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_input_mode_undecodable_file(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"heron-quad: parse error: {path} is not valid JSON: ")
+        assert reason in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("inputs", ["120", "35", "125"]), ("result", "tampered")],
+        ids=["inputs-not-object", "result-not-object"],
+    )
+    def test_input_mode_envelope_fields_must_be_objects(self, capsys, tmp_path, field, value):
+        doc = run_json(capsys, "construct", "120", "35", "125")
+        doc[field] = value
+        path = tmp_path / "envelope.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"heron-quad: parse error: {path}: construct envelope needs "
+            "'inputs' and 'result' objects\n"
+        )
 
     def test_modes_mutually_exclusive(self, capsys):
         code, _, _ = run(

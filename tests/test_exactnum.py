@@ -100,6 +100,16 @@ class TestSquarefreeDecompose:
         s, d = squarefree_decompose(p * p * 6)
         assert (s, d) == (p, 6)
 
+    def test_trial_division_budget(self):
+        # below 2^60 every integer splits, even a product of two primes near 2^30
+        p, q = 1_073_741_789, 1_073_741_783
+        assert squarefree_decompose(p * q) == (1, p * q)
+        # the 25-digit prime hypotenuse of m = 1e12+7 would need divisors past 2^20
+        m = 10**12 + 7
+        with pytest.raises(DomainError, match="trial division"):
+            squarefree_decompose(m * m + 4)
+        assert squarefree_decompose((m * m + 4) ** 2) == (m * m + 4, 1)
+
     @given(st.integers(min_value=1, max_value=200_000))
     def test_reconstructs_and_d_squarefree(self, c):
         s, d = squarefree_decompose(c)

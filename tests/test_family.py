@@ -1,6 +1,7 @@
 """The parametric family: closed forms vs the generic construction, the
 Heron divisibility criterion, and the two-parameter (t1, t2) layer."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, exact_sqrt
+from heronquad.exactnum import DomainError, exact_sqrt, surd_normalize
 from heronquad.family import (
     TForm,
+    _cross_check,
     coprimality_certificate,
     enumerate_family,
     family_member,
@@ -98,6 +100,28 @@ class TestFamilyMember:
         assert scaled.area == 49 * base.area
         # tangents are scale invariants
         assert scaled.tan_b == base.tan_b
+
+    @pytest.mark.parametrize(
+        "attr, built",
+        [
+            ("side_gamma2_gamma1", surd_normalize(200, 2)),
+            ("diag_gamma_gamma2", surd_normalize(193, 1)),
+            ("tan_gamma", Fraction(-8, 3)),
+        ],
+        ids=["irrational-side", "rational-diagonal", "tangent"],
+    )
+    def test_cross_check_names_the_disagreeing_closed_form(self, attr, built):
+        member = family_member(5, 4, 3)
+        tampered = dataclasses.replace(member.quad, **{attr: built})
+        with pytest.raises(RuntimeError, match=f"closed form {attr} disagrees"):
+            _cross_check(dataclasses.replace(member, quad=tampered))
+
+    def test_cross_check_compares_the_shoelace_area(self):
+        member = family_member(5, 4, 3)
+        corner = member.quad.v_gamma1
+        moved = dataclasses.replace(member.quad, v_gamma1=dataclasses.replace(corner, x=corner.x + 1))
+        with pytest.raises(RuntimeError, match="closed-form area disagrees"):
+            _cross_check(dataclasses.replace(member, quad=moved))
 
     def test_k_parameter(self):
         mem = family_member(5, 4, 3)

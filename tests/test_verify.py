@@ -57,6 +57,30 @@ class TestConcyclicity:
         q = construct_quad(3, 4, 5)
         assert concyclic(*q.vertices())
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-50, max_value=50, max_denominator=60),
+                st.fractions(min_value=-50, max_value=50, max_denominator=60),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_determinant_matches_cofactor_expansion(self, coords):
+        # reference: the 4x4 determinant of rows (x^2 + y^2, x, y, 1),
+        # expanded along its column of ones
+        rows = [(x * x + y * y, x, y) for x, y in coords]
+
+        def det3(r):
+            (a, b, c), (d, e, f), (g, h, i) = r
+            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+        expected = sum(
+            (-1) ** (i + 1) * det3([rows[j] for j in range(4) if j != i]) for i in range(4)
+        )
+        assert concyclicity_determinant(*(Point2(x, y) for x, y in coords)) == expected
+
 
 class TestPtolemy:
     def test_holds_on_constructions(self):

@@ -36,7 +36,6 @@ from .family import (
     enumerate_family,
     family_member,
     generating_pairs,
-    heron_member,
     theta_of_member,
 )
 from .geometry import (
@@ -414,9 +413,9 @@ _CSV_MEMBER_COLUMNS = (
 _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_MEMBER_COLUMNS)
 
 
-def _heron_row(t1: int, t2: int, member: FamilyMember) -> dict:
+def _heron_row(member: FamilyMember) -> dict:
     p = member.params
-    row = {"t1": t1, "t2": t2, "m": p.m, "n": p.n, "delta": p.delta}
+    row = {"t1": p.t1, "t2": p.t2, "m": p.m, "n": p.n, "delta": p.delta}
     for column, attr in _CSV_MEMBER_COLUMNS:
         row[column] = str(getattr(member, attr))
     return row
@@ -432,9 +431,9 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     rows = []
     seen: dict = {}
     failures = 0
-    for t1, t2, _form, m, n, L in generating_pairs(args.t_max):
+    for t1, t2, form, m, n, L in generating_pairs(args.t_max):
         for j in range(1, args.delta_multiples + 1):
-            member = heron_member(m, n, L, j)
+            member = family_member(j * L, m, n, t1=t1, t2=t2, t_form=form)
             report = verify_member(member)
             if report.has_failures:
                 failures += 1
@@ -443,7 +442,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
                     f"{_failed_checks(report)}",
                     file=sys.stderr,
                 )
-            row = _heron_row(t1, t2, member)
+            row = _heron_row(member)
             row["verified"] = not report.has_failures
             row["errata"] = [er.ident for er in report.errata]
             rows.append(row)

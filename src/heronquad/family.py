@@ -39,7 +39,6 @@ __all__ = [
     "enumerate_family",
     "family_member",
     "generating_pairs",
-    "heron_member",
     "mnl_from_t",
     "theta_of_member",
 ]
@@ -186,18 +185,6 @@ def _cross_check(member: FamilyMember) -> None:
         raise RuntimeError(f"closed-form area disagrees with coordinates for {member.params}")
 
 
-def heron_member(m: int, n: int, L: int, j: int = 1) -> FamilyMember:
-    """The Heron member at delta = j*L; every length and the area is integral."""
-    if j < 1:
-        raise DomainError(f"multiplier j must be >= 1, got {j}")
-    if exact_sqrt(m * m + n * n) != L:
-        raise DomainError(f"(m={m}, n={n}, L={L}) does not satisfy m^2 + n^2 = L^2")
-    member = family_member(j * L, m, n)
-    if not member.is_heron:  # unreachable: delta = j*L by construction
-        raise RuntimeError(f"delta = {j * L} unexpectedly not Heron for (m={m}, n={n})")
-    return member
-
-
 @dataclass(frozen=True)
 class ThetaValue:
     """The shared base angle of a member: exact tangent plus float degrees."""
@@ -212,10 +199,11 @@ def theta_of_member(member: FamilyMember) -> ThetaValue:
 
 
 def generating_pairs(t_max: int) -> Iterator[tuple[int, int, TForm, int, int, int]]:
-    """Yield (t1, t2, form, m, n, L) in (t1, t2, form) order.
+    """Yield (t1, t2, form, m, n, L) in (t1, t2) order.
 
-    Exactly one form per t-pair satisfies m > n; the other is skipped
-    silently here (bulk enumeration), unlike single-shot mnl_from_t.
+    Exactly one form per t-pair satisfies m > n (t1^2 - t2^2 is odd and
+    2*t1*t2 even, so they never tie); only that form is yielded, unlike
+    single-shot mnl_from_t, which refuses the other.
     """
     if t_max < 2:
         raise DomainError(f"t_max must be >= 2, got {t_max}")
@@ -223,12 +211,8 @@ def generating_pairs(t_max: int) -> Iterator[tuple[int, int, TForm, int, int, in
         for t2 in range(1, t1):
             if gcd(t1, t2) != 1 or (t1 + t2) % 2 == 0:
                 continue
-            for form in (TForm.ODD_M, TForm.EVEN_M):
-                try:
-                    m, n, L = mnl_from_t(t1, t2, form)
-                except DomainError:
-                    continue
-                yield t1, t2, form, m, n, L
+            form = TForm.ODD_M if t1 * t1 - t2 * t2 > 2 * t1 * t2 else TForm.EVEN_M
+            yield (t1, t2, form, *mnl_from_t(t1, t2, form))
 
 
 def enumerate_family(

@@ -253,10 +253,14 @@ class AngleIdentity:
 def angle_identity_check(q: QuadConstruction) -> AngleIdentity:
     """Measure phi (isosceles base angle at Gamma2, from float coordinates),
     omega (half the apex double angle, atan2(a, b)/2), and theta
-    (atan2(a, b+g)); they agree up to float noise."""
-    g2x, g2y = float(q.v_gamma2.x), float(q.v_gamma2.y)
-    ux, uy = float(q.v_b.x) - g2x, float(q.v_b.y) - g2y
-    vx, vy = float(q.v_gamma.x) - g2x, float(q.v_gamma.y) - g2y
+    (atan2(a, b+g)); they agree up to float noise. The coordinates are
+    divided by a power of two, which leaves phi unchanged, so that their
+    products stay inside the float range."""
+    coords = [float(v) for p in (q.v_gamma2, q.v_b, q.v_gamma) for v in (p.x, p.y)]
+    shift = max(0, max(math.frexp(v)[1] for v in coords) - 500)
+    g2x, g2y, bx, by, gx, gy = (math.ldexp(v, -shift) for v in coords)
+    ux, uy = bx - g2x, by - g2y
+    vx, vy = gx - g2x, gy - g2y
     phi = math.degrees(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
     omega = math.degrees(math.atan2(float(q.alpha), float(q.beta))) / 2.0
     theta = math.degrees(math.atan2(float(q.alpha), float(q.beta + q.gamma)))

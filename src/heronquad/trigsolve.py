@@ -15,8 +15,10 @@ D = 4 (a^2 + b^2 - c^2) once the degenerate b + c = 0 branch is split off:
 * b + c != 0, D = 0             -> one family, tan(x/2) = a/(b+c)
 * b + c != 0, D > 0             -> two families, tan(x/2) = (a ± sqrt(D)/2)/(b+c)
 
-Rational coefficients classify exactly; float coefficients use a scaled,
-configurable tolerance for the zero tests.
+Rational and float coefficients share one case analysis (``classify``),
+run on the coefficients divided by a power of two so that no square leaves
+the float range: rational coefficients classify exactly, float ones with a
+scaled, configurable tolerance for the zero tests.
 """
 
 from __future__ import annotations
@@ -145,57 +147,54 @@ def _double_angle(tan_half: Fraction | float) -> BaseAngle:
 def classify(coeffs: EquationCoeffs, *, float_zero_tol: float = 1e-12) -> SolutionSet:
     """Classify the full solution set of a*sin(x) + b*cos(x) = c.
 
-    Rational coefficients take the exact branch. Float coefficients use
-    ``float_zero_tol`` scaled by the coefficient magnitudes for the b+c,
-    a, b, and discriminant zero tests.
+    The coefficients are first divided by a power of two 2^k, which changes
+    no zero test, sign or root and keeps every square in the float range.
+    Rational coefficients take k of either sign, so max|coef| lies in
+    (1/2, 2), and exact zero tests. Float coefficients take the least
+    k >= 0 that brings max|coef| below 2^511, where a sum of two squares is
+    still finite; their b+c, a, b and discriminant zero tests compare with
+    ``float_zero_tol`` times the magnitudes involved, floored at 1.0 before
+    the division.
     """
-    if coeffs.is_exact:
-        return _classify_exact(coeffs)
-    return _classify_float(coeffs, float_zero_tol)
-
-
-def _classify_exact(coeffs: EquationCoeffs) -> SolutionSet:
+    exact = coeffs.is_exact
     a, b, c = coeffs.alpha, coeffs.beta, coeffs.gamma
-    if b + c == 0:
-        if a == 0 and b == 0:
-            return SolutionSet(SolutionKind.ALL_REALS)
-        if a == 0:
-            return SolutionSet(SolutionKind.FAMILIES, (_ODD_PI,))
-        return SolutionSet(SolutionKind.FAMILIES, (_ODD_PI, _double_angle(-b / a)))
-    quarter_disc = a * a + b * b - c * c
-    if quarter_disc < 0:
-        return SolutionSet(SolutionKind.EMPTY)
-    if quarter_disc == 0:
-        return SolutionSet(SolutionKind.FAMILIES, (_double_angle(a / (b + c)),))
-    root = fraction_sqrt(quarter_disc)
-    if root is not None:
-        first = (a + root) / (b + c)
-        second = (a - root) / (b + c)
+    if exact:
+        tol = 0  # is_zero(v, ...) is then v == 0
+        top = max(abs(a), abs(b), abs(c))
+        k = top.numerator.bit_length() - top.denominator.bit_length()
+        unit = Fraction(2) ** -k
     else:
-        float_root = math.sqrt(float(quarter_disc))
-        first = (float(a) + float_root) / float(b + c)
-        second = (float(a) - float_root) / float(b + c)
-    return SolutionSet(SolutionKind.FAMILIES, (_double_angle(first), _double_angle(second)))
+        tol = float_zero_tol
+        a, b, c = float(a), float(b), float(c)
+        k = max(0, math.frexp(max(abs(a), abs(b), abs(c)))[1] - 511)
+        unit = math.ldexp(1.0, -k)
+    a, b, c = a * unit, b * unit, c * unit
 
+    def is_zero(value: Number, *magnitudes: Number) -> bool:
+        return abs(value) <= tol * max(magnitudes)
 
-def _classify_float(coeffs: EquationCoeffs, tol: float) -> SolutionSet:
-    a, b, c = (float(v) for v in (coeffs.alpha, coeffs.beta, coeffs.gamma))
-    scale = max(abs(a), abs(b), abs(c), 1.0)
-    if abs(b + c) <= tol * max(abs(b), abs(c), 1.0):
-        if abs(a) <= tol * scale and abs(b) <= tol * scale:
+    b_plus_c = b + c
+    if is_zero(b_plus_c, abs(b), abs(c), unit):
+        scale = max(abs(a), abs(b), abs(c), unit)
+        if is_zero(a, scale) and is_zero(b, scale):
             return SolutionSet(SolutionKind.ALL_REALS)
-        if abs(a) <= tol * scale:
+        if is_zero(a, scale):
             return SolutionSet(SolutionKind.FAMILIES, (_ODD_PI,))
         return SolutionSet(SolutionKind.FAMILIES, (_ODD_PI, _double_angle(-b / a)))
-    quarter_disc = a * a + b * b - c * c
-    if abs(quarter_disc) <= tol * max(a * a, b * b, c * c, 1.0):
-        return SolutionSet(SolutionKind.FAMILIES, (_double_angle(a / (b + c)),))
+    aa, bb, cc = a * a, b * b, c * c
+    quarter_disc = aa + bb - cc
+    if is_zero(quarter_disc, aa, bb, cc, unit * unit):
+        return SolutionSet(SolutionKind.FAMILIES, (_double_angle(a / b_plus_c),))
     if quarter_disc < 0:
         return SolutionSet(SolutionKind.EMPTY)
-    root = math.sqrt(quarter_disc)
+    root = fraction_sqrt(quarter_disc) if exact else None
+    if root is None:  # float input, or an irrational root: the roots are floats
+        a, b_plus_c, root = float(a), float(b_plus_c), math.sqrt(float(quarter_disc))
+        if b_plus_c == 0:  # only exact b + c can be this far below max|coef|
+            raise DomainError("b + c is too small beside a, b, c for a float root of tan(x/2)")
     return SolutionSet(
         SolutionKind.FAMILIES,
-        (_double_angle((a + root) / (b + c)), _double_angle((a - root) / (b + c))),
+        (_double_angle((a + root) / b_plus_c), _double_angle((a - root) / b_plus_c)),
     )
 
 

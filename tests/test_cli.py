@@ -112,6 +112,24 @@ class TestSolveCommand:
         assert doc["result"]["solutions"]["values"] == []
         assert doc["result"]["solutions"]["max_abs_residual"] is None
 
+    def test_huge_exact_coefficients(self, capsys):
+        big = str(10**200)
+        doc = run_json(capsys, "solve", big, big, "1")
+        tags = [f["tag"] for f in doc["result"]["families"]]
+        assert tags == ["double-angle", "double-angle"]
+
+    def test_root_past_float_range_is_domain_error(self, capsys):
+        # b + c = 1e-598 beside a = 1e299: tan(x/2) = (a + root)/(b + c) has no float
+        big = 10**299
+        code, _, err = run(capsys, "solve", str(big), f"1/{big}", "--", f"-1/{big + 1}")
+        assert code == 3
+        assert err.startswith("heron-quad: domain error:")
+
+    def test_tiny_exact_coefficients_match_unscaled(self, capsys):
+        tiny = [f"{v}/{10**200}" for v in (15, 23, 18)]
+        scaled = run_json(capsys, "solve", *tiny)["result"]["families"]
+        assert scaled == run_json(capsys, "solve", "15", "23", "18")["result"]["families"]
+
     def test_all_reals(self, capsys):
         doc = run_json(capsys, "solve", "0", "0", "0")
         assert doc["result"]["kind"] == "all-reals"
@@ -440,6 +458,12 @@ class TestVerifyCommand:
         assert doc["result"]["counts"]["fail"] == 0
         assert doc["result"]["counts"]["erratum"] == 5
         assert doc["result"]["subject"].startswith("member(")
+
+    @pytest.mark.parametrize("k", [10**160 + 7, 10**200 + 7], ids=["1e160+7", "1e200+7"])
+    def test_triple_mode_large_triple(self, capsys, k):
+        # float coordinates near 1e160 overflowed the angle identity's products
+        doc = run_json(capsys, "verify", "--triple", str(3 * k), str(4 * k), str(5 * k))
+        assert doc["result"]["verdict"] == "pass"
 
     def test_triple_mode_odd_leg_first(self, capsys):
         doc = run_json(capsys, "verify", "--triple", "35", "120", "125")

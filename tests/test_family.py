@@ -17,7 +17,6 @@ from heronquad.family import (
     enumerate_family,
     family_member,
     generating_pairs,
-    heron_member,
     mnl_from_t,
     theta_of_member,
 )
@@ -137,19 +136,19 @@ class TestHeronCriterion:
             mem = family_member(delta, 4, 3)
             assert mem.is_heron == (delta % 5 == 0)
 
-    def test_heron_member_builder(self):
-        mem = heron_member(4, 3, 5)
-        assert mem.params.delta == 5
-        assert mem.is_heron
-        mem2 = heron_member(4, 3, 5, j=2)
-        assert mem2.params.delta == 10
-        assert mem2.area == 4 * mem.area
+    def test_delta_multiple_of_l_is_heron(self):
+        base = family_member(5, 4, 3)
+        for j in (1, 2, 3):
+            mem = family_member(j * 5, 4, 3)
+            assert mem.params.delta == j * 5
+            assert mem.is_heron
+            assert mem.area == j * j * base.area
 
-    def test_heron_member_validates(self):
-        with pytest.raises(DomainError):
-            heron_member(4, 3, 6)
-        with pytest.raises(DomainError):
-            heron_member(4, 3, 5, j=0)
+    def test_family_member_validates(self):
+        with pytest.raises(DomainError, match="not a perfect square"):
+            family_member(5, 2, 1)
+        with pytest.raises(DomainError, match="delta must be >= 1"):
+            family_member(0, 4, 3)
 
     def test_integrality_follows_divisibility(self):
         for delta in (1, 2, 5, 10, 13):

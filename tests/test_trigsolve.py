@@ -197,3 +197,37 @@ def test_exact_and_float_paths_agree(a, b, c):
     for fe, ff in zip(exact_set.families, float_set.families):
         assert fe.tag == ff.tag
         assert math.isclose(fe.base, ff.base, rel_tol=0, abs_tol=1e-9)
+
+
+class TestMagnitude:
+    def test_float_overflowing_squares_classify(self):
+        # a*a and c*c overflow a float here; the verdict is still empty
+        s = classify(EquationCoeffs(-3.78e279, 9.9e278, 5.91e279))
+        assert s.kind is SolutionKind.EMPTY
+
+    def test_huge_exact_irrational_roots(self):
+        big = 10**200
+        s = classify(exact(big, big, 1))
+        assert [f.tag for f in s.families] == [FamilyTag.DOUBLE_ANGLE] * 2
+        assert s.families[0].tan_half == pytest.approx(1 + math.sqrt(2))
+        assert s.families[1].tan_half == pytest.approx(1 - math.sqrt(2))
+
+    def test_tiny_exact_coefficients_keep_their_roots(self):
+        tiny = Fraction(1, 10**200)
+        assert classify(exact(15 * tiny, 23 * tiny, 18 * tiny)) == classify(exact(15, 23, 18))
+
+
+_small_fractions = st.fractions(
+    min_value=-1000, max_value=1000, max_denominator=1000
+)
+
+
+@given(
+    _small_fractions,
+    _small_fractions,
+    _small_fractions,
+    st.integers(min_value=-1000, max_value=1000),
+)
+def test_exact_classification_is_invariant_under_powers_of_two(a, b, c, j):
+    scale = Fraction(2) ** j
+    assert classify(exact(a * scale, b * scale, c * scale)) == classify(exact(a, b, c))

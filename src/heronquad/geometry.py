@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .exactnum import DomainError, Surd, surd_scale, surd_sqrt
 
@@ -36,13 +37,14 @@ __all__ = [
     "dist_squared",
     "interior_angle_degrees",
     "interior_tangent_from_coords",
+    "lattice",
     "quad_area",
 ]
 
 
 @dataclass(frozen=True)
 class Point2:
-    """Exact point in the plane."""
+    """Exact point in the plane (int coordinates on the integer lattice)."""
 
     x: Fraction
     y: Fraction
@@ -58,8 +60,18 @@ class Point2:
 
 
 def dist_squared(p: Point2, q: Point2) -> Fraction:
-    d = p - q
-    return d.dot(d)
+    dx, dy = p.x - q.x, p.y - q.y
+    return dx * dx + dy * dy
+
+
+def lattice(points: Sequence[Point2]) -> tuple[int, tuple[Point2, ...]]:
+    """(S, the points times S): S, the lcm of their coordinate denominators,
+    makes them int pairs; squared lengths and areas scale by S^2."""
+    s = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    return s, tuple(
+        Point2(p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator))
+        for p in points
+    )
 
 
 class Vertex(Enum):
@@ -114,12 +126,6 @@ class QuadConstruction:
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         """Traversal order Gamma, B, Gamma2, Gamma1."""
         return (self.v_gamma, self.v_b, self.v_gamma2, self.v_gamma1)
-
-    def vertex(self, which: Vertex) -> Point2:
-        return self.vertices()[_ORDER.index(which)]
-
-    def tangent(self, which: Vertex) -> Fraction:
-        return next(getattr(self, attr) for vertex, attr in ANGLES if vertex is which)
 
 
 # The six lengths as (kind, label, endpoints, attribute): the four sides in
@@ -202,16 +208,19 @@ def construct_quad(
     )
 
 
-def _edge_vectors(q: QuadConstruction, which: Vertex) -> tuple[Point2, Point2]:
+def _edge_vectors(q: QuadConstruction | Sequence[Point2], which: Vertex) -> tuple[Point2, Point2]:
     """Vectors from a vertex to its two neighbours in the traversal order."""
-    pts = q.vertices()
+    pts = q.vertices() if isinstance(q, QuadConstruction) else q
     idx = _ORDER.index(which)
     here = pts[idx]
     return pts[idx - 1] - here, pts[(idx + 1) % 4] - here
 
 
-def interior_tangent_from_coords(q: QuadConstruction, which: Vertex) -> Fraction | None:
-    """Tangent of the interior angle at a vertex, from coordinates alone.
+def interior_tangent_from_coords(
+    q: QuadConstruction | Sequence[Point2], which: Vertex
+) -> Fraction | None:
+    """Tangent of the interior angle at a vertex, from the coordinates alone
+    of a construction or of four vertices in traversal order (any scale).
 
     For edge vectors u, v at the vertex the interior angle lies in (0, pi),
     so tan = |u x v| / (u . v) is exact in rational arithmetic. ``None``
@@ -221,7 +230,7 @@ def interior_tangent_from_coords(q: QuadConstruction, which: Vertex) -> Fraction
     dot = u.dot(v)
     if dot == 0:
         return None
-    return abs(u.cross(v)) / dot
+    return Fraction(abs(u.cross(v)), dot)
 
 
 def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
@@ -231,13 +240,11 @@ def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
 
 
 def quad_area(q: QuadConstruction) -> Fraction:
-    """Exact area by the shoelace sum over the traversal order."""
-    pts = q.vertices()
-    twice = Fraction(0)
-    for i in range(4):
-        p, r = pts[i], pts[(i + 1) % 4]
-        twice += p.x * r.y - r.x * p.y
-    return abs(twice) / 2
+    """Exact area by the shoelace sum over the traversal order, taken on the
+    integer lattice of the vertices."""
+    scale, pts = lattice(q.vertices())
+    twice = sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))
+    return Fraction(abs(twice), 2 * scale * scale)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ scaled, configurable tolerance for the zero tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -140,7 +141,10 @@ _ODD_PI = BaseAngle(math.pi, None, FamilyTag.ODD_PI, True)
 
 
 def _double_angle(tan_half: Fraction | float) -> BaseAngle:
-    base = 2.0 * math.atan(float(tan_half))
+    if abs(tan_half) <= sys.float_info.max:
+        base = 2.0 * math.atan(float(tan_half))
+    else:  # an exact tangent past the float range: base is +-pi - 2*atan(1/t)
+        base = (math.pi if tan_half > 0 else -math.pi) - 2.0 * math.atan(float(1 / tan_half))
     return BaseAngle(base, tan_half, FamilyTag.DOUBLE_ANGLE, isinstance(tan_half, Fraction))
 
 

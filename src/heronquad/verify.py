@@ -8,6 +8,9 @@ closed forms they are used to check, so a bug in the closed forms cannot
 hide. Each verification measures every coordinate quantity once (the
 determinant, the six squared lengths, the four interior tangents and the
 shoelace area), and every claim is compared against that one measurement.
+It runs on Python ints: the points are scaled by S, the lcm of their
+coordinate denominators (never read from a closed form), and a value turns
+back into a Fraction only where a check reports it.
 
 Known misprints in the published reference values are kept in a small
 registry. When a verification touches one of those quantities the report
@@ -34,6 +37,7 @@ from .geometry import (
     angle_identity_check,
     dist_squared,
     interior_tangent_from_coords,
+    lattice,
     quad_area,
 )
 
@@ -41,11 +45,13 @@ __all__ = [
     "Check",
     "CheckStatus",
     "Erratum",
+    "Measurement",
     "VerificationReport",
     "concyclic",
     "concyclicity_determinant",
     "errata_for_member",
     "errata_for_triple",
+    "measure",
     "ptolemy_check",
     "shoelace",
     "verify_construction",
@@ -70,28 +76,36 @@ def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> 
     determinant; the last row becomes (0, 0, 0, 1), which leaves one 3x3
     determinant of the translated first three rows.
     """
-    rows = []
-    for p in (p1, p2, p3):
-        dx, dy = p.x - p4.x, p.y - p4.y
-        rows.append((dx * dx + dy * dy, dx, dy))
-    return _det3(rows)
+    moved = [(p.x - p4.x, p.y - p4.y) for p in (p1, p2, p3)]
+    return _det3([(dx * dx + dy * dy, dx, dy) for dx, dy in moved])
 
 
 def _orient(a: Point2, b: Point2, c: Point2) -> int:
-    v = (b - a).cross(c - a)
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (v > 0) - (v < 0)
 
 
-def _no_collinear_triple(pts: Sequence[Point2]) -> bool:
+def _orienter(points: Sequence[Point2], turns: dict):
+    """orient(i, j, k) of points i, j, k; ``turns`` keeps the sign of every
+    ordering of each index triple, so no triple is oriented twice."""
+
+    def orient(i: int, j: int, k: int) -> int:
+        if (i, j, k) not in turns:
+            sign = _orient(points[i], points[j], points[k])
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                turns[a, b, c], turns[c, b, a] = sign, -sign
+        return turns[i, j, k]
+
+    return orient
+
+
+def _no_collinear_triple(pts: Sequence[Point2], turns: dict | None = None) -> bool:
     # a collinear triple can zero the determinant, yet no circle passes through it
-    distinct = list(dict.fromkeys(pts))
+    distinct = [i for i, p in enumerate(pts) if p not in pts[:i]]
     if len(distinct) < 3:
         raise DomainError("concyclicity needs at least three distinct points")
-    return all(_orient(*trio) != 0 for trio in combinations(distinct, 3))
+    orient = _orienter(pts, {} if turns is None else turns)
+    return all(orient(*trio) != 0 for trio in combinations(distinct, 3))
 
 
 def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
@@ -106,22 +120,22 @@ def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
 def _square(value: Fraction | int | Surd) -> Fraction | int:
     """Exact square of a rational or surd length."""
     if isinstance(value, Surd):
-        return value.coefficient * value.coefficient * value.radicand
+        c = value.coefficient
+        return Fraction(c.numerator * c.numerator * value.radicand, c.denominator * c.denominator)
     return value * value
 
 
-def ptolemy_check(q: QuadConstruction) -> bool:
-    """Ptolemy identity from coordinates alone: for a cyclic quadrilateral
+def ptolemy_check(lengths_squared: Sequence[Fraction | int]) -> bool:
+    """Ptolemy identity from the six squared coordinate lengths, in
+    ``SEGMENTS`` order and at any common scale: for a cyclic quadrilateral
     the diagonal product equals the sum of the opposite-side products.
 
     With squared products P (diagonals), A and B (opposite sides),
     sqrt(P) = sqrt(A) + sqrt(B) holds exactly when P - A - B >= 0 and
     (P - A - B)^2 = 4AB, so the test stays in rationals.
     """
-    g, b, g2, g1 = q.vertices()
-    diag_sq = dist_squared(g, g2) * dist_squared(b, g1)
-    first_sq = dist_squared(g, b) * dist_squared(g2, g1)
-    second_sq = dist_squared(b, g2) * dist_squared(g, g1)
+    side0, side1, side2, side3, diag0, diag1 = lengths_squared
+    diag_sq, first_sq, second_sq = diag0 * diag1, side0 * side2, side1 * side3
     gap = diag_sq - first_sq - second_sq
     return gap >= 0 and gap * gap == 4 * first_sq * second_sq
 
@@ -134,27 +148,22 @@ def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     )
 
 
-def _segments_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    o1, o2 = _orient(a, b, c), _orient(a, b, d)
-    o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
+def _segments_intersect(points: Sequence[Point2], orient, i: int, j: int) -> bool:
+    """Whether edge i (points i to i + 1) meets edge j."""
+    a, b, c, d = i, (i + 1) % len(points), j, (j + 1) % len(points)
+    o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+    return (o1 != o2 and o3 != o4) or any(
+        o == 0 and _on_segment(points[one], points[other], points[p])
+        for o, one, other, p in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b))
+    )
 
 
-def shoelace(points: Sequence[Point2]) -> Fraction:
+def shoelace(points: Sequence[Point2], turns: dict | None = None) -> Fraction:
     """Exact area of a simple polygon given in traversal order.
 
     Zero-length edges and self-intersections (tested exactly on every
-    non-adjacent edge pair) are errors, not silently wrong areas.
+    non-adjacent edge pair) are errors, not silently wrong areas. ``turns``
+    passes on the triple orientations a caller holds (see ``_orienter``).
     """
     n = len(points)
     if n < 3:
@@ -162,21 +171,58 @@ def shoelace(points: Sequence[Point2]) -> Fraction:
     for i in range(n):
         if points[i] == points[(i + 1) % n]:
             raise DomainError(f"zero-length edge at vertex {i}")
+    orient = _orienter(points, {} if turns is None else turns)
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
-            if _segments_intersect(
-                points[i], points[(i + 1) % n], points[j], points[(j + 1) % n]
-            ):
+            if _segments_intersect(points, orient, i, j):
                 raise DomainError(
                     f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
                 )
-    twice = Fraction(0)
-    for i in range(n):
-        p, r = points[i], points[(i + 1) % n]
-        twice += p.x * r.y - r.x * p.y
-    return abs(twice) / 2
+    twice = sum(p.x * r.y - r.x * p.y for p, r in zip(points, points[1:] + points[:1]))
+    return Fraction(abs(twice), 2)
+
+
+# ---------------------------------------------------------------------------
+# integer-lattice measurement
+
+# the endpoints of each of the six SEGMENTS as vertex indices
+_ENDS = tuple(tuple(map(list(Vertex).index, ends)) for _, _, ends, _ in SEGMENTS)
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """Coordinate measurements of one quadrilateral, in check order."""
+
+    scale: int  # S, the lcm of the measured coordinates' denominators
+    points: tuple[Point2, ...]  # the measured points times S: int pairs
+    orientations: tuple[int, ...]  # sign of each vertex triple, combinations order
+    determinant: Fraction
+    concyclic: bool
+    ptolemy: bool
+    lengths_squared: tuple[Fraction, ...]  # SEGMENTS
+    tangents: tuple[Fraction | None, ...]  # ANGLES
+    area: Fraction  # shoelace
+
+
+def measure(points: Sequence[Point2]) -> Measurement:
+    """The oracles on the quadrilateral ``points[:4]``, in int arithmetic on
+    the lattice of all ``points`` (later ones only share the scale). Squared
+    lengths and the area rescale by S^2, the determinant by S^4; the four
+    triple orientations decide the collinear and the self-intersection tests."""
+    scale, pts = lattice(points)
+    quad, s2, turns = pts[:4], scale * scale, {}
+    det = concyclicity_determinant(*quad)
+    concyclic_quad = _no_collinear_triple(quad, turns) and det == 0
+    lengths = [dist_squared(quad[i], quad[j]) for i, j in _ENDS]
+    tangents = tuple(interior_tangent_from_coords(quad, vertex) for vertex, _ in ANGLES)
+    area = shoelace(quad, turns) / s2  # it has oriented every triple
+    orientations = tuple(turns[trio] for trio in combinations(range(4), 3))
+    return Measurement(
+        scale, pts, orientations, Fraction(det, s2 * s2), concyclic_quad, ptolemy_check(lengths),
+        tuple(Fraction(d, s2) for d in lengths), tangents, area,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,35 +391,19 @@ def _same(name: str, expected: object, actual: object) -> Check:
     return _check(name, expected == actual, expected, actual)
 
 
-@dataclass(frozen=True)
-class _Measured:
-    """Coordinate measurements of one verification, in check order."""
-
-    lengths_squared: tuple[Fraction, ...]  # SEGMENTS
-    tangents: tuple[Fraction | None, ...]  # ANGLES
-    area: Fraction  # shoelace
-
-
-def _construction_checks(q: QuadConstruction) -> tuple[list[Check], _Measured]:
-    g, b, g2, g1 = q.vertices()
-    det = concyclicity_determinant(g, b, g2, g1)
+def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement]:
+    measured = measure(q.vertices() + (q.circumcenter, q.v_a))
+    g, b, g2, g1, center, v_a = measured.points
+    s2 = measured.scale * measured.scale
     checks = [
-        _same("concyclicity-determinant", 0, det),
-        _same("concyclic", True, _no_collinear_triple((g, b, g2, g1)) and det == 0),
-        _same("ptolemy-identity", "holds", "holds" if ptolemy_check(q) else "violated"),
-        _same("right-angle-at-B", 0, (g2 - b).dot(g1 - b)),
+        _same("concyclicity-determinant", 0, measured.determinant),
+        _same("concyclic", True, measured.concyclic),
+        _same("ptolemy-identity", "holds", "holds" if measured.ptolemy else "violated"),
+        _same("right-angle-at-B", 0, Fraction((g2 - b).dot(g1 - b), s2)),
     ]
     for vertex, point in zip(Vertex, (g, b, g2, g1)):
-        radius_sq = dist_squared(point, q.circumcenter)
+        radius_sq = Fraction(dist_squared(point, center), s2)
         checks.append(_same(f"circumradius-{vertex.value}", q.radius_squared, radius_sq))
-
-    measured = _Measured(
-        lengths_squared=tuple(
-            dist_squared(q.vertex(one), q.vertex(other)) for _, _, (one, other), _ in SEGMENTS
-        ),
-        tangents=tuple(interior_tangent_from_coords(q, vertex) for vertex, _ in ANGLES),
-        area=shoelace([g, b, g2, g1]),
-    )
     # stored lengths vs coordinate distances (compared on squares: exact)
     for (kind, label, _, attr), coord_sq in zip(SEGMENTS, measured.lengths_squared):
         checks.append(_same(f"{kind}-{label}", coord_sq, _square(getattr(q, attr))))
@@ -392,9 +422,8 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], _Measured]:
     checks.append(_check("angle-spread-below-1e-10-deg", spread < 1e-10, "< 1e-10", spread))
 
     # the apex coordinates encode the double angle: cos = beta/gamma, sin = alpha/gamma
-    u = q.v_b - q.v_a
-    v = q.v_gamma - q.v_a
-    prod = gamma * beta  # |u| * |v| for this embedding
+    u, v = b - v_a, g - v_a
+    prod = gamma * beta * s2  # |u| * |v| for this embedding, on the lattice
     checks.append(_same("double-angle-cos", beta / gamma, u.dot(v) / prod))
     checks.append(_same("double-angle-sin", a / gamma, abs(u.cross(v)) / prod))
     return checks, measured

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import time
 
 import pytest
@@ -124,6 +125,16 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", str(big), f"1/{big}", "--", f"-1/{big + 1}")
         assert code == 3
         assert err.startswith("heron-quad: domain error:")
+
+    def test_tangent_past_float_range(self, capsys):
+        # b + c = 0 and tan(x/2) = -b/a = -10^598: the base angle is about -pi
+        big = 10**299
+        code, out, _ = run(capsys, "solve", f"1/{big}", str(big), "--", f"-{big}")
+        assert code == 0
+        assert "NaN" not in out and "Infinity" not in out
+        families = json.loads(out)["result"]["families"]
+        assert [f["tag"] for f in families] == ["odd-pi", "double-angle"]
+        assert all(math.isfinite(f["base_radians"]) for f in families)
 
     def test_tiny_exact_coefficients_match_unscaled(self, capsys):
         tiny = [f"{v}/{10**200}" for v in (15, 23, 18)]

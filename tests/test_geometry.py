@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
 from heronquad.geometry import (
+    ANGLES,
     Point2,
     Vertex,
     angle_identity_check,
@@ -124,8 +125,8 @@ class TestInteriorTangents:
     def test_tangents_match_stored_closed_forms(self):
         for triple in ((3, 4, 5), (120, 35, 125), (20, 21, 29)):
             q = construct_quad(*triple)
-            for vertex in Vertex:
-                assert interior_tangent_from_coords(q, vertex) == q.tangent(vertex)
+            for vertex, attr in ANGLES:
+                assert interior_tangent_from_coords(q, vertex) == getattr(q, attr)
 
     def test_right_angle_returns_none(self):
         # isosceles right-triangle-like quadrilateral cannot arise from a

@@ -212,6 +212,16 @@ class TestMagnitude:
         assert s.families[0].tan_half == pytest.approx(1 + math.sqrt(2))
         assert s.families[1].tan_half == pytest.approx(1 - math.sqrt(2))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_tangent_past_float_range(self, sign):
+        # b + c = 0, tan(x/2) = -b/a = sign * 10^598: the base angle is sign * pi
+        big = 10**299
+        s = classify(exact(Fraction(-sign, big), big, -big))
+        odd_pi, family = s.families
+        assert odd_pi.tag is FamilyTag.ODD_PI
+        assert family.tan_half == sign * big * big
+        assert family.base == sign * math.pi
+
     def test_tiny_exact_coefficients_keep_their_roots(self):
         tiny = Fraction(1, 10**200)
         assert classify(exact(15 * tiny, 23 * tiny, 18 * tiny)) == classify(exact(15, 23, 18))

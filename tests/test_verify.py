@@ -3,8 +3,11 @@ importantly, reject perturbed ones. Errata are flagged as errata, never as
 passes or failures."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -12,13 +15,21 @@ from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
 from heronquad.family import enumerate_family, family_member
-from heronquad.geometry import Point2, construct_quad, quad_area
+from heronquad.geometry import (
+    SEGMENTS,
+    Point2,
+    Vertex,
+    construct_quad,
+    dist_squared,
+    quad_area,
+)
 from heronquad.verify import (
     CheckStatus,
     concyclic,
     concyclicity_determinant,
     errata_for_member,
     errata_for_triple,
+    measure,
     ptolemy_check,
     shoelace,
     verify_construction,
@@ -28,6 +39,12 @@ from heronquad.verify import (
 
 def P(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))
+
+
+def lengths_squared(q) -> list[Fraction]:
+    """The six squared coordinate lengths of a construction, in SEGMENTS order."""
+    pts = dict(zip(Vertex, q.vertices()))
+    return [dist_squared(pts[one], pts[other]) for _, _, (one, other), _ in SEGMENTS]
 
 
 class TestConcyclicity:
@@ -82,10 +99,121 @@ class TestConcyclicity:
         assert concyclicity_determinant(*(Point2(x, y) for x, y in coords)) == expected
 
 
+# -- a plain-Fraction reference for the integer-lattice kernel
+
+
+def _ref_orient(a, b, c) -> int:
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_determinant(pts) -> Fraction:
+    rows = [(p.x * p.x + p.y * p.y, p.x, p.y) for p in pts]
+
+    def det3(r):
+        (a, b, c), (d, e, f), (g, h, i) = r
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    return sum((-1) ** (i + 1) * det3([rows[j] for j in range(4) if j != i]) for i in range(4))
+
+
+def _ref_tangent(pts, i):
+    here, prev, nxt = pts[i], pts[i - 1], pts[(i + 1) % 4]
+    ux, uy, vx, vy = prev.x - here.x, prev.y - here.y, nxt.x - here.x, nxt.y - here.y
+    dot = ux * vx + uy * vy
+    return None if dot == 0 else abs(ux * vy - uy * vx) / dot
+
+
+def _ref_domain_error(pts) -> str | None:
+    """The DomainError message of a degenerate 4-gon: too few distinct
+    points, a zero-length edge, or two opposite edges that meet."""
+    if len(set(pts)) < 3:
+        return "concyclicity needs at least three distinct points"
+    for i in range(4):
+        if pts[i] == pts[(i + 1) % 4]:
+            return f"zero-length edge at vertex {i}"
+
+    def on_segment(a, b, p):
+        return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+    for i, j in ((0, 2), (1, 3)):
+        a, b, c, d = pts[i], pts[i + 1], pts[j], pts[(j + 1) % 4]
+        o1, o2, o3, o4 = (_ref_orient(*t) for t in ((a, b, c), (a, b, d), (c, d, a), (c, d, b)))
+        if (o1 != o2 and o3 != o4) or any(
+            o == 0 and on_segment(*seg, p)
+            for o, seg, p in ((o1, (a, b), c), (o2, (a, b), d), (o3, (c, d), a), (o4, (c, d), b))
+        ):
+            return f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
+    return None
+
+
+# coordinates up to 300 digits over denominators up to 10^12, mixed with a
+# small grid on which duplicate, collinear and crossing vertices are common
+_coordinate = st.one_of(
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**12)),
+    st.integers(-2, 2).map(Fraction),
+)
+_point = st.builds(Point2, _coordinate, _coordinate)
+
+
+class TestLatticeKernel:
+    @given(st.lists(_point, min_size=4, max_size=4))
+    def test_matches_fraction_reference(self, pts):
+        expected_error = _ref_domain_error(pts)
+        if expected_error is not None:
+            with pytest.raises(DomainError) as raised:
+                measure(pts)
+            assert str(raised.value) == expected_error
+            return
+        got = measure(pts)
+        assert got.determinant == _ref_determinant(pts)
+        assert got.orientations == tuple(_ref_orient(*t) for t in combinations(pts, 3))
+        assert got.lengths_squared == tuple(
+            (pts[i].x - pts[j].x) ** 2 + (pts[i].y - pts[j].y) ** 2
+            for i, j in ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2))
+        )
+        assert got.tangents == tuple(_ref_tangent(pts, i) for i in (1, 0, 3, 2))
+        twice = sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))
+        assert got.area == abs(twice) / 2
+        assert shoelace(pts) == got.area
+        distinct = list(dict.fromkeys(pts))
+        collinear = any(_ref_orient(*t) == 0 for t in combinations(distinct, 3))
+        assert got.concyclic == (not collinear and got.determinant == 0)
+
+    def test_right_angle_tangent_is_none(self):
+        # the unit square: every interior angle is right
+        got = measure([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+        assert got.tangents == (None,) * 4
+        assert got.concyclic and got.area == 1
+
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            ([P(0, 0), P(1, 1), P(0, 0), P(1, 1)], "three distinct points"),
+            ([P(0, 0), P(0, 0), P(1, 1), P(2, 0)], "zero-length edge at vertex 0"),
+            ([P(0, 0), P(2, 2), P(2, 0), P(0, 2)], "(edges 0 and 2)"),
+            ([P(0, 0), P(1, 0), P(2, 0), P(3, 0)], "(edges 1 and 3)"),
+        ],
+    )
+    def test_degenerate_inputs_raise(self, pts, message):
+        with pytest.raises(DomainError) as raised:
+            measure(pts)
+        assert message in str(raised.value)
+        assert str(raised.value) == _ref_domain_error(pts)
+
+    def test_lattice_scale_comes_from_the_coordinates(self):
+        q = construct_quad(3, 4, 5)
+        got = measure(q.vertices() + (q.circumcenter,))
+        # Gamma = (9/5, 12/5) and the circumcenter (9/2, -3/2): S = lcm(5, 2)
+        assert got.scale == 10
+        assert got.points[0] == Point2(18, 24)
+        assert got.points[4] == Point2(45, -15)
+
+
 class TestPtolemy:
     def test_holds_on_constructions(self):
         for triple in ((3, 4, 5), (120, 35, 125), (20, 21, 29), (12, 35, 37)):
-            assert ptolemy_check(construct_quad(*triple))
+            assert ptolemy_check(lengths_squared(construct_quad(*triple)))
 
     def test_detects_perturbed_vertex(self):
         q = construct_quad(3, 4, 5)
@@ -94,7 +222,7 @@ class TestPtolemy:
         tampered = dataclasses.replace(
             q, v_gamma1=Point2(q.v_gamma1.x + Fraction(1, 1000), q.v_gamma1.y)
         )
-        assert not ptolemy_check(tampered)
+        assert not ptolemy_check(lengths_squared(tampered))
 
     def test_detects_scaled_diagonal_claim(self):
         q = construct_quad(120, 35, 125)
@@ -104,7 +232,7 @@ class TestPtolemy:
             tampered = dataclasses.replace(
                 q, v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + move)
             )
-            assert not ptolemy_check(tampered)
+            assert not ptolemy_check(lengths_squared(tampered))
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -124,7 +252,8 @@ class TestPtolemy:
         moved = dataclasses.replace(
             q, v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
         )
-        assert ptolemy_check(moved) == (concyclicity_determinant(*moved.vertices()) == 0)
+        concyclic_moved = concyclicity_determinant(*moved.vertices()) == 0
+        assert ptolemy_check(lengths_squared(moved)) == concyclic_moved
 
 
 class TestShoelace:
@@ -271,3 +400,25 @@ class TestVerifyMember:
         assert all(
             set(c) == {"name", "status", "expected", "actual"} for c in payload["checks"]
         )
+
+
+def _tampered(name: str):
+    if name == "tampered-vertex":
+        q = construct_quad(3, 4, 5)
+        return dataclasses.replace(q, v_gamma=P(2, Fraction(12, 5)))
+    q = construct_quad(120, 35, 125)
+    if name == "tampered-tangent":
+        return dataclasses.replace(q, tan_gamma=Fraction(-8, 3))
+    moved = Point2(q.v_gamma.x, q.v_gamma.y + Fraction(1, 10**7))
+    return dataclasses.replace(q, v_gamma=moved)
+
+
+@pytest.mark.parametrize("name", ["tampered-vertex", "tampered-tangent", "moved-vertex"])
+def test_failing_check_payload_is_pinned(name):
+    # every expected/actual string of a failing run, byte for byte, as the
+    # Fraction oracles printed them before the integer-lattice kernel
+    pinned = Path(__file__).with_name("golden") / f"payload-{name}.json"
+    report = verify_construction(_tampered(name))
+    assert report.has_failures
+    got = json.dumps(report.to_payload(), indent=2) + "\n"
+    assert got == pinned.read_text(encoding="utf-8")

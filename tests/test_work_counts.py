@@ -21,6 +21,7 @@ COUNTED = (
     (verify, "concyclicity_determinant"),
     (verify, "ptolemy_check"),
     (verify, "shoelace"),
+    (verify, "_orient"),
 )
 
 
@@ -79,5 +80,8 @@ def test_verify_member_measures_each_quantity_once(calls):
     assert calls["concyclicity_determinant"] == 1
     assert calls["shoelace"] == 1
     assert calls["interior_tangent_from_coords"] == 4
-    # 6 in ptolemy_check, 4 circumradii, 6 measured lengths
-    assert calls["dist_squared"] == 16
+    # 4 circumradii and 6 measured lengths; ptolemy_check reads the six
+    assert calls["dist_squared"] == 10
+    # one orientation per vertex triple decides both the collinear-triple
+    # and the self-intersection tests
+    assert calls["_orient"] == 4

@@ -196,7 +196,7 @@ def surd_sqrt(value: Fraction | int) -> Surd:
     ``r*u`` is squarefree because ``gcd(p, q) = 1``, and a square numerator
     or denominator costs one ``isqrt`` instead of a split of ``p*q``.
     """
-    value = Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
     if value < 0:
         raise DomainError(f"surd_sqrt needs a nonnegative value, got {value}")
     if value == 0:
@@ -208,7 +208,7 @@ def surd_sqrt(value: Fraction | int) -> Surd:
 
 def surd_scale(u: Surd, factor: Fraction | int) -> Surd:
     """Multiply a surd by a rational factor."""
-    factor = Fraction(factor)
+    factor = factor if isinstance(factor, Fraction) else Fraction(factor)
     if factor == 0 or u.coefficient == 0:
         return Surd(Fraction(0), 1)
     return Surd(u.coefficient * factor, u.radicand)

@@ -119,9 +119,10 @@ class QuadConstruction:
     @property
     def area(self) -> Fraction:
         """Closed-form area from the triple alone, computed on access; the
-        oracles recompute it from the coordinates."""
-        a, b, g = self.alpha, self.beta, self.gamma
-        return a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2
+        oracles recompute it from the coordinates. On the triple's lattice
+        ab/2 + (b^2/2)(a/g) + a(b+g)/2 = A(B+G)^2 / (2 G D^2)."""
+        A, B, G, D = _triple_lattice(self.alpha, self.beta, self.gamma)
+        return Fraction(A * (B + G) ** 2, 2 * G * D * D)
 
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         """Traversal order Gamma, B, Gamma2, Gamma1."""
@@ -162,6 +163,13 @@ def _as_rational(value: Fraction | int | str, name: str) -> Fraction:
         raise DomainError(f"{name} is not a rational value: {value!r}") from exc
 
 
+def _triple_lattice(a: Fraction, b: Fraction, g: Fraction) -> tuple[int, int, int, int]:
+    """(A, B, G, D) with (a, b, g) = (A, B, G) / D, D the lcm of the denominators."""
+    d = math.lcm(a.denominator, b.denominator, g.denominator)
+    A, B, G = [v.numerator * (d // v.denominator) for v in (a, b, g)]
+    return A, B, G, d
+
+
 def construct_quad(
     alpha: Fraction | int | str, beta: Fraction | int | str, gamma: Fraction | int | str
 ) -> QuadConstruction:
@@ -170,41 +178,43 @@ def construct_quad(
     b = _as_rational(beta, "beta")
     g = _as_rational(gamma, "gamma")
     for name, value in (("alpha", a), ("beta", b), ("gamma", g)):
-        if value <= 0:
+        if value.numerator <= 0:
             raise DomainError(f"{name} must be positive, got {value}")
-    if a * a + b * b != g * g:
+    A, B, G, D = _triple_lattice(a, b, g)
+    if A * A + B * B != G * G:
         raise DomainError(
             f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
         )
     zero = Fraction(0)
-    bg = b + g
-    # hyp^2 = a^2 + (b+g)^2 = 2g(b+g), so hyp = (b+g)*sqrt(2g/(b+g)); for a
-    # scaled Euclid triple 2g/(b+g) is c0/m^2 or 2c0/(m+n)^2, so only the
-    # primitive hypotenuse c0 is split, never the whole hyp^2
-    hyp = surd_scale(surd_sqrt(2 * g / bg), bg)
+    BG = B + G
+    bg = Fraction(BG, D)
+    # each value is one Fraction of ints from (A, B, G, D). hyp^2 = 2g(b+g), so
+    # hyp = (b+g)*sqrt(2G/(B+G)); the other surds are hyp*b/g and hyp*a/g. For a
+    # scaled Euclid triple 2G/(B+G) is c0/m^2 or 2c0/(m+n)^2: only c0 is split
+    root = surd_sqrt(Fraction(2 * G, BG))
     return QuadConstruction(
         alpha=a,
         beta=b,
         gamma=g,
-        v_gamma=Point2(a * a / g, a * b / g),
+        v_gamma=Point2(Fraction(A * A, G * D), Fraction(A * B, G * D)),
         v_b=Point2(zero, zero),
         v_gamma2=Point2(zero, -a),
         v_gamma1=Point2(bg, zero),
         v_a=Point2(g, zero),
         side_gamma_b=a,
         side_b_gamma2=a,
-        side_gamma2_gamma1=hyp,
-        side_gamma_gamma1=surd_scale(hyp, b / g),
+        side_gamma2_gamma1=surd_scale(root, bg),
+        side_gamma_gamma1=surd_scale(root, Fraction(BG * B, G * D)),
         diag_b_gamma1=bg,
-        diag_gamma_gamma2=surd_scale(hyp, a / g),
-        tan_b=-a / b,
-        tan_gamma=a / (b - g),
-        tan_gamma1=a / b,
-        tan_gamma2=bg / a,
-        tan_theta=a / bg,
+        diag_gamma_gamma2=surd_scale(root, Fraction(BG * A, G * D)),
+        tan_b=Fraction(-A, B),
+        tan_gamma=Fraction(A, B - G),
+        tan_gamma1=Fraction(A, B),
+        tan_gamma2=Fraction(BG, A),
+        tan_theta=Fraction(A, BG),
         theta_degrees=math.degrees(math.atan2(float(a), float(bg))),
-        circumcenter=Point2(bg / 2, -a / 2),
-        radius_squared=g * bg / 2,
+        circumcenter=Point2(Fraction(BG, 2 * D), Fraction(-A, 2 * D)),
+        radius_squared=Fraction(G * BG, 2 * D * D),
     )
 
 

@@ -145,6 +145,8 @@ def _double_angle(tan_half: Fraction | float) -> BaseAngle:
         base = 2.0 * math.atan(float(tan_half))
     else:  # an exact tangent past the float range: base is +-pi - 2*atan(1/t)
         base = (math.pi if tan_half > 0 else -math.pi) - 2.0 * math.atan(float(1 / tan_half))
+    if base == -math.pi:  # a tangent below about -1e16 rounds to -pi; base is in (-pi, pi]
+        base = math.pi
     return BaseAngle(base, tan_half, FamilyTag.DOUBLE_ANGLE, isinstance(tan_half, Fraction))
 
 

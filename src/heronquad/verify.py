@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -297,8 +298,8 @@ _ERR_TAN_GAMMA2 = Erratum(
 _WORKED_TRIPLE = (Fraction(120), Fraction(35), Fraction(125))
 
 
-def _tangent_form_erratum(member: FamilyMember) -> Erratum:
-    m, n = member.params.m, member.params.n
+@lru_cache(maxsize=1024)  # the erratum depends on (m, n) alone: built once per pair
+def _tangent_form_erratum(m: int, n: int) -> Erratum:
     return Erratum(
         ident="family-tangent-closed-form",
         quantity=f"tangent closed forms at Gamma and Gamma2 for (m={m}, n={n})",
@@ -326,7 +327,7 @@ def errata_for_member(member: FamilyMember) -> tuple[Erratum, ...]:
     out: list[Erratum] = []
     if (p.m, p.n, p.delta) == (4, 3, 5):
         out += [_ERR_DIAG_92, _ERR_AREA_12888, _ERR_TAN_GAMMA, _ERR_TAN_GAMMA2]
-    out.append(_tangent_form_erratum(member))
+    out.append(_tangent_form_erratum(p.m, p.n))
     return tuple(out)
 
 

@@ -136,6 +136,14 @@ class TestSolveCommand:
         assert [f["tag"] for f in families] == ["odd-pi", "double-angle"]
         assert all(math.isfinite(f["base_radians"]) for f in families)
 
+    def test_tangent_below_float_precision_gives_one_pi(self, capsys):
+        # tan(x/2) = -10^40 rounds the double angle to -pi; it is reported as pi
+        big = 10**20
+        doc = run_json(capsys, "solve", f"1/{big}", str(big), "--", f"-{big}")
+        families = doc["result"]["families"]
+        assert [f["base_radians"] for f in families] == [3.141592654, 3.141592654]
+        assert doc["result"]["solutions"]["values"] == [3.141592654]
+
     def test_tiny_exact_coefficients_match_unscaled(self, capsys):
         tiny = [f"{v}/{10**200}" for v in (15, 23, 18)]
         scaled = run_json(capsys, "solve", *tiny)["result"]["families"]

@@ -1,6 +1,7 @@
 """The coordinate embedding: exact vertices, lengths, tangents, the
 circumcircle, and the rejection of non-Pythagorean or float inputs."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,10 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
+from heronquad.exactnum import (
+    DomainError,
+    Surd,
+    scaled_triple,
+    surd_normalize,
+    surd_scale,
+    surd_sqrt,
+)
 from heronquad.geometry import (
     ANGLES,
     Point2,
+    QuadConstruction,
     Vertex,
     angle_identity_check,
     construct_quad,
@@ -164,3 +173,102 @@ class TestQuadArea:
         a, b, g = q.alpha, q.beta, q.gamma
         assert quad_area(q) == a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2
         assert q.area == quad_area(q)
+
+
+def _ref_construction(alpha, beta, gamma) -> dict:
+    """Every field of the construction, and its area, by plain Fraction
+    arithmetic on the triple (the formulas of the geometry module docstring)."""
+    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    for name, value in (("alpha", a), ("beta", b), ("gamma", g)):
+        if value <= 0:
+            raise DomainError(f"{name} must be positive, got {value}")
+    if a * a + b * b != g * g:
+        raise DomainError(
+            f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
+        )
+    zero, bg = Fraction(0), b + g
+    hyp = surd_scale(surd_sqrt(2 * g / bg), bg)
+    return {
+        "alpha": a,
+        "beta": b,
+        "gamma": g,
+        "v_gamma": Point2(a * a / g, a * b / g),
+        "v_b": Point2(zero, zero),
+        "v_gamma2": Point2(zero, -a),
+        "v_gamma1": Point2(bg, zero),
+        "v_a": Point2(g, zero),
+        "side_gamma_b": a,
+        "side_b_gamma2": a,
+        "side_gamma2_gamma1": hyp,
+        "side_gamma_gamma1": surd_scale(hyp, b / g),
+        "diag_b_gamma1": bg,
+        "diag_gamma_gamma2": surd_scale(hyp, a / g),
+        "tan_b": -a / b,
+        "tan_gamma": a / (b - g),
+        "tan_gamma1": a / b,
+        "tan_gamma2": bg / a,
+        "tan_theta": a / bg,
+        "theta_degrees": math.degrees(math.atan2(float(a), float(bg))),
+        "circumcenter": Point2(bg / 2, -a / 2),
+        "radius_squared": g * bg / 2,
+        "area": a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2,
+    }
+
+
+def _exact_parts(value):
+    """The Fractions an exact field is made of."""
+    if isinstance(value, Point2):
+        return [value.x, value.y]
+    if isinstance(value, Surd):
+        return [value.coefficient]
+    return [value]
+
+
+@st.composite
+def _rational_triples(draw):
+    """(A, B, G) / D: a Euclid triple scaled to up to 300 digits, in either
+    leg order, over a D whose factors reduce each component differently;
+    sometimes made non-positive or non-Pythagorean."""
+    m = draw(st.integers(2, 10**4))
+    n = draw(st.integers(1, m - 1))
+    scale = draw(st.integers(1, 10**290))
+    legs = [2 * m * n * scale, (m * m - n * n) * scale]
+    if draw(st.booleans()):
+        legs.reverse()
+    den = draw(
+        st.one_of(
+            st.integers(1, 10**12),
+            st.lists(st.sampled_from([2, 3, 5, 7]), max_size=12).map(math.prod),
+        )
+    )
+    triple = [Fraction(v, den) for v in (*legs, (m * m + n * n) * scale)]
+    slot = draw(st.integers(0, 2))
+    corruption = draw(st.sampled_from(["none"] * 5 + ["zero", "negate", "nudge"]))
+    if corruption == "zero":
+        triple[slot] = Fraction(0)
+    elif corruption == "negate":
+        triple[slot] = -triple[slot]
+    elif corruption == "nudge":
+        triple[slot] += Fraction(1, draw(st.integers(1, 10**6)))
+    return [draw(st.sampled_from([v, str(v)])) for v in triple]
+
+
+class TestConstructionReference:
+    @given(_rational_triples())
+    def test_matches_fraction_reference(self, triple):
+        try:
+            expected = _ref_construction(*triple)
+        except DomainError as error:
+            with pytest.raises(DomainError) as raised:
+                construct_quad(*triple)
+            assert str(raised.value) == str(error)
+            return
+        q = construct_quad(*triple)
+        for field in dataclasses.fields(QuadConstruction):
+            got, want = getattr(q, field.name), expected[field.name]
+            assert got == want, field.name
+            if field.name != "theta_degrees":
+                assert all(type(part) is Fraction for part in _exact_parts(got)), field.name
+        assert q.theta_degrees.hex() == expected["theta_degrees"].hex()
+        assert q.area == expected["area"]
+        assert type(q.area) is Fraction

@@ -46,6 +46,15 @@ CASES = [
     # irrational hypotenuses: m = 1000003 even leg first, m = 1009 odd leg first
     ("construct-surd-even-first", [["construct", "4000012", "1000006000005", "1000006000013"]], 0),
     ("verify-triple-surd-odd-first", [["verify", "--triple", "1018077", "4036", "1018085"]], 0),
+    # rational triple whose three denominators differ (their lcm is 12)
+    ("construct-rational-mixed", [["construct", "5/3", "7/4", "29/12"]], 0),
+    (
+        "verify-input-rational",
+        [["construct", "5/3", "7/4", "29/12", "--out", "env.json"], ["verify", "--input", "env.json"]],
+        0,
+    ),
+    # six generating pairs, some with L > delta
+    ("family-t5", [["family", "--t-max", "5", "--delta-max", "3"]], 0),
 ]
 
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError
@@ -214,13 +214,14 @@ class TestMagnitude:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_exact_tangent_past_float_range(self, sign):
-        # b + c = 0, tan(x/2) = -b/a = sign * 10^598: the base angle is sign * pi
+        # b + c = 0, tan(x/2) = -b/a = sign * 10^598: the base angle is pi
+        # for either sign, since base lies in (-pi, pi]
         big = 10**299
         s = classify(exact(Fraction(-sign, big), big, -big))
         odd_pi, family = s.families
         assert odd_pi.tag is FamilyTag.ODD_PI
         assert family.tan_half == sign * big * big
-        assert family.base == sign * math.pi
+        assert family.base == math.pi
 
     def test_tiny_exact_coefficients_keep_their_roots(self):
         tiny = Fraction(1, 10**200)
@@ -241,3 +242,26 @@ _small_fractions = st.fractions(
 def test_exact_classification_is_invariant_under_powers_of_two(a, b, c, j):
     scale = Fraction(2) ** j
     assert classify(exact(a * scale, b * scale, c * scale)) == classify(exact(a, b, c))
+
+
+# magnitudes from 10^-350 to 10^350, so tan(x/2) often lies past the float range
+_wide_fractions = st.builds(
+    lambda num, den, e: Fraction(num, den) * Fraction(10) ** e,
+    st.integers(-1000, 1000),
+    st.integers(1, 1000),
+    st.integers(-350, 350),
+)
+
+
+@given(_wide_fractions, _wide_fractions, _wide_fractions, st.booleans())
+@example(Fraction(1, 10**20), Fraction(10**20), Fraction(0), True)
+@example(Fraction(1, 10**299), Fraction(10**299), Fraction(0), True)
+def test_base_angle_lies_in_half_open_interval(a, b, c, odd_pi):
+    if odd_pi:  # b + c = 0: tan(x/2) = -b/a
+        c = -b
+    try:
+        s = classify(exact(a, b, c))
+    except DomainError:  # an irrational root whose float b + c vanished
+        return
+    for family in s.families:
+        assert -math.pi < family.base <= math.pi

@@ -602,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--zero-tol",
         type=_parse_float,
         default=1e-12,
-        help="relative zero tolerance for float coefficients (default 1e-12)",
+        help="relative zero tolerance for float coefficients, in [0, 1) (default 1e-12)",
     )
     sp.add_argument("--out", default=None, help="write output to this file")
     sp.set_defaults(func=_cmd_solve)

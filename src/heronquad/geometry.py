@@ -149,7 +149,7 @@ ANGLES = (
     (Vertex.GAMMA1, "tan_gamma1"),
     (Vertex.GAMMA2, "tan_gamma2"),
 )
-_ORDER = tuple(Vertex)
+_INDEX = {vertex: i for i, vertex in enumerate(Vertex)}
 
 
 def _as_rational(value: Fraction | int | str, name: str) -> Fraction:
@@ -218,12 +218,15 @@ def construct_quad(
     )
 
 
-def _edge_vectors(q: QuadConstruction | Sequence[Point2], which: Vertex) -> tuple[Point2, Point2]:
-    """Vectors from a vertex to its two neighbours in the traversal order."""
+def _dot_cross(q: QuadConstruction | Sequence[Point2], which: Vertex) -> tuple[Fraction, Fraction]:
+    """u . v and u x v of the vectors u, v from a vertex to its two
+    neighbours in the traversal order."""
     pts = q.vertices() if isinstance(q, QuadConstruction) else q
-    idx = _ORDER.index(which)
-    here = pts[idx]
-    return pts[idx - 1] - here, pts[(idx + 1) % 4] - here
+    i = _INDEX[which]
+    here, prev, after = pts[i], pts[i - 1], pts[(i + 1) % 4]
+    ux, uy = prev.x - here.x, prev.y - here.y
+    vx, vy = after.x - here.x, after.y - here.y
+    return ux * vx + uy * vy, ux * vy - uy * vx
 
 
 def interior_tangent_from_coords(
@@ -236,17 +239,16 @@ def interior_tangent_from_coords(
     so tan = |u x v| / (u . v) is exact in rational arithmetic. ``None``
     signals a right angle (zero dot product, infinite tangent).
     """
-    u, v = _edge_vectors(q, which)
-    dot = u.dot(v)
+    dot, cross = _dot_cross(q, which)
     if dot == 0:
         return None
-    return Fraction(abs(u.cross(v)), dot)
+    return Fraction(abs(cross), dot)
 
 
 def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
     """The interior angle at a vertex in degrees, from coordinates alone."""
-    u, v = _edge_vectors(q, which)
-    return math.degrees(math.atan2(abs(float(u.cross(v))), float(u.dot(v))))
+    dot, cross = _dot_cross(q, which)
+    return math.degrees(math.atan2(abs(float(cross)), float(dot)))
 
 
 def quad_area(q: QuadConstruction) -> Fraction:
@@ -270,11 +272,13 @@ class AngleIdentity:
 def angle_identity_check(q: QuadConstruction) -> AngleIdentity:
     """Measure phi (isosceles base angle at Gamma2, from float coordinates),
     omega (half the apex double angle, atan2(a, b)/2), and theta
-    (atan2(a, b+g)); they agree up to float noise. The coordinates are
-    divided by a power of two, which leaves phi unchanged, so that their
-    products stay inside the float range."""
+    (atan2(a, b+g)); they agree up to float noise. Coordinates whose
+    largest exponent lies past +-500 are divided by a power of two that
+    brings it to 0, which leaves phi unchanged, so that their products
+    neither overflow nor underflow."""
     coords = [float(v) for p in (q.v_gamma2, q.v_b, q.v_gamma) for v in (p.x, p.y)]
-    shift = max(0, max(math.frexp(v)[1] for v in coords) - 500)
+    top = max(math.frexp(v)[1] for v in coords if v)  # B = (0, 0) has no exponent
+    shift = top if abs(top) > 500 else 0
     g2x, g2y, bx, by, gx, gy = (math.ldexp(v, -shift) for v in coords)
     ux, uy = bx - g2x, by - g2y
     vx, vy = gx - g2x, gy - g2y

@@ -160,8 +160,11 @@ def classify(coeffs: EquationCoeffs, *, float_zero_tol: float = 1e-12) -> Soluti
     k >= 0 that brings max|coef| below 2^511, where a sum of two squares is
     still finite; their b+c, a, b and discriminant zero tests compare with
     ``float_zero_tol`` times the magnitudes involved, floored at 1.0 before
-    the division.
+    the division. A tolerance outside [0, 1) is a ``DomainError``: a negative
+    one makes even 0 nonzero, and from 1 on every a and b test passes.
     """
+    if not 0 <= float_zero_tol < 1:
+        raise DomainError(f"the zero tolerance must lie in [0, 1), got {float_zero_tol}")
     exact = coeffs.is_exact
     a, b, c = coeffs.alpha, coeffs.beta, coeffs.gamma
     if exact:

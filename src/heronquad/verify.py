@@ -341,19 +341,25 @@ class CheckStatus(Enum):
     ERRATUM = "erratum"
 
 
-@dataclass(frozen=True)
+PASS, FAIL = CheckStatus.PASS, CheckStatus.FAIL
+
+
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs about 2.5x, 40-odd times a report
 class Check:
+    """One comparison. It keeps the two values it compared; ``to_payload``
+    is the one place that renders them, with ``str``."""
+
     name: str
     status: CheckStatus
-    expected: str
-    actual: str
+    expected: object
+    actual: object
 
     def to_payload(self) -> dict:
         return {
             "name": self.name,
             "status": self.status.value,
-            "expected": self.expected,
-            "actual": self.actual,
+            "expected": str(self.expected),
+            "actual": str(self.actual),
         }
 
 
@@ -382,17 +388,25 @@ class VerificationReport:
 
 
 def _check(name: str, ok: bool, expected: object, actual: object) -> Check:
-    return Check(
-        name, CheckStatus.PASS if ok else CheckStatus.FAIL, str(expected), str(actual)
-    )
+    return Check(name, PASS if ok else FAIL, expected, actual)
 
 
 def _same(name: str, expected: object, actual: object) -> Check:
     """An equality check: passes exactly when ``expected == actual``."""
-    return _check(name, expected == actual, expected, actual)
+    return Check(name, PASS if expected == actual else FAIL, expected, actual)
 
 
-def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement]:
+# check names with the stored attribute each one reads; the member twins
+# compare the member's own closed forms
+_RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
+_LENGTH_CHECKS = tuple((f"{kind}-{label}", attr) for kind, label, _, attr in SEGMENTS)
+_TANGENT_CHECKS = tuple((f"tangent-{vertex.value}", attr) for vertex, attr in ANGLES)
+_MEMBER_LENGTH_CHECKS = tuple(("member-" + name, attr) for name, attr in _LENGTH_CHECKS)
+_MEMBER_TANGENT_CHECKS = tuple(("member-" + name, attr) for name, attr in _TANGENT_CHECKS)
+
+
+def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement, Fraction]:
+    """The construction's checks, its measurement and alpha/(beta+gamma)."""
     measured = measure(q.vertices() + (q.circumcenter, q.v_a))
     g, b, g2, g1, center, v_a = measured.points
     s2 = measured.scale * measured.scale
@@ -402,14 +416,14 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement]
         _same("ptolemy-identity", "holds", "holds" if measured.ptolemy else "violated"),
         _same("right-angle-at-B", 0, Fraction((g2 - b).dot(g1 - b), s2)),
     ]
-    for vertex, point in zip(Vertex, (g, b, g2, g1)):
+    for name, point in zip(_RADIUS_NAMES, (g, b, g2, g1)):
         radius_sq = Fraction(dist_squared(point, center), s2)
-        checks.append(_same(f"circumradius-{vertex.value}", q.radius_squared, radius_sq))
+        checks.append(_same(name, q.radius_squared, radius_sq))
     # stored lengths vs coordinate distances (compared on squares: exact)
-    for (kind, label, _, attr), coord_sq in zip(SEGMENTS, measured.lengths_squared):
-        checks.append(_same(f"{kind}-{label}", coord_sq, _square(getattr(q, attr))))
-    for (vertex, attr), tangent in zip(ANGLES, measured.tangents):
-        checks.append(_same(f"tangent-{vertex.value}", tangent, getattr(q, attr)))
+    for (name, attr), coord_sq in zip(_LENGTH_CHECKS, measured.lengths_squared):
+        checks.append(_same(name, coord_sq, _square(getattr(q, attr))))
+    for (name, attr), tangent in zip(_TANGENT_CHECKS, measured.tangents):
+        checks.append(_same(name, tangent, getattr(q, attr)))
 
     checks.append(_same("tangent-sum-B-Gamma1", 0, q.tan_b + q.tan_gamma1))
     checks.append(_same("tangent-sum-Gamma-Gamma2", 0, q.tan_gamma + q.tan_gamma2))
@@ -417,8 +431,9 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement]
     checks.append(_same("area-helper-agrees", measured.area, quad_area(q)))
 
     a, beta, gamma = q.alpha, q.beta, q.gamma
-    checks.append(_same("theta-tangent", a / (beta + gamma), q.tan_theta))
-    checks.append(_same("shared-base-angle-identity", a / (gamma + beta), (gamma - beta) / a))
+    theta_tan = a / (beta + gamma)
+    checks.append(_same("theta-tangent", theta_tan, q.tan_theta))
+    checks.append(_same("shared-base-angle-identity", theta_tan, (gamma - beta) / a))
     spread = angle_identity_check(q).max_spread_degrees
     checks.append(_check("angle-spread-below-1e-10-deg", spread < 1e-10, "< 1e-10", spread))
 
@@ -427,7 +442,7 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement]
     prod = gamma * beta * s2  # |u| * |v| for this embedding, on the lattice
     checks.append(_same("double-angle-cos", beta / gamma, u.dot(v) / prod))
     checks.append(_same("double-angle-sin", a / gamma, abs(u.cross(v)) / prod))
-    return checks, measured
+    return checks, measured, theta_tan
 
 
 def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
@@ -450,13 +465,12 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     checks plus the member closed forms, the Heron criterion, and the
     registered errata."""
     p = member.params
-    q = member.quad
-    checks, measured = _construction_checks(q)
+    checks, measured, theta_tan = _construction_checks(member.quad)
 
-    for (kind, label, _, attr), coord_sq in zip(SEGMENTS, measured.lengths_squared):
-        checks.append(_same(f"member-{kind}-{label}", coord_sq, _square(getattr(member, attr))))
-    for (vertex, attr), tangent in zip(ANGLES, measured.tangents):
-        checks.append(_same(f"member-tangent-{vertex.value}", tangent, getattr(member, attr)))
+    for (name, attr), coord_sq in zip(_MEMBER_LENGTH_CHECKS, measured.lengths_squared):
+        checks.append(_same(name, coord_sq, _square(getattr(member, attr))))
+    for (name, attr), tangent in zip(_MEMBER_TANGENT_CHECKS, measured.tangents):
+        checks.append(_same(name, tangent, getattr(member, attr)))
 
     m, n, L, delta = p.m, p.n, p.L, p.delta
     mm_nn = m * m - n * n
@@ -484,8 +498,7 @@ def verify_member(member: FamilyMember) -> VerificationReport:
         )
     )
 
-    a, b, g = q.alpha, q.beta, q.gamma
-    checks.append(_same("member-theta-n-over-m", a / (b + g), Fraction(n, m)))
+    checks.append(_same("member-theta-n-over-m", theta_tan, Fraction(n, m)))
 
     errata = errata_for_member(member)
     checks += _erratum_checks(errata)

@@ -188,6 +188,18 @@ class TestSolveCommand:
         assert out == ""
         assert "nan" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("0.6", "0.8", "1.0", "--zero-tol", "-1"), ("0.3", "0.4", "-0.5", "--zero-tol", "2")],
+        ids=["negative", "above-one"],
+    )
+    def test_zero_tol_outside_unit_interval_is_domain_error(self, capsys, argv):
+        # -1 reported two identical families for a tangency, 2 every real x
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 3
+        assert out == ""
+        assert "domain error: the zero tolerance must lie in [0, 1)" in err
+
     def test_float_overflow_is_domain_error(self, capsys):
         # a*a overflows; the envelope would carry Infinity, which is not JSON
         code, out, err = run(capsys, "solve", "1e308", "1e308", "1")
@@ -482,6 +494,14 @@ class TestVerifyCommand:
     def test_triple_mode_large_triple(self, capsys, k):
         # float coordinates near 1e160 overflowed the angle identity's products
         doc = run_json(capsys, "verify", "--triple", str(3 * k), str(4 * k), str(5 * k))
+        assert doc["result"]["verdict"] == "pass"
+
+    def test_input_mode_tiny_triple(self, capsys, tmp_path):
+        # coordinates near 1e-200: the angle identity's products underflowed
+        tiny = {name: f"{v}/1{'0' * 200}" for name, v in zip(("alpha", "beta", "gamma"), (3, 4, 5))}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(tiny))
+        doc = run_json(capsys, "verify", "--input", str(path))
         assert doc["result"]["verdict"] == "pass"
 
     def test_triple_mode_odd_leg_first(self, capsys):

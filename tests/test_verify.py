@@ -10,11 +10,11 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
-from heronquad.family import enumerate_family, family_member
+from heronquad.family import enumerate_family, family_member, generating_pairs
 from heronquad.geometry import (
     SEGMENTS,
     Point2,
@@ -375,6 +375,29 @@ class TestVerifyConstruction:
         assert not report.has_failures
 
 
+class TestScaleInvariance:
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=11),
+        st.booleans(),
+        st.integers(min_value=-1000, max_value=1000),
+    )
+    @example(1, 2, 1, False, -1000)
+    @example(1, 2, 1, True, -531)
+    @example(4, 12, 11, False, 1000)
+    def test_power_of_two_scale_keeps_the_verdict(self, delta, m, n, odd_first, j):
+        # tiny coordinates once underflowed in the angle identity's products
+        assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
+        t = scaled_triple(delta, m, n)
+        legs = (t.b, t.a) if odd_first else (t.a, t.b)
+        unit = Fraction(2) ** j
+        plain = verify_construction(construct_quad(*legs, t.c))
+        scaled = verify_construction(construct_quad(*(v * unit for v in legs), t.c * unit))
+        assert not plain.has_failures and not scaled.has_failures
+        assert [c.name for c in scaled.checks] == [c.name for c in plain.checks]
+
+
 class TestVerifyMember:
     def test_worked_example_member(self):
         report = verify_member(family_member(5, 4, 3))
@@ -400,6 +423,45 @@ class TestVerifyMember:
         assert all(
             set(c) == {"name", "status", "expected", "actual"} for c in payload["checks"]
         )
+
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from([(m, n) for *_, m, n, _ in generating_pairs(8)]),
+    )
+    def test_payload_renders_every_value(self, delta, pair):
+        report = verify_member(family_member(delta, *pair))
+        assert not report.has_failures
+        assert_rendered(report)
+
+
+def assert_rendered(report) -> None:
+    """Every expected/actual of the payload is a string: ``str`` of the value
+    the check keeps."""
+    checks = report.to_payload()["checks"]
+    assert [c["name"] for c in checks] == [c.name for c in report.checks]
+    for check, rendered in zip(report.checks, checks):
+        assert isinstance(rendered["expected"], str) and isinstance(rendered["actual"], str)
+        assert rendered["expected"] == str(check.expected)
+        assert rendered["actual"] == str(check.actual)
+
+
+class TestReportRendering:
+    def test_checks_keep_the_compared_values(self):
+        report = verify_member(family_member(5, 4, 3))
+        assert len(report.checks) == 47
+        theta = next(c for c in report.checks if c.name == "member-theta-n-over-m")
+        assert theta.expected == theta.actual == Fraction(3, 4)
+        assert isinstance(theta.expected, Fraction)
+
+    def test_passing_payload_values_are_strings(self):
+        assert_rendered(verify_member(family_member(5, 4, 3)))
+        assert_rendered(verify_construction(construct_quad("3/2", "2", "5/2")))
+
+    @pytest.mark.parametrize("name", ["tampered-vertex", "tampered-tangent", "moved-vertex"])
+    def test_failing_payload_values_are_strings(self, name):
+        report = verify_construction(_tampered(name))
+        assert report.has_failures
+        assert_rendered(report)
 
 
 def _tampered(name: str):

@@ -85,3 +85,30 @@ def test_verify_member_measures_each_quantity_once(calls):
     # one orientation per vertex triple decides both the collinear-triple
     # and the self-intersection tests
     assert calls["_orient"] == 4
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Count ``Check.to_payload`` calls: the one place a check is rendered."""
+    tally = Counter()
+    original = verify.Check.to_payload
+
+    def counted(self):
+        tally["to_payload"] += 1
+        return original(self)
+
+    monkeypatch.setattr(verify.Check, "to_payload", counted)
+    return tally
+
+
+def test_heron_table_renders_no_check(renders, capsys):
+    assert main(["heron-table", "--t-max", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] > 0
+    assert renders["to_payload"] == 0
+
+
+def test_verify_renders_each_check_once(renders, capsys):
+    assert main(["verify", "--params", "5", "4", "3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert len(checks) == 47
+    assert renders["to_payload"] == 47

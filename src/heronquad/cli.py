@@ -49,6 +49,7 @@ from .geometry import (
 )
 from .svgfig import render_svg
 from .trigsolve import (
+    FLOAT_ZERO_TOL,
     K_ABS_MAX,
     K_PERIODS_MAX,
     EquationCoeffs,
@@ -132,7 +133,6 @@ def _parse_int(text: str) -> int:
     return _bounded(value, text)
 
 
-_parse_float.__name__ = "float"
 _parse_number.__name__ = "number"
 _parse_rational.__name__ = "rational"
 _parse_int.__name__ = "integer"
@@ -232,7 +232,7 @@ def _emit_json(envelope: dict, out_path: str | None) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     coeffs = EquationCoeffs(args.alpha, args.beta, args.gamma)
     k_min, k_max = _parse_k_range(args.k)
-    solutions = classify(coeffs, float_zero_tol=args.zero_tol)
+    solutions = classify(coeffs)
     quad = half_angle_quadratic(coeffs)
 
     families = []
@@ -276,7 +276,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "beta": _num_payload(coeffs.beta),
         "gamma": _num_payload(coeffs.gamma),
         "k": args.k,
-        "zero_tol": args.zero_tol,
+        "zero_tol": FLOAT_ZERO_TOL,
     }
     _emit_json(_envelope("solve", inputs, result, ()), args.out)
     return 0
@@ -428,6 +428,8 @@ def _failed_checks(report: VerificationReport) -> str:
 
 
 def _cmd_heron_table(args: argparse.Namespace) -> int:
+    if args.delta_multiples < 1:
+        raise DomainError(f"delta_multiples must be >= 1, got {args.delta_multiples}")
     rows = []
     seen: dict = {}
     failures = 0
@@ -598,12 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
             f"with |k| <= {K_ABS_MAX} (exit 3 past that)"
         ),
     )
-    sp.add_argument(
-        "--zero-tol",
-        type=_parse_float,
-        default=1e-12,
-        help="relative zero tolerance for float coefficients, in [0, 1) (default 1e-12)",
-    )
     sp.add_argument("--out", default=None, help="write output to this file")
     sp.set_defaults(func=_cmd_solve)
 
@@ -627,7 +623,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delta-multiples",
         type=_parse_int,
         default=1,
-        help="emit rows for delta = j*L, j = 1..J (default 1)",
+        help="emit rows for delta = j*L, j = 1..J, J >= 1 (default 1)",
     )
     hp.add_argument("--format", choices=("json", "csv"), default="json")
     hp.add_argument("--out", default=None, help="write output to this file")

@@ -29,10 +29,10 @@ __all__ = [
     "Surd",
     "classify_triple",
     "divides_via_power",
+    "euclid_triple",
     "exact_sqrt",
     "fraction_sqrt",
     "gcd",
-    "primitive_triple",
     "scaled_triple",
     "squarefree_decompose",
     "surd_normalize",
@@ -250,12 +250,9 @@ def check_generator_pair(m: int, n: int) -> None:
         raise DomainError(f"generator pair needs m + n odd, got {m} + {n} = {m + n}")
 
 
-def primitive_triple(m: int, n: int) -> PythTriple:
-    """The primitive triple (2mn, m^2 - n^2, m^2 + n^2), even leg first."""
-    check_generator_pair(m, n)
-    return PythTriple(
-        2 * m * n, m * m - n * n, m * m + n * n, 1, m, n, LegForm.EVEN_LEG_FIRST
-    )
+def euclid_triple(delta: int, m: int, n: int) -> tuple[int, int, int]:
+    """(2*delta*m*n, delta*(m^2 - n^2), delta*(m^2 + n^2)); callers validate."""
+    return 2 * delta * m * n, delta * (m * m - n * n), delta * (m * m + n * n)
 
 
 def scaled_triple(
@@ -264,13 +261,10 @@ def scaled_triple(
     """The primitive triple for (m, n) scaled by delta, legs ordered by leg_form."""
     if delta < 1:
         raise DomainError(f"delta must be >= 1, got {delta}")
-    base = primitive_triple(m, n)
-    even, odd = delta * base.a, delta * base.b
-    if leg_form is LegForm.EVEN_LEG_FIRST:
-        a, b = even, odd
-    else:
-        a, b = odd, even
-    return PythTriple(a, b, delta * base.c, delta, m, n, leg_form)
+    check_generator_pair(m, n)
+    even, odd, c = euclid_triple(delta, m, n)
+    a, b = (even, odd) if leg_form is LegForm.EVEN_LEG_FIRST else (odd, even)
+    return PythTriple(a, b, c, delta, m, n, leg_form)
 
 
 def classify_triple(a: int, b: int, c: int) -> PythTriple:

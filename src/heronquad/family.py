@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .exactnum import DomainError, Surd, check_generator_pair, exact_sqrt, gcd
+from .exactnum import DomainError, Surd, check_generator_pair, euclid_triple, exact_sqrt, gcd
 from .geometry import ANGLES, SEGMENTS, QuadConstruction, construct_quad, quad_area
 
 __all__ = [
@@ -70,8 +70,7 @@ class GeneratorParams:
 
     def triple(self) -> tuple[int, int, int]:
         """The even-leg-first triple (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2))."""
-        d, m, n = self.delta, self.m, self.n
-        return 2 * d * m * n, d * (m * m - n * n), d * (m * m + n * n)
+        return euclid_triple(self.delta, self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -97,22 +96,10 @@ class FamilyMember:
         return self.params.triple()
 
 
-def _check_t_pair(t1: int, t2: int) -> None:
-    if t2 < 1:
-        raise DomainError(f"t pair needs t2 >= 1, got t2={t2}")
-    if t1 <= t2:
-        raise DomainError(f"t pair needs t1 > t2, got t1={t1}, t2={t2}")
-    if gcd(t1, t2) != 1:
-        raise DomainError(f"t pair needs gcd(t1, t2) = 1, got gcd({t1}, {t2}) = {gcd(t1, t2)}")
-    if (t1 + t2) % 2 == 0:
-        raise DomainError(f"t pair needs t1 + t2 odd, got {t1} + {t2} = {t1 + t2}")
-
-
 def mnl_from_t(t1: int, t2: int, form: TForm) -> tuple[int, int, int]:
-    """Map a t-pair to (m, n, L) under the chosen form; refuse m <= n."""
-    _check_t_pair(t1, t2)
-    square_diff = t1 * t1 - t2 * t2
-    double_prod = 2 * t1 * t2
+    """Map a t-pair (a generator pair itself) to (m, n, L); refuse m <= n."""
+    check_generator_pair(t1, t2)
+    double_prod, square_diff, L = euclid_triple(1, t1, t2)
     if form is TForm.ODD_M:
         m, n, other = square_diff, double_prod, TForm.EVEN_M
     else:
@@ -122,7 +109,7 @@ def mnl_from_t(t1: int, t2: int, form: TForm) -> tuple[int, int, int]:
             f"form {form.value} gives m={m} <= n={n} for (t1={t1}, t2={t2}); "
             f"use form {other.value}"
         )
-    return m, n, t1 * t1 + t2 * t2
+    return m, n, L
 
 
 def family_member(
@@ -150,7 +137,7 @@ def family_member(
         params=params,
         side_gamma_b=2 * delta * m * n,
         side_b_gamma2=2 * delta * m * n,
-        side_gamma2_gamma1=2 * delta * m * L,
+        side_gamma2_gamma1=params.k,
         side_gamma_gamma1=Fraction(2 * delta * m * mm_nn, L),
         diag_b_gamma1=2 * delta * m * m,
         diag_gamma_gamma2=Fraction(4 * delta * m * m * n, L),

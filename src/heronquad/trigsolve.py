@@ -34,6 +34,7 @@ from .exactnum import DomainError, fraction_sqrt
 __all__ = [
     "BaseAngle",
     "EquationCoeffs",
+    "FLOAT_ZERO_TOL",
     "FamilyTag",
     "HalfAngleQuadratic",
     "K_ABS_MAX",
@@ -50,6 +51,9 @@ Number = Fraction | float
 
 # adjacent enumerated solutions closer than this merge into one
 _MERGE_TOL = 1e-12
+
+# relative tolerance of the zero tests on float coefficients
+FLOAT_ZERO_TOL = 1e-12
 
 # Enumeration bounds: |k| past K_ABS_MAX leaves too few float digits for
 # x = base + 2*k*pi to mean much, and K_PERIODS_MAX periods already print
@@ -150,7 +154,7 @@ def _double_angle(tan_half: Fraction | float) -> BaseAngle:
     return BaseAngle(base, tan_half, FamilyTag.DOUBLE_ANGLE, isinstance(tan_half, Fraction))
 
 
-def classify(coeffs: EquationCoeffs, *, float_zero_tol: float = 1e-12) -> SolutionSet:
+def classify(coeffs: EquationCoeffs) -> SolutionSet:
     """Classify the full solution set of a*sin(x) + b*cos(x) = c.
 
     The coefficients are first divided by a power of two 2^k, which changes
@@ -159,12 +163,9 @@ def classify(coeffs: EquationCoeffs, *, float_zero_tol: float = 1e-12) -> Soluti
     (1/2, 2), and exact zero tests. Float coefficients take the least
     k >= 0 that brings max|coef| below 2^511, where a sum of two squares is
     still finite; their b+c, a, b and discriminant zero tests compare with
-    ``float_zero_tol`` times the magnitudes involved, floored at 1.0 before
-    the division. A tolerance outside [0, 1) is a ``DomainError``: a negative
-    one makes even 0 nonzero, and from 1 on every a and b test passes.
+    ``FLOAT_ZERO_TOL`` times the magnitudes involved, floored at 1.0 before
+    the division.
     """
-    if not 0 <= float_zero_tol < 1:
-        raise DomainError(f"the zero tolerance must lie in [0, 1), got {float_zero_tol}")
     exact = coeffs.is_exact
     a, b, c = coeffs.alpha, coeffs.beta, coeffs.gamma
     if exact:
@@ -173,7 +174,7 @@ def classify(coeffs: EquationCoeffs, *, float_zero_tol: float = 1e-12) -> Soluti
         k = top.numerator.bit_length() - top.denominator.bit_length()
         unit = Fraction(2) ** -k
     else:
-        tol = float_zero_tol
+        tol = FLOAT_ZERO_TOL
         a, b, c = float(a), float(b), float(c)
         k = max(0, math.frexp(max(abs(a), abs(b), abs(c)))[1] - 511)
         unit = math.ldexp(1.0, -k)

@@ -180,7 +180,7 @@ class TestSolveCommand:
         assert "domain error" in err
 
     @pytest.mark.parametrize(
-        "argv", [("nan", "1", "1"), ("1", "1", "1", "--zero-tol", "nan")]
+        "argv", [("nan", "1", "1"), ("1", "1", "nan")]
     )
     def test_non_finite_input_is_parse_error(self, capsys, argv):
         code, out, err = run(capsys, "solve", *argv)
@@ -188,17 +188,17 @@ class TestSolveCommand:
         assert out == ""
         assert "nan" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [("0.6", "0.8", "1.0", "--zero-tol", "-1"), ("0.3", "0.4", "-0.5", "--zero-tol", "2")],
-        ids=["negative", "above-one"],
-    )
-    def test_zero_tol_outside_unit_interval_is_domain_error(self, capsys, argv):
-        # -1 reported two identical families for a tangency, 2 every real x
-        code, out, err = run(capsys, "solve", *argv)
-        assert code == 3
+    def test_float_tangency_is_one_family(self, capsys):
+        # b + c = -0.1 is not zero beside the fixed 1e-12 relative tolerance
+        doc = run_json(capsys, "solve", "0.3", "0.4", "-0.5")
+        assert doc["inputs"]["zero_tol"] == 1e-12
+        assert [f["tag"] for f in doc["result"]["families"]] == ["double-angle"]
+
+    def test_zero_tol_option_is_gone(self, capsys):
+        code, out, err = run(capsys, "solve", "3", "4", "5", "--zero-tol", "1e-12")
+        assert code == 2
         assert out == ""
-        assert "domain error: the zero tolerance must lie in [0, 1)" in err
+        assert "--zero-tol" in err
 
     def test_float_overflow_is_domain_error(self, capsys):
         # a*a overflows; the envelope would carry Infinity, which is not JSON
@@ -453,6 +453,16 @@ class TestHeronTableCommand:
         doc = run_json(capsys, "heron-table", "--t-max", "3", "--delta-multiples", "2")
         deltas = [(r["m"], r["n"], r["delta"]) for r in doc["result"]["rows"]]
         assert deltas == [(4, 3, 5), (4, 3, 10), (12, 5, 13), (12, 5, 26)]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("multiples", ["0", "-3"])
+    def test_delta_multiples_below_one_is_domain_error(self, capsys, fmt, multiples):
+        code, out, err = run(
+            capsys, "heron-table", "--delta-multiples", multiples, "--format", fmt
+        )
+        assert code == 3
+        assert out == ""
+        assert f"domain error: delta_multiples must be >= 1, got {multiples}" in err
 
     def test_failing_row_names_its_checks(self, capsys, monkeypatch):
         real_verify = cli.verify_member

@@ -17,7 +17,6 @@ from heronquad.exactnum import (
     divides_via_power,
     exact_sqrt,
     fraction_sqrt,
-    primitive_triple,
     scaled_triple,
     squarefree_decompose,
     surd_normalize,
@@ -180,7 +179,7 @@ class TestTripleParametrization:
             check_generator_pair(2, 0)
 
     def test_primitive_example(self):
-        t = primitive_triple(2, 1)
+        t = scaled_triple(1, 2, 1)
         assert (t.a, t.b, t.c) == (4, 3, 5)
         assert t.leg_form is LegForm.EVEN_LEG_FIRST
 

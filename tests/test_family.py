@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, exact_sqrt, surd_normalize
+from heronquad.exactnum import DomainError, exact_sqrt, scaled_triple, surd_normalize
 from heronquad.family import (
+    GeneratorParams,
     TForm,
     _cross_check,
     coprimality_certificate,
@@ -45,12 +46,67 @@ class TestMnlFromT:
         assert mnl_from_t(2, 1, TForm.EVEN_M)[2] == 5
 
     def test_t_pair_validation(self):
-        with pytest.raises(DomainError):
+        # the t pair is checked as a generator pair, with the same wording
+        with pytest.raises(DomainError, match="n >= 1"):
+            mnl_from_t(2, 0, TForm.EVEN_M)
+        with pytest.raises(DomainError, match="m > n"):
             mnl_from_t(2, 2, TForm.EVEN_M)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="gcd"):
             mnl_from_t(4, 2, TForm.EVEN_M)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="odd"):
             mnl_from_t(3, 1, TForm.EVEN_M)
+
+
+T_MAX = 60
+
+
+def _literal_triple(delta, m, n):
+    return 2 * delta * m * n, delta * (m * m - n * n), delta * (m * m + n * n)
+
+
+def _is_generator_pair(t1, t2):
+    return math.gcd(t1, t2) == 1 and (t1 + t2) % 2 == 1
+
+
+class TestOneEuclidFormula:
+    """The t layer and the member triples agree with the formula written out."""
+
+    def test_t_layer_over_every_pair_and_form(self):
+        for t1 in range(2, T_MAX + 1):
+            for t2 in range(1, t1):
+                for form in TForm:
+                    if not _is_generator_pair(t1, t2):
+                        with pytest.raises(DomainError, match="generator pair needs"):
+                            mnl_from_t(t1, t2, form)
+                        continue
+                    odd, even, L = t1 * t1 - t2 * t2, 2 * t1 * t2, t1 * t1 + t2 * t2
+                    m, n = (odd, even) if form is TForm.ODD_M else (even, odd)
+                    if m > n:
+                        assert mnl_from_t(t1, t2, form) == (m, n, L)
+                    else:
+                        other = TForm.EVEN_M if form is TForm.ODD_M else TForm.ODD_M
+                        with pytest.raises(DomainError, match=f"use form {other.value}"):
+                            mnl_from_t(t1, t2, form)
+
+    def test_member_triple_matches_scaled_triple(self):
+        for _t1, _t2, _form, m, n, L in generating_pairs(T_MAX):
+            for delta in (1, 7, L):
+                t = scaled_triple(delta, m, n)
+                literal = _literal_triple(delta, m, n)
+                assert GeneratorParams(delta, m, n, L).triple() == (t.a, t.b, t.c) == literal
+
+    def test_generating_pairs_match_brute_force(self):
+        expected = []
+        for t1 in range(2, T_MAX + 1):
+            for t2 in range(1, t1):
+                if not _is_generator_pair(t1, t2):
+                    continue
+                odd, even, L = t1 * t1 - t2 * t2, 2 * t1 * t2, t1 * t1 + t2 * t2
+                if odd > even:
+                    expected.append((t1, t2, TForm.ODD_M, odd, even, L))
+                else:
+                    expected.append((t1, t2, TForm.EVEN_M, even, odd, L))
+        assert list(generating_pairs(T_MAX)) == expected
 
 
 class TestFamilyMember:

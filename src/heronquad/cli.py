@@ -28,11 +28,22 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring
 
 from . import __version__
-from .exactnum import DomainError, LegForm, Surd, classify_triple, exact_sqrt
+from .exactnum import (
+    DomainError,
+    LegForm,
+    Surd,
+    classify_triple,
+    exact_sqrt,
+    float_excess_bits,
+)
 from .family import (
+    MEMBERS_MAX,
     FamilyMember,
+    check_member_count,
     enumerate_family,
     family_member,
     generating_pairs,
@@ -215,14 +226,105 @@ def _emit_text(text: str, out_path: str | None) -> None:
         raise ParseError(f"cannot write {out_path}: {exc}") from None
 
 
+# the item indentation of ``result.members`` and ``result.rows``
+_ITEM_PAD = " " * 6
+# '"key": ' for each key written so far; every key is one of the program's literals
+_KEY_TEXT: dict[str, str] = {}
+
+
+class _Encoded:
+    """JSON text that ``_encode`` already wrote at the depth where it goes."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def _encode(value: object, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``json.dumps(value, indent=2,
+    ensure_ascii=False, allow_nan=False)``, nested at indentation ``pad``.
+
+    A non-finite float raises ``DomainError``; any other type, or a key that
+    is not a ``str``, raises ``TypeError``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        items, brackets = value.items(), "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        items, brackets = zip(repeat(None), value), "[]"
+    elif isinstance(value, _Encoded):
+        out.append(value.text)
+        return
+    elif isinstance(value, str):
+        out.append(encode_basestring(value))
+        return
+    elif value is None:
+        out.append("null")
+        return
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+        return
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+        return
+    elif isinstance(value, float):
+        if not -math.inf < value < math.inf:
+            raise DomainError(
+                "a result is not finite (float overflow); it has no JSON representation"
+            )
+        out.append(float.__repr__(value))
+        return
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    inner = pad + "  "
+    sep, comma = brackets[0] + "\n" + inner, ",\n" + inner
+    keyed = brackets == "{}"
+    key_text = _KEY_TEXT
+    for key, item in items:
+        out.append(sep)
+        sep = comma
+        if keyed:
+            text = key_text.get(key)
+            if text is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                text = key_text[key] = encode_basestring(key) + ": "
+            out.append(text)
+        kind = type(item)
+        if kind is str:
+            out.append(encode_basestring(item))
+        elif kind is int:
+            out.append(int.__repr__(item))
+        elif item is None:
+            out.append("null")
+        elif item is True:
+            out.append("true")
+        elif item is False:
+            out.append("false")
+        else:
+            _encode(item, inner, out)
+    out.append("\n" + pad + brackets[1])
+
+
+def _encoded(value: object) -> _Encoded:
+    """``value`` encoded at the depth of one ``members`` or ``rows`` item."""
+    out: list[str] = []
+    _encode(value, _ITEM_PAD, out)
+    return _Encoded("".join(out))
+
+
 def _emit_json(envelope: dict, out_path: str | None) -> None:
-    try:
-        text = json.dumps(envelope, indent=2, ensure_ascii=False, allow_nan=False)
-    except ValueError:
-        raise DomainError(
-            "a result is not finite (float overflow); it has no JSON representation"
-        ) from None
-    _emit_text(text + "\n", out_path)
+    out: list[str] = []
+    _encode(envelope, "", out)
+    out.append("\n")
+    _emit_text("".join(out), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +403,22 @@ def _triple_payload(alpha: Fraction, beta: Fraction, gamma: Fraction) -> dict | 
     }
 
 
+def _sqrt_approx(value: Fraction) -> float:
+    """sqrt(value) as a float, also where value itself is past the float range.
+
+    The root of value / 4^s is scaled back by 2^s. Both scalings are exact,
+    and s = 0 wherever value converts to a float, so the result is
+    ``math.sqrt(float(value))`` wherever that has one.
+    """
+    s = (float_excess_bits(value) + 1) // 2
+    return math.ldexp(math.sqrt(value / (1 << 2 * s) if s else value), s)
+
+
 def _construct_result_payload(q: QuadConstruction) -> dict:
-    radius = math.sqrt(float(q.radius_squared))
+    try:
+        area = _length_payload(q.area)
+    except OverflowError:
+        raise DomainError("the area is too large for its float approximation") from None
     return {
         "triple": _triple_payload(q.alpha, q.beta, q.gamma),
         "vertices": {
@@ -317,9 +433,9 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         "circumcircle": {
             "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
             "radius_squared": str(q.radius_squared),
-            "radius_approx": _round10(radius),
+            "radius_approx": _round10(_sqrt_approx(q.radius_squared)),
         },
-        "area": _length_payload(q.area),
+        "area": area,
     }
 
 
@@ -379,13 +495,13 @@ def _collect_errata(seen: dict, errata) -> None:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    payloads = []
+    members = []
     seen: dict = {}
     for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
         errata = errata_for_member(member)
-        payloads.append(_member_payload(member, errata))
+        members.append(_encoded(_member_payload(member, errata)))
         _collect_errata(seen, errata)
-    result = {"count": len(payloads), "members": payloads}
+    result = {"count": len(members), "members": members}
     inputs = {
         "t_max": args.t_max,
         "delta_max": args.delta_max,
@@ -414,6 +530,7 @@ _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_ME
 
 
 def _heron_row(member: FamilyMember) -> dict:
+    """The ``_CSV_COLUMNS`` of a member, in their order."""
     p = member.params
     row = {"t1": p.t1, "t2": p.t2, "m": p.m, "n": p.n, "delta": p.delta}
     for column, attr in _CSV_MEMBER_COLUMNS:
@@ -430,6 +547,12 @@ def _failed_checks(report: VerificationReport) -> str:
 def _cmd_heron_table(args: argparse.Namespace) -> int:
     if args.delta_multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {args.delta_multiples}")
+    check_member_count(args.delta_multiples for _ in generating_pairs(args.t_max))
+    csv_buf = None
+    if args.format == "csv":
+        csv_buf = io.StringIO()
+        writer = csv.writer(csv_buf, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
     rows = []
     seen: dict = {}
     failures = 0
@@ -445,18 +568,16 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             row = _heron_row(member)
+            if csv_buf is not None:
+                writer.writerow(row.values())
+                continue
             row["verified"] = not report.has_failures
             row["errata"] = [er.ident for er in report.errata]
-            rows.append(row)
+            rows.append(_encoded(row))
             _collect_errata(seen, report.errata)
 
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([row[col] for col in _CSV_COLUMNS])
-        _emit_text(buf.getvalue(), args.out)
+    if csv_buf is not None:
+        _emit_text(csv_buf.getvalue(), args.out)
     else:
         result = {"count": len(rows), "rows": rows}
         inputs = {
@@ -610,9 +731,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--out", default=None, help="write output to this file")
     cp.set_defaults(func=_cmd_construct)
 
+    window = f"the window holds at most {MEMBERS_MAX} members (exit 3 past that)"
     fp = sub.add_parser("family", help="enumerate parametric family members")
     fp.add_argument("--t-max", type=_parse_int, required=True)
-    fp.add_argument("--delta-max", type=_parse_int, required=True)
+    fp.add_argument("--delta-max", type=_parse_int, required=True, help=window)
     fp.add_argument("--heron-only", action="store_true")
     fp.add_argument("--out", default=None, help="write output to this file")
     fp.set_defaults(func=_cmd_family)
@@ -623,7 +745,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delta-multiples",
         type=_parse_int,
         default=1,
-        help="emit rows for delta = j*L, j = 1..J, J >= 1 (default 1)",
+        help=f"emit rows for delta = j*L, j = 1..J, J >= 1 (default 1); {window}",
     )
     hp.add_argument("--format", choices=("json", "csv"), default="json")
     hp.add_argument("--out", default=None, help="write output to this file")

@@ -31,6 +31,7 @@ __all__ = [
     "divides_via_power",
     "euclid_triple",
     "exact_sqrt",
+    "float_excess_bits",
     "fraction_sqrt",
     "gcd",
     "scaled_triple",
@@ -54,6 +55,16 @@ def exact_sqrt(c: int) -> int | None:
         raise DomainError(f"exact_sqrt needs a positive integer, got {c}")
     r = math.isqrt(c)
     return r if r * r == c else None
+
+
+def float_excess_bits(value: Fraction | int) -> int:
+    """The bits of ``|value|`` past 2^1000, or 0 below that.
+
+    For every s >= float_excess_bits(value), value / 2^s converts to a
+    float; dividing by a power of two is exact, so a float computed from
+    the scaled value can be scaled back without rounding.
+    """
+    return max(0, value.numerator.bit_length() - value.denominator.bit_length() - 1000)
 
 
 def fraction_sqrt(value: Fraction) -> Fraction | None:

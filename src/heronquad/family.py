@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exactnum import DomainError, Surd, check_generator_pair, euclid_triple, exact_sqrt, gcd
 from .geometry import ANGLES, SEGMENTS, QuadConstruction, construct_quad, quad_area
@@ -33,8 +33,10 @@ from .geometry import ANGLES, SEGMENTS, QuadConstruction, construct_quad, quad_a
 __all__ = [
     "FamilyMember",
     "GeneratorParams",
+    "MEMBERS_MAX",
     "TForm",
     "ThetaValue",
+    "check_member_count",
     "coprimality_certificate",
     "enumerate_family",
     "family_member",
@@ -42,6 +44,9 @@ __all__ = [
     "mnl_from_t",
     "theta_of_member",
 ]
+
+# the most members (or heron-table rows) one family window may hold
+MEMBERS_MAX = 100_000
 
 
 class TForm(Enum):
@@ -202,19 +207,53 @@ def generating_pairs(t_max: int) -> Iterator[tuple[int, int, TForm, int, int, in
             yield (t1, t2, form, *mnl_from_t(t1, t2, form))
 
 
+def check_member_count(counts: Iterable[int]) -> None:
+    """Refuse a window whose per-pair member counts sum past ``MEMBERS_MAX``.
+
+    Reading stops as soon as the sum passes the cap, so an over-cap window
+    is refused in time bounded by the cap, not by the window.
+    """
+    total = 0
+    for count in counts:
+        total += count
+        if total > MEMBERS_MAX:
+            raise DomainError(
+                f"the window has more than {MEMBERS_MAX} members; lower t_max or the delta range"
+            )
+
+
+def _window(
+    t_max: int, delta_max: int, heron_only: bool
+) -> Iterator[tuple[tuple[int, int, TForm, int, int, int], range]]:
+    """Each generating pair of the window, with the deltas of its members."""
+    for pair in generating_pairs(t_max):
+        if not heron_only:
+            yield pair, range(1, delta_max + 1)
+        elif pair[0] * pair[0] < delta_max:
+            yield pair, range(pair[-1], delta_max + 1, pair[-1])
+        else:
+            # L = t1^2 + t2^2 > delta_max here and at every later pair
+            return
+
+
 def enumerate_family(
     t_max: int, delta_max: int, *, heron_only: bool = False
 ) -> Iterator[FamilyMember]:
     """Enumerate members ordered by (t1, t2, form, delta), each exactly once.
 
     With ``heron_only`` the delta loop walks the multiples of L up to
-    delta_max. Only the even-leg-first family exists here; the odd-leg-first
-    parametrization would need m^2 + n^2 = 2*L^2 and is out of scope.
+    delta_max. A window of more than ``MEMBERS_MAX`` members raises
+    ``DomainError`` before the first member is built.
+
+    Only the even-leg-first family exists: with the odd leg first,
+    |Gamma2 Gamma1|^2 = 2*d^2*(m + n)^2*(m^2 + n^2). A generator pair makes
+    m^2 + n^2 odd, so 2*(m^2 + n^2) is never a square and that side is never
+    rational.
     """
     if delta_max < 1:
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
-    for t1, t2, form, m, n, L in generating_pairs(t_max):
-        deltas = range(L, delta_max + 1, L) if heron_only else range(1, delta_max + 1)
+    check_member_count(len(deltas) for _, deltas in _window(t_max, delta_max, heron_only))
+    for (t1, t2, form, m, n, L), deltas in _window(t_max, delta_max, heron_only):
         for delta in deltas:
             yield family_member(delta, m, n, t1=t1, t2=t2, t_form=form)
 

@@ -17,8 +17,8 @@ D = 4 (a^2 + b^2 - c^2) once the degenerate b + c = 0 branch is split off:
 
 Rational and float coefficients share one case analysis (``classify``),
 run on the coefficients divided by a power of two so that no square leaves
-the float range: rational coefficients classify exactly, float ones with a
-scaled, configurable tolerance for the zero tests.
+the float range: rational coefficients classify exactly, float ones with
+the fixed tolerance ``FLOAT_ZERO_TOL``, scaled, for the zero tests.
 """
 
 from __future__ import annotations

@@ -1,17 +1,23 @@
 """End-to-end CLI behaviour: envelope shape, determinism, exit codes,
 file output, CSV and SVG emission, and the verify modes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heronquad import cli
 from heronquad.cli import main
+from heronquad.exactnum import DomainError
 from heronquad.verify import CheckStatus
 
 
@@ -25,6 +31,24 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_quiet(*argv):
+    """Exit code and stdout of one call, captured without pytest's fixtures."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+
+
+def encode(value) -> str:
+    out = []
+    cli._encode(value, "", out)
+    return "".join(out)
 
 
 class TestEnvelope:
@@ -77,6 +101,89 @@ class TestEnvelope:
         assert out == ""
         assert err.startswith(f"heron-quad: parse error: cannot write {target}: ")
         assert err.count("\n") == 1
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-12, 1e308, -1e308]),
+)
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800'),
+        st.characters(),
+    )
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**300) + 1, max_value=10**300 - 1),
+    _FLOATS,
+    _TEXT,
+)
+# depth <= 6: the scalar layer plus at most five container layers
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=25,
+).filter(lambda v: _depth(v) <= 6)
+
+
+def _depth(value) -> int:
+    if isinstance(value, dict):
+        return 1 + max(map(_depth, value.values()), default=0)
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(_depth, value), default=0)
+    return 1
+
+
+class TestJsonWriter:
+    @given(_VALUES)
+    def test_same_bytes_as_stdlib(self, value):
+        assert encode(value) == stdlib_json(value)
+
+    @given(st.lists(_VALUES, max_size=3))
+    def test_encoded_items_in_place(self, items):
+        # members and rows are encoded ahead, at the depth of result.members
+        envelope = {"result": {"count": len(items), "members": items}}
+        ahead = {"result": {"count": len(items), "members": [cli._encoded(v) for v in items]}}
+        assert encode(ahead) == stdlib_json(envelope)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_domain_error(self, bad):
+        for value in (bad, [1, bad], {"a": {"b": bad}}):
+            with pytest.raises(DomainError, match="not finite"):
+                encode(value)
+
+    @pytest.mark.parametrize("key", [1, None, True, 1.5, (1, 2)])
+    def test_non_str_key_is_type_error(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            encode({"ok": 1, key: 2})
+
+    @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), b"x", object()])
+    def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode({"a": [value]})
+
+    def test_no_stdlib_dumps_on_any_output_path(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        env = tmp_path / "env.json"
+        for argv in (
+            ("solve", "0.5", "0.25", "0.1", "--k=-1..1"),
+            ("construct", "120", "35", "125", "--out", str(env)),
+            ("verify", "--input", str(env)),
+            ("verify", "--params", "5", "4", "3"),
+            ("family", "--t-max", "3", "--delta-max", "2"),
+            ("heron-table", "--t-max", "3"),
+        ):
+            assert main(list(argv)) == 0
+        capsys.readouterr()
 
 
 class TestSolveCommand:
@@ -328,6 +435,32 @@ class TestConstructCommand:
         assert err.startswith("heron-quad: domain error: ") and "too large" in err
         assert err.count("\n") == 1
 
+    def test_area_past_float_range_names_the_area(self, capsys):
+        k = 10**160 + 7
+        code, out, err = run(capsys, "construct", str(3 * k), str(4 * k), str(5 * k))
+        assert code == 3
+        assert out == ""
+        assert err == "heron-quad: domain error: the area is too large for its float approximation\n"
+
+    def test_radius_and_angles_past_float_range_of_their_squares(self, capsys):
+        # the squared radius and the angle dot products pass the float
+        # range here, the area (about 9.7e307) does not
+        k = 10**151
+        big = run_json(capsys, "construct", str(99 * k), str(4900 * k), str(4901 * k))["result"]
+        small = run_json(capsys, "construct", "99", "4900", "4901")["result"]
+        r2 = Fraction(big["circumcircle"]["radius_squared"])
+        assert r2 > 2**1024
+        root = math.isqrt(r2.numerator // r2.denominator)
+        assert big["circumcircle"]["radius_approx"] == float(f"{root:.10g}")
+        assert big["angles_degrees"] == small["angles_degrees"]
+
+    @given(
+        st.fractions(min_value=0, max_value=10**300, max_denominator=10**300)
+        | st.floats(min_value=0, max_value=1.7e308).map(Fraction)
+    )
+    def test_sqrt_approx_equals_the_float_root(self, value):
+        assert cli._sqrt_approx(value) == math.sqrt(float(value))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -388,6 +521,64 @@ class TestFamilyCommand:
         assert member["tangents"]["Gamma"] == "-4/3"
         assert member["is_heron"] is False
         assert member["errata"] == ["family-tangent-closed-form"]
+
+    @settings(max_examples=12)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=12),
+        st.booleans(),
+    )
+    def test_output_is_the_stdlib_encoding(self, t_max, delta_max, heron_only):
+        argv = ["family", "--t-max", str(t_max), "--delta-max", str(delta_max)]
+        code, out = run_quiet(*argv, *(["--heron-only"] if heron_only else []))
+        assert code == 0
+        assert out == stdlib_json(json.loads(out)) + "\n"
+
+    def test_peak_memory_scales_with_the_output(self):
+        tracemalloc.start()
+        try:
+            code, out = run_quiet("family", "--t-max", "8", "--delta-max", "60")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the member texts, the joined document and the captured copy of it
+        assert peak < 4 * len(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("family", "--t-max", "3", "--delta-max", "1000000"),
+            ("family", "--t-max", "1000000", "--delta-max", "100000", "--heron-only"),
+            ("heron-table", "--t-max", "100000"),
+            ("heron-table", "--t-max", "3", "--delta-multiples", "100001", "--format", "csv"),
+        ],
+    )
+    def test_over_cap_window_is_domain_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"more than {cli.MEMBERS_MAX} members" in err
+
+    def test_heron_only_stops_at_the_last_possible_pair(self, capsys):
+        # t1^2 >= delta_max makes L = t1^2 + t2^2 > delta_max for every later pair
+        delta_max = 200
+        huge = run_json(
+            capsys, "family", "--t-max", str(10**200), "--delta-max", str(delta_max), "--heron-only"
+        )
+        small = run_json(
+            capsys,
+            "family",
+            "--t-max",
+            str(math.isqrt(delta_max)),
+            "--delta-max",
+            str(delta_max),
+            "--heron-only",
+        )
+        assert huge["result"]["count"] > 0
+        assert huge["result"] == small["result"]
 
 
 class TestHeronTableCommand:
@@ -481,6 +672,15 @@ class TestHeronTableCommand:
         )
         assert "2 row(s) failed verification" in err
         assert [r["verified"] for r in json.loads(out)["result"]["rows"]] == [False, False]
+
+    @settings(max_examples=8)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3))
+    def test_output_is_the_stdlib_encoding(self, t_max, multiples):
+        code, out = run_quiet(
+            "heron-table", "--t-max", str(t_max), "--delta-multiples", str(multiples)
+        )
+        assert code == 0
+        assert out == stdlib_json(json.loads(out)) + "\n"
 
     def test_csv_round_trip_values(self, capsys):
         _, out, _ = run(capsys, "heron-table", "--t-max", "4", "--format", "csv")

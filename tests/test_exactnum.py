@@ -16,6 +16,7 @@ from heronquad.exactnum import (
     classify_triple,
     divides_via_power,
     exact_sqrt,
+    float_excess_bits,
     fraction_sqrt,
     scaled_triple,
     squarefree_decompose,
@@ -23,6 +24,19 @@ from heronquad.exactnum import (
     surd_scale,
     surd_sqrt,
 )
+
+
+class TestFloatExcessBits:
+    @given(st.fractions(min_value=-(10**300), max_value=10**300, max_denominator=10**300))
+    def test_zero_inside_the_float_range(self, value):
+        assert float_excess_bits(value) == 0
+
+    @given(st.integers(min_value=1, max_value=10**200), st.integers(min_value=0, max_value=3000))
+    def test_scaled_value_is_a_float(self, coef, shift):
+        for value in (coef << shift, Fraction(-(coef << shift), 3)):
+            s = float_excess_bits(value)
+            assert math.isfinite(float(Fraction(value, 1 << s)))
+            assert s == 0 or abs(value) >= 2**999
 
 
 class TestExactSqrt:

@@ -10,10 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, exact_sqrt, scaled_triple, surd_normalize
+from heronquad import family
 from heronquad.family import (
+    MEMBERS_MAX,
     GeneratorParams,
     TForm,
     _cross_check,
+    check_member_count,
     coprimality_certificate,
     enumerate_family,
     family_member,
@@ -269,6 +272,24 @@ class TestEnumerateFamily:
         members = list(enumerate_family(3, 3))
         keys = [(mem.params.t1, mem.params.t2, mem.params.delta) for mem in members]
         assert keys == sorted(keys)
+
+    def test_cap_is_inclusive_and_stops_reading(self):
+        check_member_count([MEMBERS_MAX - 1, 1])
+
+        def counts():
+            yield MEMBERS_MAX
+            yield 1
+            raise AssertionError("read past the cap")
+
+        with pytest.raises(DomainError, match=f"more than {MEMBERS_MAX} members"):
+            check_member_count(counts())
+
+    def test_over_cap_window_builds_no_member(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(family, "family_member", lambda *a, **k: built.append(a))
+        with pytest.raises(DomainError, match="more than"):
+            next(enumerate_family(3, MEMBERS_MAX))
+        assert built == []
 
     def test_t_metadata_round_trip(self):
         for mem in enumerate_family(5, 2):

@@ -21,8 +21,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -38,7 +36,7 @@ from .exactnum import (
     Surd,
     classify_triple,
     exact_sqrt,
-    float_excess_bits,
+    sqrt_approx as _sqrt_approx,
 )
 from .family import (
     MEMBERS_MAX,
@@ -232,13 +230,27 @@ _ITEM_PAD = " " * 6
 _KEY_TEXT: dict[str, str] = {}
 
 
-class _Encoded:
+class _Encoded(str):
     """JSON text that ``_encode`` already wrote at the depth where it goes."""
 
-    __slots__ = ("text",)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+def _float_text(value: float) -> str:
+    if not -math.inf < value < math.inf:
+        raise DomainError(
+            "a result is not finite (float overflow); it has no JSON representation"
+        )
+    return float.__repr__(value)
+
+
+# the JSON text of each leaf, by its exact type
+_LEAF_TEXT = {
+    str: encode_basestring,
+    _Encoded: lambda text: text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    float: _float_text,
+}
 
 
 def _encode(value: object, pad: str, out: list[str]) -> None:
@@ -248,45 +260,24 @@ def _encode(value: object, pad: str, out: list[str]) -> None:
     A non-finite float raises ``DomainError``; any other type, or a key that
     is not a ``str``, raises ``TypeError``.
     """
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        out.append(leaf(value))
+        return
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         items, brackets = value.items(), "{}"
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
         items, brackets = zip(repeat(None), value), "[]"
-    elif isinstance(value, _Encoded):
-        out.append(value.text)
-        return
-    elif isinstance(value, str):
-        out.append(encode_basestring(value))
-        return
-    elif value is None:
-        out.append("null")
-        return
-    elif value is True or value is False:
-        out.append("true" if value else "false")
-        return
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-        return
-    elif isinstance(value, float):
-        if not -math.inf < value < math.inf:
-            raise DomainError(
-                "a result is not finite (float overflow); it has no JSON representation"
-            )
-        out.append(float.__repr__(value))
-        return
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        out.append(brackets)
+        return
 
     inner = pad + "  "
     sep, comma = brackets[0] + "\n" + inner, ",\n" + inner
     keyed = brackets == "{}"
-    key_text = _KEY_TEXT
+    key_text, leaf_text = _KEY_TEXT, _LEAF_TEXT
     for key, item in items:
         out.append(sep)
         sep = comma
@@ -297,19 +288,11 @@ def _encode(value: object, pad: str, out: list[str]) -> None:
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 text = key_text[key] = encode_basestring(key) + ": "
             out.append(text)
-        kind = type(item)
-        if kind is str:
-            out.append(encode_basestring(item))
-        elif kind is int:
-            out.append(int.__repr__(item))
-        elif item is None:
-            out.append("null")
-        elif item is True:
-            out.append("true")
-        elif item is False:
-            out.append("false")
-        else:
+        leaf = leaf_text.get(type(item))
+        if leaf is None:
             _encode(item, inner, out)
+        else:
+            out.append(leaf(item))
     out.append("\n" + pad + brackets[1])
 
 
@@ -401,17 +384,6 @@ def _triple_payload(alpha: Fraction, beta: Fraction, gamma: Fraction) -> dict | 
         "n": trip.n,
         "leg_form": trip.leg_form.value,
     }
-
-
-def _sqrt_approx(value: Fraction) -> float:
-    """sqrt(value) as a float, also where value itself is past the float range.
-
-    The root of value / 4^s is scaled back by 2^s. Both scalings are exact,
-    and s = 0 wherever value converts to a float, so the result is
-    ``math.sqrt(float(value))`` wherever that has one.
-    """
-    s = (float_excess_bits(value) + 1) // 2
-    return math.ldexp(math.sqrt(value / (1 << 2 * s) if s else value), s)
 
 
 def _construct_result_payload(q: QuadConstruction) -> dict:
@@ -548,11 +520,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     if args.delta_multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {args.delta_multiples}")
     check_member_count(args.delta_multiples for _ in generating_pairs(args.t_max))
-    csv_buf = None
-    if args.format == "csv":
-        csv_buf = io.StringIO()
-        writer = csv.writer(csv_buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+    as_csv = args.format == "csv"
     rows = []
     seen: dict = {}
     failures = 0
@@ -568,16 +536,16 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             row = _heron_row(member)
-            if csv_buf is not None:
-                writer.writerow(row.values())
+            if as_csv:  # every cell is an int or a p/q string: none needs quoting
+                rows.append(",".join(map(str, row.values())))
                 continue
             row["verified"] = not report.has_failures
             row["errata"] = [er.ident for er in report.errata]
             rows.append(_encoded(row))
             _collect_errata(seen, report.errata)
 
-    if csv_buf is not None:
-        _emit_text(csv_buf.getvalue(), args.out)
+    if as_csv:
+        _emit_text("\n".join([",".join(_CSV_COLUMNS), *rows, ""]), args.out)
     else:
         result = {"count": len(rows), "rows": rows}
         inputs = {

@@ -31,10 +31,11 @@ __all__ = [
     "divides_via_power",
     "euclid_triple",
     "exact_sqrt",
-    "float_excess_bits",
     "fraction_sqrt",
     "gcd",
+    "scaled_floats",
     "scaled_triple",
+    "sqrt_approx",
     "squarefree_decompose",
     "surd_normalize",
     "surd_scale",
@@ -57,14 +58,28 @@ def exact_sqrt(c: int) -> int | None:
     return r if r * r == c else None
 
 
-def float_excess_bits(value: Fraction | int) -> int:
-    """The bits of ``|value|`` past 2^1000, or 0 below that.
+def scaled_floats(*values: Fraction | int) -> tuple[int, list[float]]:
+    """``(s, [float(value / 2^s) for value in values])``, where s is the
+    largest binary exponent of the nonzero values when that lies outside
+    +-1000, else 0.
 
-    For every s >= float_excess_bits(value), value / 2^s converts to a
-    float; dividing by a power of two is exact, so a float computed from
-    the scaled value can be scaled back without rounding.
+    Dividing by a power of two is exact, so the largest value neither
+    overflows nor underflows, and a float computed from the scaled values
+    scales back by 2^s without rounding. Where s = 0 the floats are
+    ``float(value)`` themselves.
     """
-    return max(0, value.numerator.bit_length() - value.denominator.bit_length() - 1000)
+    s = max([v.numerator.bit_length() - v.denominator.bit_length() for v in values if v], default=0)
+    if -1000 <= s <= 1000:
+        return 0, [float(value) for value in values]
+    return s, [float(value / Fraction(2) ** s) for value in values]
+
+
+def sqrt_approx(value: Fraction | int) -> float:
+    """sqrt(value) as a float, also where value itself lies outside the
+    float range; ``math.sqrt(float(value))`` wherever value fits in it."""
+    s, (scaled,) = scaled_floats(value)
+    # an odd s leaves one factor of 2 under the root; doubling a float is exact
+    return math.ldexp(math.sqrt(scaled * 2 ** (s % 2)), s // 2)
 
 
 def fraction_sqrt(value: Fraction) -> Fraction | None:

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import DomainError, Surd, float_excess_bits, surd_scale, surd_sqrt
+from .exactnum import DomainError, Surd, scaled_floats, surd_scale, surd_sqrt
 
 __all__ = [
     "ANGLES",
@@ -248,11 +248,9 @@ def interior_tangent_from_coords(
 def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
     """The interior angle at a vertex in degrees, from coordinates alone."""
     dot, cross = _dot_cross(q, which)
-    # the angle depends only on the ratio, so both may shrink into the float range
-    s = max(float_excess_bits(dot), float_excess_bits(cross))
-    if s:
-        dot, cross = Fraction(dot, 1 << s), Fraction(cross, 1 << s)
-    return math.degrees(math.atan2(abs(float(cross)), float(dot)))
+    # the angle depends only on the ratio, so both may move into the float range
+    _, (dot, cross) = scaled_floats(dot, cross)
+    return math.degrees(math.atan2(abs(cross), dot))
 
 
 def quad_area(q: QuadConstruction) -> Fraction:

@@ -8,8 +8,7 @@ angle. Output is a single self-contained <svg> document string.
 
 from __future__ import annotations
 
-import math
-
+from .exactnum import sqrt_approx
 from .geometry import ANGLES, QuadConstruction, Vertex
 
 __all__ = ["render_svg"]
@@ -26,7 +25,7 @@ def _fmt(value: float) -> str:
 
 def render_svg(q: QuadConstruction) -> str:
     cx, cy = float(q.circumcenter.x), float(q.circumcenter.y)
-    radius = math.sqrt(float(q.radius_squared))
+    radius = sqrt_approx(q.radius_squared)
 
     points = {
         _GLYPHS[vertex]: (float(p.x), float(p.y)) for vertex, p in zip(Vertex, q.vertices())

@@ -86,27 +86,12 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
     return (v > 0) - (v < 0)
 
 
-def _orienter(points: Sequence[Point2], turns: dict):
-    """orient(i, j, k) of points i, j, k; ``turns`` keeps the sign of every
-    ordering of each index triple, so no triple is oriented twice."""
-
-    def orient(i: int, j: int, k: int) -> int:
-        if (i, j, k) not in turns:
-            sign = _orient(points[i], points[j], points[k])
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                turns[a, b, c], turns[c, b, a] = sign, -sign
-        return turns[i, j, k]
-
-    return orient
-
-
-def _no_collinear_triple(pts: Sequence[Point2], turns: dict | None = None) -> bool:
+def _no_collinear_triple(pts: Sequence[Point2]) -> bool:
     # a collinear triple can zero the determinant, yet no circle passes through it
-    distinct = [i for i, p in enumerate(pts) if p not in pts[:i]]
+    distinct = [p for i, p in enumerate(pts) if p not in pts[:i]]
     if len(distinct) < 3:
         raise DomainError("concyclicity needs at least three distinct points")
-    orient = _orienter(pts, {} if turns is None else turns)
-    return all(orient(*trio) != 0 for trio in combinations(distinct, 3))
+    return all(_orient(*trio) != 0 for trio in combinations(distinct, 3))
 
 
 def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
@@ -149,22 +134,22 @@ def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     )
 
 
-def _segments_intersect(points: Sequence[Point2], orient, i: int, j: int) -> bool:
+def _segments_intersect(points: Sequence[Point2], i: int, j: int) -> bool:
     """Whether edge i (points i to i + 1) meets edge j."""
-    a, b, c, d = i, (i + 1) % len(points), j, (j + 1) % len(points)
-    o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+    n = len(points)
+    a, b, c, d = points[i], points[(i + 1) % n], points[j], points[(j + 1) % n]
+    o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
     return (o1 != o2 and o3 != o4) or any(
-        o == 0 and _on_segment(points[one], points[other], points[p])
+        o == 0 and _on_segment(one, other, p)
         for o, one, other, p in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b))
     )
 
 
-def shoelace(points: Sequence[Point2], turns: dict | None = None) -> Fraction:
+def shoelace(points: Sequence[Point2]) -> Fraction:
     """Exact area of a simple polygon given in traversal order.
 
     Zero-length edges and self-intersections (tested exactly on every
-    non-adjacent edge pair) are errors, not silently wrong areas. ``turns``
-    passes on the triple orientations a caller holds (see ``_orienter``).
+    non-adjacent edge pair) are errors, not silently wrong areas.
     """
     n = len(points)
     if n < 3:
@@ -172,12 +157,11 @@ def shoelace(points: Sequence[Point2], turns: dict | None = None) -> Fraction:
     for i in range(n):
         if points[i] == points[(i + 1) % n]:
             raise DomainError(f"zero-length edge at vertex {i}")
-    orient = _orienter(points, {} if turns is None else turns)
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
-            if _segments_intersect(points, orient, i, j):
+            if _segments_intersect(points, i, j):
                 raise DomainError(
                     f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
                 )
@@ -198,7 +182,6 @@ class Measurement:
 
     scale: int  # S, the lcm of the measured coordinates' denominators
     points: tuple[Point2, ...]  # the measured points times S: int pairs
-    orientations: tuple[int, ...]  # sign of each vertex triple, combinations order
     determinant: Fraction
     concyclic: bool
     ptolemy: bool
@@ -210,18 +193,16 @@ class Measurement:
 def measure(points: Sequence[Point2]) -> Measurement:
     """The oracles on the quadrilateral ``points[:4]``, in int arithmetic on
     the lattice of all ``points`` (later ones only share the scale). Squared
-    lengths and the area rescale by S^2, the determinant by S^4; the four
-    triple orientations decide the collinear and the self-intersection tests."""
+    lengths and the area rescale by S^2, the determinant by S^4."""
     scale, pts = lattice(points)
-    quad, s2, turns = pts[:4], scale * scale, {}
+    quad, s2 = pts[:4], scale * scale
     det = concyclicity_determinant(*quad)
-    concyclic_quad = _no_collinear_triple(quad, turns) and det == 0
+    concyclic_quad = _no_collinear_triple(quad) and det == 0
     lengths = [dist_squared(quad[i], quad[j]) for i, j in _ENDS]
     tangents = tuple(interior_tangent_from_coords(quad, vertex) for vertex, _ in ANGLES)
-    area = shoelace(quad, turns) / s2  # it has oriented every triple
-    orientations = tuple(turns[trio] for trio in combinations(range(4), 3))
+    area = shoelace(quad) / s2
     return Measurement(
-        scale, pts, orientations, Fraction(det, s2 * s2), concyclic_quad, ptolemy_check(lengths),
+        scale, pts, Fraction(det, s2 * s2), concyclic_quad, ptolemy_check(lengths),
         tuple(Fraction(d, s2) for d in lengths), tangents, area,
     )
 

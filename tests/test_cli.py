@@ -454,6 +454,28 @@ class TestConstructCommand:
         assert big["circumcircle"]["radius_approx"] == float(f"{root:.10g}")
         assert big["angles_degrees"] == small["angles_degrees"]
 
+    def test_radius_and_angles_below_float_range_of_their_squares(self, capsys):
+        # the squared radius and the angle dot products underflow a float here
+        k = 10**200
+        tiny = run_json(capsys, "construct", f"3/{k}", f"4/{k}", f"5/{k}")["result"]
+        assert tiny["circumcircle"]["radius_approx"] == 4.74341649e-200
+        assert tiny["angles_degrees"] == {
+            "B": 143.1301024,
+            "Gamma": 108.4349488,
+            "Gamma1": 36.86989765,
+            "Gamma2": 71.56505118,
+        }
+
+    @pytest.mark.parametrize("triple", [(3, 4, 5), (99, 4900, 4901), (120, 35, 125)])
+    @pytest.mark.parametrize(
+        "scale", [Fraction(10**151), Fraction(1, 10**200), Fraction(1, 10**290)]
+    )
+    def test_scaled_svg_is_the_unscaled_svg(self, triple, scale):
+        # the drawing is scale-free, also where the squared radius leaves the float range
+        code, unscaled = run_quiet("svg", *map(str, triple))
+        assert code == 0
+        assert run_quiet("svg", *(str(v * scale) for v in triple)) == (0, unscaled)
+
     @given(
         st.fractions(min_value=0, max_value=10**300, max_denominator=10**300)
         | st.floats(min_value=0, max_value=1.7e308).map(Fraction)

@@ -16,8 +16,8 @@ from heronquad.exactnum import (
     classify_triple,
     divides_via_power,
     exact_sqrt,
-    float_excess_bits,
     fraction_sqrt,
+    scaled_floats,
     scaled_triple,
     squarefree_decompose,
     surd_normalize,
@@ -26,17 +26,36 @@ from heronquad.exactnum import (
 )
 
 
-class TestFloatExcessBits:
+class TestScaledFloats:
     @given(st.fractions(min_value=-(10**300), max_value=10**300, max_denominator=10**300))
     def test_zero_inside_the_float_range(self, value):
-        assert float_excess_bits(value) == 0
+        assert scaled_floats(value) == (0, [float(value)])
 
-    @given(st.integers(min_value=1, max_value=10**200), st.integers(min_value=0, max_value=3000))
+    @given(
+        st.integers(min_value=1, max_value=10**200), st.integers(min_value=-3000, max_value=3000)
+    )
     def test_scaled_value_is_a_float(self, coef, shift):
-        for value in (coef << shift, Fraction(-(coef << shift), 3)):
-            s = float_excess_bits(value)
-            assert math.isfinite(float(Fraction(value, 1 << s)))
-            assert s == 0 or abs(value) >= 2**999
+        for value in (coef * Fraction(2) ** shift, Fraction(-coef, 3) * Fraction(2) ** shift):
+            s, (scaled,) = scaled_floats(value)
+            assert scaled == float(value / Fraction(2) ** s) and scaled != 0
+            assert math.isfinite(scaled)
+            assert s == 0 or not 2**-1000 <= abs(value) < 2**1000
+
+    @pytest.mark.parametrize(
+        "value, shift",
+        [
+            (Fraction(2**1000), 0),
+            (Fraction(2**1001), 1001),
+            (Fraction(1, 2**1000), 0),
+            (Fraction(1, 2**1001), -1001),
+        ],
+    )
+    def test_shifts_only_past_1000_bits(self, value, shift):
+        assert scaled_floats(value) == (shift, [float(value / Fraction(2) ** shift)])
+
+    def test_the_largest_value_sets_one_shift(self):
+        tiny = Fraction(3, 2**1200)
+        assert scaled_floats(tiny, 0, -tiny / 4) == (-1199, [1.5, 0.0, -0.375])
 
 
 class TestExactSqrt:

@@ -82,9 +82,9 @@ def test_verify_member_measures_each_quantity_once(calls):
     assert calls["interior_tangent_from_coords"] == 4
     # 4 circumradii and 6 measured lengths; ptolemy_check reads the six
     assert calls["dist_squared"] == 10
-    # one orientation per vertex triple decides both the collinear-triple
-    # and the self-intersection tests
-    assert calls["_orient"] == 4
+    # one orientation per vertex triple for the collinear-triple test, and
+    # four for each of the two non-adjacent edge pairs
+    assert calls["_orient"] == 12
 
 
 @pytest.fixture

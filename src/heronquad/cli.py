@@ -36,7 +36,7 @@ from .exactnum import (
     Surd,
     classify_triple,
     exact_sqrt,
-    sqrt_approx as _sqrt_approx,
+    sqrt_approx,
 )
 from .family import (
     MEMBERS_MAX,
@@ -405,7 +405,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         "circumcircle": {
             "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
             "radius_squared": str(q.radius_squared),
-            "radius_approx": _round10(_sqrt_approx(q.radius_squared)),
+            "radius_approx": _round10(sqrt_approx(q.radius_squared)),
         },
         "area": area,
     }

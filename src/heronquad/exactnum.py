@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 # math.gcd already follows the convention the generators rely on: gcd(0, 0) == 0.
 from math import gcd
@@ -28,6 +29,7 @@ __all__ = [
     "PythTriple",
     "Surd",
     "classify_triple",
+    "common_denominator",
     "divides_via_power",
     "euclid_triple",
     "exact_sqrt",
@@ -58,18 +60,25 @@ def exact_sqrt(c: int) -> int | None:
     return r if r * r == c else None
 
 
+def common_denominator(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, [value * d for value in values]): d, the lcm of the denominators,
+    writes every value as an int over d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def scaled_floats(*values: Fraction | int) -> tuple[int, list[float]]:
     """``(s, [float(value / 2^s) for value in values])``, where s is the
     largest binary exponent of the nonzero values when that lies outside
-    +-1000, else 0.
+    +-500, else 0.
 
-    Dividing by a power of two is exact, so the largest value neither
-    overflows nor underflows, and a float computed from the scaled values
-    scales back by 2^s without rounding. Where s = 0 the floats are
-    ``float(value)`` themselves.
+    Dividing by a power of two is exact, so neither the largest value nor
+    its square overflows or underflows, and a float computed from the
+    scaled values scales back by 2^s without rounding. Where s = 0 the
+    floats are ``float(value)`` themselves.
     """
     s = max([v.numerator.bit_length() - v.denominator.bit_length() for v in values if v], default=0)
-    if -1000 <= s <= 1000:
+    if -500 <= s <= 500:
         return 0, [float(value) for value in values]
     return s, [float(value / Fraction(2) ** s) for value in values]
 

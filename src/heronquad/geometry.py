@@ -23,18 +23,18 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import DomainError, Surd, scaled_floats, surd_scale, surd_sqrt
+from .exactnum import DomainError, Surd, common_denominator, scaled_floats, surd_scale, surd_sqrt
 
 __all__ = [
     "ANGLES",
-    "AngleIdentity",
     "Point2",
     "QuadConstruction",
     "SEGMENTS",
     "Vertex",
-    "angle_identity_check",
+    "angle_spread_degrees",
     "construct_quad",
     "dist_squared",
+    "dot_cross",
     "interior_angle_degrees",
     "interior_tangent_from_coords",
     "lattice",
@@ -49,29 +49,24 @@ class Point2:
     x: Fraction
     y: Fraction
 
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def dot(self, other: "Point2") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> Fraction:
-        return self.x * other.y - self.y * other.x
-
 
 def dist_squared(p: Point2, q: Point2) -> Fraction:
     dx, dy = p.x - q.x, p.y - q.y
     return dx * dx + dy * dy
 
 
+def dot_cross(here: Point2, p: Point2, q: Point2) -> tuple[Fraction, Fraction]:
+    """(u . v, u x v) of the vectors u = p - here and v = q - here."""
+    ux, uy = p.x - here.x, p.y - here.y
+    vx, vy = q.x - here.x, q.y - here.y
+    return ux * vx + uy * vy, ux * vy - uy * vx
+
+
 def lattice(points: Sequence[Point2]) -> tuple[int, tuple[Point2, ...]]:
     """(S, the points times S): S, the lcm of their coordinate denominators,
     makes them int pairs; squared lengths and areas scale by S^2."""
-    s = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
-    return s, tuple(
-        Point2(p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator))
-        for p in points
-    )
+    s, ints = common_denominator([c for p in points for c in (p.x, p.y)])
+    return s, tuple(map(Point2, ints[::2], ints[1::2]))
 
 
 class Vertex(Enum):
@@ -121,7 +116,7 @@ class QuadConstruction:
         """Closed-form area from the triple alone, computed on access; the
         oracles recompute it from the coordinates. On the triple's lattice
         ab/2 + (b^2/2)(a/g) + a(b+g)/2 = A(B+G)^2 / (2 G D^2)."""
-        A, B, G, D = _triple_lattice(self.alpha, self.beta, self.gamma)
+        D, (A, B, G) = common_denominator((self.alpha, self.beta, self.gamma))
         return Fraction(A * (B + G) ** 2, 2 * G * D * D)
 
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
@@ -163,13 +158,6 @@ def _as_rational(value: Fraction | int | str, name: str) -> Fraction:
         raise DomainError(f"{name} is not a rational value: {value!r}") from exc
 
 
-def _triple_lattice(a: Fraction, b: Fraction, g: Fraction) -> tuple[int, int, int, int]:
-    """(A, B, G, D) with (a, b, g) = (A, B, G) / D, D the lcm of the denominators."""
-    d = math.lcm(a.denominator, b.denominator, g.denominator)
-    A, B, G = [v.numerator * (d // v.denominator) for v in (a, b, g)]
-    return A, B, G, d
-
-
 def construct_quad(
     alpha: Fraction | int | str, beta: Fraction | int | str, gamma: Fraction | int | str
 ) -> QuadConstruction:
@@ -180,7 +168,7 @@ def construct_quad(
     for name, value in (("alpha", a), ("beta", b), ("gamma", g)):
         if value.numerator <= 0:
             raise DomainError(f"{name} must be positive, got {value}")
-    A, B, G, D = _triple_lattice(a, b, g)
+    D, (A, B, G) = common_denominator((a, b, g))
     if A * A + B * B != G * G:
         raise DomainError(
             f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
@@ -218,28 +206,21 @@ def construct_quad(
     )
 
 
-def _dot_cross(q: QuadConstruction | Sequence[Point2], which: Vertex) -> tuple[Fraction, Fraction]:
-    """u . v and u x v of the vectors u, v from a vertex to its two
-    neighbours in the traversal order."""
-    pts = q.vertices() if isinstance(q, QuadConstruction) else q
+def _corner(points: Sequence[Point2], which: Vertex) -> tuple[Fraction, Fraction]:
+    """``dot_cross`` from a vertex to its two neighbours in the traversal order."""
     i = _INDEX[which]
-    here, prev, after = pts[i], pts[i - 1], pts[(i + 1) % 4]
-    ux, uy = prev.x - here.x, prev.y - here.y
-    vx, vy = after.x - here.x, after.y - here.y
-    return ux * vx + uy * vy, ux * vy - uy * vx
+    return dot_cross(points[i], points[i - 1], points[(i + 1) % 4])
 
 
-def interior_tangent_from_coords(
-    q: QuadConstruction | Sequence[Point2], which: Vertex
-) -> Fraction | None:
+def interior_tangent_from_coords(points: Sequence[Point2], which: Vertex) -> Fraction | None:
     """Tangent of the interior angle at a vertex, from the coordinates alone
-    of a construction or of four vertices in traversal order (any scale).
+    of four vertices in traversal order (any scale).
 
     For edge vectors u, v at the vertex the interior angle lies in (0, pi),
     so tan = |u x v| / (u . v) is exact in rational arithmetic. ``None``
     signals a right angle (zero dot product, infinite tangent).
     """
-    dot, cross = _dot_cross(q, which)
+    dot, cross = _corner(points, which)
     if dot == 0:
         return None
     return Fraction(abs(cross), dot)
@@ -247,7 +228,7 @@ def interior_tangent_from_coords(
 
 def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
     """The interior angle at a vertex in degrees, from coordinates alone."""
-    dot, cross = _dot_cross(q, which)
+    dot, cross = _corner(q.vertices(), which)
     # the angle depends only on the ratio, so both may move into the float range
     _, (dot, cross) = scaled_floats(dot, cross)
     return math.degrees(math.atan2(abs(cross), dot))
@@ -261,31 +242,16 @@ def quad_area(q: QuadConstruction) -> Fraction:
     return Fraction(abs(twice), 2 * scale * scale)
 
 
-@dataclass(frozen=True)
-class AngleIdentity:
-    """Three independent computations of the one base angle, in degrees."""
-
-    phi_degrees: float
-    omega_degrees: float
-    theta_degrees: float
-    max_spread_degrees: float
-
-
-def angle_identity_check(q: QuadConstruction) -> AngleIdentity:
-    """Measure phi (isosceles base angle at Gamma2, from float coordinates),
-    omega (half the apex double angle, atan2(a, b)/2), and theta
-    (atan2(a, b+g)); they agree up to float noise. Coordinates whose
-    largest exponent lies past +-500 are divided by a power of two that
-    brings it to 0, which leaves phi unchanged, so that their products
-    neither overflow nor underflow."""
-    coords = [float(v) for p in (q.v_gamma2, q.v_b, q.v_gamma) for v in (p.x, p.y)]
-    top = max(math.frexp(v)[1] for v in coords if v)  # B = (0, 0) has no exponent
-    shift = top if abs(top) > 500 else 0
-    g2x, g2y, bx, by, gx, gy = (math.ldexp(v, -shift) for v in coords)
-    ux, uy = bx - g2x, by - g2y
-    vx, vy = gx - g2x, gy - g2y
-    phi = math.degrees(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
+def angle_spread_degrees(q: QuadConstruction) -> float:
+    """The spread of three independent computations of the one base angle,
+    in degrees: phi (the isosceles base angle at Gamma2, from float
+    coordinates), omega (half the apex double angle, atan2(a, b)/2) and
+    theta (atan2(a, b+g)); they agree up to float noise. The coordinates
+    move into the float range together (``scaled_floats``), which leaves
+    phi unchanged, so that their products neither overflow nor underflow."""
+    _, xy = scaled_floats(*(v for p in (q.v_gamma2, q.v_b, q.v_gamma) for v in (p.x, p.y)))
+    dot, cross = dot_cross(*map(Point2, xy[::2], xy[1::2]))
+    phi = math.degrees(math.atan2(abs(cross), dot))
     omega = math.degrees(math.atan2(float(q.alpha), float(q.beta))) / 2.0
-    theta = math.degrees(math.atan2(float(q.alpha), float(q.beta + q.gamma)))
-    values = (phi, omega, theta)
-    return AngleIdentity(phi, omega, theta, max(values) - min(values))
+    values = (phi, omega, q.theta_degrees)
+    return max(values) - min(values)

@@ -105,7 +105,14 @@ class HalfAngleQuadratic:
 def half_angle_quadratic(coeffs: EquationCoeffs) -> HalfAngleQuadratic:
     """Coefficients (b+c, -2a, c-b) and discriminant 4(a^2 + b^2 - c^2)."""
     a, b, c = coeffs.alpha, coeffs.beta, coeffs.gamma
-    return HalfAngleQuadratic(b + c, -2 * a, c - b, 4 * (a * a + b * b - c * c))
+    try:
+        discriminant = 4 * (a * a + b * b - c * c)
+    except OverflowError:  # an exact square past the float range meets a float one
+        raise DomainError(
+            "the half-angle quadratic's discriminant mixes a float with an exact square "
+            "past the float range"
+        ) from None
+    return HalfAngleQuadratic(b + c, -2 * a, c - b, discriminant)
 
 
 class SolutionKind(Enum):
@@ -202,10 +209,12 @@ def classify(coeffs: EquationCoeffs) -> SolutionSet:
         a, b_plus_c, root = float(a), float(b_plus_c), math.sqrt(float(quarter_disc))
         if b_plus_c == 0:  # only exact b + c can be this far below max|coef|
             raise DomainError("b + c is too small beside a, b, c for a float root of tan(x/2)")
-    return SolutionSet(
-        SolutionKind.FAMILIES,
-        (_double_angle((a + root) / b_plus_c), _double_angle((a - root) / b_plus_c)),
-    )
+    # (a +- root)/(b+c) in float cancels on the side opposite the sign of a;
+    # that root is Vieta's (c-b)/far: the two roots multiply to (c-b)/(b+c)
+    far = a + root if a >= 0 else a - root
+    near = (c - b) / far
+    plus, minus = (far / b_plus_c, near) if a >= 0 else (near, far / b_plus_c)
+    return SolutionSet(SolutionKind.FAMILIES, (_double_angle(plus), _double_angle(minus)))
 
 
 def enumerate_solutions(solutions: SolutionSet, k_min: int, k_max: int) -> list[float]:

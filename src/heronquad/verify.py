@@ -35,8 +35,9 @@ from .geometry import (
     Point2,
     QuadConstruction,
     Vertex,
-    angle_identity_check,
+    angle_spread_degrees,
     dist_squared,
+    dot_cross,
     interior_tangent_from_coords,
     lattice,
     quad_area,
@@ -82,7 +83,7 @@ def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> 
 
 
 def _orient(a: Point2, b: Point2, c: Point2) -> int:
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    v = dot_cross(a, b, c)[1]
     return (v > 0) - (v < 0)
 
 
@@ -395,7 +396,7 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement,
         _same("concyclicity-determinant", 0, measured.determinant),
         _same("concyclic", True, measured.concyclic),
         _same("ptolemy-identity", "holds", "holds" if measured.ptolemy else "violated"),
-        _same("right-angle-at-B", 0, Fraction((g2 - b).dot(g1 - b), s2)),
+        _same("right-angle-at-B", 0, Fraction(dot_cross(b, g2, g1)[0], s2)),
     ]
     for name, point in zip(_RADIUS_NAMES, (g, b, g2, g1)):
         radius_sq = Fraction(dist_squared(point, center), s2)
@@ -415,14 +416,14 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement,
     theta_tan = a / (beta + gamma)
     checks.append(_same("theta-tangent", theta_tan, q.tan_theta))
     checks.append(_same("shared-base-angle-identity", theta_tan, (gamma - beta) / a))
-    spread = angle_identity_check(q).max_spread_degrees
+    spread = angle_spread_degrees(q)
     checks.append(_check("angle-spread-below-1e-10-deg", spread < 1e-10, "< 1e-10", spread))
 
     # the apex coordinates encode the double angle: cos = beta/gamma, sin = alpha/gamma
-    u, v = b - v_a, g - v_a
-    prod = gamma * beta * s2  # |u| * |v| for this embedding, on the lattice
-    checks.append(_same("double-angle-cos", beta / gamma, u.dot(v) / prod))
-    checks.append(_same("double-angle-sin", a / gamma, abs(u.cross(v)) / prod))
+    dot, cross = dot_cross(v_a, b, g)
+    prod = gamma * beta * s2  # |A-B| * |A-Gamma| for this embedding, on the lattice
+    checks.append(_same("double-angle-cos", beta / gamma, dot / prod))
+    checks.append(_same("double-angle-sin", a / gamma, abs(cross) / prod))
     return checks, measured, theta_tan
 
 

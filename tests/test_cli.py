@@ -233,6 +233,41 @@ class TestSolveCommand:
         assert code == 3
         assert err.startswith("heron-quad: domain error:")
 
+    def test_float_root_beside_a_small_b_plus_c(self, capsys):
+        # b + c = 3.8e-12 beside a = 9.06: (a - root)/(b + c) cancelled to tan(x/2) = 0.0
+        doc = run_json(
+            capsys, "solve", "9.061408820618398", "0.0018544031648170143", "-0.0018544031610538"
+        )
+        assert doc["result"]["families"][1]["tan_half"] == -0.0002046484382
+        assert doc["result"]["solutions"]["max_abs_residual"] <= 1e-12 * 9.07
+
+    def test_irrational_root_beside_a_small_b_plus_c(self, capsys):
+        # the exact b + c is 4e-9; the root printed as -0.0002220446049
+        doc = run_json(capsys, "solve", "--", "9", "1/500", "-499999/250000000")
+        assert [f["tan_half"] for f in doc["result"]["families"]] == [4500000000.0, -0.000222222]
+        assert doc["result"]["solutions"]["max_abs_residual"] <= 1e-12 * 9
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["alpha", "beta", "gamma"])
+    def test_exact_square_past_float_range_beside_a_float(self, capsys, position):
+        argv = ["0.5", "0.5", "1"]
+        argv[position] = str(10**299)
+        code, out, err = run(capsys, "solve", "--", *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "heron-quad: domain error: the half-angle quadratic's discriminant mixes a float "
+            "with an exact square past the float range\n"
+        )
+
+    def test_mixed_input_keeps_its_exact_quadratic_coefficient(self, capsys):
+        doc = run_json(capsys, "solve", "--", "3/2", "0.5", "1")
+        assert doc["result"]["half_angle_quadratic"] == {
+            "c2": 1.5,
+            "c1": "-3",
+            "c0": 0.5,
+            "discriminant": 6.0,
+        }
+
     def test_tangent_past_float_range(self, capsys):
         # b + c = 0 and tan(x/2) = -b/a = -10^598: the base angle is about -pi
         big = 10**299
@@ -475,13 +510,6 @@ class TestConstructCommand:
         code, unscaled = run_quiet("svg", *map(str, triple))
         assert code == 0
         assert run_quiet("svg", *(str(v * scale) for v in triple)) == (0, unscaled)
-
-    @given(
-        st.fractions(min_value=0, max_value=10**300, max_denominator=10**300)
-        | st.floats(min_value=0, max_value=1.7e308).map(Fraction)
-    )
-    def test_sqrt_approx_equals_the_float_root(self, value):
-        assert cli._sqrt_approx(value) == math.sqrt(float(value))
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,6 +2,7 @@
 surd algebra, and the Pythagorean parametrization round trip."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,13 @@ from heronquad.exactnum import (
     Surd,
     check_generator_pair,
     classify_triple,
+    common_denominator,
     divides_via_power,
     exact_sqrt,
     fraction_sqrt,
     scaled_floats,
     scaled_triple,
+    sqrt_approx,
     squarefree_decompose,
     surd_normalize,
     surd_scale,
@@ -27,7 +30,7 @@ from heronquad.exactnum import (
 
 
 class TestScaledFloats:
-    @given(st.fractions(min_value=-(10**300), max_value=10**300, max_denominator=10**300))
+    @given(st.fractions(min_value=-(10**150), max_value=10**150, max_denominator=10**150))
     def test_zero_inside_the_float_range(self, value):
         assert scaled_floats(value) == (0, [float(value)])
 
@@ -39,23 +42,74 @@ class TestScaledFloats:
             s, (scaled,) = scaled_floats(value)
             assert scaled == float(value / Fraction(2) ** s) and scaled != 0
             assert math.isfinite(scaled)
-            assert s == 0 or not 2**-1000 <= abs(value) < 2**1000
+            assert s == 0 or not 2**-500 <= abs(value) < 2**500
 
     @pytest.mark.parametrize(
         "value, shift",
         [
-            (Fraction(2**1000), 0),
-            (Fraction(2**1001), 1001),
-            (Fraction(1, 2**1000), 0),
-            (Fraction(1, 2**1001), -1001),
+            (Fraction(2**500), 0),
+            (Fraction(2**501), 501),
+            (Fraction(1, 2**500), 0),
+            (Fraction(1, 2**501), -501),
         ],
     )
-    def test_shifts_only_past_1000_bits(self, value, shift):
+    def test_shifts_only_past_500_bits(self, value, shift):
         assert scaled_floats(value) == (shift, [float(value / Fraction(2) ** shift)])
+
+    @pytest.mark.parametrize(
+        "value, shift",
+        [
+            (Fraction(2**501 - 1), 0),
+            (Fraction(-(2**501) + 1, 3), 0),
+            (Fraction(2**502 - 1), 501),
+            (Fraction(3, 2**501), 0),
+            (Fraction(1, 2**501 - 1), 0),
+            (Fraction(-1, 2**502 - 1), -501),
+        ],
+    )
+    def test_the_500_bit_edges(self, value, shift):
+        # s is the difference of bit lengths: 2^501 - 1 reads 500, 2^502 - 1 reads 501
+        assert scaled_floats(value) == (shift, [float(value / Fraction(2) ** shift)])
+
+    @given(
+        st.integers(min_value=1, max_value=10**200),
+        st.integers(min_value=1, max_value=10**200),
+        st.integers(min_value=-3000, max_value=3000),
+    )
+    def test_product_of_the_two_largest_is_finite_and_nonzero(self, p, q, shift):
+        big, other = sorted((Fraction(p, q), Fraction(q, p)), reverse=True)
+        _, (first, second) = scaled_floats(big * Fraction(2) ** shift, other * Fraction(2) ** shift)
+        product = first * first
+        assert math.isfinite(product) and product >= sys.float_info.min
+        assert math.isfinite(first * second)
 
     def test_the_largest_value_sets_one_shift(self):
         tiny = Fraction(3, 2**1200)
         assert scaled_floats(tiny, 0, -tiny / 4) == (-1199, [1.5, 0.0, -0.375])
+
+
+class TestCommonDenominator:
+    def test_mixed_denominators(self):
+        values = (Fraction(1, 6), Fraction(-3, 4), 5, Fraction(7, 10))
+        assert common_denominator(values) == (60, [10, -45, 300, 42])
+
+    def test_integers_keep_denominator_one(self):
+        assert common_denominator((3, Fraction(-4), 0)) == (1, [3, -4, 0])
+
+    @given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=6))
+    def test_ints_over_d_are_the_values(self, values):
+        d, ints = common_denominator(values)
+        assert [Fraction(n, d) for n in ints] == values
+        assert all(d % v.denominator == 0 for v in values)
+
+
+class TestSqrtApprox:
+    @given(
+        st.fractions(min_value=0, max_value=10**300, max_denominator=10**300)
+        | st.floats(min_value=0, max_value=1.7e308).map(Fraction)
+    )
+    def test_sqrt_approx_equals_the_float_root(self, value):
+        assert sqrt_approx(value) == math.sqrt(float(value))
 
 
 class TestExactSqrt:

@@ -22,9 +22,10 @@ from heronquad.geometry import (
     Point2,
     QuadConstruction,
     Vertex,
-    angle_identity_check,
+    angle_spread_degrees,
     construct_quad,
     dist_squared,
+    dot_cross,
     interior_angle_degrees,
     interior_tangent_from_coords,
     quad_area,
@@ -33,12 +34,12 @@ from heronquad.geometry import (
 
 class TestPoint2:
     def test_vector_ops(self):
+        here = Point2(Fraction(1), Fraction(1))
         p = Point2(Fraction(3), Fraction(4))
-        q = Point2(Fraction(1), Fraction(1))
-        d = p - q
-        assert (d.x, d.y) == (2, 3)
-        assert d.dot(d) == 13
-        assert d.cross(Point2(Fraction(1), Fraction(0))) == -3
+        # u = p - here = (2, 3)
+        assert dot_cross(here, p, p) == (13, 0)
+        assert dot_cross(here, p, Point2(Fraction(2), Fraction(1))) == (2, -3)
+        assert dot_cross(here, Point2(Fraction(2), Fraction(1)), p) == (2, 3)
 
     def test_dist_squared(self):
         assert dist_squared(Point2(Fraction(0), Fraction(0)), Point2(Fraction(3), Fraction(4))) == 25
@@ -114,7 +115,7 @@ class TestRightAngleAndCircle:
         q = construct_quad(t.a, t.b, t.c)
         g, b, g2, g1 = q.vertices()
         # right angle at B, so Gamma2-Gamma1 must be a diameter
-        assert (g2 - b).dot(g1 - b) == 0
+        assert dot_cross(b, g2, g1)[0] == 0
         assert dist_squared(g2, g1) == 4 * q.radius_squared
         # all four vertices on the circumcircle
         for p in (g, b, g2, g1):
@@ -125,9 +126,12 @@ class TestRightAngleAndCircle:
 
     def test_gamma_on_circle_apex_angle(self):
         q = construct_quad(120, 35, 125)
-        ident = angle_identity_check(q)
-        assert ident.max_spread_degrees < 1e-10
-        assert math.isclose(ident.theta_degrees, q.theta_degrees, abs_tol=1e-12)
+        assert angle_spread_degrees(q) < 1e-10
+
+    def test_spread_reads_the_stored_theta(self):
+        q = construct_quad(120, 35, 125)
+        moved = dataclasses.replace(q, theta_degrees=q.theta_degrees + 1e-9)
+        assert angle_spread_degrees(moved) > 1e-10
 
 
 class TestInteriorTangents:
@@ -135,7 +139,7 @@ class TestInteriorTangents:
         for triple in ((3, 4, 5), (120, 35, 125), (20, 21, 29)):
             q = construct_quad(*triple)
             for vertex, attr in ANGLES:
-                assert interior_tangent_from_coords(q, vertex) == getattr(q, attr)
+                assert interior_tangent_from_coords(q.vertices(), vertex) == getattr(q, attr)
 
     def test_right_angle_returns_none(self):
         # isosceles right-triangle-like quadrilateral cannot arise from a
@@ -144,7 +148,7 @@ class TestInteriorTangents:
         # always right by the embedding, but B's interior angle spans the
         # traversal neighbours Gamma and Gamma2, not Gamma2 and Gamma1.
         q = construct_quad(3, 4, 5)
-        assert interior_tangent_from_coords(q, Vertex.B) == Fraction(-3, 4)
+        assert interior_tangent_from_coords(q.vertices(), Vertex.B) == Fraction(-3, 4)
 
     def test_opposite_angles_supplementary(self):
         q = construct_quad(12, 35, 37)

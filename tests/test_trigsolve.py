@@ -5,11 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError
 from heronquad.trigsolve import (
+    FLOAT_ZERO_TOL,
     BaseAngle,
     EquationCoeffs,
     FamilyTag,
@@ -74,6 +75,21 @@ class TestBranches:
         s = classify(exact(1, 2, 5))
         assert s.kind is SolutionKind.EMPTY
         assert s.families == ()
+
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            (exact(7, 24, 20), (Fraction(1, 2), Fraction(-2, 11))),
+            (exact(-7, 24, 20), (Fraction(2, 11), Fraction(-1, 2))),
+            (EquationCoeffs(1.0, 3.0, 2.0), ((1 + math.sqrt(6)) / 5, (1 - math.sqrt(6)) / 5)),
+            (EquationCoeffs(-1.0, 3.0, 2.0), ((-1 + math.sqrt(6)) / 5, (-1 - math.sqrt(6)) / 5)),
+        ],
+        ids=["exact-positive-a", "exact-negative-a", "float-positive-a", "float-negative-a"],
+    )
+    def test_two_roots_in_plus_minus_order(self, coeffs, roots):
+        # (a + root)/(b + c) first, then (a - root)/(b + c), for either sign of a
+        got = [f.tan_half for f in classify(coeffs).families]
+        assert got == pytest.approx(roots, rel=1e-15)
 
     def test_tangency_single_family(self):
         s = classify(exact(3, 4, 5))
@@ -265,3 +281,25 @@ def test_base_angle_lies_in_half_open_interval(a, b, c, odd_pi):
         return
     for family in s.families:
         assert -math.pi < family.base <= math.pi
+
+
+# float coefficients from 10^-10 to 10^303; the second kind has c = -b(1 + eps),
+# so b + c is small beside a and (a -+ root)/(b + c) used to cancel
+_wide_float = st.builds(lambda m, e: m * 10.0**e, st.floats(-1, 1), st.floats(-10, 303))
+_float_coeffs = st.tuples(_wide_float, _wide_float, _wide_float) | st.builds(
+    lambda a, b, e: (a, b, -b * (1 + 10.0**e)), _wide_float, _wide_float, st.floats(-16, -2)
+)
+
+
+@given(_float_coeffs)
+@example((9.061408820618398, 0.0018544031648170143, -0.0018544031610538))
+def test_float_roots_have_small_residuals(coeffs):
+    top = max(map(abs, coeffs))
+    assume(top >= 1)
+    # near a double root the roots themselves are ill-conditioned: left out
+    a, b, c = map(Fraction, coeffs)
+    assume(abs(a * a + b * b - c * c) > Fraction(1, 10**9) * Fraction(top) ** 2)
+    equation = EquationCoeffs(*coeffs)
+    for family in classify(equation).families:
+        if family.tag is FamilyTag.DOUBLE_ANGLE:
+            assert abs(residual(equation, family.base)) <= FLOAT_ZERO_TOL * top

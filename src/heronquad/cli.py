@@ -28,24 +28,20 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring
+from typing import TYPE_CHECKING
 
 from . import __version__
+from .errata import errata_for_member, errata_for_triple
 from .exactnum import (
+    K_ABS_MAX,
+    K_PERIODS_MAX,
+    MEMBERS_MAX,
     DomainError,
     LegForm,
     Surd,
     classify_triple,
     exact_sqrt,
     sqrt_approx,
-)
-from .family import (
-    MEMBERS_MAX,
-    FamilyMember,
-    check_member_count,
-    enumerate_family,
-    family_member,
-    generating_pairs,
-    theta_of_member,
 )
 from .geometry import (
     ANGLES,
@@ -56,27 +52,13 @@ from .geometry import (
     construct_quad,
     interior_angle_degrees,
 )
-from .svgfig import render_svg
-from .trigsolve import (
-    FLOAT_ZERO_TOL,
-    K_ABS_MAX,
-    K_PERIODS_MAX,
-    EquationCoeffs,
-    SolutionKind,
-    classify,
-    enumerate_solutions,
-    half_angle_quadratic,
-    residual,
-)
-from .verify import (
-    Check,
-    CheckStatus,
-    VerificationReport,
-    errata_for_member,
-    errata_for_triple,
-    verify_construction,
-    verify_member,
-)
+
+# ``trigsolve``, ``svgfig``, ``family`` and ``verify`` are imported by the
+# subcommands that run them, once per call, so that a new process loads
+# only what its subcommand needs.
+if TYPE_CHECKING:
+    from .family import FamilyMember, ThetaValue
+    from .verify import VerificationReport
 
 __all__ = ["ParseError", "main"]
 
@@ -315,6 +297,16 @@ def _emit_json(envelope: dict, out_path: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .trigsolve import (
+        FLOAT_ZERO_TOL,
+        EquationCoeffs,
+        SolutionKind,
+        classify,
+        enumerate_solutions,
+        half_angle_quadratic,
+        residual,
+    )
+
     coeffs = EquationCoeffs(args.alpha, args.beta, args.gamma)
     k_min, k_max = _parse_k_range(args.k)
     solutions = classify(coeffs)
@@ -415,6 +407,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     q = construct_quad(args.alpha, args.beta, args.gamma)
     result = _construct_result_payload(q)
     if args.svg is not None:
+        from .svgfig import render_svg
+
         _emit_text(render_svg(q), args.svg)
         result["svg_path"] = args.svg
     inputs = {
@@ -428,6 +422,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_svg(args: argparse.Namespace) -> int:
+    from .svgfig import render_svg
+
     q = construct_quad(args.alpha, args.beta, args.gamma)
     _emit_text(render_svg(q), args.out)
     return 0
@@ -437,9 +433,8 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
-def _member_payload(member: FamilyMember, errata) -> dict:
+def _member_payload(member: FamilyMember, errata, theta: ThetaValue) -> dict:
     p = member.params
-    theta = theta_of_member(member)
     return {
         "params": {
             "t1": p.t1,
@@ -467,11 +462,13 @@ def _collect_errata(seen: dict, errata) -> None:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .family import enumerate_family, theta_of_member
+
     members = []
     seen: dict = {}
     for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
         errata = errata_for_member(member)
-        members.append(_encoded(_member_payload(member, errata)))
+        members.append(_encoded(_member_payload(member, errata, theta_of_member(member))))
         _collect_errata(seen, errata)
     result = {"count": len(members), "members": members}
     inputs = {
@@ -512,11 +509,14 @@ def _heron_row(member: FamilyMember) -> dict:
 
 def _failed_checks(report: VerificationReport) -> str:
     """``N check(s): name1, name2`` for the failing checks of a report."""
-    failed = [c.name for c in report.checks if c.status is CheckStatus.FAIL]
+    failed = report.failed_names()
     return f"{len(failed)} check(s): {', '.join(failed)}"
 
 
 def _cmd_heron_table(args: argparse.Namespace) -> int:
+    from .family import check_member_count, family_member, generating_pairs
+    from .verify import verify_member
+
     if args.delta_multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {args.delta_multiples}")
     check_member_count(args.delta_multiples for _ in generating_pairs(args.t_max))
@@ -565,6 +565,9 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
 
 
 def _verify_triple(a: int, b: int, c: int) -> VerificationReport:
+    from .family import family_member
+    from .verify import verify_construction, verify_member
+
     trip = classify_triple(a, b, c)
     if trip.leg_form is LegForm.EVEN_LEG_FIRST and exact_sqrt(
         trip.m * trip.m + trip.n * trip.n
@@ -574,6 +577,8 @@ def _verify_triple(a: int, b: int, c: int) -> VerificationReport:
 
 
 def _verify_envelope_file(path: str, doc: dict) -> VerificationReport:
+    from .verify import Check, CheckStatus, VerificationReport, verify_construction
+
     inputs, stored = doc.get("inputs", {}), doc.get("result", {})
     if not isinstance(inputs, dict) or not isinstance(stored, dict):
         raise ParseError(f"{path}: construct envelope needs 'inputs' and 'result' objects")
@@ -599,6 +604,9 @@ def _verify_envelope_file(path: str, doc: dict) -> VerificationReport:
 
 
 def _verify_input_file(path: str) -> VerificationReport:
+    from .family import family_member
+    from .verify import verify_construction, verify_member
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -637,6 +645,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = _verify_triple(a, b, c)
         inputs = {"triple": [a, b, c]}
     elif args.params is not None:
+        from .family import family_member
+        from .verify import verify_member
+
         delta, m, n = args.params
         report = verify_member(family_member(delta, m, n))
         inputs = {"params": {"delta": delta, "m": m, "n": n}}

@@ -10,22 +10,27 @@ Three layers live here:
 
 Everything downstream (coordinates, lengths, areas, oracles) is built on
 these so that derived quantities compare exactly, never by tolerance.
+The input caps (``MEMBERS_MAX``, ``K_ABS_MAX``, ``K_PERIODS_MAX``) live here
+too, so the CLI's help can name them without loading ``family`` or
+``trigsolve``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # math.gcd already follows the convention the generators rely on: gcd(0, 0) == 0.
 from math import gcd
 
 __all__ = [
     "DomainError",
+    "K_ABS_MAX",
+    "K_PERIODS_MAX",
     "LegForm",
+    "MEMBERS_MAX",
     "PythTriple",
     "Surd",
     "classify_triple",
@@ -129,6 +134,15 @@ def divides_via_power(a: int, b: int, n: int) -> bool:
 # (the m = 1e9+7 hypotenuse 1000000014000000053 among them) still splits.
 _TRIAL_DIVISION_LIMIT = 2**20
 
+# the most members (or heron-table rows) one family window may hold
+MEMBERS_MAX = 100_000
+
+# Enumeration bounds of ``trigsolve.enumerate_solutions``: |k| past K_ABS_MAX
+# leaves too few float digits for x = base + 2*k*pi to mean much, and
+# K_PERIODS_MAX periods already print tens of thousands of solutions.
+K_ABS_MAX = 10**6
+K_PERIODS_MAX = 10**4
+
 
 def squarefree_decompose(c: int) -> tuple[int, int]:
     """Write ``c = s*s*d`` with ``d`` squarefree; returns ``(s, d)``.
@@ -172,8 +186,12 @@ def squarefree_decompose(c: int) -> tuple[int, int]:
     return outside, radicand
 
 
-@dataclass(frozen=True)
-class Surd:
+class _SurdFields(NamedTuple):
+    coefficient: Fraction
+    radicand: int
+
+
+class Surd(_SurdFields):
     """Exact value ``coefficient * sqrt(radicand)`` in normal form.
 
     Invariants: ``radicand`` is squarefree and >= 1, and a zero value is
@@ -182,14 +200,14 @@ class Surd:
     the normal form (and hence structural equality) holds.
     """
 
-    coefficient: Fraction
-    radicand: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.radicand < 1:
-            raise DomainError(f"surd radicand must be >= 1, got {self.radicand}")
-        if self.coefficient == 0 and self.radicand != 1:
+    def __new__(cls, coefficient: Fraction, radicand: int) -> Surd:
+        if radicand < 1:
+            raise DomainError(f"surd radicand must be >= 1, got {radicand}")
+        if coefficient == 0 and radicand != 1:
             raise DomainError("the zero surd must carry radicand 1")
+        return tuple.__new__(cls, (coefficient, radicand))
 
     @property
     def is_rational(self) -> bool:
@@ -256,8 +274,7 @@ class LegForm(Enum):
     ODD_LEG_FIRST = "odd-leg-first"
 
 
-@dataclass(frozen=True)
-class PythTriple:
+class PythTriple(NamedTuple):
     """A Pythagorean triple a^2 + b^2 = c^2 with its Euclid parameters.
 
     ``(m, n)`` satisfy m > n >= 1, gcd(m, n) = 1, m + n odd; ``delta`` is the

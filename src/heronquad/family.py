@@ -22,18 +22,24 @@ whichever form lands m > n is the usable one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .exactnum import DomainError, Surd, check_generator_pair, euclid_triple, exact_sqrt, gcd
+from .exactnum import (
+    MEMBERS_MAX,
+    DomainError,
+    Surd,
+    check_generator_pair,
+    euclid_triple,
+    exact_sqrt,
+    gcd,
+)
 from .geometry import ANGLES, SEGMENTS, QuadConstruction, construct_quad, quad_area
 
 __all__ = [
     "FamilyMember",
     "GeneratorParams",
-    "MEMBERS_MAX",
     "TForm",
     "ThetaValue",
     "check_member_count",
@@ -45,9 +51,6 @@ __all__ = [
     "theta_of_member",
 ]
 
-# the most members (or heron-table rows) one family window may hold
-MEMBERS_MAX = 100_000
-
 
 class TForm(Enum):
     """Which of (m, n) receives the even value 2*t1*t2."""
@@ -56,8 +59,7 @@ class TForm(Enum):
     EVEN_M = "even-m"  # m = 2*t1*t2,     n = t1^2 - t2^2
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(NamedTuple):
     """Generator data of a member; t-layer data is kept when known."""
 
     delta: int
@@ -78,8 +80,7 @@ class GeneratorParams:
         return euclid_triple(self.delta, self.m, self.n)
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """One quadrilateral of the family, in exact closed form."""
 
     params: GeneratorParams
@@ -95,7 +96,7 @@ class FamilyMember:
     tan_gamma2: Fraction
     area: Fraction
     is_heron: bool
-    quad: QuadConstruction = field(repr=False, compare=False)
+    quad: QuadConstruction
 
     def triple(self) -> tuple[int, int, int]:
         return self.params.triple()
@@ -177,8 +178,7 @@ def _cross_check(member: FamilyMember) -> None:
         raise RuntimeError(f"closed-form area disagrees with coordinates for {member.params}")
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(NamedTuple):
     """The shared base angle of a member: exact tangent plus float degrees."""
 
     tan: Fraction

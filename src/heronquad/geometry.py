@@ -18,10 +18,9 @@ compare exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import DomainError, Surd, common_denominator, scaled_floats, surd_scale, surd_sqrt
 
@@ -42,30 +41,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Exact point in the plane (int coordinates on the integer lattice)."""
+class Point2(NamedTuple):
+    """Exact point in the plane (int coordinates on the integer lattice).
+
+    The oracles' hot helpers unpack a point as ``x, y = p``: a tuple unpack
+    is cheaper than two attribute reads.
+    """
 
     x: Fraction
     y: Fraction
 
 
 def dist_squared(p: Point2, q: Point2) -> Fraction:
-    dx, dy = p.x - q.x, p.y - q.y
+    (px, py), (qx, qy) = p, q
+    dx, dy = px - qx, py - qy
     return dx * dx + dy * dy
 
 
 def dot_cross(here: Point2, p: Point2, q: Point2) -> tuple[Fraction, Fraction]:
     """(u . v, u x v) of the vectors u = p - here and v = q - here."""
-    ux, uy = p.x - here.x, p.y - here.y
-    vx, vy = q.x - here.x, q.y - here.y
+    (hx, hy), (px, py), (qx, qy) = here, p, q
+    ux, uy = px - hx, py - hy
+    vx, vy = qx - hx, qy - hy
     return ux * vx + uy * vy, ux * vy - uy * vx
 
 
 def lattice(points: Sequence[Point2]) -> tuple[int, tuple[Point2, ...]]:
     """(S, the points times S): S, the lcm of their coordinate denominators,
     makes them int pairs; squared lengths and areas scale by S^2."""
-    s, ints = common_denominator([c for p in points for c in (p.x, p.y)])
+    s, ints = common_denominator([c for p in points for c in p])
     return s, tuple(map(Point2, ints[::2], ints[1::2]))
 
 
@@ -78,8 +82,7 @@ class Vertex(Enum):
     GAMMA1 = "Gamma1"
 
 
-@dataclass(frozen=True)
-class QuadConstruction:
+class QuadConstruction(NamedTuple):
     """The embedded quadrilateral with its exact lengths and angle tangents.
 
     ``SEGMENTS`` names the six lengths and ``ANGLES`` the four interior
@@ -238,7 +241,7 @@ def quad_area(q: QuadConstruction) -> Fraction:
     """Exact area by the shoelace sum over the traversal order, taken on the
     integer lattice of the vertices."""
     scale, pts = lattice(q.vertices())
-    twice = sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))
+    twice = sum(px * ry - rx * py for (px, py), (rx, ry) in zip(pts, pts[1:] + pts[:1]))
     return Fraction(abs(twice), 2 * scale * scale)
 
 

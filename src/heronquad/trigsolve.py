@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactnum import DomainError, fraction_sqrt
+from .exactnum import K_ABS_MAX, K_PERIODS_MAX, DomainError, fraction_sqrt
 
 __all__ = [
     "BaseAngle",
@@ -37,8 +37,6 @@ __all__ = [
     "FLOAT_ZERO_TOL",
     "FamilyTag",
     "HalfAngleQuadratic",
-    "K_ABS_MAX",
-    "K_PERIODS_MAX",
     "SolutionKind",
     "SolutionSet",
     "classify",
@@ -55,12 +53,6 @@ _MERGE_TOL = 1e-12
 # relative tolerance of the zero tests on float coefficients
 FLOAT_ZERO_TOL = 1e-12
 
-# Enumeration bounds: |k| past K_ABS_MAX leaves too few float digits for
-# x = base + 2*k*pi to mean much, and K_PERIODS_MAX periods already print
-# tens of thousands of solutions.
-K_ABS_MAX = 10**6
-K_PERIODS_MAX = 10**4
-
 
 def _coerce(value: Number | int, name: str) -> Number:
     if isinstance(value, bool):
@@ -74,26 +66,29 @@ def _coerce(value: Number | int, name: str) -> Number:
     raise DomainError(f"{name} must be a Fraction, int, or float, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class EquationCoeffs:
-    """Coefficients of a*sin(x) + b*cos(x) = c; ints promote to Fractions."""
-
+class _EquationFields(NamedTuple):
     alpha: Number
     beta: Number
     gamma: Number
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _coerce(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _coerce(self.beta, "beta"))
-        object.__setattr__(self, "gamma", _coerce(self.gamma, "gamma"))
+
+class EquationCoeffs(_EquationFields):
+    """Coefficients of a*sin(x) + b*cos(x) = c; ints promote to Fractions."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, alpha: Number | int, beta: Number | int, gamma: Number | int
+    ) -> EquationCoeffs:
+        coerced = (_coerce(alpha, "alpha"), _coerce(beta, "beta"), _coerce(gamma, "gamma"))
+        return tuple.__new__(cls, coerced)
 
     @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in (self.alpha, self.beta, self.gamma))
 
 
-@dataclass(frozen=True)
-class HalfAngleQuadratic:
+class HalfAngleQuadratic(NamedTuple):
     """The quadratic in t = tan(x/2): c2*t^2 + c1*t + c0 = 0."""
 
     c2: Number
@@ -126,8 +121,7 @@ class FamilyTag(Enum):
     DOUBLE_ANGLE = "double-angle"  # x = 2*atan(t) + 2*k*pi for a root t
 
 
-@dataclass(frozen=True)
-class BaseAngle:
+class BaseAngle(NamedTuple):
     """One family of solutions {base + 2*k*pi : k integer}.
 
     ``base`` lies in (-pi, pi]. ``tan_half`` is tan(base/2): an exact
@@ -142,8 +136,7 @@ class BaseAngle:
     exact: bool
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     kind: SolutionKind
     families: tuple[BaseAngle, ...] = ()
 

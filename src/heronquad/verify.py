@@ -13,22 +13,21 @@ coordinate denominators (never read from a closed form), and a value turns
 back into a Fraction only where a check reports it.
 
 Known misprints in the published reference values are kept in a small
-registry. When a verification touches one of those quantities the report
-carries an ``erratum`` entry (printed value vs oracle value) instead of a
-failure, so implementation bugs stay distinguishable from source typos.
+registry (``errata``). When a verification touches one of those quantities
+the report carries an ``erratum`` entry (printed value vs oracle value)
+instead of a failure, so implementation bugs stay distinguishable from
+source typos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .errata import errata_for_member, errata_for_triple
 from .exactnum import DomainError, Surd
-from .family import FamilyMember
 from .geometry import (
     ANGLES,
     SEGMENTS,
@@ -43,16 +42,17 @@ from .geometry import (
     quad_area,
 )
 
+if TYPE_CHECKING:
+    from .errata import Erratum
+    from .family import FamilyMember
+
 __all__ = [
     "Check",
     "CheckStatus",
-    "Erratum",
     "Measurement",
     "VerificationReport",
     "concyclic",
     "concyclicity_determinant",
-    "errata_for_member",
-    "errata_for_triple",
     "measure",
     "ptolemy_check",
     "shoelace",
@@ -78,7 +78,8 @@ def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> 
     determinant; the last row becomes (0, 0, 0, 1), which leaves one 3x3
     determinant of the translated first three rows.
     """
-    moved = [(p.x - p4.x, p.y - p4.y) for p in (p1, p2, p3)]
+    x4, y4 = p4
+    moved = [(x - x4, y - y4) for x, y in (p1, p2, p3)]
     return _det3([(dx * dx + dy * dy, dx, dy) for dx, dy in moved])
 
 
@@ -129,10 +130,8 @@ def ptolemy_check(lengths_squared: Sequence[Fraction | int]) -> bool:
 
 def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     # p is known collinear with a-b
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _segments_intersect(points: Sequence[Point2], i: int, j: int) -> bool:
@@ -166,7 +165,7 @@ def shoelace(points: Sequence[Point2]) -> Fraction:
                 raise DomainError(
                     f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
                 )
-    twice = sum(p.x * r.y - r.x * p.y for p, r in zip(points, points[1:] + points[:1]))
+    twice = sum(px * ry - rx * py for (px, py), (rx, ry) in zip(points, points[1:] + points[:1]))
     return Fraction(abs(twice), 2)
 
 
@@ -177,8 +176,7 @@ def shoelace(points: Sequence[Point2]) -> Fraction:
 _ENDS = tuple(tuple(map(list(Vertex).index, ends)) for _, _, ends, _ in SEGMENTS)
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """Coordinate measurements of one quadrilateral, in check order."""
 
     scale: int  # S, the lcm of the measured coordinates' denominators
@@ -209,111 +207,6 @@ def measure(points: Sequence[Point2]) -> Measurement:
 
 
 # ---------------------------------------------------------------------------
-# erratum registry
-
-
-@dataclass(frozen=True)
-class Erratum:
-    """A documented misprint: published value vs oracle-verified value."""
-
-    ident: str
-    quantity: str
-    printed: str
-    computed: str
-    note: str
-
-    def to_payload(self) -> dict:
-        return {
-            "id": self.ident,
-            "quantity": self.quantity,
-            "printed": self.printed,
-            "computed": self.computed,
-            "note": self.note,
-        }
-
-
-_ERR_DIAG_92 = Erratum(
-    ident="worked-example-diagonal-92",
-    quantity="diagonal |Gamma Gamma2| of the (120, 35, 125) construction",
-    printed="92",
-    computed="192",
-    note=(
-        "The published worked example prints 92; the exact coordinate distance and "
-        "the closed form 4*delta*m^2*n/L both give 192, and the published summary "
-        "table itself lists 192."
-    ),
-)
-
-_ERR_AREA_12888 = Erratum(
-    ident="published-table-area-12888",
-    quantity="area of the delta=5, m=4, n=3 member",
-    printed="12888",
-    computed="12288",
-    note=(
-        "The published table prints 12888; the shoelace oracle and the reduced "
-        "area form 4*n*m^5 both give 12288."
-    ),
-)
-
-_ERR_TAN_GAMMA = Erratum(
-    ident="worked-example-tangent-gamma",
-    quantity="interior angle tangent at Gamma of the (120, 35, 125) construction",
-    printed="-8/3",
-    computed="-4/3",
-    note=(
-        "Follows the -2m/n closed-form misprint; the coordinate oracle and "
-        "alpha/(beta-gamma) give -4/3."
-    ),
-)
-
-_ERR_TAN_GAMMA2 = Erratum(
-    ident="worked-example-tangent-gamma2",
-    quantity="interior angle tangent at Gamma2 of the (120, 35, 125) construction",
-    printed="8/3",
-    computed="4/3",
-    note=(
-        "Follows the 2m/n closed-form misprint; the coordinate oracle and "
-        "(beta+gamma)/alpha give 4/3."
-    ),
-)
-
-_WORKED_TRIPLE = (Fraction(120), Fraction(35), Fraction(125))
-
-
-@lru_cache(maxsize=1024)  # the erratum depends on (m, n) alone: built once per pair
-def _tangent_form_erratum(m: int, n: int) -> Erratum:
-    return Erratum(
-        ident="family-tangent-closed-form",
-        quantity=f"tangent closed forms at Gamma and Gamma2 for (m={m}, n={n})",
-        printed=f"-2m/n = {Fraction(-2 * m, n)} and 2m/n = {Fraction(2 * m, n)}",
-        computed=f"-m/n = {Fraction(-m, n)} and m/n = {Fraction(m, n)}",
-        note=(
-            "The published family table lists -2m/n and 2m/n; the coordinate oracle "
-            "and the per-triple forms alpha/(beta-gamma) and (beta+gamma)/alpha "
-            "reduce to -m/n and m/n."
-        ),
-    )
-
-
-def errata_for_triple(alpha: Fraction, beta: Fraction, gamma: Fraction) -> tuple[Erratum, ...]:
-    """Registry hits for a construction given by its right triple."""
-    if (Fraction(alpha), Fraction(beta), Fraction(gamma)) == _WORKED_TRIPLE:
-        return (_ERR_DIAG_92, _ERR_TAN_GAMMA, _ERR_TAN_GAMMA2)
-    return ()
-
-
-def errata_for_member(member: FamilyMember) -> tuple[Erratum, ...]:
-    """Registry hits for a family member (the tangent closed-form misprint
-    touches every member; the worked example adds its value-level entries)."""
-    p = member.params
-    out: list[Erratum] = []
-    if (p.m, p.n, p.delta) == (4, 3, 5):
-        out += [_ERR_DIAG_92, _ERR_AREA_12888, _ERR_TAN_GAMMA, _ERR_TAN_GAMMA2]
-    out.append(_tangent_form_erratum(p.m, p.n))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
@@ -326,8 +219,7 @@ class CheckStatus(Enum):
 PASS, FAIL = CheckStatus.PASS, CheckStatus.FAIL
 
 
-@dataclass(slots=True)  # not frozen: a frozen __init__ costs about 2.5x, 40-odd times a report
-class Check:
+class Check(NamedTuple):
     """One comparison. It keeps the two values it compared; ``to_payload``
     is the one place that renders them, with ``str``."""
 
@@ -345,8 +237,7 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     subject: str
     checks: tuple[Check, ...]
     errata: tuple[Erratum, ...]
@@ -354,6 +245,9 @@ class VerificationReport:
     @property
     def has_failures(self) -> bool:
         return any(c.status is CheckStatus.FAIL for c in self.checks)
+
+    def failed_names(self) -> list[str]:
+        return [c.name for c in self.checks if c.status is CheckStatus.FAIL]
 
     def counts(self) -> dict[str, int]:
         out = {"pass": 0, "fail": 0, "erratum": 0}

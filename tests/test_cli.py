@@ -3,7 +3,6 @@ file output, CSV and SVG emission, and the verify modes."""
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heronquad import cli
+from heronquad import cli, verify
 from heronquad.cli import main
 from heronquad.exactnum import DomainError
 from heronquad.verify import CheckStatus
@@ -706,14 +705,14 @@ class TestHeronTableCommand:
         assert f"domain error: delta_multiples must be >= 1, got {multiples}" in err
 
     def test_failing_row_names_its_checks(self, capsys, monkeypatch):
-        real_verify = cli.verify_member
+        real_verify = verify.verify_member
 
         def one_failure(member):
             report = real_verify(member)
-            first = dataclasses.replace(report.checks[0], status=CheckStatus.FAIL)
-            return dataclasses.replace(report, checks=(first,) + report.checks[1:])
+            first = report.checks[0]._replace(status=CheckStatus.FAIL)
+            return report._replace(checks=(first,) + report.checks[1:])
 
-        monkeypatch.setattr(cli, "verify_member", one_failure)
+        monkeypatch.setattr(verify, "verify_member", one_failure)
         code, out, err = run(capsys, "heron-table", "--t-max", "3")
         assert code == 4
         assert (

@@ -1,7 +1,6 @@
 """The parametric family: closed forms vs the generic construction, the
 Heron divisibility criterion, and the two-parameter (t1, t2) layer."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -170,16 +169,16 @@ class TestFamilyMember:
     )
     def test_cross_check_names_the_disagreeing_closed_form(self, attr, built):
         member = family_member(5, 4, 3)
-        tampered = dataclasses.replace(member.quad, **{attr: built})
+        tampered = member.quad._replace(**{attr: built})
         with pytest.raises(RuntimeError, match=f"closed form {attr} disagrees"):
-            _cross_check(dataclasses.replace(member, quad=tampered))
+            _cross_check(member._replace(quad=tampered))
 
     def test_cross_check_compares_the_shoelace_area(self):
         member = family_member(5, 4, 3)
         corner = member.quad.v_gamma1
-        moved = dataclasses.replace(member.quad, v_gamma1=dataclasses.replace(corner, x=corner.x + 1))
+        moved = member.quad._replace(v_gamma1=corner._replace(x=corner.x + 1))
         with pytest.raises(RuntimeError, match="closed-form area disagrees"):
-            _cross_check(dataclasses.replace(member, quad=moved))
+            _cross_check(member._replace(quad=moved))
 
     def test_k_parameter(self):
         mem = family_member(5, 4, 3)

@@ -1,7 +1,6 @@
 """The coordinate embedding: exact vertices, lengths, tangents, the
 circumcircle, and the rejection of non-Pythagorean or float inputs."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -130,7 +129,7 @@ class TestRightAngleAndCircle:
 
     def test_spread_reads_the_stored_theta(self):
         q = construct_quad(120, 35, 125)
-        moved = dataclasses.replace(q, theta_degrees=q.theta_degrees + 1e-9)
+        moved = q._replace(theta_degrees=q.theta_degrees + 1e-9)
         assert angle_spread_degrees(moved) > 1e-10
 
 
@@ -268,11 +267,11 @@ class TestConstructionReference:
             assert str(raised.value) == str(error)
             return
         q = construct_quad(*triple)
-        for field in dataclasses.fields(QuadConstruction):
-            got, want = getattr(q, field.name), expected[field.name]
-            assert got == want, field.name
-            if field.name != "theta_degrees":
-                assert all(type(part) is Fraction for part in _exact_parts(got)), field.name
+        for name in QuadConstruction._fields:
+            got, want = getattr(q, name), expected[name]
+            assert got == want, name
+            if name != "theta_degrees":
+                assert all(type(part) is Fraction for part in _exact_parts(got)), name
         assert q.theta_degrees.hex() == expected["theta_degrees"].hex()
         assert q.area == expected["area"]
         assert type(q.area) is Fraction

@@ -2,7 +2,6 @@
 importantly, reject perturbed ones. Errata are flagged as errata, never as
 passes or failures."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -218,8 +217,8 @@ class TestPtolemy:
         q = construct_quad(3, 4, 5)
         # move Gamma1 along the x-axis by 1/1000: floats barely notice,
         # the exact identity must
-        tampered = dataclasses.replace(
-            q, v_gamma1=Point2(q.v_gamma1.x + Fraction(1, 1000), q.v_gamma1.y)
+        tampered = q._replace(
+            v_gamma1=Point2(q.v_gamma1.x + Fraction(1, 1000), q.v_gamma1.y)
         )
         assert not ptolemy_check(lengths_squared(tampered))
 
@@ -228,8 +227,8 @@ class TestPtolemy:
         # tiny moves give 20-digit squared products, which the check must
         # decide without factoring them
         for move in (Fraction(1, 10**6), Fraction(1, 10**7)):
-            tampered = dataclasses.replace(
-                q, v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + move)
+            tampered = q._replace(
+                v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + move)
             )
             assert not ptolemy_check(lengths_squared(tampered))
 
@@ -248,8 +247,8 @@ class TestPtolemy:
         assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
         t = scaled_triple(delta, m, n)
         q = construct_quad(t.a, t.b, t.c)
-        moved = dataclasses.replace(
-            q, v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
+        moved = q._replace(
+            v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
         )
         concyclic_moved = concyclicity_determinant(*moved.vertices()) == 0
         assert ptolemy_check(lengths_squared(moved)) == concyclic_moved
@@ -341,7 +340,7 @@ class TestVerifyConstruction:
 
     def test_detects_tampered_tangent(self):
         q = construct_quad(120, 35, 125)
-        tampered = dataclasses.replace(q, tan_gamma=Fraction(-8, 3))
+        tampered = q._replace(tan_gamma=Fraction(-8, 3))
         report = verify_construction(tampered)
         assert report.has_failures
         failing = {c.name for c in report.checks if c.status is CheckStatus.FAIL}
@@ -349,13 +348,13 @@ class TestVerifyConstruction:
 
     def test_detects_tampered_length(self):
         q = construct_quad(3, 4, 5)
-        tampered = dataclasses.replace(q, side_gamma2_gamma1=surd_normalize(4, 10))
+        tampered = q._replace(side_gamma2_gamma1=surd_normalize(4, 10))
         report = verify_construction(tampered)
         assert report.has_failures
 
     def test_detects_tampered_vertex(self):
         q = construct_quad(3, 4, 5)
-        tampered = dataclasses.replace(q, v_gamma=Point2(Fraction(2), Fraction(12, 5)))
+        tampered = q._replace(v_gamma=Point2(Fraction(2), Fraction(12, 5)))
         report = verify_construction(tampered)
         failing = {c.name for c in report.checks if c.status is CheckStatus.FAIL}
         assert failing  # concyclicity, circumradius, lengths all blow up
@@ -466,12 +465,12 @@ class TestReportRendering:
 def _tampered(name: str):
     if name == "tampered-vertex":
         q = construct_quad(3, 4, 5)
-        return dataclasses.replace(q, v_gamma=P(2, Fraction(12, 5)))
+        return q._replace(v_gamma=P(2, Fraction(12, 5)))
     q = construct_quad(120, 35, 125)
     if name == "tampered-tangent":
-        return dataclasses.replace(q, tan_gamma=Fraction(-8, 3))
+        return q._replace(tan_gamma=Fraction(-8, 3))
     moved = Point2(q.v_gamma.x, q.v_gamma.y + Fraction(1, 10**7))
-    return dataclasses.replace(q, v_gamma=moved)
+    return q._replace(v_gamma=moved)
 
 
 @pytest.mark.parametrize("name", ["tampered-vertex", "tampered-tangent", "moved-vertex"])

@@ -110,7 +110,7 @@ def report_heron_table(failures: list[str], verbose: bool) -> None:
         (12, 5): (1560, 2856, 4056, 1560, 3744, 2880, 4976640),
     }
     seen = set()
-    for _t1, _t2, _form, m, n, L in generating_pairs(3):
+    for _t1, _t2, m, n, L in generating_pairs(3):
         member = family_member(L, m, n)
         row = (
             member.side_gamma_b,

@@ -57,7 +57,7 @@ from .geometry import (
 # subcommands that run them, once per call, so that a new process loads
 # only what its subcommand needs.
 if TYPE_CHECKING:
-    from .family import FamilyMember, ThetaValue
+    from .family import FamilyMember
     from .verify import VerificationReport
 
 __all__ = ["ParseError", "main"]
@@ -71,6 +71,7 @@ class ParseError(ValueError):
 # parsing helpers
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_INT_LITERAL_RE = re.compile(r"[+-]?\d+")
 
 # Every exact number read from the command line or a --input file has at
 # most this many digits in its numerator and in its denominator, so the
@@ -129,14 +130,21 @@ _parse_rational.__name__ = "rational"
 _parse_int.__name__ = "integer"
 
 
+def _parse_k_bound(bound: str, text: str) -> int:
+    try:
+        return int(bound)
+    except ValueError:
+        if _INT_LITERAL_RE.fullmatch(bound):
+            # too long for int(): whatever its value, it lies past the |k| cap
+            return -(K_ABS_MAX + 1) if bound[0] == "-" else K_ABS_MAX + 1
+        raise ParseError(f"k range bounds must be integers, got {text!r}") from None
+
+
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ParseError(f"k range must look like MIN..MAX, got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise ParseError(f"k range bounds must be integers, got {text!r}") from None
+    return _parse_k_bound(lo, text), _parse_k_bound(hi, text)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +185,11 @@ def _measures_payload(obj: QuadConstruction | FamilyMember, length_payload) -> d
     return payload
 
 
-def _theta_payload(tan: Fraction, degrees: float) -> dict:
+def _theta_payload(q: QuadConstruction) -> dict:
     return {
-        "tan": str(tan),
-        "degrees": _round10(degrees),
-        "degrees_display": f"{degrees:.5f}",
+        "tan": str(q.tan_theta),
+        "degrees": _round10(q.theta_degrees),
+        "degrees_display": f"{q.theta_degrees:.5f}",
     }
 
 
@@ -393,7 +401,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         "angles_degrees": {
             vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
-        "theta": _theta_payload(q.tan_theta, q.theta_degrees),
+        "theta": _theta_payload(q),
         "circumcircle": {
             "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
             "radius_squared": str(q.radius_squared),
@@ -433,43 +441,38 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
-def _member_payload(member: FamilyMember, errata, theta: ThetaValue) -> dict:
+def _member_payload(member: FamilyMember, errata) -> dict:
     p = member.params
+    t1, t2 = p.t_pair
     return {
         "params": {
-            "t1": p.t1,
-            "t2": p.t2,
-            "t_form": p.t_form.value if p.t_form is not None else None,
+            "t1": t1,
+            "t2": t2,
+            "t_form": p.t_form.value,
             "delta": p.delta,
             "m": p.m,
             "n": p.n,
             "L": p.L,
             "k": p.k,
         },
-        "triple": list(member.triple()),
+        "triple": list(p.triple()),
         **_measures_payload(member, str),
         "area": str(member.area),
         "is_heron": member.is_heron,
-        "theta": _theta_payload(theta.tan, theta.degrees),
+        "theta": _theta_payload(member.quad),
         "errata": [er.ident for er in errata],
     }
 
 
-def _collect_errata(seen: dict, errata) -> None:
-    """Add errata to ``seen``, keeping the first of each (id, printed, computed)."""
-    for er in errata:
-        seen.setdefault((er.ident, er.printed, er.computed), er)
-
-
 def _cmd_family(args: argparse.Namespace) -> int:
-    from .family import enumerate_family, theta_of_member
+    from .family import enumerate_family
 
     members = []
     seen: dict = {}
     for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
         errata = errata_for_member(member)
-        members.append(_encoded(_member_payload(member, errata, theta_of_member(member))))
-        _collect_errata(seen, errata)
+        members.append(_encoded(_member_payload(member, errata)))
+        seen.update(dict.fromkeys(errata))
     result = {"count": len(members), "members": members}
     inputs = {
         "t_max": args.t_max,
@@ -477,7 +480,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         "heron_only": args.heron_only,
         "leg_form": "even-first",
     }
-    _emit_json(_envelope("family", inputs, result, seen.values()), args.out)
+    _emit_json(_envelope("family", inputs, result, seen), args.out)
     return 0
 
 
@@ -501,7 +504,8 @@ _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_ME
 def _heron_row(member: FamilyMember) -> dict:
     """The ``_CSV_COLUMNS`` of a member, in their order."""
     p = member.params
-    row = {"t1": p.t1, "t2": p.t2, "m": p.m, "n": p.n, "delta": p.delta}
+    t1, t2 = p.t_pair
+    row = {"t1": t1, "t2": t2, "m": p.m, "n": p.n, "delta": p.delta}
     for column, attr in _CSV_MEMBER_COLUMNS:
         row[column] = str(getattr(member, attr))
     return row
@@ -524,9 +528,9 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     rows = []
     seen: dict = {}
     failures = 0
-    for t1, t2, form, m, n, L in generating_pairs(args.t_max):
+    for _t1, _t2, m, n, L in generating_pairs(args.t_max):
         for j in range(1, args.delta_multiples + 1):
-            member = family_member(j * L, m, n, t1=t1, t2=t2, t_form=form)
+            member = family_member(j * L, m, n)
             report = verify_member(member)
             if report.has_failures:
                 failures += 1
@@ -542,7 +546,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
             row["verified"] = not report.has_failures
             row["errata"] = [er.ident for er in report.errata]
             rows.append(_encoded(row))
-            _collect_errata(seen, report.errata)
+            seen.update(dict.fromkeys(report.errata))
 
     if as_csv:
         _emit_text("\n".join([",".join(_CSV_COLUMNS), *rows, ""]), args.out)
@@ -553,7 +557,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
             "delta_multiples": args.delta_multiples,
             "format": args.format,
         }
-        _emit_json(_envelope("heron-table", inputs, result, seen.values()), args.out)
+        _emit_json(_envelope("heron-table", inputs, result, seen), args.out)
     if failures:
         print(f"heron-quad: {failures} row(s) failed verification", file=sys.stderr)
         return 4

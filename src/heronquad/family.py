@@ -14,14 +14,14 @@ runs its oracles on it instead of building it again):
 
 All six lengths and the area are integers exactly when L divides d (the
 Heron members). Pairs (m, n) themselves come from a second Euclid layer:
-(t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives m = t1^2 - t2^2,
-n = 2*t1*t2 (odd-m form) or m = 2*t1*t2, n = t1^2 - t2^2 (even-m form);
-whichever form lands m > n is the usable one.
+(t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
+t1^2 - t2^2 and 2*t1*t2 of a triple with hypotenuse L = t1^2 + t2^2; m is
+the larger leg. Both the t-pair and its form (odd-m: m = t1^2 - t2^2, or
+even-m: m = 2*t1*t2) follow from (m, n, L), so a member derives them.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -31,6 +31,7 @@ from .exactnum import (
     DomainError,
     Surd,
     check_generator_pair,
+    classify_triple,
     euclid_triple,
     exact_sqrt,
     gcd,
@@ -41,14 +42,12 @@ __all__ = [
     "FamilyMember",
     "GeneratorParams",
     "TForm",
-    "ThetaValue",
     "check_member_count",
     "coprimality_certificate",
     "enumerate_family",
     "family_member",
     "generating_pairs",
     "mnl_from_t",
-    "theta_of_member",
 ]
 
 
@@ -60,15 +59,23 @@ class TForm(Enum):
 
 
 class GeneratorParams(NamedTuple):
-    """Generator data of a member; t-layer data is kept when known."""
+    """Generator data of a member: the scale and the pair with m^2 + n^2 = L^2."""
 
     delta: int
     m: int
     n: int
     L: int
-    t1: int | None = None
-    t2: int | None = None
-    t_form: TForm | None = None
+
+    @property
+    def t_pair(self) -> tuple[int, int]:
+        """(t1, t2), which ``mnl_from_t`` maps to (m, n, L): the Euclid pair of (m, n, L)."""
+        trip = classify_triple(self.m, self.n, self.L)
+        return trip.m, trip.n
+
+    @property
+    def t_form(self) -> TForm:
+        """Which of (m, n) is the even value 2*t1*t2."""
+        return TForm.ODD_M if self.m % 2 else TForm.EVEN_M
 
     @property
     def k(self) -> int:
@@ -98,35 +105,15 @@ class FamilyMember(NamedTuple):
     is_heron: bool
     quad: QuadConstruction
 
-    def triple(self) -> tuple[int, int, int]:
-        return self.params.triple()
 
-
-def mnl_from_t(t1: int, t2: int, form: TForm) -> tuple[int, int, int]:
-    """Map a t-pair (a generator pair itself) to (m, n, L); refuse m <= n."""
+def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
+    """Map a t-pair (a generator pair itself) to (m, n, L), m the larger leg."""
     check_generator_pair(t1, t2)
     double_prod, square_diff, L = euclid_triple(1, t1, t2)
-    if form is TForm.ODD_M:
-        m, n, other = square_diff, double_prod, TForm.EVEN_M
-    else:
-        m, n, other = double_prod, square_diff, TForm.ODD_M
-    if m <= n:
-        raise DomainError(
-            f"form {form.value} gives m={m} <= n={n} for (t1={t1}, t2={t2}); "
-            f"use form {other.value}"
-        )
-    return m, n, L
+    return max(double_prod, square_diff), min(double_prod, square_diff), L
 
 
-def family_member(
-    delta: int,
-    m: int,
-    n: int,
-    *,
-    t1: int | None = None,
-    t2: int | None = None,
-    t_form: TForm | None = None,
-) -> FamilyMember:
+def family_member(delta: int, m: int, n: int) -> FamilyMember:
     """Build the member for (delta, m, n); (m, n) must have integral L."""
     if delta < 1:
         raise DomainError(f"delta must be >= 1, got {delta}")
@@ -137,7 +124,7 @@ def family_member(
             f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
             f"(m={m}, n={n}) does not generate a family member"
         )
-    params = GeneratorParams(delta, m, n, L, t1, t2, t_form)
+    params = GeneratorParams(delta, m, n, L)
     mm_nn = m * m - n * n
     member = FamilyMember(
         params=params,
@@ -178,33 +165,15 @@ def _cross_check(member: FamilyMember) -> None:
         raise RuntimeError(f"closed-form area disagrees with coordinates for {member.params}")
 
 
-class ThetaValue(NamedTuple):
-    """The shared base angle of a member: exact tangent plus float degrees."""
-
-    tan: Fraction
-    degrees: float
-
-
-def theta_of_member(member: FamilyMember) -> ThetaValue:
-    p = member.params
-    return ThetaValue(Fraction(p.n, p.m), math.degrees(math.atan2(p.n, p.m)))
-
-
-def generating_pairs(t_max: int) -> Iterator[tuple[int, int, TForm, int, int, int]]:
-    """Yield (t1, t2, form, m, n, L) in (t1, t2) order.
-
-    Exactly one form per t-pair satisfies m > n (t1^2 - t2^2 is odd and
-    2*t1*t2 even, so they never tie); only that form is yielded, unlike
-    single-shot mnl_from_t, which refuses the other.
-    """
+def generating_pairs(t_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (t1, t2, m, n, L) in (t1, t2) order."""
     if t_max < 2:
         raise DomainError(f"t_max must be >= 2, got {t_max}")
     for t1 in range(2, t_max + 1):
         for t2 in range(1, t1):
             if gcd(t1, t2) != 1 or (t1 + t2) % 2 == 0:
                 continue
-            form = TForm.ODD_M if t1 * t1 - t2 * t2 > 2 * t1 * t2 else TForm.EVEN_M
-            yield (t1, t2, form, *mnl_from_t(t1, t2, form))
+            yield (t1, t2, *mnl_from_t(t1, t2))
 
 
 def check_member_count(counts: Iterable[int]) -> None:
@@ -224,7 +193,7 @@ def check_member_count(counts: Iterable[int]) -> None:
 
 def _window(
     t_max: int, delta_max: int, heron_only: bool
-) -> Iterator[tuple[tuple[int, int, TForm, int, int, int], range]]:
+) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
     """Each generating pair of the window, with the deltas of its members."""
     for pair in generating_pairs(t_max):
         if not heron_only:
@@ -239,7 +208,7 @@ def _window(
 def enumerate_family(
     t_max: int, delta_max: int, *, heron_only: bool = False
 ) -> Iterator[FamilyMember]:
-    """Enumerate members ordered by (t1, t2, form, delta), each exactly once.
+    """Enumerate members ordered by (t1, t2, delta), each exactly once.
 
     With ``heron_only`` the delta loop walks the multiples of L up to
     delta_max. A window of more than ``MEMBERS_MAX`` members raises
@@ -253,9 +222,9 @@ def enumerate_family(
     if delta_max < 1:
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
     check_member_count(len(deltas) for _, deltas in _window(t_max, delta_max, heron_only))
-    for (t1, t2, form, m, n, L), deltas in _window(t_max, delta_max, heron_only):
+    for (_t1, _t2, m, n, _L), deltas in _window(t_max, delta_max, heron_only):
         for delta in deltas:
-            yield family_member(delta, m, n, t1=t1, t2=t2, t_form=form)
+            yield family_member(delta, m, n)
 
 
 def coprimality_certificate(m: int, n: int, L: int) -> tuple[int, int]:

@@ -282,7 +282,7 @@ def _family_pairs_up_to(m_limit: int):
     """All primitive hypotenuse pairs (m, n, L) with m <= m_limit, via the
     two-parameter generator (t up to m_limit covers every m <= m_limit)."""
     pairs = sorted(
-        (m, n, L) for _t1, _t2, _f, m, n, L in generating_pairs(m_limit) if m <= m_limit
+        (m, n, L) for _t1, _t2, m, n, L in generating_pairs(m_limit) if m <= m_limit
     )
     return pairs
 
@@ -331,7 +331,7 @@ def test_criterion_5_family_invariant_sweep():
 def test_criterion_6_heron_criterion_equivalence():
     with criterion(6, "Heron <=> L | delta <=> integral, plus coprimality"):
         members_checked = 0
-        for _t1, _t2, _form, m, n, L in generating_pairs(10):
+        for _t1, _t2, m, n, L in generating_pairs(10):
             for delta in range(1, 3 * L + 1):
                 member = family_member(delta, m, n)
                 divisible = delta % L == 0
@@ -345,7 +345,7 @@ def test_criterion_6_heron_criterion_equivalence():
                 members_checked += 1
         assert members_checked > 0
 
-        for _t1, _t2, _form, m, n, L in generating_pairs(30):
+        for _t1, _t2, m, n, L in generating_pairs(30):
             assert coprimality_certificate(m, n, L) == (1, 1), (m, n, L)
 
 

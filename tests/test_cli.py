@@ -352,10 +352,13 @@ class TestSolveCommand:
         "k, message",
         [
             (f"{10**400}..{10**400}", "reaches past |k| = 1000000"),
+            # past int()'s digit limit: still a bound past the cap, not a parse error
+            ("0.." + "9" * 5000, "reaches past |k| = 1000000"),
+            ("-" + "9" * 5000 + "..0", "reaches past |k| = 1000000"),
             ("0..3000000", "reaches past |k| = 1000000"),
             ("0..10000", "spans more than 10000 periods"),
         ],
-        ids=["magnitude-1e400", "magnitude-3e6", "width"],
+        ids=["magnitude-1e400", "digits-5000", "negative-digits-5000", "magnitude-3e6", "width"],
     )
     def test_k_range_cap_is_domain_error(self, capsys, k, message):
         start = time.perf_counter()
@@ -570,6 +573,12 @@ class TestFamilyCommand:
         assert member["tangents"]["Gamma"] == "-4/3"
         assert member["is_heron"] is False
         assert member["errata"] == ["family-tangent-closed-form"]
+
+    def test_theta_is_the_construction_theta(self, capsys):
+        doc = run_json(capsys, "family", "--t-max", "6", "--delta-max", "8")
+        for member in doc["result"]["members"]:
+            built = run_json(capsys, "construct", *map(str, member["triple"]))
+            assert member["theta"] == built["result"]["theta"], member["params"]
 
     @settings(max_examples=12)
     @given(

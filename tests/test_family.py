@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, exact_sqrt, scaled_triple, surd_normalize
@@ -21,42 +21,37 @@ from heronquad.family import (
     family_member,
     generating_pairs,
     mnl_from_t,
-    theta_of_member,
 )
 
 
 class TestMnlFromT:
     def test_even_m_form_first_pair(self):
-        assert mnl_from_t(2, 1, TForm.EVEN_M) == (4, 3, 5)
+        # (2, 1): 2*t1*t2 = 4 is the larger leg
+        assert mnl_from_t(2, 1) == (4, 3, 5)
 
     def test_even_m_form_second_pair(self):
-        assert mnl_from_t(3, 2, TForm.EVEN_M) == (12, 5, 13)
-
-    def test_odd_m_rejected_when_m_below_n(self):
-        # (2, 1) odd-m gives m = 3 < n = 4; the error names the other form
-        with pytest.raises(DomainError, match="even-m"):
-            mnl_from_t(2, 1, TForm.ODD_M)
+        assert mnl_from_t(3, 2) == (12, 5, 13)
 
     def test_odd_m_accepted_when_larger(self):
-        # (4, 1): odd-m gives m = 15, n = 8 with L = 17
-        assert mnl_from_t(4, 1, TForm.ODD_M) == (15, 8, 17)
+        # (4, 1): t1^2 - t2^2 = 15 is the larger leg, n = 8, L = 17
+        assert mnl_from_t(4, 1) == (15, 8, 17)
 
     def test_l_is_hypotenuse(self):
-        for t1, t2, form in ((2, 1, TForm.EVEN_M), (4, 1, TForm.ODD_M)):
-            m, n, L = mnl_from_t(t1, t2, form)
+        for t1, t2 in ((2, 1), (4, 1)):
+            m, n, L = mnl_from_t(t1, t2)
             assert m * m + n * n == L * L
-        assert mnl_from_t(2, 1, TForm.EVEN_M)[2] == 5
+        assert mnl_from_t(2, 1)[2] == 5
 
     def test_t_pair_validation(self):
         # the t pair is checked as a generator pair, with the same wording
         with pytest.raises(DomainError, match="n >= 1"):
-            mnl_from_t(2, 0, TForm.EVEN_M)
+            mnl_from_t(2, 0)
         with pytest.raises(DomainError, match="m > n"):
-            mnl_from_t(2, 2, TForm.EVEN_M)
+            mnl_from_t(2, 2)
         with pytest.raises(DomainError, match="gcd"):
-            mnl_from_t(4, 2, TForm.EVEN_M)
+            mnl_from_t(4, 2)
         with pytest.raises(DomainError, match="odd"):
-            mnl_from_t(3, 1, TForm.EVEN_M)
+            mnl_from_t(3, 1)
 
 
 T_MAX = 60
@@ -76,22 +71,19 @@ class TestOneEuclidFormula:
     def test_t_layer_over_every_pair_and_form(self):
         for t1 in range(2, T_MAX + 1):
             for t2 in range(1, t1):
-                for form in TForm:
-                    if not _is_generator_pair(t1, t2):
-                        with pytest.raises(DomainError, match="generator pair needs"):
-                            mnl_from_t(t1, t2, form)
-                        continue
-                    odd, even, L = t1 * t1 - t2 * t2, 2 * t1 * t2, t1 * t1 + t2 * t2
-                    m, n = (odd, even) if form is TForm.ODD_M else (even, odd)
-                    if m > n:
-                        assert mnl_from_t(t1, t2, form) == (m, n, L)
-                    else:
-                        other = TForm.EVEN_M if form is TForm.ODD_M else TForm.ODD_M
-                        with pytest.raises(DomainError, match=f"use form {other.value}"):
-                            mnl_from_t(t1, t2, form)
+                if not _is_generator_pair(t1, t2):
+                    with pytest.raises(DomainError, match="generator pair needs"):
+                        mnl_from_t(t1, t2)
+                    continue
+                odd, even, L = t1 * t1 - t2 * t2, 2 * t1 * t2, t1 * t1 + t2 * t2
+                m, n = max(odd, even), min(odd, even)
+                assert mnl_from_t(t1, t2) == (m, n, L)
+                params = GeneratorParams(1, m, n, L)
+                assert params.t_pair == (t1, t2)
+                assert params.t_form is (TForm.ODD_M if odd > even else TForm.EVEN_M)
 
     def test_member_triple_matches_scaled_triple(self):
-        for _t1, _t2, _form, m, n, L in generating_pairs(T_MAX):
+        for _t1, _t2, m, n, L in generating_pairs(T_MAX):
             for delta in (1, 7, L):
                 t = scaled_triple(delta, m, n)
                 literal = _literal_triple(delta, m, n)
@@ -104,17 +96,14 @@ class TestOneEuclidFormula:
                 if not _is_generator_pair(t1, t2):
                     continue
                 odd, even, L = t1 * t1 - t2 * t2, 2 * t1 * t2, t1 * t1 + t2 * t2
-                if odd > even:
-                    expected.append((t1, t2, TForm.ODD_M, odd, even, L))
-                else:
-                    expected.append((t1, t2, TForm.EVEN_M, even, odd, L))
+                expected.append((t1, t2, max(odd, even), min(odd, even), L))
         assert list(generating_pairs(T_MAX)) == expected
 
 
 class TestFamilyMember:
     def test_worked_example_member(self):
         mem = family_member(5, 4, 3)
-        assert mem.triple() == (120, 35, 125)
+        assert mem.params.triple() == (120, 35, 125)
         assert mem.side_gamma_b == 120
         assert mem.side_b_gamma2 == 120
         assert mem.side_gamma2_gamma1 == 200
@@ -184,7 +173,7 @@ class TestFamilyMember:
         mem = family_member(5, 4, 3)
         k = mem.params.k
         assert k == 2 * 5 * 4 * 5
-        a, b, g = (Fraction(v) for v in mem.triple())
+        a, b, g = (Fraction(v) for v in mem.params.triple())
         assert k * k == a * a + (b + g) ** 2
 
 
@@ -221,30 +210,23 @@ class TestHeronCriterion:
 
 class TestTheta:
     def test_theta_is_n_over_m(self):
-        mem = family_member(5, 4, 3)
-        theta = theta_of_member(mem)
-        assert theta.tan == Fraction(3, 4)
-        assert math.isclose(theta.degrees, math.degrees(math.atan(3 / 4)), abs_tol=1e-12)
+        quad = family_member(5, 4, 3).quad
+        assert quad.tan_theta == Fraction(3, 4)
+        assert math.isclose(quad.theta_degrees, math.degrees(math.atan(3 / 4)), abs_tol=1e-12)
 
     def test_theta_independent_of_delta(self):
-        assert theta_of_member(family_member(1, 4, 3)).tan == theta_of_member(
-            family_member(9, 4, 3)
-        ).tan
+        assert family_member(1, 4, 3).quad.tan_theta == family_member(9, 4, 3).quad.tan_theta
 
 
 class TestGeneratingPairs:
     def test_t_max_3(self):
-        pairs = list(generating_pairs(3))
-        assert [(t1, t2, m, n, L) for t1, t2, _f, m, n, L in pairs] == [
-            (2, 1, 4, 3, 5),
-            (3, 2, 12, 5, 13),
-        ]
+        assert list(generating_pairs(3)) == [(2, 1, 4, 3, 5), (3, 2, 12, 5, 13)]
 
     def test_exactly_one_form_per_pair(self):
-        seen = {}
-        for t1, t2, form, m, n, L in generating_pairs(10):
+        seen = set()
+        for t1, t2, m, n, L in generating_pairs(10):
             assert (t1, t2) not in seen
-            seen[(t1, t2)] = form
+            seen.add((t1, t2))
             assert m > n >= 1
             assert m * m + n * n == L * L
             assert math.gcd(m, n) == 1 and (m + n) % 2 == 1
@@ -269,7 +251,7 @@ class TestEnumerateFamily:
 
     def test_ordering_by_pair_then_delta(self):
         members = list(enumerate_family(3, 3))
-        keys = [(mem.params.t1, mem.params.t2, mem.params.delta) for mem in members]
+        keys = [(*mem.params.t_pair, mem.params.delta) for mem in members]
         assert keys == sorted(keys)
 
     def test_cap_is_inclusive_and_stops_reading(self):
@@ -290,16 +272,33 @@ class TestEnumerateFamily:
             next(enumerate_family(3, MEMBERS_MAX))
         assert built == []
 
-    def test_t_metadata_round_trip(self):
-        for mem in enumerate_family(5, 2):
-            p = mem.params
-            assert p.t1 is not None and p.t2 is not None and p.t_form is not None
-            assert mnl_from_t(p.t1, p.t2, p.t_form) == (p.m, p.n, p.L)
+
+
+class TestDerivedTLayer:
+    """A member's t-pair and form come from (m, n, L); nothing can claim others."""
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([(m, n) for _t1, _t2, m, n, _L in generating_pairs(30)]),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_t_pair_and_form_round_trip(self, pair, delta):
+        p = family_member(delta, *pair).params
+        t1, t2 = p.t_pair
+        assert mnl_from_t(t1, t2) == (p.m, p.n, p.L)
+        # the form names which of (m, n) is the even value 2*t1*t2
+        assert (p.n if p.t_form is TForm.ODD_M else p.m) == 2 * t1 * t2
+
+    def test_t_data_cannot_be_supplied(self):
+        with pytest.raises(TypeError):
+            family_member(5, 4, 3, t1=9, t2=7)
+        with pytest.raises(TypeError):
+            GeneratorParams(5, 4, 3, 5, 9, 7, TForm.ODD_M)
 
 
 class TestCoprimality:
     def test_certificate_for_generating_pairs(self):
-        for _t1, _t2, _form, m, n, L in generating_pairs(12):
+        for _t1, _t2, m, n, L in generating_pairs(12):
             assert coprimality_certificate(m, n, L) == (1, 1)
 
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=59))

@@ -63,8 +63,12 @@ if TYPE_CHECKING:
 __all__ = ["ParseError", "main"]
 
 
-class ParseError(ValueError):
-    """Malformed command-line or input-file values (exit code 2)."""
+class ParseError(argparse.ArgumentTypeError, ValueError):
+    """Malformed command-line or input-file values (exit code 2).
+
+    An ``ArgumentTypeError``, so argparse prints its message when an
+    argument's ``type=`` function raises it.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +80,31 @@ _INT_LITERAL_RE = re.compile(r"[+-]?\d+")
 # Every exact number read from the command line or a --input file has at
 # most this many digits in its numerator and in its denominator, so the
 # values the commands print stay far below Python's 4,300-digit int-to-str
-# limit. An exponent of five or more digits is refused before it is expanded.
+# limit. A number written with a longer run of significant digits, or with
+# an exponent of five or more digits, is refused before it is converted.
 _MAX_DIGITS = 300
+_DIGIT_RUN_RE = re.compile(r"\d(?:_?\d)*")
 _HUGE_EXPONENT_RE = re.compile(r"e[+-]?[0_]*[1-9](_?\d){4}", re.IGNORECASE)
+
+# a message quotes at most this many characters of an input
+_QUOTE_MAX = 40
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, or of its first ``_QUOTE_MAX`` characters and its length."""
+    if len(text) <= _QUOTE_MAX:
+        return repr(text)
+    return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
+
+
+def _too_many_digits(text: str) -> ParseError:
+    return ParseError(f"{_quote(text)} has more than {_MAX_DIGITS} digits")
+
+
+def _check_digit_runs(text: str) -> None:
+    for run in _DIGIT_RUN_RE.findall(text):
+        if len(run.replace("_", "").lstrip("0")) > _MAX_DIGITS:
+            raise _too_many_digits(text)
 
 
 def _parse_float(text: str) -> float:
@@ -86,48 +112,45 @@ def _parse_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"not a number: {text!r}") from None
+        raise ParseError(f"not a number: {_quote(text)}") from None
     if not math.isfinite(value):
-        raise ParseError(f"not a finite number: {text!r}")
+        raise ParseError(f"not a finite number: {_quote(text)}")
     return value
 
 
 def _bounded(value: Fraction | int, text: str) -> Fraction | int:
     limit = 10**_MAX_DIGITS
     if abs(value.numerator) >= limit or value.denominator >= limit:
-        raise ParseError(f"{text!r} has more than {_MAX_DIGITS} digits")
+        raise _too_many_digits(text)
     return value
 
 
 def _parse_number(text: str) -> Fraction | float:
     """Integers and p/q stay exact; decimal literals become finite floats."""
     if _RATIONAL_RE.match(text):
-        return _bounded(Fraction(text), text)
+        return _parse_rational(text)
     return _parse_float(text)
 
 
 def _parse_rational(text: str) -> Fraction:
     """Exact rational from an integer, p/q, or decimal literal."""
+    _check_digit_runs(text)
     if _HUGE_EXPONENT_RE.search(text):
-        raise ParseError(f"{text!r} has more than {_MAX_DIGITS} digits")
+        raise _too_many_digits(text)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {text!r}") from None
+        raise ParseError(f"not a rational number: {_quote(text)}") from None
     return _bounded(value, text)
 
 
 def _parse_int(text: str) -> int:
+    _check_digit_runs(text)
     try:
         value = int(text)
     except ValueError:
-        raise ParseError(f"not an integer: {text!r}") from None
+        raise ParseError(f"not an integer: {_quote(text)}") from None
     return _bounded(value, text)
-
-
-_parse_number.__name__ = "number"
-_parse_rational.__name__ = "rational"
-_parse_int.__name__ = "integer"
 
 
 def _parse_k_bound(bound: str, text: str) -> int:
@@ -137,13 +160,13 @@ def _parse_k_bound(bound: str, text: str) -> int:
         if _INT_LITERAL_RE.fullmatch(bound):
             # too long for int(): whatever its value, it lies past the |k| cap
             return -(K_ABS_MAX + 1) if bound[0] == "-" else K_ABS_MAX + 1
-        raise ParseError(f"k range bounds must be integers, got {text!r}") from None
+        raise ParseError(f"k range bounds must be integers, got {_quote(text)}") from None
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise ParseError(f"k range must look like MIN..MAX, got {text!r}")
+        raise ParseError(f"k range must look like MIN..MAX, got {_quote(text)}")
     return _parse_k_bound(lo, text), _parse_k_bound(hi, text)
 
 
@@ -677,24 +700,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # parser wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    digits = f"at most {_MAX_DIGITS} digits in numerator and denominator"
-    parser = argparse.ArgumentParser(
-        prog="heron-quad",
-        description=(
-            "Exact solver for a sin x + b cos x = c and the cyclic-quadrilateral "
-            "constructions it generates from Pythagorean triples."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_DIGITS = f"at most {_MAX_DIGITS} digits in numerator and denominator"
+_WINDOW = f"the window holds at most {MEMBERS_MAX} members (exit 3 past that)"
 
-    sp = sub.add_parser("solve", help="classify and enumerate equation solutions")
+
+def _solve_arguments(sp: argparse.ArgumentParser) -> None:
     for name in ("alpha", "beta", "gamma"):
         sp.add_argument(
-            name, type=_parse_number, help=f"integer or p/q, exact ({digits}), or a decimal float"
+            name, type=_parse_number, help=f"integer or p/q, exact ({_DIGITS}), or a decimal float"
         )
     sp.add_argument(
         "--k",
@@ -705,36 +718,35 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sp.add_argument("--out", default=None, help="write output to this file")
-    sp.set_defaults(func=_cmd_solve)
 
-    cp = sub.add_parser("construct", help="build the quadrilateral for a right triple")
+
+def _construct_arguments(cp: argparse.ArgumentParser) -> None:
     for name in ("alpha", "beta", "gamma"):
-        cp.add_argument(name, type=_parse_rational, help=f"integer, p/q or decimal, {digits}")
+        cp.add_argument(name, type=_parse_rational, help=f"integer, p/q or decimal, {_DIGITS}")
     cp.add_argument("--svg", default=None, help="also render an SVG to this file")
     cp.add_argument("--out", default=None, help="write output to this file")
-    cp.set_defaults(func=_cmd_construct)
 
-    window = f"the window holds at most {MEMBERS_MAX} members (exit 3 past that)"
-    fp = sub.add_parser("family", help="enumerate parametric family members")
+
+def _family_arguments(fp: argparse.ArgumentParser) -> None:
     fp.add_argument("--t-max", type=_parse_int, required=True)
-    fp.add_argument("--delta-max", type=_parse_int, required=True, help=window)
+    fp.add_argument("--delta-max", type=_parse_int, required=True, help=_WINDOW)
     fp.add_argument("--heron-only", action="store_true")
     fp.add_argument("--out", default=None, help="write output to this file")
-    fp.set_defaults(func=_cmd_family)
 
-    hp = sub.add_parser("heron-table", help="integer-sided members, JSON or CSV")
+
+def _heron_table_arguments(hp: argparse.ArgumentParser) -> None:
     hp.add_argument("--t-max", type=_parse_int, default=3)
     hp.add_argument(
         "--delta-multiples",
         type=_parse_int,
         default=1,
-        help=f"emit rows for delta = j*L, j = 1..J, J >= 1 (default 1); {window}",
+        help=f"emit rows for delta = j*L, j = 1..J, J >= 1 (default 1); {_WINDOW}",
     )
     hp.add_argument("--format", choices=("json", "csv"), default="json")
     hp.add_argument("--out", default=None, help="write output to this file")
-    hp.set_defaults(func=_cmd_heron_table)
 
-    vp = sub.add_parser("verify", help="run the independent oracle checks")
+
+def _verify_arguments(vp: argparse.ArgumentParser) -> None:
     group = vp.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--triple", nargs=3, type=_parse_int, metavar=("A", "B", "C"), default=None
@@ -742,16 +754,71 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--params", nargs=3, type=_parse_int, metavar=("DELTA", "M", "N"), default=None
     )
-    group.add_argument("--input", default=None, help=f"JSON document to verify (numbers: {digits})")
+    group.add_argument(
+        "--input", default=None, help=f"JSON document to verify (numbers: {_DIGITS})"
+    )
     vp.add_argument("--out", default=None, help="write output to this file")
-    vp.set_defaults(func=_cmd_verify)
 
-    gp = sub.add_parser("svg", help="render a construction as SVG")
+
+def _svg_arguments(gp: argparse.ArgumentParser) -> None:
     for name in ("alpha", "beta", "gamma"):
-        gp.add_argument(name, type=_parse_rational, help=f"integer, p/q or decimal, {digits}")
+        gp.add_argument(name, type=_parse_rational, help=f"integer, p/q or decimal, {_DIGITS}")
     gp.add_argument("--out", default=None, help="write the SVG to this file")
-    gp.set_defaults(func=_cmd_svg)
 
+
+# (name, help line, the function that adds its arguments, the command it runs)
+_SUBCOMMANDS = (
+    ("solve", "classify and enumerate equation solutions", _solve_arguments, _cmd_solve),
+    (
+        "construct",
+        "build the quadrilateral for a right triple",
+        _construct_arguments,
+        _cmd_construct,
+    ),
+    ("family", "enumerate parametric family members", _family_arguments, _cmd_family),
+    ("heron-table", "integer-sided members, JSON or CSV", _heron_table_arguments, _cmd_heron_table),
+    ("verify", "run the independent oracle checks", _verify_arguments, _cmd_verify),
+    ("svg", "render a construction as SVG", _svg_arguments, _cmd_svg),
+)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """The parser of one subcommand. Its arguments are added when argparse
+    hands it a command line, so a call adds only those of the subcommand it
+    runs; help, usage and error texts are those of the complete parser.
+    """
+
+    def __init__(self, *args, add_arguments, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def fill(self) -> None:
+        """Add this subcommand's arguments, once."""
+        add, self._add_arguments = self._add_arguments, None
+        if add is not None:
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.fill()
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="heron-quad",
+        description=(
+            "Exact solver for a sin x + b cos x = c and the cyclic-quadrilateral "
+            "constructions it generates from Pythagorean triples."
+        ),
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_line, add_arguments, command in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, add_arguments=add_arguments).set_defaults(
+            func=command
+        )
     return parser
 
 

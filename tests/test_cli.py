@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: envelope shape, determinism, exit codes,
 file output, CSV and SVG emission, and the verify modes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -315,6 +316,15 @@ class TestSolveCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_long_bad_k_range_is_quoted_short(self, capsys):
+        code, out, err = run(capsys, "solve", "3", "4", "5", "--k=0.." + "9" * 5000 + "x")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "heron-quad: parse error: k range bounds must be integers, got "
+            f"'0..{'9' * 37}'... (5004 characters)\n"
+        )
+
     def test_inverted_k_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "solve", "3", "4", "5", "--k", "2..1")
         assert code == 3
@@ -521,8 +531,20 @@ class TestConstructCommand:
             ("construct", "1e100000", "1", "1"),
             ("solve", str(10**300), "1", "1"),
             ("verify", "--params", str(10**300), "4", "3"),
+            ("family", "--t-max", "9" * 5000, "--delta-max", "3"),
+            ("solve", "1", "2", "9" * 5000),
+            ("construct", "9" * 5000, "4", "5"),
         ],
-        ids=["exponent", "denominator", "long-exponent", "solve-integer", "verify-integer"],
+        ids=[
+            "exponent",
+            "denominator",
+            "long-exponent",
+            "solve-integer",
+            "verify-integer",
+            "family-5000-digits",
+            "solve-5000-digits",
+            "construct-5000-digits",
+        ],
     )
     def test_too_many_digits_is_parse_error(self, capsys, argv):
         start = time.perf_counter()
@@ -531,6 +553,9 @@ class TestConstructCommand:
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+        # the type function's own reason, with a bounded quote of the input
+        assert "has more than 300 digits" in err
+        assert len(err.encode()) < 1024
 
     def test_non_pythagorean_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "3", "4", "6")
@@ -828,6 +853,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_input_mode_long_number_is_short_parse_error(self, capsys, tmp_path):
+        # the digit cap is checked before Fraction() reads the string
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"alpha": "9" * 5000, "beta": "4", "gamma": "5"}))
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"heron-quad: parse error: '{'9' * 40}'... (5000 characters) "
+            "has more than 300 digits\n"
+        )
+
     def test_input_mode_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.json"))
         assert code == 2
@@ -908,3 +945,59 @@ class TestTopLevel:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert "0.1.0" in out
+
+
+_SUBCOMMAND_NAMES = [name for name, *_ in cli._SUBCOMMANDS]
+
+
+def _filled_parser():
+    """The CLI parser with every subcommand's arguments added up front."""
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for subparser in subparsers.choices.values():
+        subparser.fill()
+    return parser
+
+
+class TestLazySubcommands:
+    """Each subcommand's arguments are added only when argparse hands it the call."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"]] + [[name, "-h"] for name in _SUBCOMMAND_NAMES]
+        # a missing argument (heron-table has none required: a missing value)
+        + [[]] + [[name] for name in _SUBCOMMAND_NAMES if name != "heron-table"]
+        + [["heron-table", "--format"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_texts_equal_the_filled_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        lazy = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exit_info:
+            _filled_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert lazy == (exit_info.value.code, captured.out, captured.err)
+        assert lazy[0] in (0, 2)
+        assert lazy[1] or lazy[2]
+
+    def test_only_the_called_subcommand_gets_arguments(self, capsys, monkeypatch):
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(container, *args, **kwargs):
+            action = add_argument(container, *args, **kwargs)
+            added.append((container.prog, action.dest))
+            return action
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        assert main(["construct", "3", "4", "5"]) == 0
+        first = list(added)
+        assert sorted(first) == sorted(
+            [("heron-quad", "help"), ("heron-quad", "version")]
+            + [(f"heron-quad {name}", "help") for name in _SUBCOMMAND_NAMES]
+            + [("heron-quad construct", dest) for dest in ("alpha", "beta", "gamma", "svg", "out")]
+        )
+        # nothing is cached: a second call builds a fresh tree
+        assert main(["construct", "3", "4", "5"]) == 0
+        assert added[len(first):] == first
+        capsys.readouterr()

@@ -26,7 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
@@ -199,21 +199,24 @@ def _length_payload(value: Fraction | Surd) -> dict:
     return {"exact": exact, "approx": _round10(float(value))}
 
 
-def _measures_payload(obj: QuadConstruction | FamilyMember, length_payload) -> dict:
-    """``sides``, ``diagonals`` and ``tangents``, named by the geometry tables."""
+def _measures_payload(obj: QuadConstruction | FamilyMember, lengths) -> dict:
+    """``sides``, ``diagonals`` and ``tangents``, named by the geometry tables:
+    ``lengths`` are the payloads of the ``SEGMENTS`` in their order, and the
+    tangents are those of ``obj``."""
     payload: dict = {"sides": {}, "diagonals": {}}
-    for kind, label, _, attr in SEGMENTS:
-        payload[kind + "s"][label] = length_payload(getattr(obj, attr))
+    for (kind, label, _, _), length in zip(SEGMENTS, lengths):
+        payload[kind + "s"][label] = length
     payload["tangents"] = {vertex.value: str(getattr(obj, attr)) for vertex, attr in ANGLES}
     return payload
 
 
-def _theta_payload(q: QuadConstruction) -> dict:
-    return {
-        "tan": str(q.tan_theta),
-        "degrees": _round10(q.theta_degrees),
-        "degrees_display": f"{q.theta_degrees:.5f}",
-    }
+def _theta_leaves(q: QuadConstruction) -> tuple[str, float, str]:
+    """The ``tan``, ``degrees`` and ``degrees_display`` of theta."""
+    return str(q.tan_theta), _round10(q.theta_degrees), f"{q.theta_degrees:.5f}"
+
+
+def _theta_payload(tan: str, degrees: float, display: str) -> dict:
+    return {"tan": tan, "degrees": degrees, "degrees_display": display}
 
 
 def _envelope(command: str, inputs: dict, result: object, errata) -> dict:
@@ -234,7 +237,8 @@ def _emit_text(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ParseError(f"cannot write {out_path}: {exc}") from None
+        # the OSError text repeats the path: print it once
+        raise ParseError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 # the item indentation of ``result.members`` and ``result.rows``
@@ -420,11 +424,11 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
             **{vertex.value: _vertex_payload(p) for vertex, p in zip(Vertex, q.vertices())},
             "A": _vertex_payload(q.v_a),
         },
-        **_measures_payload(q, _length_payload),
+        **_measures_payload(q, [_length_payload(getattr(q, attr)) for *_, attr in SEGMENTS]),
         "angles_degrees": {
             vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
-        "theta": _theta_payload(q),
+        "theta": _theta_payload(*_theta_leaves(q)),
         "circumcircle": {
             "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
             "radius_squared": str(q.radius_squared),
@@ -464,38 +468,82 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
-def _member_payload(member: FamilyMember, errata) -> dict:
+def _member_leaves(member: FamilyMember) -> tuple:
+    """The leaves of a member's payload that change with delta, in output
+    order: delta, k, the triple, the six lengths, area, is_heron and theta."""
+    p = member.params
+    return (
+        p.delta,
+        p.k,
+        *p.triple(),
+        *[str(getattr(member, attr)) for *_, attr in SEGMENTS],
+        str(member.area),
+        member.is_heron,
+        *_theta_leaves(member.quad),
+    )
+
+
+def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -> dict:
+    """The payload of a member; ``leaves`` stand in for ``_member_leaves(member)``."""
     p = member.params
     t1, t2 = p.t_pair
+    delta, k, a, b, c, *lengths, area, is_heron, tan, degrees, display = (
+        _member_leaves(member) if leaves is None else leaves
+    )
     return {
         "params": {
             "t1": t1,
             "t2": t2,
             "t_form": p.t_form.value,
-            "delta": p.delta,
+            "delta": delta,
             "m": p.m,
             "n": p.n,
             "L": p.L,
-            "k": p.k,
+            "k": k,
         },
-        "triple": list(p.triple()),
-        **_measures_payload(member, str),
-        "area": str(member.area),
-        "is_heron": member.is_heron,
-        "theta": _theta_payload(member.quad),
+        "triple": [a, b, c],
+        **_measures_payload(member, lengths),
+        "area": area,
+        "is_heron": is_heron,
+        "theta": _theta_payload(tan, degrees, display),
         "errata": [er.ident for er in errata],
     }
+
+
+# each delta-dependent leaf of a member template; ``encode_basestring``
+# escapes NUL, so no other JSON text holds it
+_HOLE = _Encoded("\0")
+
+
+def _member_text(member: FamilyMember, templates: dict) -> _Encoded:
+    """``_encoded(_member_payload(member, errata_for_member(member)))``.
+
+    Outside its ``_member_leaves`` the text is the same for every member with
+    the same (m, n, errata), so it is encoded once per such key, into
+    ``templates``, and split at the leaves; a member fills in its own.
+    """
+    errata = errata_for_member(member)
+    leaves = _member_leaves(member)
+    key = member.params.m, member.params.n, errata
+    template = templates.get(key)
+    if template is None:
+        holes = (_HOLE,) * len(leaves)
+        template = templates[key] = _encoded(_member_payload(member, errata, holes)).split(_HOLE)
+    texts = [_LEAF_TEXT[type(leaf)](leaf) for leaf in leaves]
+    texts.append("")
+    return _Encoded("".join(chain.from_iterable(zip(template, texts))))
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
     from .family import enumerate_family
 
-    members = []
-    seen: dict = {}
-    for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
-        errata = errata_for_member(member)
-        members.append(_encoded(_member_payload(member, errata)))
-        seen.update(dict.fromkeys(errata))
+    templates: dict = {}
+    members = [
+        _member_text(member, templates)
+        for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
+    ]
+    # each erratum first appears with the first template that carries it
+    seen = dict.fromkeys(er for *_, errata in templates for er in errata)
     result = {"count": len(members), "members": members}
     inputs = {
         "t_max": args.t_max,
@@ -638,7 +686,7 @@ def _verify_input_file(path: str) -> VerificationReport:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too long or deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

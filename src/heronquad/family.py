@@ -13,7 +13,13 @@ runs its oracles on it instead of building it again):
     area       4*d^2*m^5*n/L^2
 
 All six lengths and the area are integers exactly when L divides d (the
-Heron members). Pairs (m, n) themselves come from a second Euclid layer:
+Heron members). ``enumerate_family`` does the delta-free work once per
+generating pair: it validates the pair, finds L and builds m^2 - n^2 and
+the four tangents. Once per member it builds the delta-scaled closed forms,
+the member's own construction and its full cross-check, the shoelace area
+included.
+
+Pairs (m, n) themselves come from a second Euclid layer:
 (t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
 t1^2 - t2^2 and 2*t1*t2 of a triple with hypotenuse L = t1^2 + t2^2; m is
 the larger leg. Both the t-pair and its form (odd-m: m = t1^2 - t2^2, or
@@ -113,10 +119,21 @@ def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
     return max(double_prod, square_diff), min(double_prod, square_diff), L
 
 
-def family_member(delta: int, m: int, n: int) -> FamilyMember:
-    """Build the member for (delta, m, n); (m, n) must have integral L."""
-    if delta < 1:
-        raise DomainError(f"delta must be >= 1, got {delta}")
+class _PairForms(NamedTuple):
+    """The delta-free closed forms of a generating pair (m, n)."""
+
+    m: int
+    n: int
+    L: int
+    mm_nn: int  # m^2 - n^2
+    tan_b: Fraction
+    tan_gamma: Fraction
+    tan_gamma1: Fraction
+    tan_gamma2: Fraction
+
+
+def _pair_forms(m: int, n: int) -> _PairForms:
+    """Validate (m, n), find L and build the closed forms no delta changes."""
     check_generator_pair(m, n)
     L = exact_sqrt(m * m + n * n)
     if L is None:
@@ -124,8 +141,24 @@ def family_member(delta: int, m: int, n: int) -> FamilyMember:
             f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
             f"(m={m}, n={n}) does not generate a family member"
         )
-    params = GeneratorParams(delta, m, n, L)
     mm_nn = m * m - n * n
+    return _PairForms(
+        m=m,
+        n=n,
+        L=L,
+        mm_nn=mm_nn,
+        tan_b=Fraction(2 * m * n, n * n - m * m),
+        tan_gamma=Fraction(-m, n),
+        tan_gamma1=Fraction(2 * m * n, mm_nn),
+        tan_gamma2=Fraction(m, n),
+    )
+
+
+def _member(delta: int, pair: _PairForms) -> FamilyMember:
+    """The member for ``delta`` (>= 1) of a validated pair, constructed and
+    cross-checked."""
+    m, n, L, mm_nn = pair.m, pair.n, pair.L, pair.mm_nn
+    params = GeneratorParams(delta, m, n, L)
     member = FamilyMember(
         params=params,
         side_gamma_b=2 * delta * m * n,
@@ -134,16 +167,23 @@ def family_member(delta: int, m: int, n: int) -> FamilyMember:
         side_gamma_gamma1=Fraction(2 * delta * m * mm_nn, L),
         diag_b_gamma1=2 * delta * m * m,
         diag_gamma_gamma2=Fraction(4 * delta * m * m * n, L),
-        tan_b=Fraction(2 * m * n, n * n - m * m),
-        tan_gamma=Fraction(-m, n),
-        tan_gamma1=Fraction(2 * m * n, mm_nn),
-        tan_gamma2=Fraction(m, n),
+        tan_b=pair.tan_b,
+        tan_gamma=pair.tan_gamma,
+        tan_gamma1=pair.tan_gamma1,
+        tan_gamma2=pair.tan_gamma2,
         area=Fraction(4 * delta * delta * m**5 * n, L * L),
         is_heron=delta % L == 0,
         quad=construct_quad(*params.triple()),
     )
     _cross_check(member)
     return member
+
+
+def family_member(delta: int, m: int, n: int) -> FamilyMember:
+    """Build the member for (delta, m, n); (m, n) must have integral L."""
+    if delta < 1:
+        raise DomainError(f"delta must be >= 1, got {delta}")
+    return _member(delta, _pair_forms(m, n))
 
 
 # every closed form a member shares, by attribute name, with its construction
@@ -223,8 +263,9 @@ def enumerate_family(
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
     check_member_count(len(deltas) for _, deltas in _window(t_max, delta_max, heron_only))
     for (_t1, _t2, m, n, _L), deltas in _window(t_max, delta_max, heron_only):
+        pair = _pair_forms(m, n)
         for delta in deltas:
-            yield family_member(delta, m, n)
+            yield _member(delta, pair)
 
 
 def coprimality_certificate(m: int, n: int, L: int) -> tuple[int, int]:

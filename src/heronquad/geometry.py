@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import DomainError, Surd, common_denominator, scaled_floats, surd_scale, surd_sqrt
+from .exactnum import DomainError, Surd, common_denominator, scaled_floats, surd_sqrt
 
 __all__ = [
     "ANGLES",
@@ -181,8 +181,10 @@ def construct_quad(
     bg = Fraction(BG, D)
     # each value is one Fraction of ints from (A, B, G, D). hyp^2 = 2g(b+g), so
     # hyp = (b+g)*sqrt(2G/(B+G)); the other surds are hyp*b/g and hyp*a/g. For a
-    # scaled Euclid triple 2G/(B+G) is c0/m^2 or 2c0/(m+n)^2: only c0 is split
-    root = surd_sqrt(Fraction(2 * G, BG))
+    # scaled Euclid triple 2G/(B+G) is c0/m^2 or 2c0/(m+n)^2: only c0 is split.
+    # With sqrt(2G/(B+G)) = coef*sqrt(r), hyp = (p/q)*sqrt(r) for p/q = coef*(B+G)/D
+    coef, r = surd_sqrt(Fraction(2 * G, BG))
+    p, q = coef.numerator * BG, coef.denominator * D
     return QuadConstruction(
         alpha=a,
         beta=b,
@@ -194,10 +196,10 @@ def construct_quad(
         v_a=Point2(g, zero),
         side_gamma_b=a,
         side_b_gamma2=a,
-        side_gamma2_gamma1=surd_scale(root, bg),
-        side_gamma_gamma1=surd_scale(root, Fraction(BG * B, G * D)),
+        side_gamma2_gamma1=Surd(Fraction(p, q), r),
+        side_gamma_gamma1=Surd(Fraction(p * B, q * G), r),
         diag_b_gamma1=bg,
-        diag_gamma_gamma2=surd_scale(root, Fraction(BG * A, G * D)),
+        diag_gamma_gamma2=Surd(Fraction(p * A, q * G), r),
         tan_b=Fraction(-A, B),
         tan_gamma=Fraction(A, B - G),
         tan_gamma1=Fraction(A, B),

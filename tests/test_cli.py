@@ -102,6 +102,23 @@ class TestEnvelope:
         assert err.startswith(f"heron-quad: parse error: cannot write {target}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, verb",
+        [
+            (("family", "--t-max", "3", "--delta-max", "2", "--out"), "write"),
+            (("verify", "--input"), "read"),
+        ],
+        ids=["unwritable", "unreadable"],
+    )
+    def test_a_long_file_path_is_printed_once(self, capsys, tmp_path, argv, verb):
+        target = str(tmp_path / ("x" * 5000))
+        code, out, err = run(capsys, *argv, target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"heron-quad: parse error: cannot {verb} {target}: ")
+        assert err.count(target) == 1
+        assert len(err) < len(target) + 100
+
 
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -604,6 +621,23 @@ class TestFamilyCommand:
         for member in doc["result"]["members"]:
             built = run_json(capsys, "construct", *map(str, member["triple"]))
             assert member["theta"] == built["result"]["theta"], member["params"]
+
+    @pytest.mark.parametrize("heron_only", [False, True], ids=["all", "heron-only"])
+    @pytest.mark.parametrize("t_max, delta_max", [(2, 6)] + [(t, 40) for t in range(2, 9)])
+    def test_template_text_is_the_member_encoding(self, t_max, delta_max, heron_only):
+        from heronquad.errata import errata_for_member
+        from heronquad.family import enumerate_family
+
+        templates: dict = {}
+        members = list(enumerate_family(t_max, delta_max, heron_only=heron_only))
+        assert members
+        for member in members:
+            expected = cli._encoded(cli._member_payload(member, errata_for_member(member)))
+            assert cli._member_text(member, templates) == expected, member.params
+        # every window here holds the worked example, and it has its own template
+        worked = (5, 4, 3, 5)
+        assert worked in {m.params for m in members}
+        assert len(templates) == len({(m.params[1:], m.params == worked) for m in members})
 
     @settings(max_examples=12)
     @given(

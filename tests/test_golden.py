@@ -55,6 +55,8 @@ CASES = [
     ),
     # six generating pairs, some with L > delta
     ("family-t5", [["family", "--t-max", "5", "--delta-max", "3"]], 0),
+    # the worked example (delta 5 of m = 4, n = 3) inside its pair's deltas
+    ("family-worked-example", [["family", "--t-max", "2", "--delta-max", "6"]], 0),
 ]
 
 

@@ -1,7 +1,7 @@
 """Work counts: each subject is constructed once, each oracle is
 evaluated once per verification, each coordinate quantity is measured
-once per verification, and verifying a built construction factors
-nothing."""
+once per verification, verifying a built construction factors nothing,
+and the family's once-per-pair work skips no per-member check."""
 
 import json
 import sys
@@ -9,13 +9,17 @@ from collections import Counter
 
 import pytest
 
-from heronquad import exactnum, geometry, verify
+from heronquad import cli, exactnum, family, geometry, verify
 from heronquad.cli import main
 from heronquad.family import family_member
 
 COUNTED = (
     (exactnum, "squarefree_decompose"),
     (geometry, "construct_quad"),
+    (geometry, "quad_area"),
+    (family, "_pair_forms"),
+    (family, "_cross_check"),
+    (cli, "_member_payload"),
     (geometry, "dist_squared"),
     (geometry, "interior_tangent_from_coords"),
     (verify, "concyclicity_determinant"),
@@ -52,6 +56,28 @@ def test_heron_table_constructs_each_row_once(calls, capsys):
     rows = json.loads(capsys.readouterr().out)["result"]["count"]
     assert rows > 0
     assert calls["construct_quad"] == rows
+
+
+@pytest.mark.parametrize(
+    "t_max, delta_max, heron_only", [(5, 12, False), (8, 40, True)], ids=["all", "heron-only"]
+)
+def test_family_checks_each_member_and_validates_each_pair_once(
+    calls, capsys, t_max, delta_max, heron_only
+):
+    argv = ["family", "--t-max", str(t_max), "--delta-max", str(delta_max)]
+    assert main(argv + ["--heron-only"] * heron_only) == 0
+    members = json.loads(capsys.readouterr().out)["result"]["members"]
+    assert calls["construct_quad"] == len(members)
+    assert calls["_cross_check"] == len(members)
+    assert calls["quad_area"] == len(members)
+    window = list(family._window(t_max, delta_max, heron_only))
+    assert len(window) > 1
+    assert calls["_pair_forms"] == len(window)
+    # one template per (m, n, errata); the worked example (5, 4, 3) has its own
+    pairs = {(mb["params"]["m"], mb["params"]["n"]) for mb in members}
+    worked = [mb for mb in members if (mb["params"]["delta"], mb["params"]["m"]) == (5, 4)]
+    assert len(worked) == 1
+    assert calls["_member_payload"] == len(pairs) + 1
 
 
 def test_verify_construction_evaluates_each_oracle_once(calls):

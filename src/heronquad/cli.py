@@ -589,35 +589,31 @@ def _failed_checks(report: VerificationReport) -> str:
 
 
 def _cmd_heron_table(args: argparse.Namespace) -> int:
-    from .family import check_member_count, family_member, generating_pairs
+    from .family import heron_multiples
     from .verify import verify_member
 
-    if args.delta_multiples < 1:
-        raise DomainError(f"delta_multiples must be >= 1, got {args.delta_multiples}")
-    check_member_count(args.delta_multiples for _ in generating_pairs(args.t_max))
     as_csv = args.format == "csv"
     rows = []
     seen: dict = {}
     failures = 0
-    for _t1, _t2, m, n, L in generating_pairs(args.t_max):
-        for j in range(1, args.delta_multiples + 1):
-            member = family_member(j * L, m, n)
-            report = verify_member(member)
-            if report.has_failures:
-                failures += 1
-                print(
-                    f"heron-quad: verification failed for (m={m}, n={n}, delta={j * L}): "
-                    f"{_failed_checks(report)}",
-                    file=sys.stderr,
-                )
-            row = _heron_row(member)
-            if as_csv:  # every cell is an int or a p/q string: none needs quoting
-                rows.append(",".join(map(str, row.values())))
-                continue
-            row["verified"] = not report.has_failures
-            row["errata"] = [er.ident for er in report.errata]
-            rows.append(_encoded(row))
-            seen.update(dict.fromkeys(report.errata))
+    for member in heron_multiples(args.t_max, args.delta_multiples):
+        report = verify_member(member)
+        if report.has_failures:
+            failures += 1
+            p = member.params
+            print(
+                f"heron-quad: verification failed for (m={p.m}, n={p.n}, delta={p.delta}): "
+                f"{_failed_checks(report)}",
+                file=sys.stderr,
+            )
+        row = _heron_row(member)
+        if as_csv:  # every cell is an int or a p/q string: none needs quoting
+            rows.append(",".join(map(str, row.values())))
+            continue
+        row["verified"] = not report.has_failures
+        row["errata"] = [er.ident for er in report.errata]
+        rows.append(_encoded(row))
+        seen.update(dict.fromkeys(report.errata))
 
     if as_csv:
         _emit_text("\n".join([",".join(_CSV_COLUMNS), *rows, ""]), args.out)

@@ -13,11 +13,15 @@ runs its oracles on it instead of building it again):
     area       4*d^2*m^5*n/L^2
 
 All six lengths and the area are integers exactly when L divides d (the
-Heron members). ``enumerate_family`` does the delta-free work once per
-generating pair: it validates the pair, finds L and builds m^2 - n^2 and
-the four tangents. Once per member it builds the delta-scaled closed forms,
-the member's own construction and its full cross-check, the shoelace area
-included.
+Heron members). ``enumerate_family`` (``family``: a delta range per pair)
+and ``heron_multiples`` (``heron-table``: delta = j*L) take their windows
+from one walker. It counts the window from the t-pairs alone and refuses
+one of more than ``MEMBERS_MAX`` members before any is built. Then it reads
+each pair once, builds the four tangents once per pair with members, and
+per member the delta-scaled closed forms, the member's own construction and
+its full cross-check, the shoelace area included. A walked pair is valid by
+construction; only ``family_member``, which takes outside (delta, m, n),
+checks the pair and finds L.
 
 Pairs (m, n) themselves come from a second Euclid layer:
 (t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple
 
 from .exactnum import (
     MEMBERS_MAX,
@@ -48,11 +53,11 @@ __all__ = [
     "FamilyMember",
     "GeneratorParams",
     "TForm",
-    "check_member_count",
     "coprimality_certificate",
     "enumerate_family",
     "family_member",
     "generating_pairs",
+    "heron_multiples",
     "mnl_from_t",
 ]
 
@@ -119,58 +124,33 @@ def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
     return max(double_prod, square_diff), min(double_prod, square_diff), L
 
 
-class _PairForms(NamedTuple):
-    """The delta-free closed forms of a generating pair (m, n)."""
-
-    m: int
-    n: int
-    L: int
-    mm_nn: int  # m^2 - n^2
-    tan_b: Fraction
-    tan_gamma: Fraction
-    tan_gamma1: Fraction
-    tan_gamma2: Fraction
-
-
-def _pair_forms(m: int, n: int) -> _PairForms:
-    """Validate (m, n), find L and build the closed forms no delta changes."""
-    check_generator_pair(m, n)
-    L = exact_sqrt(m * m + n * n)
-    if L is None:
-        raise DomainError(
-            f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
-            f"(m={m}, n={n}) does not generate a family member"
-        )
-    mm_nn = m * m - n * n
-    return _PairForms(
-        m=m,
-        n=n,
-        L=L,
-        mm_nn=mm_nn,
-        tan_b=Fraction(2 * m * n, n * n - m * m),
-        tan_gamma=Fraction(-m, n),
-        tan_gamma1=Fraction(2 * m * n, mm_nn),
-        tan_gamma2=Fraction(m, n),
+def _tangents(m: int, n: int) -> tuple:
+    """The tangents at B, Gamma, Gamma1 and Gamma2 of every member of (m, n)."""
+    return (
+        Fraction(2 * m * n, n * n - m * m),
+        Fraction(-m, n),
+        Fraction(2 * m * n, m * m - n * n),
+        Fraction(m, n),
     )
 
 
-def _member(delta: int, pair: _PairForms) -> FamilyMember:
-    """The member for ``delta`` (>= 1) of a validated pair, constructed and
-    cross-checked."""
-    m, n, L, mm_nn = pair.m, pair.n, pair.L, pair.mm_nn
+def _member(delta: int, m: int, n: int, L: int, tangents: tuple) -> FamilyMember:
+    """The member for ``delta`` (>= 1) of a valid pair (m, n) with m^2 + n^2 = L^2
+    and ``tangents = _tangents(m, n)``, constructed and cross-checked."""
     params = GeneratorParams(delta, m, n, L)
+    tan_b, tan_gamma, tan_gamma1, tan_gamma2 = tangents
     member = FamilyMember(
         params=params,
         side_gamma_b=2 * delta * m * n,
         side_b_gamma2=2 * delta * m * n,
         side_gamma2_gamma1=params.k,
-        side_gamma_gamma1=Fraction(2 * delta * m * mm_nn, L),
+        side_gamma_gamma1=Fraction(2 * delta * m * (m * m - n * n), L),
         diag_b_gamma1=2 * delta * m * m,
         diag_gamma_gamma2=Fraction(4 * delta * m * m * n, L),
-        tan_b=pair.tan_b,
-        tan_gamma=pair.tan_gamma,
-        tan_gamma1=pair.tan_gamma1,
-        tan_gamma2=pair.tan_gamma2,
+        tan_b=tan_b,
+        tan_gamma=tan_gamma,
+        tan_gamma1=tan_gamma1,
+        tan_gamma2=tan_gamma2,
         area=Fraction(4 * delta * delta * m**5 * n, L * L),
         is_heron=delta % L == 0,
         quad=construct_quad(*params.triple()),
@@ -183,7 +163,14 @@ def family_member(delta: int, m: int, n: int) -> FamilyMember:
     """Build the member for (delta, m, n); (m, n) must have integral L."""
     if delta < 1:
         raise DomainError(f"delta must be >= 1, got {delta}")
-    return _member(delta, _pair_forms(m, n))
+    check_generator_pair(m, n)
+    L = exact_sqrt(m * m + n * n)
+    if L is None:
+        raise DomainError(
+            f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
+            f"(m={m}, n={n}) does not generate a family member"
+        )
+    return _member(delta, m, n, L, _tangents(m, n))
 
 
 # every closed form a member shares, by attribute name, with its construction
@@ -205,44 +192,44 @@ def _cross_check(member: FamilyMember) -> None:
         raise RuntimeError(f"closed-form area disagrees with coordinates for {member.params}")
 
 
-def generating_pairs(t_max: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Yield (t1, t2, m, n, L) in (t1, t2) order."""
+def _t_pairs(t_max: int) -> Iterator[tuple[int, int]]:
+    """Yield the t-pairs (t1, t2), t_max >= t1 > t2 >= 1, in (t1, t2) order."""
     if t_max < 2:
         raise DomainError(f"t_max must be >= 2, got {t_max}")
     for t1 in range(2, t_max + 1):
         for t2 in range(1, t1):
-            if gcd(t1, t2) != 1 or (t1 + t2) % 2 == 0:
-                continue
-            yield (t1, t2, *mnl_from_t(t1, t2))
+            if gcd(t1, t2) == 1 and (t1 + t2) % 2:
+                yield t1, t2
 
 
-def check_member_count(counts: Iterable[int]) -> None:
-    """Refuse a window whose per-pair member counts sum past ``MEMBERS_MAX``.
+def generating_pairs(t_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (t1, t2, m, n, L) in (t1, t2) order."""
+    for t1, t2 in _t_pairs(t_max):
+        yield (t1, t2, *mnl_from_t(t1, t2))
 
-    Reading stops as soon as the sum passes the cap, so an over-cap window
-    is refused in time bounded by the cap, not by the window.
+
+def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[FamilyMember]:
+    """The members (delta, m, n) with delta in ``deltas(L)``, by (t1, t2, delta).
+
+    ``deltas(L)`` must not grow with L: the count from the t-pairs stops at
+    the first t1 whose least L, t1^2 + 1, has no delta.
     """
-    total = 0
-    for count in counts:
-        total += count
+    pairs = total = 0
+    for t1, t2 in _t_pairs(t_max):
+        if not deltas(t1 * t1 + 1):
+            break
+        total += len(deltas(t1 * t1 + t2 * t2))
         if total > MEMBERS_MAX:
             raise DomainError(
                 f"the window has more than {MEMBERS_MAX} members; lower t_max or the delta range"
             )
-
-
-def _window(
-    t_max: int, delta_max: int, heron_only: bool
-) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
-    """Each generating pair of the window, with the deltas of its members."""
-    for pair in generating_pairs(t_max):
-        if not heron_only:
-            yield pair, range(1, delta_max + 1)
-        elif pair[0] * pair[0] < delta_max:
-            yield pair, range(pair[-1], delta_max + 1, pair[-1])
-        else:
-            # L = t1^2 + t2^2 > delta_max here and at every later pair
-            return
+        pairs += 1
+    for _t1, _t2, m, n, L in islice(generating_pairs(t_max), pairs):
+        span = deltas(L)
+        if span:
+            tangents = _tangents(m, n)
+            for delta in span:
+                yield _member(delta, m, n, L, tangents)
 
 
 def enumerate_family(
@@ -261,11 +248,21 @@ def enumerate_family(
     """
     if delta_max < 1:
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
-    check_member_count(len(deltas) for _, deltas in _window(t_max, delta_max, heron_only))
-    for (_t1, _t2, m, n, _L), deltas in _window(t_max, delta_max, heron_only):
-        pair = _pair_forms(m, n)
-        for delta in deltas:
-            yield _member(delta, pair)
+    if heron_only:
+        yield from _walk(t_max, lambda L: range(L, delta_max + 1, L))
+    else:
+        yield from _walk(t_max, lambda L: range(1, delta_max + 1))
+
+
+def heron_multiples(t_max: int, multiples: int) -> Iterator[FamilyMember]:
+    """The Heron members delta = j*L, j = 1..multiples, by (t1, t2, j).
+
+    A window of more than ``MEMBERS_MAX`` members raises ``DomainError``
+    before the first member is built.
+    """
+    if multiples < 1:
+        raise DomainError(f"delta_multiples must be >= 1, got {multiples}")
+    yield from _walk(t_max, lambda L: range(L, multiples * L + 1, L))
 
 
 def coprimality_certificate(m: int, n: int, L: int) -> tuple[int, int]:

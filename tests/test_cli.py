@@ -679,6 +679,21 @@ class TestFamilyCommand:
         assert out == ""
         assert f"more than {cli.MEMBERS_MAX} members" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("heron-table", "--t-max", "1", "--delta-multiples", "0"), "delta_multiples"),
+            (("family", "--t-max", "1", "--delta-max", "0"), "delta_max"),
+        ],
+        ids=["heron-table", "family"],
+    )
+    def test_bad_delta_range_is_named_before_a_bad_t_max(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"domain error: {name} must be >= 1, got 0" in err
+        assert "t_max" not in err
+
     def test_heron_only_stops_at_the_last_possible_pair(self, capsys):
         # t1^2 >= delta_max makes L = t1^2 + t2^2 > delta_max for every later pair
         delta_max = 200

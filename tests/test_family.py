@@ -15,11 +15,11 @@ from heronquad.family import (
     GeneratorParams,
     TForm,
     _cross_check,
-    check_member_count,
     coprimality_certificate,
     enumerate_family,
     family_member,
     generating_pairs,
+    heron_multiples,
     mnl_from_t,
 )
 
@@ -254,24 +254,36 @@ class TestEnumerateFamily:
         keys = [(*mem.params.t_pair, mem.params.delta) for mem in members]
         assert keys == sorted(keys)
 
-    def test_cap_is_inclusive_and_stops_reading(self):
-        check_member_count([MEMBERS_MAX - 1, 1])
+    def test_cap_is_inclusive_and_stops_reading(self, monkeypatch):
+        # exactly MEMBERS_MAX members is a window, in one pair or summed over two
+        assert next(enumerate_family(2, MEMBERS_MAX)).params == (1, 4, 3, 5)
+        assert next(heron_multiples(3, MEMBERS_MAX // 2)).params == (5, 4, 3, 5)
+        for over in (enumerate_family(2, MEMBERS_MAX + 1), heron_multiples(2, MEMBERS_MAX + 1)):
+            with pytest.raises(DomainError, match=f"more than {MEMBERS_MAX} members"):
+                next(over)
 
-        def counts():
-            yield MEMBERS_MAX
-            yield 1
+        def t_pairs(t_max):
+            yield 2, 1
+            yield 3, 2
             raise AssertionError("read past the cap")
 
-        with pytest.raises(DomainError, match=f"more than {MEMBERS_MAX} members"):
-            check_member_count(counts())
+        monkeypatch.setattr(family, "_t_pairs", t_pairs)
+        half = MEMBERS_MAX // 2 + 1
+        for over in (enumerate_family(10**9, half), heron_multiples(10**9, half)):
+            with pytest.raises(DomainError, match=f"more than {MEMBERS_MAX} members"):
+                next(over)
 
-    def test_over_cap_window_builds_no_member(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "window",
+        [lambda: enumerate_family(3, MEMBERS_MAX), lambda: heron_multiples(3, MEMBERS_MAX // 2 + 1)],
+        ids=["family", "heron-table"],
+    )
+    def test_over_cap_window_builds_no_member(self, monkeypatch, window):
         built = []
-        monkeypatch.setattr(family, "family_member", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(family, "construct_quad", lambda *a, **k: built.append(a))
         with pytest.raises(DomainError, match="more than"):
-            next(enumerate_family(3, MEMBERS_MAX))
+            next(window())
         assert built == []
-
 
 
 class TestDerivedTLayer:

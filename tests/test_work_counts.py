@@ -4,6 +4,7 @@ once per verification, verifying a built construction factors nothing,
 and the family's once-per-pair work skips no per-member check."""
 
 import json
+import math
 import sys
 from collections import Counter
 
@@ -15,9 +16,10 @@ from heronquad.family import family_member
 
 COUNTED = (
     (exactnum, "squarefree_decompose"),
+    (exactnum, "check_generator_pair"),
     (geometry, "construct_quad"),
     (geometry, "quad_area"),
-    (family, "_pair_forms"),
+    (family, "_tangents"),
     (family, "_cross_check"),
     (cli, "_member_payload"),
     (geometry, "dist_squared"),
@@ -51,18 +53,34 @@ def calls(monkeypatch):
     return tally
 
 
+def t_pairs_read(t_max, stop=None):
+    """The t-pairs a window reads: every one up to t_max, or those with t1^2 < stop."""
+    return [
+        (t1, t2)
+        for t1 in range(2, t_max + 1)
+        for t2 in range(1, t1)
+        if math.gcd(t1, t2) == 1 and (t1 + t2) % 2 and (stop is None or t1 * t1 < stop)
+    ]
+
+
 def test_heron_table_constructs_each_row_once(calls, capsys):
-    assert main(["heron-table", "--t-max", "4"]) == 0
-    rows = json.loads(capsys.readouterr().out)["result"]["count"]
-    assert rows > 0
-    assert calls["construct_quad"] == rows
+    assert main(["heron-table", "--t-max", "8", "--delta-multiples", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert len(rows) == 45
+    assert calls["construct_quad"] == len(rows)
+    # one generator-pair check and one set of tangents per pair, not per row
+    assert len({(row["m"], row["n"]) for row in rows}) == len(t_pairs_read(8)) == 15
+    assert calls["check_generator_pair"] == 15
+    assert calls["_tangents"] == 15
 
 
 @pytest.mark.parametrize(
-    "t_max, delta_max, heron_only", [(5, 12, False), (8, 40, True)], ids=["all", "heron-only"]
+    "t_max, delta_max, heron_only, pairs_with_members",
+    [(5, 12, False, 6), (8, 40, True, 6)],
+    ids=["all", "heron-only"],
 )
 def test_family_checks_each_member_and_validates_each_pair_once(
-    calls, capsys, t_max, delta_max, heron_only
+    calls, capsys, t_max, delta_max, heron_only, pairs_with_members
 ):
     argv = ["family", "--t-max", str(t_max), "--delta-max", str(delta_max)]
     assert main(argv + ["--heron-only"] * heron_only) == 0
@@ -70,11 +88,14 @@ def test_family_checks_each_member_and_validates_each_pair_once(
     assert calls["construct_quad"] == len(members)
     assert calls["_cross_check"] == len(members)
     assert calls["quad_area"] == len(members)
-    window = list(family._window(t_max, delta_max, heron_only))
-    assert len(window) > 1
-    assert calls["_pair_forms"] == len(window)
-    # one template per (m, n, errata); the worked example (5, 4, 3) has its own
+    # one generator-pair check per t-pair read; tangents only for pairs with members
+    read = t_pairs_read(t_max, delta_max if heron_only else None)
+    assert calls["check_generator_pair"] == len(read)
     pairs = {(mb["params"]["m"], mb["params"]["n"]) for mb in members}
+    assert calls["_tangents"] == len(pairs) == pairs_with_members
+    # --heron-only reads pairs whose L is past delta_max: (5, 4) and (6, 5) here
+    assert len(read) == pairs_with_members + 2 * heron_only
+    # one template per (m, n, errata); the worked example (5, 4, 3) has its own
     worked = [mb for mb in members if (mb["params"]["delta"], mb["params"]["m"]) == (5, 4)]
     assert len(worked) == 1
     assert calls["_member_payload"] == len(pairs) + 1

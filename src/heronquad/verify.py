@@ -9,8 +9,9 @@ hide. Each verification measures every coordinate quantity once (the
 determinant, the six squared lengths, the four interior tangents and the
 shoelace area), and every claim is compared against that one measurement.
 It runs on Python ints: the points are scaled by S, the lcm of their
-coordinate denominators (never read from a closed form), and a value turns
-back into a Fraction only where a check reports it.
+coordinate denominators (never read from a closed form). Each check is
+decided on ints as well, by cross-multiplying, and no float decides one; a
+value turns back into a Fraction only where a check reports it.
 
 Known misprints in the published reference values are kept in a small
 registry (``errata``). When a verification touches one of those quantities
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
-from .exactnum import DomainError, Surd
+from .exactnum import DomainError, Surd, common_denominator
 from .geometry import (
     ANGLES,
     SEGMENTS,
@@ -103,14 +105,6 @@ def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
     collinear triple returns False because no circle passes through it.
     """
     return _no_collinear_triple((p1, p2, p3, p4)) and concyclicity_determinant(p1, p2, p3, p4) == 0
-
-
-def _square(value: Fraction | int | Surd) -> Fraction | int:
-    """Exact square of a rational or surd length."""
-    if isinstance(value, Surd):
-        c = value.coefficient
-        return Fraction(c.numerator * c.numerator * value.radicand, c.denominator * c.denominator)
-    return value * value
 
 
 def ptolemy_check(lengths_squared: Sequence[Fraction | int]) -> bool:
@@ -272,6 +266,33 @@ def _same(name: str, expected: object, actual: object) -> Check:
     return Check(name, PASS if expected == actual else FAIL, expected, actual)
 
 
+def _equal(name: str, expected: tuple[int, int], actual: tuple[int, int], kept: object) -> Check:
+    """An equality of two rationals, each an int (numerator, denominator)
+    pair, decided by cross-multiplying. A pass keeps ``kept``, the value of
+    one side, as both values; a failure keeps each side as a Fraction."""
+    (en, ed), (an, ad) = expected, actual
+    if en * ad == an * ed:
+        return Check(name, PASS, kept, kept)
+    return Check(name, FAIL, Fraction(en, ed), Fraction(an, ad))
+
+
+def _parts(value: Fraction | int) -> tuple[int, int]:
+    return value.numerator, value.denominator
+
+
+def _squared(value: Fraction | int | Surd) -> tuple[int, int]:
+    """The exact square of a rational or surd length, as (numerator, denominator)."""
+    c, r = (value.coefficient, value.radicand) if isinstance(value, Surd) else (value, 1)
+    return c.numerator * c.numerator * r, c.denominator * c.denominator
+
+
+class _OnRender(partial):
+    """A check value computed only when the check is rendered."""
+
+    def __str__(self) -> str:
+        return str(self())
+
+
 # check names with the stored attribute each one reads; the member twins
 # compare the member's own closed forms
 _RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
@@ -290,35 +311,45 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement,
         _same("concyclicity-determinant", 0, measured.determinant),
         _same("concyclic", True, measured.concyclic),
         _same("ptolemy-identity", "holds", "holds" if measured.ptolemy else "violated"),
-        _same("right-angle-at-B", 0, Fraction(dot_cross(b, g2, g1)[0], s2)),
+        _equal("right-angle-at-B", (0, 1), (dot_cross(b, g2, g1)[0], s2), 0),
     ]
+    radius = q.radius_squared
+    stored = _parts(radius)
     for name, point in zip(_RADIUS_NAMES, (g, b, g2, g1)):
-        radius_sq = Fraction(dist_squared(point, center), s2)
-        checks.append(_same(name, q.radius_squared, radius_sq))
+        checks.append(_equal(name, stored, (dist_squared(point, center), s2), radius))
     # stored lengths vs coordinate distances (compared on squares: exact)
     for (name, attr), coord_sq in zip(_LENGTH_CHECKS, measured.lengths_squared):
-        checks.append(_same(name, coord_sq, _square(getattr(q, attr))))
+        checks.append(_equal(name, _parts(coord_sq), _squared(getattr(q, attr)), coord_sq))
     for (name, attr), tangent in zip(_TANGENT_CHECKS, measured.tangents):
         checks.append(_same(name, tangent, getattr(q, attr)))
+    for name, (u, v) in (
+        ("tangent-sum-B-Gamma1", (q.tan_b, q.tan_gamma1)),
+        ("tangent-sum-Gamma-Gamma2", (q.tan_gamma, q.tan_gamma2)),
+    ):
+        total = u.numerator * v.denominator + v.numerator * u.denominator
+        checks.append(_equal(name, (0, 1), (total, u.denominator * v.denominator), 0))
 
-    checks.append(_same("tangent-sum-B-Gamma1", 0, q.tan_b + q.tan_gamma1))
-    checks.append(_same("tangent-sum-Gamma-Gamma2", 0, q.tan_gamma + q.tan_gamma2))
-    checks.append(_same("area-shoelace-vs-closed", q.area, measured.area))
-    checks.append(_same("area-helper-agrees", measured.area, quad_area(q)))
-
-    a, beta, gamma = q.alpha, q.beta, q.gamma
-    theta_tan = a / (beta + gamma)
-    checks.append(_same("theta-tangent", theta_tan, q.tan_theta))
-    checks.append(_same("shared-base-angle-identity", theta_tan, (gamma - beta) / a))
-    spread = angle_spread_degrees(q)
-    checks.append(_check("angle-spread-below-1e-10-deg", spread < 1e-10, "< 1e-10", spread))
+    # the triple on its own lattice: (alpha, beta, gamma) = (A, B, G)/D
+    D, (A, B, G) = common_denominator((q.alpha, q.beta, q.gamma))
+    BG, area = B + G, measured.area
+    checks.append(_equal("area-shoelace-vs-closed", _parts(q.area), _parts(area), area))
+    checks.append(_equal("area-helper-agrees", _parts(area), _parts(quad_area(q)), area))
+    theta = Fraction(A, BG)
+    checks.append(_equal("theta-tangent", (A, BG), _parts(q.tan_theta), theta))
+    checks.append(_equal("shared-base-angle-identity", (A, BG), (G - B, A), theta))
+    # phi, the base angle at Gamma2, and omega = atan2(a, b)/2 equal theta when
+    # tan phi = a/(b+g) and tan 2theta = 2t/(1 - t^2) = a/b for t = a/(b+g)
+    dot, cross = dot_cross(g2, b, g)
+    spread_ok = dot > 0 and abs(cross) * BG == dot * A and 2 * B * BG == BG * BG - A * A
+    spread = _OnRender(angle_spread_degrees, q)
+    checks.append(_check("angle-spread-below-1e-10-deg", spread_ok, "< 1e-10", spread))
 
     # the apex coordinates encode the double angle: cos = beta/gamma, sin = alpha/gamma
     dot, cross = dot_cross(v_a, b, g)
-    prod = gamma * beta * s2  # |A-B| * |A-Gamma| for this embedding, on the lattice
-    checks.append(_same("double-angle-cos", beta / gamma, dot / prod))
-    checks.append(_same("double-angle-sin", a / gamma, abs(cross) / prod))
-    return checks, measured, theta_tan
+    prod = G * B * s2  # |A-B| * |A-Gamma| for this embedding, on the lattice, times D^2
+    checks.append(_equal("double-angle-cos", (B, G), (dot * D * D, prod), Fraction(B, G)))
+    checks.append(_equal("double-angle-sin", (A, G), (abs(cross) * D * D, prod), Fraction(A, G)))
+    return checks, measured, theta
 
 
 def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
@@ -341,23 +372,22 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     checks plus the member closed forms, the Heron criterion, and the
     registered errata."""
     p = member.params
-    checks, measured, theta_tan = _construction_checks(member.quad)
+    checks, measured, theta = _construction_checks(member.quad)
 
     for (name, attr), coord_sq in zip(_MEMBER_LENGTH_CHECKS, measured.lengths_squared):
-        checks.append(_same(name, coord_sq, _square(getattr(member, attr))))
+        checks.append(_equal(name, _parts(coord_sq), _squared(getattr(member, attr)), coord_sq))
     for (name, attr), tangent in zip(_MEMBER_TANGENT_CHECKS, measured.tangents):
         checks.append(_same(name, tangent, getattr(member, attr)))
 
     m, n, L, delta = p.m, p.n, p.L, p.delta
-    mm_nn = m * m - n * n
-    bracket = (
-        Fraction(delta * delta * m * n)
-        * (mm_nn + Fraction(mm_nn * mm_nn, m * m + n * n) + 2 * m * m)
-    )
-    reduced = Fraction(4 * delta * delta * m**5 * n, L * L)
-    checks.append(_same("member-area-vs-shoelace", measured.area, member.area))
-    checks.append(_same("member-area-bracket-form", bracket, member.area))
-    checks.append(_same("member-area-reduced-form", reduced, member.area))
+    mm_nn, mmnn = m * m - n * n, m * m + n * n
+    # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
+    bracket = (delta * delta * m * n * ((mm_nn + 2 * m * m) * mmnn + mm_nn * mm_nn), mmnn)
+    reduced = (4 * delta * delta * m**5 * n, L * L)
+    area, stored = member.area, _parts(member.area)
+    checks.append(_equal("member-area-vs-shoelace", _parts(measured.area), stored, area))
+    checks.append(_equal("member-area-bracket-form", bracket, stored, area))
+    checks.append(_equal("member-area-reduced-form", reduced, stored, area))
 
     integral = (
         member.side_gamma_gamma1.denominator == 1
@@ -374,7 +404,7 @@ def verify_member(member: FamilyMember) -> VerificationReport:
         )
     )
 
-    checks.append(_same("member-theta-n-over-m", theta_tan, Fraction(n, m)))
+    checks.append(_equal("member-theta-n-over-m", _parts(theta), (n, m), theta))
 
     errata = errata_for_member(member)
     checks += _erratum_checks(errata)

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import signal
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,10 @@ from heronquad import cli, verify
 from heronquad.cli import main
 from heronquad.exactnum import DomainError
 from heronquad.verify import CheckStatus
+
+
+class _Late(Exception):
+    """Raised by a test's deadline into the call it interrupts."""
 
 
 def run(capsys, *argv):
@@ -672,9 +677,18 @@ class TestFamilyCommand:
         ],
     )
     def test_over_cap_window_is_domain_error(self, capsys, argv):
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 1.0
+        # the refusal must come within 1 s: a deadline interrupts the call, so a
+        # refusal that stops reading late fails here instead of hanging the suite
+        def late(signum, frame):
+            raise _Late("the over-cap refusal took more than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert code == 3
         assert out == ""
         assert f"more than {cli.MEMBERS_MAX} members" in err

@@ -18,6 +18,7 @@ from heronquad.geometry import (
     SEGMENTS,
     Point2,
     Vertex,
+    angle_spread_degrees,
     construct_quad,
     dist_squared,
     quad_area,
@@ -396,6 +397,34 @@ class TestScaleInvariance:
         assert [c.name for c in scaled.checks] == [c.name for c in plain.checks]
 
 
+class TestAngleSpreadCheck:
+    def test_a_move_below_the_float_tolerance_fails_it(self):
+        # the float spread of this edit reads 0.0; the exact identities do not hold
+        q = construct_quad(3, 4, 5)
+        moved = q._replace(v_gamma=Point2(q.v_gamma.x + Fraction(1, 10**30), q.v_gamma.y))
+        assert "angle-spread-below-1e-10-deg" in verify_construction(moved).failed_names()
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=2, max_value=50),
+        st.integers(min_value=1, max_value=49),
+        st.booleans(),
+        st.integers(min_value=-300, max_value=300),
+    )
+    @example(1, 2, 1, True, -200)  # 3/k, 4/k, 5/k with k = 10^200
+    @example(1, 50, 49, True, 151)  # 99k, 4900k, 4901k with k = 10^151
+    def test_exact_decision_agrees_with_the_float_spread(self, delta, m, n, odd_first, power):
+        assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
+        t = scaled_triple(delta, m, n)
+        legs = (t.b, t.a) if odd_first else (t.a, t.b)
+        unit = Fraction(10) ** power
+        q = construct_quad(*(v * unit for v in legs), t.c * unit)
+        report = verify_construction(q)
+        spread = next(c for c in report.checks if c.name == "angle-spread-below-1e-10-deg")
+        assert (spread.status is CheckStatus.PASS) == (angle_spread_degrees(q) < 1e-10)
+        assert str(spread.actual) == str(angle_spread_degrees(q))
+
+
 class TestVerifyMember:
     def test_worked_example_member(self):
         report = verify_member(family_member(5, 4, 3))
@@ -479,6 +508,27 @@ def test_failing_check_payload_is_pinned(name):
     # Fraction oracles printed them before the integer-lattice kernel
     pinned = Path(__file__).with_name("golden") / f"payload-{name}.json"
     report = verify_construction(_tampered(name))
+    assert report.has_failures
+    got = json.dumps(report.to_payload(), indent=2) + "\n"
+    assert got == pinned.read_text(encoding="utf-8")
+
+
+# one closed form of the worked-example member edited: a non-integral side,
+# and the printed area and tangent of the published errata
+_EDITED_MEMBER_VALUES = {
+    "side_gamma_gamma1": Fraction(113, 2),
+    "area": Fraction(12888),
+    "tan_gamma": Fraction(-8, 3),
+}
+
+
+@pytest.mark.parametrize("attr", sorted(_EDITED_MEMBER_VALUES))
+def test_failing_member_payload_is_pinned(attr):
+    # every expected/actual string of a failing member run, byte for byte, as
+    # the Fraction comparisons printed them before checks were decided on ints
+    pinned = Path(__file__).with_name("golden") / f"payload-member-{attr.replace('_', '-')}.json"
+    member = family_member(5, 4, 3)
+    report = verify_member(member._replace(**{attr: _EDITED_MEMBER_VALUES[attr]}))
     assert report.has_failures
     got = json.dumps(report.to_payload(), indent=2) + "\n"
     assert got == pinned.read_text(encoding="utf-8")

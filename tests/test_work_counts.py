@@ -17,8 +17,10 @@ from heronquad.family import family_member
 COUNTED = (
     (exactnum, "squarefree_decompose"),
     (exactnum, "check_generator_pair"),
+    (exactnum, "scaled_floats"),
     (geometry, "construct_quad"),
     (geometry, "quad_area"),
+    (geometry, "angle_spread_degrees"),
     (family, "_tangents"),
     (family, "_cross_check"),
     (cli, "_member_payload"),
@@ -132,6 +134,18 @@ def test_verify_member_measures_each_quantity_once(calls):
     # one orientation per vertex triple for the collinear-triple test, and
     # four for each of the two non-adjacent edge pairs
     assert calls["_orient"] == 12
+
+
+def test_no_float_decides_a_check(calls, capsys):
+    # heron-table renders no check, so it computes no float spread at all
+    assert main(["heron-table", "--t-max", "8"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == 15
+    assert calls["angle_spread_degrees"] == calls["scaled_floats"] == 0
+    assert not verify.verify_member(family_member(5, 4, 3)).has_failures
+    assert calls["angle_spread_degrees"] == 0
+    # verify renders the spread check's float actual once
+    assert main(["verify", "--params", "5", "4", "3"]) == 0
+    assert calls["angle_spread_degrees"] == 1
 
 
 @pytest.fixture

@@ -212,7 +212,8 @@ def _measures_payload(obj: QuadConstruction | FamilyMember, lengths) -> dict:
 
 def _theta_leaves(q: QuadConstruction) -> tuple[str, float, str]:
     """The ``tan``, ``degrees`` and ``degrees_display`` of theta."""
-    return str(q.tan_theta), _round10(q.theta_degrees), f"{q.theta_degrees:.5f}"
+    degrees = q.theta_degrees
+    return str(q.tan_theta), _round10(degrees), f"{degrees:.5f}"
 
 
 def _theta_payload(tan: str, degrees: float, display: str) -> dict:
@@ -826,7 +827,21 @@ _SUBCOMMANDS = (
 )
 
 
-class _Subcommand(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """A parser whose error line shortens a long argument as ``_quote`` does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for arg in self._argv:
+            if len(arg) > _QUOTE_MAX:
+                message = message.replace(repr(arg), _quote(arg)).replace(arg, _quote(arg))
+        super().error(message)
+
+
+class _Subcommand(_Parser):
     """The parser of one subcommand. Its arguments are added when argparse
     hands it a command line, so a call adds only those of the subcommand it
     runs; help, usage and error texts are those of the complete parser.
@@ -848,7 +863,7 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heron-quad",
         description=(
             "Exact solver for a sin x + b cos x = c and the cyclic-quadrilateral "

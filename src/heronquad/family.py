@@ -3,9 +3,7 @@
 A generator pair (m, n) with m > n >= 1, gcd(m, n) = 1, m + n odd, and
 m^2 + n^2 = L^2 a perfect square feeds the even-leg-first right triple
 (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2)) for a scale d >= 1. Closed forms
-for the member (cross-checked against its coordinate construction on every
-call; the member keeps that construction as ``quad`` so ``verify_member``
-runs its oracles on it instead of building it again):
+for the member, which keeps its coordinate construction as ``quad``:
 
     sides      2*d*m*n, 2*d*m*n, 2*d*m*L, 2*d*m*(m^2 - n^2)/L
     diagonals  2*d*m^2, 4*d*m^2*n/L
@@ -18,10 +16,12 @@ and ``heron_multiples`` (``heron-table``: delta = j*L) take their windows
 from one walker. It counts the window from the t-pairs alone and refuses
 one of more than ``MEMBERS_MAX`` members before any is built. Then it reads
 each pair once, builds the four tangents once per pair with members, and
-per member the delta-scaled closed forms, the member's own construction and
-its full cross-check, the shoelace area included. A walked pair is valid by
-construction; only ``family_member``, which takes outside (delta, m, n),
-checks the pair and finds L.
+per member the delta-scaled closed forms and the member's own construction.
+A walked pair is valid by construction; only ``family_member``, which takes
+outside (delta, m, n), checks the pair and finds L. A member's closed forms
+are checked once: ``enumerate_family``, whose members no oracle follows,
+cross-checks them against the construction (``RuntimeError`` on a mismatch);
+``family_member`` and ``heron_multiples`` leave them to ``verify_member``.
 
 Pairs (m, n) themselves come from a second Euclid layer:
 (t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
@@ -136,10 +136,10 @@ def _tangents(m: int, n: int) -> tuple:
 
 def _member(delta: int, m: int, n: int, L: int, tangents: tuple) -> FamilyMember:
     """The member for ``delta`` (>= 1) of a valid pair (m, n) with m^2 + n^2 = L^2
-    and ``tangents = _tangents(m, n)``, constructed and cross-checked."""
+    and ``tangents = _tangents(m, n)``, constructed; its closed forms unchecked."""
     params = GeneratorParams(delta, m, n, L)
     tan_b, tan_gamma, tan_gamma1, tan_gamma2 = tangents
-    member = FamilyMember(
+    return FamilyMember(
         params=params,
         side_gamma_b=2 * delta * m * n,
         side_b_gamma2=2 * delta * m * n,
@@ -155,12 +155,10 @@ def _member(delta: int, m: int, n: int, L: int, tangents: tuple) -> FamilyMember
         is_heron=delta % L == 0,
         quad=construct_quad(*params.triple()),
     )
-    _cross_check(member)
-    return member
 
 
 def family_member(delta: int, m: int, n: int) -> FamilyMember:
-    """Build the member for (delta, m, n); (m, n) must have integral L."""
+    """Build the member for (delta, m, n), unchecked; (m, n) must have integral L."""
     if delta < 1:
         raise DomainError(f"delta must be >= 1, got {delta}")
     check_generator_pair(m, n)
@@ -249,16 +247,19 @@ def enumerate_family(
     if delta_max < 1:
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
     if heron_only:
-        yield from _walk(t_max, lambda L: range(L, delta_max + 1, L))
+        members = _walk(t_max, lambda L: range(L, delta_max + 1, L))
     else:
-        yield from _walk(t_max, lambda L: range(1, delta_max + 1))
+        members = _walk(t_max, lambda L: range(1, delta_max + 1))
+    for member in members:
+        _cross_check(member)
+        yield member
 
 
 def heron_multiples(t_max: int, multiples: int) -> Iterator[FamilyMember]:
     """The Heron members delta = j*L, j = 1..multiples, by (t1, t2, j).
 
     A window of more than ``MEMBERS_MAX`` members raises ``DomainError``
-    before the first member is built.
+    before the first member is built. The members are unchecked.
     """
     if multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {multiples}")

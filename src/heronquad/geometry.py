@@ -110,7 +110,6 @@ class QuadConstruction(NamedTuple):
     tan_gamma1: Fraction
     tan_gamma2: Fraction
     tan_theta: Fraction
-    theta_degrees: float
     circumcenter: Point2
     radius_squared: Fraction
 
@@ -121,6 +120,11 @@ class QuadConstruction(NamedTuple):
         ab/2 + (b^2/2)(a/g) + a(b+g)/2 = A(B+G)^2 / (2 G D^2)."""
         D, (A, B, G) = common_denominator((self.alpha, self.beta, self.gamma))
         return Fraction(A * (B + G) ** 2, 2 * G * D * D)
+
+    @property
+    def theta_degrees(self) -> float:
+        """atan2(alpha, beta + gamma) in degrees, for display: no check decides on it."""
+        return math.degrees(math.atan2(float(self.alpha), float(self.diag_b_gamma1)))
 
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         """Traversal order Gamma, B, Gamma2, Gamma1."""
@@ -205,7 +209,6 @@ def construct_quad(
         tan_gamma1=Fraction(A, B),
         tan_gamma2=Fraction(BG, A),
         tan_theta=Fraction(A, BG),
-        theta_degrees=math.degrees(math.atan2(float(a), float(bg))),
         circumcenter=Point2(Fraction(BG, 2 * D), Fraction(-A, 2 * D)),
         radius_squared=Fraction(G * BG, 2 * D * D),
     )

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heronquad import cli, verify
+from heronquad import cli, family, verify
 from heronquad.cli import main
 from heronquad.exactnum import DomainError
 from heronquad.verify import CheckStatus
@@ -838,6 +838,57 @@ class TestHeronTableCommand:
             assert int(row["Area"]) > 0
 
 
+def _misprinted_tangents(m, n):
+    """The published family tangents, -2m/n at Gamma and 2m/n at Gamma2 (the
+    ``family-tangent-closed-form`` erratum), in place of ``family._tangents``."""
+    return (
+        Fraction(2 * m * n, n * n - m * m),
+        Fraction(-2 * m, n),
+        Fraction(2 * m * n, m * m - n * n),
+        Fraction(2 * m, n),
+    )
+
+
+class TestMisprintedClosedForm:
+    """A wrong closed form is caught once per member: by the oracles where they
+    follow (exit 4, the failing checks named), by the cross-check in ``family``."""
+
+    FAILED = "2 check(s): member-tangent-Gamma, member-tangent-Gamma2"
+
+    @pytest.fixture(autouse=True)
+    def misprint(self, monkeypatch):
+        monkeypatch.setattr(family, "_tangents", _misprinted_tangents)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_heron_table_exits_4_naming_the_checks(self, capsys, fmt):
+        code, out, err = run(capsys, "heron-table", "--t-max", "3", "--format", fmt)
+        assert code == 4
+        assert err == (
+            f"heron-quad: verification failed for (m=4, n=3, delta=5): {self.FAILED}\n"
+            f"heron-quad: verification failed for (m=12, n=5, delta=13): {self.FAILED}\n"
+            "heron-quad: 2 row(s) failed verification\n"
+        )
+        assert out
+
+    @pytest.mark.parametrize("mode", ["params", "triple", "input"])
+    def test_verify_exits_4_naming_the_checks(self, capsys, tmp_path, mode):
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps({"delta": 5, "m": 4, "n": 3}))
+        argv = {
+            "params": ["--params", "5", "4", "3"],
+            "triple": ["--triple", "120", "35", "125"],
+            "input": ["--input", str(path)],
+        }[mode]
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 4
+        assert err == f"heron-quad: verification failed: {self.FAILED}\n"
+        assert json.loads(out)["result"]["verdict"] == "fail"
+
+    def test_family_cross_check_raises(self, capsys):
+        with pytest.raises(RuntimeError, match="closed form tan_gamma disagrees"):
+            main(["family", "--t-max", "3", "--delta-max", "5"])
+
+
 class TestVerifyCommand:
     def test_triple_mode(self, capsys):
         doc = run_json(capsys, "verify", "--triple", "120", "35", "125")
@@ -1008,6 +1059,32 @@ class TestTopLevel:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert "0.1.0" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("x" * 5000,),
+            ("construct", "3", "4", "5", "x" * 5000),
+            ("heron-table", "--format", "x" * 5000),
+        ],
+        ids=["unknown-subcommand", "extra-positional", "format-choice"],
+    )
+    def test_long_argument_in_an_argparse_error_is_quoted_short(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"'{'x' * 40}'... (5000 characters)" in err
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize(
+        "argv", [("nosuch",), ("heron-table", "--format", "xml")], ids=["subcommand", "format"]
+    )
+    def test_short_argument_error_is_argparse_own(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        bounded = run(capsys, *argv)
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        assert run(capsys, *argv) == bounded
+        assert bounded[0] == 2
+        assert f"invalid choice: '{argv[-1]}'" in bounded[2]
 
 
 _SUBCOMMAND_NAMES = [name for name, *_ in cli._SUBCOMMANDS]

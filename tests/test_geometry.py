@@ -127,10 +127,11 @@ class TestRightAngleAndCircle:
         q = construct_quad(120, 35, 125)
         assert angle_spread_degrees(q) < 1e-10
 
-    def test_spread_reads_the_stored_theta(self):
+    def test_theta_degrees_is_derived_not_stored(self):
         q = construct_quad(120, 35, 125)
-        moved = q._replace(theta_degrees=q.theta_degrees + 1e-9)
-        assert angle_spread_degrees(moved) > 1e-10
+        assert "theta_degrees" not in QuadConstruction._fields
+        with pytest.raises(ValueError, match="theta_degrees"):
+            q._replace(theta_degrees=q.theta_degrees + 1e-9)
 
 
 class TestInteriorTangents:
@@ -270,8 +271,7 @@ class TestConstructionReference:
         for name in QuadConstruction._fields:
             got, want = getattr(q, name), expected[name]
             assert got == want, name
-            if name != "theta_degrees":
-                assert all(type(part) is Fraction for part in _exact_parts(got)), name
+            assert all(type(part) is Fraction for part in _exact_parts(got)), name
         assert q.theta_degrees.hex() == expected["theta_degrees"].hex()
         assert q.area == expected["area"]
         assert type(q.area) is Fraction

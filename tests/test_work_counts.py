@@ -1,7 +1,8 @@
-"""Work counts: each subject is constructed once, each oracle is
-evaluated once per verification, each coordinate quantity is measured
-once per verification, verifying a built construction factors nothing,
-and the family's once-per-pair work skips no per-member check."""
+"""Work counts: each subject is constructed once, each member's closed
+forms are checked once, each oracle is evaluated once per verification,
+each coordinate quantity is measured once per verification, verifying a
+built construction factors nothing, and the family's once-per-pair work
+skips no per-member check."""
 
 import json
 import math
@@ -20,6 +21,7 @@ COUNTED = (
     (exactnum, "scaled_floats"),
     (geometry, "construct_quad"),
     (geometry, "quad_area"),
+    (geometry, "lattice"),
     (geometry, "angle_spread_degrees"),
     (family, "_tangents"),
     (family, "_cross_check"),
@@ -74,6 +76,27 @@ def test_heron_table_constructs_each_row_once(calls, capsys):
     assert len({(row["m"], row["n"]) for row in rows}) == len(t_pairs_read(8)) == 15
     assert calls["check_generator_pair"] == 15
     assert calls["_tangents"] == 15
+    # the oracles check the closed forms: no cross-check runs before them
+    assert calls["_cross_check"] == 0
+    # area-helper-agrees: one shoelace beside the measurement's, each on its own lattice
+    assert calls["quad_area"] == len(rows)
+    assert calls["lattice"] == 2 * len(rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--params", "5", "4", "3"],
+        ["verify", "--triple", "120", "35", "125"],
+    ],
+    ids=["params", "even-leg-first-triple"],
+)
+def test_verify_checks_the_member_once(calls, capsys, argv):
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["subject"].startswith("member(")
+    assert calls["_cross_check"] == 0
+    assert calls["quad_area"] == 1
+    assert calls["lattice"] == 2
 
 
 @pytest.mark.parametrize(

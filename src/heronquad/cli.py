@@ -51,13 +51,14 @@ from .geometry import (
     Vertex,
     construct_quad,
     interior_angle_degrees,
+    theta_degrees,
 )
 
 # ``trigsolve``, ``svgfig``, ``family`` and ``verify`` are imported by the
 # subcommands that run them, once per call, so that a new process loads
 # only what its subcommand needs.
 if TYPE_CHECKING:
-    from .family import FamilyMember
+    from .family import FamilyMember, GeneratorParams
     from .verify import VerificationReport
 
 __all__ = ["ParseError", "main"]
@@ -210,10 +211,10 @@ def _measures_payload(obj: QuadConstruction | FamilyMember, lengths) -> dict:
     return payload
 
 
-def _theta_leaves(q: QuadConstruction) -> tuple[str, float, str]:
-    """The ``tan``, ``degrees`` and ``degrees_display`` of theta."""
-    degrees = q.theta_degrees
-    return str(q.tan_theta), _round10(degrees), f"{degrees:.5f}"
+def _theta_leaves(alpha: Fraction | int, bg: Fraction | int) -> tuple[str, float, str]:
+    """``tan``, ``degrees`` and ``degrees_display`` of theta = atan(alpha/bg)."""
+    degrees = theta_degrees(alpha, bg)
+    return str(Fraction(alpha, bg)), _round10(degrees), f"{degrees:.5f}"
 
 
 def _theta_payload(tan: str, degrees: float, display: str) -> dict:
@@ -429,7 +430,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         "angles_degrees": {
             vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
-        "theta": _theta_payload(*_theta_leaves(q)),
+        "theta": _theta_payload(*_theta_leaves(q.alpha, q.diag_b_gamma1)),
         "circumcircle": {
             "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
             "radius_squared": str(q.radius_squared),
@@ -480,7 +481,7 @@ def _member_leaves(member: FamilyMember) -> tuple:
         *[str(getattr(member, attr)) for *_, attr in SEGMENTS],
         str(member.area),
         member.is_heron,
-        *_theta_leaves(member.quad),
+        *_theta_leaves(member.side_gamma_b, member.diag_b_gamma1),
     )
 
 
@@ -537,12 +538,22 @@ def _member_text(member: FamilyMember, templates: dict) -> _Encoded:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     from .family import enumerate_family
+    from .verify import verify_member, verify_scaling
 
     templates: dict = {}
-    members = [
-        _member_text(member, templates)
-        for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
-    ]
+    members = []
+    base = None
+    for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
+        # the oracles check the first member of each pair; the others scale from it
+        p = member.params
+        if base is not None and base.params[1:] == p[1:]:
+            failed = [check.name for check in verify_scaling(member, base)]
+        else:
+            base, failed = member, verify_member(member).failed_names()
+        if failed:
+            _verification_failed(failed, p)
+            return 4
+        members.append(_member_text(member, templates))
     # each erratum first appears with the first template that carries it
     seen = dict.fromkeys(er for *_, errata in templates for er in errata)
     result = {"count": len(members), "members": members}
@@ -583,10 +594,11 @@ def _heron_row(member: FamilyMember) -> dict:
     return row
 
 
-def _failed_checks(report: VerificationReport) -> str:
-    """``N check(s): name1, name2`` for the failing checks of a report."""
-    failed = report.failed_names()
-    return f"{len(failed)} check(s): {', '.join(failed)}"
+def _verification_failed(names: list[str], p: GeneratorParams | None = None) -> None:
+    """Report the failing checks ``names`` on stderr, of the member of ``p`` if given."""
+    member = "" if p is None else f" for (m={p.m}, n={p.n}, delta={p.delta})"
+    failed = f"{len(names)} check(s): {', '.join(names)}"
+    print(f"heron-quad: verification failed{member}: {failed}", file=sys.stderr)
 
 
 def _cmd_heron_table(args: argparse.Namespace) -> int:
@@ -601,12 +613,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
         report = verify_member(member)
         if report.has_failures:
             failures += 1
-            p = member.params
-            print(
-                f"heron-quad: verification failed for (m={p.m}, n={p.n}, delta={p.delta}): "
-                f"{_failed_checks(report)}",
-                file=sys.stderr,
-            )
+            _verification_failed(report.failed_names(), member.params)
         row = _heron_row(member)
         if as_csv:  # every cell is an int or a p/q string: none needs quoting
             rows.append(",".join(map(str, row.values())))
@@ -736,7 +743,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     _emit_json(_envelope("verify", inputs, result, report.errata), args.out)
     if report.has_failures:
-        print(f"heron-quad: verification failed: {_failed_checks(report)}", file=sys.stderr)
+        _verification_failed(report.failed_names())
         return 4
     return 0
 

@@ -3,8 +3,8 @@
 When a construction or a family member touches one of these quantities,
 its output carries an ``erratum`` entry (printed value vs oracle value)
 instead of a failure, so implementation bugs stay distinguishable from
-source typos. The registry runs no oracle: ``construct`` and ``family``
-read it without loading ``verify``.
+source typos. The registry runs no oracle: ``construct`` reads it without
+loading ``verify``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A generator pair (m, n) with m > n >= 1, gcd(m, n) = 1, m + n odd, and
 m^2 + n^2 = L^2 a perfect square feeds the even-leg-first right triple
 (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2)) for a scale d >= 1. Closed forms
-for the member, which keeps its coordinate construction as ``quad``:
+for the member:
 
     sides      2*d*m*n, 2*d*m*n, 2*d*m*L, 2*d*m*(m^2 - n^2)/L
     diagonals  2*d*m^2, 4*d*m^2*n/L
@@ -13,15 +13,11 @@ for the member, which keeps its coordinate construction as ``quad``:
 All six lengths and the area are integers exactly when L divides d (the
 Heron members). ``enumerate_family`` (``family``: a delta range per pair)
 and ``heron_multiples`` (``heron-table``: delta = j*L) take their windows
-from one walker. It counts the window from the t-pairs alone and refuses
-one of more than ``MEMBERS_MAX`` members before any is built. Then it reads
-each pair once, builds the four tangents once per pair with members, and
-per member the delta-scaled closed forms and the member's own construction.
-A walked pair is valid by construction; only ``family_member``, which takes
-outside (delta, m, n), checks the pair and finds L. A member's closed forms
-are checked once: ``enumerate_family``, whose members no oracle follows,
-cross-checks them against the construction (``RuntimeError`` on a mismatch);
-``family_member`` and ``heron_multiples`` leave them to ``verify_member``.
+from one walker. It refuses a window of more than ``MEMBERS_MAX`` members,
+counted from the t-pairs alone, before any member is built; then it reads
+each pair once and builds its four tangents once. Only ``family_member``,
+which takes outside (delta, m, n), checks the pair and finds L. No member
+is checked here: ``verify`` runs the oracles and checks the closed forms.
 
 Pairs (m, n) themselves come from a second Euclid layer:
 (t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
@@ -40,14 +36,12 @@ from typing import Callable, Iterator, NamedTuple
 from .exactnum import (
     MEMBERS_MAX,
     DomainError,
-    Surd,
     check_generator_pair,
     classify_triple,
     euclid_triple,
     exact_sqrt,
     gcd,
 )
-from .geometry import ANGLES, SEGMENTS, QuadConstruction, construct_quad, quad_area
 
 __all__ = [
     "FamilyMember",
@@ -114,7 +108,6 @@ class FamilyMember(NamedTuple):
     tan_gamma2: Fraction
     area: Fraction
     is_heron: bool
-    quad: QuadConstruction
 
 
 def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
@@ -136,24 +129,16 @@ def _tangents(m: int, n: int) -> tuple:
 
 def _member(delta: int, m: int, n: int, L: int, tangents: tuple) -> FamilyMember:
     """The member for ``delta`` (>= 1) of a valid pair (m, n) with m^2 + n^2 = L^2
-    and ``tangents = _tangents(m, n)``, constructed; its closed forms unchecked."""
-    params = GeneratorParams(delta, m, n, L)
-    tan_b, tan_gamma, tan_gamma1, tan_gamma2 = tangents
+    and ``tangents = _tangents(m, n)``; its closed forms unchecked."""
+    params, dm = GeneratorParams(delta, m, n, L), 2 * delta * m
     return FamilyMember(
-        params=params,
-        side_gamma_b=2 * delta * m * n,
-        side_b_gamma2=2 * delta * m * n,
-        side_gamma2_gamma1=params.k,
-        side_gamma_gamma1=Fraction(2 * delta * m * (m * m - n * n), L),
-        diag_b_gamma1=2 * delta * m * m,
-        diag_gamma_gamma2=Fraction(4 * delta * m * m * n, L),
-        tan_b=tan_b,
-        tan_gamma=tan_gamma,
-        tan_gamma1=tan_gamma1,
-        tan_gamma2=tan_gamma2,
+        params,
+        # the sides in traversal order, then the diagonals, as in the table above
+        dm * n, dm * n, params.k, Fraction(dm * (m * m - n * n), L),
+        dm * m, Fraction(2 * dm * m * n, L),
+        *tangents,
         area=Fraction(4 * delta * delta * m**5 * n, L * L),
         is_heron=delta % L == 0,
-        quad=construct_quad(*params.triple()),
     )
 
 
@@ -169,25 +154,6 @@ def family_member(delta: int, m: int, n: int) -> FamilyMember:
             f"(m={m}, n={n}) does not generate a family member"
         )
     return _member(delta, m, n, L, _tangents(m, n))
-
-
-# every closed form a member shares, by attribute name, with its construction
-_SHARED_ATTRIBUTES = tuple(attr for *_, attr in SEGMENTS) + tuple(attr for _, attr in ANGLES)
-
-
-def _cross_check(member: FamilyMember) -> None:
-    # closed forms must agree with the coordinate construction
-    q = member.quad
-    for attr in _SHARED_ATTRIBUTES:
-        built, closed = getattr(q, attr), getattr(member, attr)
-        if isinstance(built, Surd) and built.is_rational:
-            built = built.coefficient
-        if built != closed:
-            raise RuntimeError(
-                f"closed form {attr} disagrees with coordinates for {member.params}"
-            )
-    if quad_area(q) != member.area:
-        raise RuntimeError(f"closed-form area disagrees with coordinates for {member.params}")
 
 
 def _t_pairs(t_max: int) -> Iterator[tuple[int, int]]:
@@ -233,11 +199,8 @@ def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[FamilyMember]:
 def enumerate_family(
     t_max: int, delta_max: int, *, heron_only: bool = False
 ) -> Iterator[FamilyMember]:
-    """Enumerate members ordered by (t1, t2, delta), each exactly once.
-
-    With ``heron_only`` the delta loop walks the multiples of L up to
-    delta_max. A window of more than ``MEMBERS_MAX`` members raises
-    ``DomainError`` before the first member is built.
+    """Enumerate members ordered by (t1, t2, delta), each exactly once; with
+    ``heron_only`` the delta loop walks the multiples of L up to delta_max.
 
     Only the even-leg-first family exists: with the odd leg first,
     |Gamma2 Gamma1|^2 = 2*d^2*(m + n)^2*(m^2 + n^2). A generator pair makes
@@ -246,21 +209,13 @@ def enumerate_family(
     """
     if delta_max < 1:
         raise DomainError(f"delta_max must be >= 1, got {delta_max}")
-    if heron_only:
-        members = _walk(t_max, lambda L: range(L, delta_max + 1, L))
-    else:
-        members = _walk(t_max, lambda L: range(1, delta_max + 1))
-    for member in members:
-        _cross_check(member)
-        yield member
+    yield from _walk(
+        t_max, lambda L: range(L, delta_max + 1, L) if heron_only else range(1, delta_max + 1)
+    )
 
 
 def heron_multiples(t_max: int, multiples: int) -> Iterator[FamilyMember]:
-    """The Heron members delta = j*L, j = 1..multiples, by (t1, t2, j).
-
-    A window of more than ``MEMBERS_MAX`` members raises ``DomainError``
-    before the first member is built. The members are unchecked.
-    """
+    """The Heron members delta = j*L, j = 1..multiples, by (t1, t2, j)."""
     if multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {multiples}")
     yield from _walk(t_max, lambda L: range(L, multiples * L + 1, L))

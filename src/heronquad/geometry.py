@@ -38,6 +38,7 @@ __all__ = [
     "interior_tangent_from_coords",
     "lattice",
     "quad_area",
+    "theta_degrees",
 ]
 
 
@@ -123,8 +124,8 @@ class QuadConstruction(NamedTuple):
 
     @property
     def theta_degrees(self) -> float:
-        """atan2(alpha, beta + gamma) in degrees, for display: no check decides on it."""
-        return math.degrees(math.atan2(float(self.alpha), float(self.diag_b_gamma1)))
+        """``theta_degrees`` of this triple, for display: no check decides on it."""
+        return theta_degrees(self.alpha, self.diag_b_gamma1)
 
     def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
         """Traversal order Gamma, B, Gamma2, Gamma1."""
@@ -152,6 +153,11 @@ ANGLES = (
     (Vertex.GAMMA2, "tan_gamma2"),
 )
 _INDEX = {vertex: i for i, vertex in enumerate(Vertex)}
+
+
+def theta_degrees(alpha: Fraction | int, beta_plus_gamma: Fraction | int) -> float:
+    """theta = atan2(alpha, beta + gamma) in degrees."""
+    return math.degrees(math.atan2(float(alpha), float(beta_plus_gamma)))
 
 
 def _as_rational(value: Fraction | int | str, name: str) -> Fraction:

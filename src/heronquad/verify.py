@@ -1,17 +1,23 @@
 """Independent oracles and verification reports for the constructions.
 
-The oracles work from vertex coordinates and exact arithmetic only - a
-4x4 concyclicity determinant, the Ptolemy identity decided by squaring
-products of squared coordinate distances in rationals, and a general
-shoelace with an exact self-intersection test. None of them consult the
-closed forms they are used to check, so a bug in the closed forms cannot
-hide. Each verification measures every coordinate quantity once (the
-determinant, the six squared lengths, the four interior tangents and the
-shoelace area), and every claim is compared against that one measurement.
-It runs on Python ints: the points are scaled by S, the lcm of their
-coordinate denominators (never read from a closed form). Each check is
-decided on ints as well, by cross-multiplying, and no float decides one; a
-value turns back into a Fraction only where a check reports it.
+The oracles work from vertex coordinates and exact arithmetic only: a 4x4
+concyclicity determinant, the Ptolemy identity decided by squaring products
+of squared coordinate distances, and a general shoelace with an exact
+self-intersection test. None consults the closed forms it checks, so a bug
+in them cannot hide. A verification measures each coordinate quantity once
+and compares every claim with that one measurement. It runs on Python ints,
+the points scaled by S, the lcm of their coordinate denominators (never read
+from a closed form); each check is decided on ints by cross-multiplying,
+never by a float, and a value turns back into a Fraction only where a check
+reports it.
+
+A family member is the quadrilateral of delta*(2mn, m^2 - n^2, m^2 + n^2),
+and ``construct_quad`` is homogeneous: a triple scaled by s > 0 scales its
+coordinates, lengths and surd coefficients by s and its squared radius and
+area by s^2, and keeps its radicands and tangents. Each check but the Heron
+criterion is homogeneous in these, so ``verify_scaling`` skips no oracle: a
+member whose triple and closed forms scale from a verified member of its pair
+(degree 1 in delta, the area 2, the tangents 0) gets the same verdict from each.
 
 Known misprints in the published reference values are kept in a small
 registry (``errata``). When a verification touches one of those quantities
@@ -26,6 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
@@ -37,6 +44,7 @@ from .geometry import (
     QuadConstruction,
     Vertex,
     angle_spread_degrees,
+    construct_quad,
     dist_squared,
     dot_cross,
     interior_tangent_from_coords,
@@ -60,6 +68,7 @@ __all__ = [
     "shoelace",
     "verify_construction",
     "verify_member",
+    "verify_scaling",
 ]
 
 
@@ -367,12 +376,24 @@ def verify_construction(q: QuadConstruction) -> VerificationReport:
     return VerificationReport(subject, tuple(checks), errata)
 
 
+def _heron_facts(member: FamilyMember) -> tuple[bool, bool]:
+    """(delta % L == 0, whether the rational lengths and the area are integers)."""
+    rational = member.side_gamma_gamma1, member.diag_gamma_gamma2, member.area
+    return member.params.delta % member.params.L == 0, all(v.denominator == 1 for v in rational)
+
+
+def _heron_check(is_heron: bool, criterion: bool, integral: bool) -> Check:
+    ok = is_heron == criterion == integral
+    actual = f"delta%L==0: {criterion}, all integral: {integral}"
+    return _check("heron-criterion-matches-integrality", ok, f"is_heron={is_heron}", actual)
+
+
 def verify_member(member: FamilyMember) -> VerificationReport:
-    """Full oracle pass over a family member: the generic construction
-    checks plus the member closed forms, the Heron criterion, and the
-    registered errata."""
+    """Full oracle pass over the construction of a family member's triple:
+    the generic construction checks plus the member closed forms, the Heron
+    criterion, and the registered errata."""
     p = member.params
-    checks, measured, theta = _construction_checks(member.quad)
+    checks, measured, theta = _construction_checks(construct_quad(*p.triple()))
 
     for (name, attr), coord_sq in zip(_MEMBER_LENGTH_CHECKS, measured.lengths_squared):
         checks.append(_equal(name, _parts(coord_sq), _squared(getattr(member, attr)), coord_sq))
@@ -388,25 +409,36 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     checks.append(_equal("member-area-vs-shoelace", _parts(measured.area), stored, area))
     checks.append(_equal("member-area-bracket-form", bracket, stored, area))
     checks.append(_equal("member-area-reduced-form", reduced, stored, area))
-
-    integral = (
-        member.side_gamma_gamma1.denominator == 1
-        and member.diag_gamma_gamma2.denominator == 1
-        and member.area.denominator == 1
-    )
-    criterion = delta % L == 0
-    checks.append(
-        _check(
-            "heron-criterion-matches-integrality",
-            member.is_heron == criterion == integral,
-            f"is_heron={member.is_heron}",
-            f"delta%L==0: {criterion}, all integral: {integral}",
-        )
-    )
-
+    checks.append(_heron_check(member.is_heron, *_heron_facts(member)))
     checks.append(_equal("member-theta-n-over-m", _parts(theta), (n, m), theta))
 
     errata = errata_for_member(member)
     checks += _erratum_checks(errata)
     subject = f"member(delta={delta}, m={m}, n={n})"
     return VerificationReport(subject, tuple(checks), errata)
+
+
+# (check name, degree in delta) of each leaf: the triple, then ``_LEAVES``
+_SCALING = (
+    *((f"member-scaling-{leg}", 1) for leg in ("alpha", "beta", "gamma")),
+    *((f"member-scaling-{name}", 1) for name, _ in _LENGTH_CHECKS),
+    ("member-scaling-area", 2),
+    *((f"member-scaling-{name}", 0) for name, _ in _TANGENT_CHECKS),
+)
+_LEAVES = attrgetter(*[a for _, a in _LENGTH_CHECKS], "area", *[a for _, a in _TANGENT_CHECKS])
+
+
+def verify_scaling(member: FamilyMember, base: FamilyMember) -> tuple[Check, ...]:
+    """The failing checks of ``member`` against ``base``, a member of its pair
+    that ``verify_member`` passed: each leaf must be the base's times s^degree,
+    s = delta/base delta, decided on ints; and the Heron criterion must hold."""
+    d, d0 = member.params.delta, base.params.delta
+    leaves = zip(member.params.triple() + _LEAVES(member), base.params.triple() + _LEAVES(base))
+    failed = []
+    for (name, k), (v, v0) in zip(_SCALING, leaves):
+        if v.numerator * v0.denominator * d0**k != v0.numerator * v.denominator * d**k:
+            failed.append(Check(name, FAIL, Fraction(v0 * d**k, d0**k), v))
+    criterion, integral = _heron_facts(member)
+    if not member.is_heron == criterion == integral:
+        failed.append(_heron_check(member.is_heron, criterion, integral))
+    return tuple(failed)

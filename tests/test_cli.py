@@ -850,8 +850,9 @@ def _misprinted_tangents(m, n):
 
 
 class TestMisprintedClosedForm:
-    """A wrong closed form is caught once per member: by the oracles where they
-    follow (exit 4, the failing checks named), by the cross-check in ``family``."""
+    """A wrong closed form ends every command in exit 4, the failing checks
+    named: ``heron-table`` and ``verify`` run the oracles on each member,
+    ``family`` on the first member of each pair."""
 
     FAILED = "2 check(s): member-tangent-Gamma, member-tangent-Gamma2"
 
@@ -884,9 +885,31 @@ class TestMisprintedClosedForm:
         assert err == f"heron-quad: verification failed: {self.FAILED}\n"
         assert json.loads(out)["result"]["verdict"] == "fail"
 
-    def test_family_cross_check_raises(self, capsys):
-        with pytest.raises(RuntimeError, match="closed form tan_gamma disagrees"):
-            main(["family", "--t-max", "3", "--delta-max", "5"])
+    def test_family_exits_4_naming_the_checks(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        for out_args in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, "family", "--t-max", "3", "--delta-max", "5", *out_args)
+            assert (code, out) == (4, "")
+            assert err == f"heron-quad: verification failed for (m=4, n=3, delta=1): {self.FAILED}\n"
+        assert not path.exists()
+
+
+def test_family_scaling_check_catches_a_closed_form_of_the_wrong_degree(capsys, monkeypatch):
+    # an area of degree 1 in delta is right at delta = 1, so the oracles pass
+    # the first member of the pair; only the scaling check of the next one fails
+    member = family._member
+
+    def degree_one_area(delta, m, n, L, tangents):
+        area = Fraction(4 * delta * m**5 * n, L * L)
+        return member(delta, m, n, L, tangents)._replace(area=area)
+
+    monkeypatch.setattr(family, "_member", degree_one_area)
+    code, out, err = run(capsys, "family", "--t-max", "3", "--delta-max", "5")
+    assert (code, out) == (4, "")
+    assert err == (
+        "heron-quad: verification failed for (m=4, n=3, delta=2): "
+        "1 check(s): member-scaling-area\n"
+    )
 
 
 class TestVerifyCommand:

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, exact_sqrt, scaled_triple, surd_normalize
+from heronquad.geometry import construct_quad
+from heronquad.verify import verify_member
 from heronquad import family
 from heronquad.family import (
     MEMBERS_MAX,
     GeneratorParams,
     TForm,
-    _cross_check,
     coprimality_certificate,
     enumerate_family,
     family_member,
@@ -147,27 +148,25 @@ class TestFamilyMember:
         # tangents are scale invariants
         assert scaled.tan_b == base.tan_b
 
+    # verify_member is the one cross-check of a member's closed forms against
+    # the construction of its triple
     @pytest.mark.parametrize(
-        "attr, built",
+        "attr, edited, name",
         [
-            ("side_gamma2_gamma1", surd_normalize(200, 2)),
-            ("diag_gamma_gamma2", surd_normalize(193, 1)),
-            ("tan_gamma", Fraction(-8, 3)),
+            ("side_gamma2_gamma1", surd_normalize(200, 2), "member-side-Gamma2-Gamma1"),
+            ("diag_gamma_gamma2", Fraction(193), "member-diagonal-Gamma-Gamma2"),
+            ("tan_gamma", Fraction(-8, 3), "member-tangent-Gamma"),
         ],
         ids=["irrational-side", "rational-diagonal", "tangent"],
     )
-    def test_cross_check_names_the_disagreeing_closed_form(self, attr, built):
-        member = family_member(5, 4, 3)
-        tampered = member.quad._replace(**{attr: built})
-        with pytest.raises(RuntimeError, match=f"closed form {attr} disagrees"):
-            _cross_check(member._replace(quad=tampered))
+    def test_cross_check_names_the_disagreeing_closed_form(self, attr, edited, name):
+        member = family_member(5, 4, 3)._replace(**{attr: edited})
+        assert verify_member(member).failed_names() == [name]
 
     def test_cross_check_compares_the_shoelace_area(self):
         member = family_member(5, 4, 3)
-        corner = member.quad.v_gamma1
-        moved = member.quad._replace(v_gamma1=corner._replace(x=corner.x + 1))
-        with pytest.raises(RuntimeError, match="closed-form area disagrees"):
-            _cross_check(member._replace(quad=moved))
+        failed = verify_member(member._replace(area=member.area + 1)).failed_names()
+        assert failed[0] == "member-area-vs-shoelace"
 
     def test_k_parameter(self):
         mem = family_member(5, 4, 3)
@@ -208,14 +207,18 @@ class TestHeronCriterion:
             assert integral == mem.is_heron
 
 
+def member_quad(delta, m, n):
+    return construct_quad(*family_member(delta, m, n).params.triple())
+
+
 class TestTheta:
     def test_theta_is_n_over_m(self):
-        quad = family_member(5, 4, 3).quad
+        quad = member_quad(5, 4, 3)
         assert quad.tan_theta == Fraction(3, 4)
         assert math.isclose(quad.theta_degrees, math.degrees(math.atan(3 / 4)), abs_tol=1e-12)
 
     def test_theta_independent_of_delta(self):
-        assert family_member(1, 4, 3).quad.tan_theta == family_member(9, 4, 3).quad.tan_theta
+        assert member_quad(1, 4, 3).tan_theta == member_quad(9, 4, 3).tan_theta
 
 
 class TestGeneratingPairs:
@@ -280,7 +283,7 @@ class TestEnumerateFamily:
     )
     def test_over_cap_window_builds_no_member(self, monkeypatch, window):
         built = []
-        monkeypatch.setattr(family, "construct_quad", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(family, "_member", lambda *a, **k: built.append(a))
         with pytest.raises(DomainError, match="more than"):
             next(window())
         assert built == []

@@ -275,3 +275,42 @@ class TestConstructionReference:
         assert q.theta_degrees.hex() == expected["theta_degrees"].hex()
         assert q.area == expected["area"]
         assert type(q.area) is Fraction
+
+
+def _times(value, k: Fraction):
+    """A construction field times the rational k > 0: a point by coordinates,
+    a surd by its coefficient, with the radicand kept."""
+    if isinstance(value, Point2):
+        return Point2(value.x * k, value.y * k)
+    if isinstance(value, Surd):
+        return Surd(value.coefficient * k, value.radicand)
+    return value * k
+
+
+_positive_rationals = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9))
+
+
+class TestHomogeneity:
+    """construct_quad(s * triple) is construct_quad(triple) scaled by s; the
+    scaling check of ``verify.verify_scaling`` rests on this."""
+
+    @given(
+        st.integers(2, 10**4).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+        _positive_rationals,
+        _positive_rationals,
+        st.booleans(),
+    )
+    def test_scaled_triple_scales_the_construction(self, pair, r, s, odd_first):
+        m, n = pair
+        legs = [2 * m * n * r, (m * m - n * n) * r]
+        if odd_first:
+            legs.reverse()
+        triple = (*legs, (m * m + n * n) * r)
+        q = construct_quad(*triple)
+        scaled = construct_quad(*(s * v for v in triple))
+        for name in QuadConstruction._fields:
+            # tangents keep their value, the squared radius scales by s^2,
+            # every coordinate, length and surd coefficient by s
+            degree = 0 if name.startswith("tan_") else 2 if name == "radius_squared" else 1
+            assert getattr(scaled, name) == _times(getattr(q, name), s**degree), name
+        assert scaled.area == s * s * q.area

@@ -54,7 +54,7 @@ def _loaded(argv: list[str], cwd: Path) -> set[str]:
         (["construct", "3", "4", "5", "--svg", "out.svg"], BASE | {"heronquad.svgfig"}),
         (["svg", "3", "4", "5"], BASE | {"heronquad.svgfig"}),
         (["solve", "3", "4", "5"], BASE | {"heronquad.trigsolve"}),
-        (["family", "--t-max", "3", "--delta-max", "3"], BASE | {"heronquad.family"}),
+        (["family", "--t-max", "3", "--delta-max", "3"], ORACLES),
         (["heron-table", "--t-max", "3"], ORACLES),
         (["verify", "--triple", "3", "4", "5"], ORACLES),
         (["verify", "--params", "5", "4", "3"], ORACLES),

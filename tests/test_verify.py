@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
 from heronquad.family import enumerate_family, family_member, generating_pairs
 from heronquad.geometry import (
+    ANGLES,
     SEGMENTS,
     Point2,
     Vertex,
@@ -34,6 +35,7 @@ from heronquad.verify import (
     shoelace,
     verify_construction,
     verify_member,
+    verify_scaling,
 )
 
 
@@ -459,6 +461,51 @@ class TestVerifyMember:
         report = verify_member(family_member(delta, *pair))
         assert not report.has_failures
         assert_rendered(report)
+
+
+# the member closed forms verify_scaling compares, and the name of its check
+_SCALED = {
+    **{attr: f"member-scaling-{kind}-{label}" for kind, label, _, attr in SEGMENTS},
+    "area": "member-scaling-area",
+    **{attr: f"member-scaling-tangent-{vertex.value}" for vertex, attr in ANGLES},
+}
+
+
+class TestVerifyScaling:
+    def test_every_member_scales_from_the_first_of_its_pair(self):
+        bases = {}
+        for member in enumerate_family(5, 12):
+            p = member.params
+            assert verify_scaling(member, bases.setdefault((p.m, p.n), member)) == ()
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([(m, n) for *_, m, n, _ in generating_pairs(8)]),
+        st.sampled_from(sorted(_SCALED) + ["is_heron"]),
+        st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+    )
+    def test_fails_exactly_where_the_oracles_fail(self, delta, delta0, pair, attr, k):
+        # an edited closed form of a member, checked against a verified member
+        # of its pair, fails the scaling check exactly when the oracles fail it
+        assume(k != 1)
+        member = family_member(delta, *pair)
+        value = getattr(member, attr)
+        edited = member._replace(**{attr: not value if attr == "is_heron" else value * k})
+        failed = [check.name for check in verify_scaling(edited, family_member(delta0, *pair))]
+        assert bool(failed) == verify_member(edited).has_failures
+        if attr != "is_heron":
+            assert failed[0] == _SCALED[attr]
+
+    def test_renders_the_scaled_base_value(self):
+        base, member = family_member(1, 4, 3), family_member(3, 4, 3)
+        (check,) = verify_scaling(member._replace(area=member.area + 1), base)
+        assert check.to_payload() == {
+            "name": "member-scaling-area",
+            "status": "fail",
+            "expected": str(9 * base.area),
+            "actual": str(member.area + 1),
+        }
 
 
 def assert_rendered(report) -> None:

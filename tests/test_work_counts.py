@@ -1,8 +1,8 @@
 """Work counts: each subject is constructed once, each member's closed
 forms are checked once, each oracle is evaluated once per verification,
 each coordinate quantity is measured once per verification, verifying a
-built construction factors nothing, and the family's once-per-pair work
-skips no per-member check."""
+built construction factors nothing, and ``family`` runs the oracles once
+per pair and checks every other member by its scaling."""
 
 import json
 import math
@@ -24,7 +24,8 @@ COUNTED = (
     (geometry, "lattice"),
     (geometry, "angle_spread_degrees"),
     (family, "_tangents"),
-    (family, "_cross_check"),
+    (verify, "verify_member"),
+    (verify, "verify_scaling"),
     (cli, "_member_payload"),
     (geometry, "dist_squared"),
     (geometry, "interior_tangent_from_coords"),
@@ -76,8 +77,9 @@ def test_heron_table_constructs_each_row_once(calls, capsys):
     assert len({(row["m"], row["n"]) for row in rows}) == len(t_pairs_read(8)) == 15
     assert calls["check_generator_pair"] == 15
     assert calls["_tangents"] == 15
-    # the oracles check the closed forms: no cross-check runs before them
-    assert calls["_cross_check"] == 0
+    # the oracles check each row's closed forms: no row is checked by its scaling
+    assert calls["verify_member"] == len(rows)
+    assert calls["verify_scaling"] == 0
     # area-helper-agrees: one shoelace beside the measurement's, each on its own lattice
     assert calls["quad_area"] == len(rows)
     assert calls["lattice"] == 2 * len(rows)
@@ -94,7 +96,7 @@ def test_heron_table_constructs_each_row_once(calls, capsys):
 def test_verify_checks_the_member_once(calls, capsys, argv):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"]["subject"].startswith("member(")
-    assert calls["_cross_check"] == 0
+    assert calls["verify_member"] == calls["construct_quad"] == 1
     assert calls["quad_area"] == 1
     assert calls["lattice"] == 2
 
@@ -110,9 +112,11 @@ def test_family_checks_each_member_and_validates_each_pair_once(
     argv = ["family", "--t-max", str(t_max), "--delta-max", str(delta_max)]
     assert main(argv + ["--heron-only"] * heron_only) == 0
     members = json.loads(capsys.readouterr().out)["result"]["members"]
-    assert calls["construct_quad"] == len(members)
-    assert calls["_cross_check"] == len(members)
-    assert calls["quad_area"] == len(members)
+    # one construction and one oracle pass per pair with members; every
+    # other member of the pair is checked by its scaling from the first
+    assert calls["construct_quad"] == calls["verify_member"] == pairs_with_members
+    assert calls["quad_area"] == pairs_with_members
+    assert calls["verify_scaling"] == len(members) - pairs_with_members > 0
     # one generator-pair check per t-pair read; tangents only for pairs with members
     read = t_pairs_read(t_max, delta_max if heron_only else None)
     assert calls["check_generator_pair"] == len(read)
@@ -136,12 +140,11 @@ def test_verify_construction_evaluates_each_oracle_once(calls):
     assert calls["squarefree_decompose"] == 0
 
 
-def test_verify_member_reuses_the_member_construction(calls):
+def test_verify_member_builds_the_one_construction(calls):
     member = family_member(5, 4, 3)
-    assert calls["construct_quad"] == 1
-    calls.clear()
-    assert not verify.verify_member(member).has_failures
     assert calls["construct_quad"] == 0
+    assert not verify.verify_member(member).has_failures
+    assert calls["construct_quad"] == 1
     assert calls["ptolemy_check"] == 1
 
 
@@ -187,6 +190,12 @@ def renders(monkeypatch):
 
 def test_heron_table_renders_no_check(renders, capsys):
     assert main(["heron-table", "--t-max", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] > 0
+    assert renders["to_payload"] == 0
+
+
+def test_family_renders_no_check(renders, capsys):
+    assert main(["family", "--t-max", "4", "--delta-max", "6"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["count"] > 0
     assert renders["to_payload"] == 0
 

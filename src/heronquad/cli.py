@@ -538,20 +538,14 @@ def _member_text(member: FamilyMember, templates: dict) -> _Encoded:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     from .family import enumerate_family
-    from .verify import verify_member, verify_scaling
+    from .verify import verify_window
 
     templates: dict = {}
     members = []
-    base = None
-    for member in enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only):
-        # the oracles check the first member of each pair; the others scale from it
-        p = member.params
-        if base is not None and base.params[1:] == p[1:]:
-            failed = [check.name for check in verify_scaling(member, base)]
-        else:
-            base, failed = member, verify_member(member).failed_names()
+    window = enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
+    for member, failed in verify_window(window):
         if failed:
-            _verification_failed(failed, p)
+            _verification_failed(failed, member.params)
             return 4
         members.append(_member_text(member, templates))
     # each erratum first appears with the first template that carries it
@@ -603,25 +597,25 @@ def _verification_failed(names: list[str], p: GeneratorParams | None = None) -> 
 
 def _cmd_heron_table(args: argparse.Namespace) -> int:
     from .family import heron_multiples
-    from .verify import verify_member
+    from .verify import verify_window
 
     as_csv = args.format == "csv"
     rows = []
     seen: dict = {}
     failures = 0
-    for member in heron_multiples(args.t_max, args.delta_multiples):
-        report = verify_member(member)
-        if report.has_failures:
+    for member, failed in verify_window(heron_multiples(args.t_max, args.delta_multiples)):
+        if failed:
             failures += 1
-            _verification_failed(report.failed_names(), member.params)
+            _verification_failed(failed, member.params)
         row = _heron_row(member)
         if as_csv:  # every cell is an int or a p/q string: none needs quoting
             rows.append(",".join(map(str, row.values())))
             continue
-        row["verified"] = not report.has_failures
-        row["errata"] = [er.ident for er in report.errata]
+        errata = errata_for_member(member)
+        row["verified"] = not failed
+        row["errata"] = [er.ident for er in errata]
         rows.append(_encoded(row))
-        seen.update(dict.fromkeys(report.errata))
+        seen.update(dict.fromkeys(errata))
 
     if as_csv:
         _emit_text("\n".join([",".join(_CSV_COLUMNS), *rows, ""]), args.out)

@@ -18,6 +18,8 @@ area by s^2, and keeps its radicands and tangents. Each check but the Heron
 criterion is homogeneous in these, so ``verify_scaling`` skips no oracle: a
 member whose triple and closed forms scale from a verified member of its pair
 (degree 1 in delta, the area 2, the tangents 0) gets the same verdict from each.
+``verify_window``, the one home of that policy for ``family`` and ``heron-table``,
+runs ``verify_member`` once per pair and ``verify_scaling`` on each other member.
 
 Known misprints in the published reference values are kept in a small
 registry (``errata``). When a verification touches one of those quantities
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
 from .exactnum import DomainError, Surd, common_denominator
@@ -69,6 +71,7 @@ __all__ = [
     "verify_construction",
     "verify_member",
     "verify_scaling",
+    "verify_window",
 ]
 
 
@@ -442,3 +445,16 @@ def verify_scaling(member: FamilyMember, base: FamilyMember) -> tuple[Check, ...
     if not member.is_heron == criterion == integral:
         failed.append(_heron_check(member.is_heron, criterion, integral))
     return tuple(failed)
+
+
+def verify_window(members: Iterable[FamilyMember]) -> Iterator[tuple[FamilyMember, list[str]]]:
+    """Each member of a window in pair order, with its failing checks' names:
+    ``verify_member`` until one of its pair passes, then scaling from that one."""
+    base = None
+    for member in members:
+        if base is not None and base.params[1:] == member.params[1:]:
+            failed = [check.name for check in verify_scaling(member, base)]
+        else:
+            failed = verify_member(member).failed_names()
+            base = None if failed else member
+        yield member, failed

@@ -851,8 +851,8 @@ def _misprinted_tangents(m, n):
 
 class TestMisprintedClosedForm:
     """A wrong closed form ends every command in exit 4, the failing checks
-    named: ``heron-table`` and ``verify`` run the oracles on each member,
-    ``family`` on the first member of each pair."""
+    named: ``verify`` runs the oracles on its member; ``family`` and
+    ``heron-table`` run them on each member of a pair until one passes."""
 
     FAILED = "2 check(s): member-tangent-Gamma, member-tangent-Gamma2"
 
@@ -862,13 +862,14 @@ class TestMisprintedClosedForm:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_heron_table_exits_4_naming_the_checks(self, capsys, fmt):
-        code, out, err = run(capsys, "heron-table", "--t-max", "3", "--format", fmt)
+        # no row passes the oracles, so no pair has a base to scale from
+        argv = ["--t-max", "3", "--delta-multiples", "2", "--format", fmt]
+        code, out, err = run(capsys, "heron-table", *argv)
         assert code == 4
-        assert err == (
-            f"heron-quad: verification failed for (m=4, n=3, delta=5): {self.FAILED}\n"
-            f"heron-quad: verification failed for (m=12, n=5, delta=13): {self.FAILED}\n"
-            "heron-quad: 2 row(s) failed verification\n"
-        )
+        assert err == "".join(
+            f"heron-quad: verification failed for (m={m}, n={n}, delta={delta}): {self.FAILED}\n"
+            for m, n, delta in ((4, 3, 5), (4, 3, 10), (12, 5, 13), (12, 5, 26))
+        ) + "heron-quad: 4 row(s) failed verification\n"
         assert out
 
     @pytest.mark.parametrize("mode", ["params", "triple", "input"])
@@ -894,22 +895,52 @@ class TestMisprintedClosedForm:
         assert not path.exists()
 
 
-def test_family_scaling_check_catches_a_closed_form_of_the_wrong_degree(capsys, monkeypatch):
-    # an area of degree 1 in delta is right at delta = 1, so the oracles pass
-    # the first member of the pair; only the scaling check of the next one fails
+def _degree_one_area(monkeypatch, right_at):
+    """Give every member the area 4*delta*e*m^5*n/L^2, e = ``right_at(L)``: of
+    degree 1 in delta, so right only at delta = e."""
     member = family._member
 
     def degree_one_area(delta, m, n, L, tangents):
-        area = Fraction(4 * delta * m**5 * n, L * L)
+        area = Fraction(4 * delta * right_at(L) * m**5 * n, L * L)
         return member(delta, m, n, L, tangents)._replace(area=area)
 
     monkeypatch.setattr(family, "_member", degree_one_area)
+
+
+def test_family_scaling_check_catches_a_closed_form_of_the_wrong_degree(capsys, monkeypatch):
+    # right at delta = 1, so the oracles pass the first member of the pair;
+    # only the scaling check of the next one fails
+    _degree_one_area(monkeypatch, lambda L: 1)
     code, out, err = run(capsys, "family", "--t-max", "3", "--delta-max", "5")
     assert (code, out) == (4, "")
     assert err == (
         "heron-quad: verification failed for (m=4, n=3, delta=2): "
         "1 check(s): member-scaling-area\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_heron_table_scaling_check_catches_a_closed_form_of_the_wrong_degree(
+    capsys, monkeypatch, fmt
+):
+    # right at delta = L, so the oracles pass the first row of each pair;
+    # only the scaling check of the second one fails
+    _degree_one_area(monkeypatch, lambda L: L)
+    argv = ["--t-max", "3", "--delta-multiples", "2", "--format", fmt]
+    code, out, err = run(capsys, "heron-table", *argv)
+    assert code == 4
+    assert err == (
+        "heron-quad: verification failed for (m=4, n=3, delta=10): "
+        "1 check(s): member-scaling-area\n"
+        "heron-quad: verification failed for (m=12, n=5, delta=26): "
+        "1 check(s): member-scaling-area\n"
+        "heron-quad: 2 row(s) failed verification\n"
+    )
+    if fmt == "json":
+        rows = json.loads(out)["result"]["rows"]
+        assert [row["verified"] for row in rows] == [True, False, True, False]
+    else:
+        assert len(out.splitlines()) == 5
 
 
 class TestVerifyCommand:

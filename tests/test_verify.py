@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from heronquad import verify
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
-from heronquad.family import enumerate_family, family_member, generating_pairs
+from heronquad.family import enumerate_family, family_member, generating_pairs, heron_multiples
 from heronquad.geometry import (
     ANGLES,
     SEGMENTS,
@@ -36,6 +37,7 @@ from heronquad.verify import (
     verify_construction,
     verify_member,
     verify_scaling,
+    verify_window,
 )
 
 
@@ -506,6 +508,49 @@ class TestVerifyScaling:
             "expected": str(9 * base.area),
             "actual": str(member.area + 1),
         }
+
+
+# small windows in pair order, of both commands' shapes
+_WINDOWS = st.one_of(
+    st.builds(heron_multiples, st.integers(2, 4), st.integers(1, 3)),
+    st.builds(enumerate_family, st.integers(2, 3), st.integers(1, 30), heron_only=st.booleans()),
+).map(list)
+
+
+class TestVerifyWindow:
+    @given(
+        _WINDOWS,
+        st.integers(0, 200),
+        st.sampled_from(sorted(_SCALED) + ["is_heron"]),
+        st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+    )
+    # the first member of the second pair, and of the first
+    @example(list(heron_multiples(3, 3)), 3, "tan_gamma", Fraction(2))
+    @example(list(enumerate_family(2, 4)), 0, "is_heron", Fraction(2))
+    def test_each_verdict_is_the_oracles_verdict(self, window, i, attr, k):
+        # one member edited: the window's verdict on every member is the one
+        # verify_member gives it alone
+        assume(window and k != 1)
+        i %= len(window)
+        value = getattr(window[i], attr)
+        window[i] = window[i]._replace(**{attr: not value if attr == "is_heron" else value * k})
+        verdicts = [(member, bool(failed)) for member, failed in verify_window(window)]
+        assert verdicts == [(member, verify_member(member).has_failures) for member in window]
+
+    def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(verify, "verify_member", lambda m: checked.append(m) or verify_member(m))
+        window = list(heron_multiples(2, 3))
+        window[0] = window[0]._replace(area=window[0].area + 1)
+        window[2] = window[2]._replace(area=window[2].area + 1)
+        failed = [names for _, names in verify_window(window)]
+        # the next member runs the oracles and becomes the base the third scales from
+        assert checked == window[:2]
+        assert failed == [
+            ["member-area-vs-shoelace", "member-area-bracket-form", "member-area-reduced-form"],
+            [],
+            ["member-scaling-area"],
+        ]
 
 
 def assert_rendered(report) -> None:

@@ -1,8 +1,8 @@
 """Work counts: each subject is constructed once, each member's closed
 forms are checked once, each oracle is evaluated once per verification,
 each coordinate quantity is measured once per verification, verifying a
-built construction factors nothing, and ``family`` runs the oracles once
-per pair and checks every other member by its scaling."""
+built construction factors nothing, and ``family`` and ``heron-table`` run
+the oracles once per pair and check every other member by its scaling."""
 
 import json
 import math
@@ -68,21 +68,21 @@ def t_pairs_read(t_max, stop=None):
     ]
 
 
-def test_heron_table_constructs_each_row_once(calls, capsys):
+def test_heron_table_constructs_each_pair_once(calls, capsys):
     assert main(["heron-table", "--t-max", "8", "--delta-multiples", "3"]) == 0
     rows = json.loads(capsys.readouterr().out)["result"]["rows"]
     assert len(rows) == 45
-    assert calls["construct_quad"] == len(rows)
     # one generator-pair check and one set of tangents per pair, not per row
     assert len({(row["m"], row["n"]) for row in rows}) == len(t_pairs_read(8)) == 15
     assert calls["check_generator_pair"] == 15
     assert calls["_tangents"] == 15
-    # the oracles check each row's closed forms: no row is checked by its scaling
-    assert calls["verify_member"] == len(rows)
-    assert calls["verify_scaling"] == 0
+    # one construction and one oracle pass per pair; every other row of the
+    # pair is checked by its scaling from the first
+    assert calls["construct_quad"] == calls["verify_member"] == 15
+    assert calls["verify_scaling"] == len(rows) - 15 == 30
     # area-helper-agrees: one shoelace beside the measurement's, each on its own lattice
-    assert calls["quad_area"] == len(rows)
-    assert calls["lattice"] == 2 * len(rows)
+    assert calls["quad_area"] == 15
+    assert calls["lattice"] == 30
 
 
 @pytest.mark.parametrize(

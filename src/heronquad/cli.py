@@ -31,7 +31,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errata import errata_for_member, errata_for_triple
+from .errata import errata_for_triple
 from .exactnum import (
     K_ABS_MAX,
     K_PERIODS_MAX,
@@ -517,14 +517,13 @@ def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -
 _HOLE = _Encoded("\0")
 
 
-def _member_text(member: FamilyMember, templates: dict) -> _Encoded:
-    """``_encoded(_member_payload(member, errata_for_member(member)))``.
+def _member_text(member: FamilyMember, errata: tuple, templates: dict) -> _Encoded:
+    """``_encoded(_member_payload(member, errata))``.
 
     Outside its ``_member_leaves`` the text is the same for every member with
     the same (m, n, errata), so it is encoded once per such key, into
     ``templates``, and split at the leaves; a member fills in its own.
     """
-    errata = errata_for_member(member)
     leaves = _member_leaves(member)
     key = member.params.m, member.params.n, errata
     template = templates.get(key)
@@ -543,11 +542,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
     templates: dict = {}
     members = []
     window = enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
-    for member, failed in verify_window(window):
+    for member, failed, errata in verify_window(window):
         if failed:
             _verification_failed(failed, member.params)
             return 4
-        members.append(_member_text(member, templates))
+        members.append(_member_text(member, errata, templates))
     # each erratum first appears with the first template that carries it
     seen = dict.fromkeys(er for *_, errata in templates for er in errata)
     result = {"count": len(members), "members": members}
@@ -603,7 +602,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     rows = []
     seen: dict = {}
     failures = 0
-    for member, failed in verify_window(heron_multiples(args.t_max, args.delta_multiples)):
+    for member, failed, errata in verify_window(heron_multiples(args.t_max, args.delta_multiples)):
         if failed:
             failures += 1
             _verification_failed(failed, member.params)
@@ -611,7 +610,6 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
         if as_csv:  # every cell is an int or a p/q string: none needs quoting
             rows.append(",".join(map(str, row.values())))
             continue
-        errata = errata_for_member(member)
         row["verified"] = not failed
         row["errata"] = [er.ident for er in errata]
         rows.append(_encoded(row))

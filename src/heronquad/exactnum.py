@@ -68,8 +68,9 @@ def exact_sqrt(c: int) -> int | None:
 def common_denominator(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(d, [value * d for value in values]): d, the lcm of the denominators,
     writes every value as an int over d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[den for _, den in ratios])
+    return d, [num * (d // den) for num, den in ratios]
 
 
 def scaled_floats(*values: Fraction | int) -> tuple[int, list[float]]:

@@ -31,14 +31,16 @@ __all__ = [
     "SEGMENTS",
     "Vertex",
     "angle_spread_degrees",
+    "closed_area",
     "construct_quad",
+    "corner",
     "dist_squared",
     "dot_cross",
     "interior_angle_degrees",
-    "interior_tangent_from_coords",
     "lattice",
     "quad_area",
     "theta_degrees",
+    "twice_area",
 ]
 
 
@@ -72,6 +74,12 @@ def lattice(points: Sequence[Point2]) -> tuple[int, tuple[Point2, ...]]:
     makes them int pairs; squared lengths and areas scale by S^2."""
     s, ints = common_denominator([c for p in points for c in p])
     return s, tuple(map(Point2, ints[::2], ints[1::2]))
+
+
+def closed_area(D: int, A: int, B: int, G: int) -> tuple[int, int]:
+    """The closed-form area of the construction of the triple (A, B, G)/D, as
+    (numerator, denominator): ab/2 + (b^2/2)(a/g) + a(b+g)/2 = A(B+G)^2 / (2 G D^2)."""
+    return A * (B + G) ** 2, 2 * G * D * D
 
 
 class Vertex(Enum):
@@ -117,10 +125,9 @@ class QuadConstruction(NamedTuple):
     @property
     def area(self) -> Fraction:
         """Closed-form area from the triple alone, computed on access; the
-        oracles recompute it from the coordinates. On the triple's lattice
-        ab/2 + (b^2/2)(a/g) + a(b+g)/2 = A(B+G)^2 / (2 G D^2)."""
+        oracles recompute it from the coordinates."""
         D, (A, B, G) = common_denominator((self.alpha, self.beta, self.gamma))
-        return Fraction(A * (B + G) ** 2, 2 * G * D * D)
+        return Fraction(*closed_area(D, A, B, G))
 
     @property
     def theta_degrees(self) -> float:
@@ -153,6 +160,7 @@ ANGLES = (
     (Vertex.GAMMA2, "tan_gamma2"),
 )
 _INDEX = {vertex: i for i, vertex in enumerate(Vertex)}
+_ZERO = Fraction(0)
 
 
 def theta_degrees(alpha: Fraction | int, beta_plus_gamma: Fraction | int) -> float:
@@ -186,7 +194,6 @@ def construct_quad(
         raise DomainError(
             f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
         )
-    zero = Fraction(0)
     BG = B + G
     bg = Fraction(BG, D)
     # each value is one Fraction of ints from (A, B, G, D). hyp^2 = 2g(b+g), so
@@ -200,10 +207,10 @@ def construct_quad(
         beta=b,
         gamma=g,
         v_gamma=Point2(Fraction(A * A, G * D), Fraction(A * B, G * D)),
-        v_b=Point2(zero, zero),
-        v_gamma2=Point2(zero, -a),
-        v_gamma1=Point2(bg, zero),
-        v_a=Point2(g, zero),
+        v_b=Point2(_ZERO, _ZERO),
+        v_gamma2=Point2(_ZERO, -a),
+        v_gamma1=Point2(bg, _ZERO),
+        v_a=Point2(g, _ZERO),
         side_gamma_b=a,
         side_b_gamma2=a,
         side_gamma2_gamma1=Surd(Fraction(p, q), r),
@@ -220,29 +227,15 @@ def construct_quad(
     )
 
 
-def _corner(points: Sequence[Point2], which: Vertex) -> tuple[Fraction, Fraction]:
-    """``dot_cross`` from a vertex to its two neighbours in the traversal order."""
-    i = _INDEX[which]
-    return dot_cross(points[i], points[i - 1], points[(i + 1) % 4])
-
-
-def interior_tangent_from_coords(points: Sequence[Point2], which: Vertex) -> Fraction | None:
-    """Tangent of the interior angle at a vertex, from the coordinates alone
-    of four vertices in traversal order (any scale).
-
-    For edge vectors u, v at the vertex the interior angle lies in (0, pi),
-    so tan = |u x v| / (u . v) is exact in rational arithmetic. ``None``
-    signals a right angle (zero dot product, infinite tangent).
-    """
-    dot, cross = _corner(points, which)
-    if dot == 0:
-        return None
-    return Fraction(abs(cross), dot)
+def corner(points: Sequence[Point2], i: int) -> tuple[Fraction, Fraction]:
+    """``dot_cross`` at vertex i to its neighbours in the traversal order: the
+    interior angle's tangent is |cross|/dot at any scale (none where dot = 0)."""
+    return dot_cross(points[i], points[i - 1], points[(i + 1) % len(points)])
 
 
 def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
     """The interior angle at a vertex in degrees, from coordinates alone."""
-    dot, cross = _corner(q.vertices(), which)
+    dot, cross = corner(q.vertices(), _INDEX[which])
     # the angle depends only on the ratio, so both may move into the float range
     _, (dot, cross) = scaled_floats(dot, cross)
     return math.degrees(math.atan2(abs(cross), dot))
@@ -252,8 +245,13 @@ def quad_area(q: QuadConstruction) -> Fraction:
     """Exact area by the shoelace sum over the traversal order, taken on the
     integer lattice of the vertices."""
     scale, pts = lattice(q.vertices())
-    twice = sum(px * ry - rx * py for (px, py), (rx, ry) in zip(pts, pts[1:] + pts[:1]))
-    return Fraction(abs(twice), 2 * scale * scale)
+    return Fraction(abs(twice_area(pts)), 2 * scale * scale)
+
+
+def twice_area(points: Sequence[Point2]) -> int:
+    """Twice the signed area of a polygon in traversal order, by the shoelace
+    sum: the helper the verifier's own shoelace is checked against."""
+    return sum(px * ry - rx * py for (px, py), (rx, ry) in zip(points, points[1:] + points[:1]))
 
 
 def angle_spread_degrees(q: QuadConstruction) -> float:

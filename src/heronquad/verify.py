@@ -4,12 +4,15 @@ The oracles work from vertex coordinates and exact arithmetic only: a 4x4
 concyclicity determinant, the Ptolemy identity decided by squaring products
 of squared coordinate distances, and a general shoelace with an exact
 self-intersection test. None consults the closed forms it checks, so a bug
-in them cannot hide. A verification measures each coordinate quantity once
-and compares every claim with that one measurement. It runs on Python ints,
-the points scaled by S, the lcm of their coordinate denominators (never read
-from a closed form); each check is decided on ints by cross-multiplying,
-never by a float, and a value turns back into a Fraction only where a check
-reports it.
+in them cannot hide. A verification measures each coordinate quantity once,
+on one integer lattice: the construction's own vertex fields (a moved vertex
+is measured where it is) times S, the lcm of their denominators. S is read
+from those coordinates, never from a closed form, and scaling by S is a
+similarity: lengths grow by S; squared lengths, areas and the corners' dot
+and cross products by S^2; the concyclicity determinant by S^4; angles not at
+all. So a claim p/q on a quantity of degree k is decided on ints, by
+p * S^k == q * measured, never by a float; a Fraction is built only where a
+check fails or is rendered.
 
 A family member is the quadrilateral of delta*(2mn, m^2 - n^2, m^2 + n^2),
 and ``construct_quad`` is homogeneous: a triple scaled by s > 0 scales its
@@ -22,10 +25,9 @@ member whose triple and closed forms scale from a verified member of its pair
 runs ``verify_member`` once per pair and ``verify_scaling`` on each other member.
 
 Known misprints in the published reference values are kept in a small
-registry (``errata``). When a verification touches one of those quantities
-the report carries an ``erratum`` entry (printed value vs oracle value)
-instead of a failure, so implementation bugs stay distinguishable from
-source typos.
+registry (``errata``): a verification that touches one reports an
+``erratum`` entry (printed vs oracle value) instead of a failure, so
+implementation bugs stay distinguishable from source typos.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
@@ -46,12 +47,13 @@ from .geometry import (
     QuadConstruction,
     Vertex,
     angle_spread_degrees,
+    closed_area,
     construct_quad,
+    corner,
     dist_squared,
     dot_cross,
-    interior_tangent_from_coords,
     lattice,
-    quad_area,
+    twice_area,
 )
 
 if TYPE_CHECKING:
@@ -97,17 +99,20 @@ def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> 
     return _det3([(dx * dx + dy * dy, dx, dy) for dx, dy in moved])
 
 
-def _orient(a: Point2, b: Point2, c: Point2) -> int:
-    v = dot_cross(a, b, c)[1]
-    return (v > 0) - (v < 0)
+def _orient(cross: Fraction | int) -> int:
+    """The orientation of a vertex triple, the sign of a cross product at one of its corners."""
+    return (cross > 0) - (cross < 0)
 
 
-def _no_collinear_triple(pts: Sequence[Point2]) -> bool:
-    # a collinear triple can zero the determinant, yet no circle passes through it
-    distinct = [p for i, p in enumerate(pts) if p not in pts[:i]]
-    if len(distinct) < 3:
+def _no_collinear_triple(pts: Sequence[Point2], signs: Sequence[int]) -> bool:
+    """Whether no three distinct points of a quadrilateral are collinear (such a
+    triple can zero the determinant, yet no circle passes through it), from its
+    corner orientations: with three distinct points, a corner holding both
+    copies of one has cross 0, and every other corner holds exactly the three."""
+    distinct = len(set(pts))
+    if distinct < 3:
         raise DomainError("concyclicity needs at least three distinct points")
-    return all(_orient(*trio) != 0 for trio in combinations(distinct, 3))
+    return all(signs) if distinct == 4 else any(signs)
 
 
 def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
@@ -116,7 +121,9 @@ def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
     Degenerate inputs: fewer than three distinct points is an error; a
     collinear triple returns False because no circle passes through it.
     """
-    return _no_collinear_triple((p1, p2, p3, p4)) and concyclicity_determinant(p1, p2, p3, p4) == 0
+    pts = (p1, p2, p3, p4)
+    signs = [_orient(corner(pts, i)[1]) for i in range(4)]
+    return _no_collinear_triple(pts, signs) and concyclicity_determinant(*pts) == 0
 
 
 def ptolemy_check(lengths_squared: Sequence[Fraction | int]) -> bool:
@@ -140,23 +147,11 @@ def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def _segments_intersect(points: Sequence[Point2], i: int, j: int) -> bool:
-    """Whether edge i (points i to i + 1) meets edge j."""
-    n = len(points)
-    a, b, c, d = points[i], points[(i + 1) % n], points[j], points[(j + 1) % n]
-    o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
-    return (o1 != o2 and o3 != o4) or any(
-        o == 0 and _on_segment(one, other, p)
-        for o, one, other, p in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b))
-    )
-
-
-def shoelace(points: Sequence[Point2]) -> Fraction:
-    """Exact area of a simple polygon given in traversal order.
-
+def _shoelace_sum(points: Sequence[Point2], signs: Sequence[int] = ()) -> int:
+    """Twice the signed area of a simple polygon in traversal order, by the
+    shoelace sum; ``signs``, if given, are a quadrilateral's corner orientations.
     Zero-length edges and self-intersections (tested exactly on every
-    non-adjacent edge pair) are errors, not silently wrong areas.
-    """
+    non-adjacent edge pair) are errors, not silently wrong areas."""
     n = len(points)
     if n < 3:
         raise DomainError(f"a polygon needs at least 3 vertices, got {n}")
@@ -164,51 +159,66 @@ def shoelace(points: Sequence[Point2]) -> Fraction:
         if points[i] == points[(i + 1) % n]:
             raise DomainError(f"zero-length edge at vertex {i}")
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_intersect(points, i, j):
+        for j in range(i + 2, n - (i == 0)):
+            a, b, c, d = points[i], points[(i + 1) % n], points[j], points[(j + 1) % n]
+            if signs:  # the corners at i + 1, i, j + 1, j orient (a, b, c), (a, b, d), ... negated
+                o1, o2, o3, o4 = signs[i + 1], signs[i], signs[(j + 1) % 4], signs[j]
+            else:
+                trios = ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
+                o1, o2, o3, o4 = (_orient(dot_cross(*trio)[1]) for trio in trios)
+            # a proper crossing, or (searched only then) an endpoint on the other edge
+            if (o1 != o2 and o3 != o4) or not (o1 and o2 and o3 and o4) and any(
+                o == 0 and _on_segment(one, other, p)
+                for o, one, other, p in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b))
+            ):
                 raise DomainError(
                     f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
                 )
-    twice = sum(px * ry - rx * py for (px, py), (rx, ry) in zip(points, points[1:] + points[:1]))
-    return Fraction(abs(twice), 2)
+    return sum(px * ry - rx * py for (px, py), (rx, ry) in zip(points, points[1:] + points[:1]))
+
+
+def shoelace(points: Sequence[Point2]) -> Fraction:
+    """Exact area of a simple polygon given in traversal order (``_shoelace_sum``)."""
+    return Fraction(abs(_shoelace_sum(points)), 2)
 
 
 # ---------------------------------------------------------------------------
 # integer-lattice measurement
 
-# the endpoints of each of the six SEGMENTS as vertex indices
+# the endpoints of each of the six SEGMENTS, and the vertex of each of the
+# four ANGLES, as vertex indices
 _ENDS = tuple(tuple(map(list(Vertex).index, ends)) for _, _, ends, _ in SEGMENTS)
+_AT = tuple(list(Vertex).index(vertex) for vertex, _ in ANGLES)
 
 
 class Measurement(NamedTuple):
-    """Coordinate measurements of one quadrilateral, in check order."""
+    """Coordinate measurements of one quadrilateral, in check order, as ints
+    on its lattice: the determinant over S^4, the rest over S^2."""
 
     scale: int  # S, the lcm of the measured coordinates' denominators
     points: tuple[Point2, ...]  # the measured points times S: int pairs
-    determinant: Fraction
+    det: int
     concyclic: bool
     ptolemy: bool
-    lengths_squared: tuple[Fraction, ...]  # SEGMENTS
-    tangents: tuple[Fraction | None, ...]  # ANGLES
-    area: Fraction  # shoelace
+    squares: tuple[int, ...]  # squared lengths, SEGMENTS
+    corners: tuple[tuple[int, int], ...]  # (dot, cross) at each Vertex
+    shoelace_sum: int  # twice the signed area
 
 
 def measure(points: Sequence[Point2]) -> Measurement:
-    """The oracles on the quadrilateral ``points[:4]``, in int arithmetic on
-    the lattice of all ``points`` (later ones only share the scale). Squared
-    lengths and the area rescale by S^2, the determinant by S^4."""
+    """The oracles on the quadrilateral ``points[:4]``, in int arithmetic on the
+    lattice of all ``points`` (later ones only share the scale). Each vertex triple
+    is a corner: the corners give every orientation the degeneracy tests read."""
     scale, pts = lattice(points)
-    quad, s2 = pts[:4], scale * scale
+    quad = pts[:4]
+    corners = tuple([corner(quad, i) for i in range(4)])
+    signs = [_orient(cross) for _, cross in corners]
     det = concyclicity_determinant(*quad)
-    concyclic_quad = _no_collinear_triple(quad) and det == 0
-    lengths = [dist_squared(quad[i], quad[j]) for i, j in _ENDS]
-    tangents = tuple(interior_tangent_from_coords(quad, vertex) for vertex, _ in ANGLES)
-    area = shoelace(quad) / s2
+    concyclic_quad = _no_collinear_triple(quad, signs) and det == 0
+    squares = tuple([dist_squared(quad[i], quad[j]) for i, j in _ENDS])
+    twice = _shoelace_sum(quad, signs)
     return Measurement(
-        scale, pts, Fraction(det, s2 * s2), concyclic_quad, ptolemy_check(lengths),
-        tuple(Fraction(d, s2) for d in lengths), tangents, area,
+        scale, pts, det, concyclic_quad, ptolemy_check(squares), squares, corners, twice
     )
 
 
@@ -273,29 +283,27 @@ def _check(name: str, ok: bool, expected: object, actual: object) -> Check:
     return Check(name, PASS if ok else FAIL, expected, actual)
 
 
-def _same(name: str, expected: object, actual: object) -> Check:
-    """An equality check: passes exactly when ``expected == actual``."""
-    return Check(name, PASS if expected == actual else FAIL, expected, actual)
-
-
 def _equal(name: str, expected: tuple[int, int], actual: tuple[int, int], kept: object) -> Check:
     """An equality of two rationals, each an int (numerator, denominator)
     pair, decided by cross-multiplying. A pass keeps ``kept``, the value of
     one side, as both values; a failure keeps each side as a Fraction."""
     (en, ed), (an, ad) = expected, actual
     if en * ad == an * ed:
-        return Check(name, PASS, kept, kept)
+        return _passed((name, PASS, kept, kept))
     return Check(name, FAIL, Fraction(en, ed), Fraction(an, ad))
 
 
-def _parts(value: Fraction | int) -> tuple[int, int]:
-    return value.numerator, value.denominator
+# a passing Check, built without NamedTuple's Python-level __new__; and the
+# (numerator, denominator) of an int or a Fraction, in one call
+_passed = partial(tuple.__new__, Check)
+_ratio = methodcaller("as_integer_ratio")
 
 
 def _squared(value: Fraction | int | Surd) -> tuple[int, int]:
     """The exact square of a rational or surd length, as (numerator, denominator)."""
-    c, r = (value.coefficient, value.radicand) if isinstance(value, Surd) else (value, 1)
-    return c.numerator * c.numerator * r, c.denominator * c.denominator
+    c, r = value if isinstance(value, Surd) else (value, 1)
+    n, d = _ratio(c)
+    return n * n * r, d * d
 
 
 class _OnRender(partial):
@@ -305,49 +313,61 @@ class _OnRender(partial):
         return str(self())
 
 
-# check names with the stored attribute each one reads; the member twins
-# compare the member's own closed forms
+# check names with the stored attribute each one reads
 _RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
 _LENGTH_CHECKS = tuple((f"{kind}-{label}", attr) for kind, label, _, attr in SEGMENTS)
 _TANGENT_CHECKS = tuple((f"tangent-{vertex.value}", attr) for vertex, attr in ANGLES)
-_MEMBER_LENGTH_CHECKS = tuple(("member-" + name, attr) for name, attr in _LENGTH_CHECKS)
-_MEMBER_TANGENT_CHECKS = tuple(("member-" + name, attr) for name, attr in _TANGENT_CHECKS)
 
 
-def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement, Fraction]:
-    """The construction's checks, its measurement and alpha/(beta+gamma)."""
+def _form_checks(prefix: str, forms: object, measured: Measurement, lengths: list) -> list[Check]:
+    """The stored lengths and tangents of ``forms``, a construction or a
+    member, against the measured squares (lengths compare exactly on squares,
+    rendered by ``lengths``) and corners (tan = |cross|/dot; none at dot 0)."""
+    s2 = measured.scale * measured.scale
+    checks = [
+        _equal(prefix + name, (sq, s2), _squared(getattr(forms, attr)), length)
+        for (name, attr), sq, length in zip(_LENGTH_CHECKS, measured.squares, lengths)
+    ]
+    for (name, attr), i in zip(_TANGENT_CHECKS, _AT):
+        (dot, cross), stored = measured.corners[i], getattr(forms, attr)
+        check = _equal(prefix + name, (abs(cross), dot), _ratio(stored), stored) if dot else None
+        checks.append(check or Check(prefix + name, FAIL, None, stored))
+    return checks
+
+
+def _construction_checks(q: QuadConstruction, D: int, A: int, B: int, G: int) -> tuple:
+    """The construction's checks, on one lattice of its vertex fields and on its
+    triple (A, B, G)/D; and what a member's checks read: the measurement, the
+    rendered squared lengths, the shoelace area as an int pair and theta."""
     measured = measure(q.vertices() + (q.circumcenter, q.v_a))
     g, b, g2, g1, center, v_a = measured.points
     s2 = measured.scale * measured.scale
+    ptolemy = measured.ptolemy
     checks = [
-        _same("concyclicity-determinant", 0, measured.determinant),
-        _same("concyclic", True, measured.concyclic),
-        _same("ptolemy-identity", "holds", "holds" if measured.ptolemy else "violated"),
+        _equal("concyclicity-determinant", (0, 1), (measured.det, s2 * s2), 0),
+        _check("concyclic", measured.concyclic, True, measured.concyclic),
+        _check("ptolemy-identity", ptolemy, "holds", "holds" if ptolemy else "violated"),
         _equal("right-angle-at-B", (0, 1), (dot_cross(b, g2, g1)[0], s2), 0),
     ]
-    radius = q.radius_squared
-    stored = _parts(radius)
+    radius, stored = q.radius_squared, _ratio(q.radius_squared)
     for name, point in zip(_RADIUS_NAMES, (g, b, g2, g1)):
         checks.append(_equal(name, stored, (dist_squared(point, center), s2), radius))
-    # stored lengths vs coordinate distances (compared on squares: exact)
-    for (name, attr), coord_sq in zip(_LENGTH_CHECKS, measured.lengths_squared):
-        checks.append(_equal(name, _parts(coord_sq), _squared(getattr(q, attr)), coord_sq))
-    for (name, attr), tangent in zip(_TANGENT_CHECKS, measured.tangents):
-        checks.append(_same(name, tangent, getattr(q, attr)))
+    lengths = [_OnRender(Fraction, square, s2) for square in measured.squares]
+    checks += _form_checks("", q, measured, lengths)
     for name, (u, v) in (
         ("tangent-sum-B-Gamma1", (q.tan_b, q.tan_gamma1)),
         ("tangent-sum-Gamma-Gamma2", (q.tan_gamma, q.tan_gamma2)),
     ):
-        total = u.numerator * v.denominator + v.numerator * u.denominator
-        checks.append(_equal(name, (0, 1), (total, u.denominator * v.denominator), 0))
+        (un, ud), (vn, vd) = _ratio(u), _ratio(v)
+        checks.append(_equal(name, (0, 1), (un * vd + vn * ud, ud * vd), 0))
 
-    # the triple on its own lattice: (alpha, beta, gamma) = (A, B, G)/D
-    D, (A, B, G) = common_denominator((q.alpha, q.beta, q.gamma))
-    BG, area = B + G, measured.area
-    checks.append(_equal("area-shoelace-vs-closed", _parts(q.area), _parts(area), area))
-    checks.append(_equal("area-helper-agrees", _parts(area), _parts(quad_area(q)), area))
-    theta = Fraction(A, BG)
-    checks.append(_equal("theta-tangent", (A, BG), _parts(q.tan_theta), theta))
+    BG, area = B + G, (abs(measured.shoelace_sum), 2 * s2)
+    shown = _OnRender(Fraction, *area)
+    checks.append(_equal("area-shoelace-vs-closed", closed_area(D, A, B, G), area, shown))
+    helper = (abs(twice_area(measured.points[:4])), 2 * s2)
+    checks.append(_equal("area-helper-agrees", area, helper, shown))
+    checks.append(_equal("theta-tangent", (A, BG), _ratio(q.tan_theta), q.tan_theta))
+    theta = checks[-1].expected  # A/(B+G): the stored tangent where it passed
     checks.append(_equal("shared-base-angle-identity", (A, BG), (G - B, A), theta))
     # phi, the base angle at Gamma2, and omega = atan2(a, b)/2 equal theta when
     # tan phi = a/(b+g) and tan 2theta = 2t/(1 - t^2) = a/b for t = a/(b+g)
@@ -359,9 +379,10 @@ def _construction_checks(q: QuadConstruction) -> tuple[list[Check], Measurement,
     # the apex coordinates encode the double angle: cos = beta/gamma, sin = alpha/gamma
     dot, cross = dot_cross(v_a, b, g)
     prod = G * B * s2  # |A-B| * |A-Gamma| for this embedding, on the lattice, times D^2
-    checks.append(_equal("double-angle-cos", (B, G), (dot * D * D, prod), Fraction(B, G)))
-    checks.append(_equal("double-angle-sin", (A, G), (abs(cross) * D * D, prod), Fraction(A, G)))
-    return checks, measured, theta
+    cos, sin = _OnRender(Fraction, B, G), _OnRender(Fraction, A, G)
+    checks.append(_equal("double-angle-cos", (B, G), (dot * D * D, prod), cos))
+    checks.append(_equal("double-angle-sin", (A, G), (abs(cross) * D * D, prod), sin))
+    return checks, measured, lengths, area, theta
 
 
 def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
@@ -374,7 +395,8 @@ def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
 def verify_construction(q: QuadConstruction) -> VerificationReport:
     """Full oracle pass over one construction."""
     errata = errata_for_triple(q.alpha, q.beta, q.gamma)
-    checks = _construction_checks(q)[0] + _erratum_checks(errata)
+    D, (A, B, G) = common_denominator((q.alpha, q.beta, q.gamma))
+    checks = _construction_checks(q, D, A, B, G)[0] + _erratum_checks(errata)
     subject = f"construction({q.alpha}, {q.beta}, {q.gamma})"
     return VerificationReport(subject, tuple(checks), errata)
 
@@ -395,25 +417,22 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     """Full oracle pass over the construction of a family member's triple:
     the generic construction checks plus the member closed forms, the Heron
     criterion, and the registered errata."""
-    p = member.params
-    checks, measured, theta = _construction_checks(construct_quad(*p.triple()))
-
-    for (name, attr), coord_sq in zip(_MEMBER_LENGTH_CHECKS, measured.lengths_squared):
-        checks.append(_equal(name, _parts(coord_sq), _squared(getattr(member, attr)), coord_sq))
-    for (name, attr), tangent in zip(_MEMBER_TANGENT_CHECKS, measured.tangents):
-        checks.append(_same(name, tangent, getattr(member, attr)))
+    p, triple = member.params, member.params.triple()  # ints: over D = 1
+    q = construct_quad(*triple)
+    checks, measured, lengths, measured_area, theta = _construction_checks(q, 1, *triple)
+    checks += _form_checks("member-", member, measured, lengths)
 
     m, n, L, delta = p.m, p.n, p.L, p.delta
     mm_nn, mmnn = m * m - n * n, m * m + n * n
     # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
     bracket = (delta * delta * m * n * ((mm_nn + 2 * m * m) * mmnn + mm_nn * mm_nn), mmnn)
     reduced = (4 * delta * delta * m**5 * n, L * L)
-    area, stored = member.area, _parts(member.area)
-    checks.append(_equal("member-area-vs-shoelace", _parts(measured.area), stored, area))
+    area, stored = member.area, _ratio(member.area)
+    checks.append(_equal("member-area-vs-shoelace", measured_area, stored, area))
     checks.append(_equal("member-area-bracket-form", bracket, stored, area))
     checks.append(_equal("member-area-reduced-form", reduced, stored, area))
     checks.append(_heron_check(member.is_heron, *_heron_facts(member)))
-    checks.append(_equal("member-theta-n-over-m", _parts(theta), (n, m), theta))
+    checks.append(_equal("member-theta-n-over-m", _ratio(theta), (n, m), theta))
 
     errata = errata_for_member(member)
     checks += _erratum_checks(errata)
@@ -431,30 +450,43 @@ _SCALING = (
 _LEAVES = attrgetter(*[a for _, a in _LENGTH_CHECKS], "area", *[a for _, a in _TANGENT_CHECKS])
 
 
-def verify_scaling(member: FamilyMember, base: FamilyMember) -> tuple[Check, ...]:
+def _scaling_parts(base: FamilyMember) -> list[tuple[int, int]]:
+    """(numerator, denominator * delta^degree) of each leaf of ``base``."""
+    d0, leaves = base.params.delta, base.params.triple() + _LEAVES(base)
+    return [(n, d * d0**k) for (_, k), (n, d) in zip(_SCALING, map(_ratio, leaves))]
+
+
+def verify_scaling(member: FamilyMember, base: FamilyMember, parts: list | None = None) -> tuple:
     """The failing checks of ``member`` against ``base``, a member of its pair
     that ``verify_member`` passed: each leaf must be the base's times s^degree,
-    s = delta/base delta, decided on ints; and the Heron criterion must hold."""
-    d, d0 = member.params.delta, base.params.delta
-    leaves = zip(member.params.triple() + _LEAVES(member), base.params.triple() + _LEAVES(base))
+    s = delta/base delta, decided on ints; and the Heron criterion must hold.
+    ``parts``, if given, is ``_scaling_parts(base)``, read once per base."""
+    d = member.params.delta
+    powers = (1, d, d * d)
+    leaves = member.params.triple() + _LEAVES(member)
     failed = []
-    for (name, k), (v, v0) in zip(_SCALING, leaves):
-        if v.numerator * v0.denominator * d0**k != v0.numerator * v.denominator * d**k:
-            failed.append(Check(name, FAIL, Fraction(v0 * d**k, d0**k), v))
+    for (name, k), v, (n0, d0k) in zip(_SCALING, leaves, parts or _scaling_parts(base)):
+        n, d = _ratio(v)
+        if n * d0k != n0 * d * powers[k]:
+            failed.append(Check(name, FAIL, Fraction(n0 * powers[k], d0k), v))
     criterion, integral = _heron_facts(member)
     if not member.is_heron == criterion == integral:
         failed.append(_heron_check(member.is_heron, criterion, integral))
     return tuple(failed)
 
 
-def verify_window(members: Iterable[FamilyMember]) -> Iterator[tuple[FamilyMember, list[str]]]:
-    """Each member of a window in pair order, with its failing checks' names:
-    ``verify_member`` until one of its pair passes, then scaling from that one."""
-    base = None
+def verify_window(members: Iterable[FamilyMember]) -> Iterator[tuple]:
+    """Each member of a window in pair order, with its failing checks' names
+    and its errata: ``verify_member`` until one of its pair passes, then
+    scaling from that one."""
+    base = parts = None
     for member in members:
         if base is not None and base.params[1:] == member.params[1:]:
-            failed = [check.name for check in verify_scaling(member, base)]
+            parts = parts or _scaling_parts(base)
+            failed = [check.name for check in verify_scaling(member, base, parts)]
+            errata = errata_for_member(member)
         else:
-            failed = verify_member(member).failed_names()
-            base = None if failed else member
-        yield member, failed
+            report = verify_member(member)
+            failed, errata = report.failed_names(), report.errata
+            base, parts = None if failed else member, None
+        yield member, failed, errata

@@ -637,8 +637,9 @@ class TestFamilyCommand:
         members = list(enumerate_family(t_max, delta_max, heron_only=heron_only))
         assert members
         for member in members:
-            expected = cli._encoded(cli._member_payload(member, errata_for_member(member)))
-            assert cli._member_text(member, templates) == expected, member.params
+            errata = errata_for_member(member)
+            expected = cli._encoded(cli._member_payload(member, errata))
+            assert cli._member_text(member, errata, templates) == expected, member.params
         # every window here holds the worked example, and it has its own template
         worked = (5, 4, 3, 5)
         assert worked in {m.params for m in members}

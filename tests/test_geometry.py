@@ -26,7 +26,7 @@ from heronquad.geometry import (
     dist_squared,
     dot_cross,
     interior_angle_degrees,
-    interior_tangent_from_coords,
+    corner,
     quad_area,
 )
 
@@ -134,12 +134,18 @@ class TestRightAngleAndCircle:
             q._replace(theta_degrees=q.theta_degrees + 1e-9)
 
 
+def interior_tangent(q, vertex) -> Fraction:
+    """|cross|/dot of the corner at ``vertex``, from the coordinates alone."""
+    dot, cross = corner(q.vertices(), list(Vertex).index(vertex))
+    return Fraction(abs(cross), dot)
+
+
 class TestInteriorTangents:
     def test_tangents_match_stored_closed_forms(self):
         for triple in ((3, 4, 5), (120, 35, 125), (20, 21, 29)):
             q = construct_quad(*triple)
             for vertex, attr in ANGLES:
-                assert interior_tangent_from_coords(q.vertices(), vertex) == getattr(q, attr)
+                assert interior_tangent(q, vertex) == getattr(q, attr)
 
     def test_right_angle_returns_none(self):
         # isosceles right-triangle-like quadrilateral cannot arise from a
@@ -148,7 +154,7 @@ class TestInteriorTangents:
         # always right by the embedding, but B's interior angle spans the
         # traversal neighbours Gamma and Gamma2, not Gamma2 and Gamma1.
         q = construct_quad(3, 4, 5)
-        assert interior_tangent_from_coords(q.vertices(), Vertex.B) == Fraction(-3, 4)
+        assert interior_tangent(q, Vertex.B) == Fraction(-3, 4)
 
     def test_opposite_angles_supplementary(self):
         q = construct_quad(12, 35, 37)

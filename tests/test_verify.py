@@ -67,6 +67,15 @@ class TestConcyclicity:
         with pytest.raises(DomainError):
             concyclic(P(0, 0), P(0, 0), P(1, 1), P(1, 1))
 
+    @pytest.mark.parametrize("repeat", [1, 2, 3])
+    def test_three_distinct_points_decide_on_their_triangle(self, repeat):
+        # with P(0, 0) repeated, the three distinct points share a circle
+        # exactly when they are not collinear
+        for third, expected in ((P(0, 1), True), (P(2, 0), False)):
+            pts = [P(0, 0), P(1, 0), third]
+            pts.insert(repeat, P(0, 0))
+            assert concyclic(*pts) is expected
+
     def test_determinant_sign_consistency(self):
         # inside vs outside the circle through the first three points
         inside = concyclicity_determinant(P(0, 0), P(2, 0), P(0, 2), P(1, 1))
@@ -160,6 +169,20 @@ _coordinate = st.one_of(
 _point = st.builds(Point2, _coordinate, _coordinate)
 
 
+def rationals(got) -> tuple:
+    """What a measurement's ints stand for: the determinant over S^4, the
+    squared lengths and the area over S^2, and the ANGLES tangents |cross|/dot
+    (None at a right angle)."""
+    s2 = got.scale**2
+    corners = [got.corners[i] for i in (1, 0, 3, 2)]
+    return (
+        Fraction(got.det, s2 * s2),
+        tuple(Fraction(square, s2) for square in got.squares),
+        tuple(Fraction(abs(cross), dot) if dot else None for dot, cross in corners),
+        Fraction(abs(got.shoelace_sum), 2 * s2),
+    )
+
+
 class TestLatticeKernel:
     @given(st.lists(_point, min_size=4, max_size=4))
     def test_matches_fraction_reference(self, pts):
@@ -170,24 +193,26 @@ class TestLatticeKernel:
             assert str(raised.value) == expected_error
             return
         got = measure(pts)
-        assert got.determinant == _ref_determinant(pts)
-        assert got.lengths_squared == tuple(
+        determinant, lengths_sq, tangents, area = rationals(got)
+        assert determinant == _ref_determinant(pts)
+        assert lengths_sq == tuple(
             (pts[i].x - pts[j].x) ** 2 + (pts[i].y - pts[j].y) ** 2
             for i, j in ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2))
         )
-        assert got.tangents == tuple(_ref_tangent(pts, i) for i in (1, 0, 3, 2))
+        assert tangents == tuple(_ref_tangent(pts, i) for i in (1, 0, 3, 2))
         twice = sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))
-        assert got.area == abs(twice) / 2
-        assert shoelace(pts) == got.area
+        assert area == abs(twice) / 2
+        assert shoelace(pts) == area
         distinct = list(dict.fromkeys(pts))
         collinear = any(_ref_orient(*t) == 0 for t in combinations(distinct, 3))
-        assert got.concyclic == (not collinear and got.determinant == 0)
+        assert got.concyclic == (not collinear and determinant == 0)
 
     def test_right_angle_tangent_is_none(self):
         # the unit square: every interior angle is right
         got = measure([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
-        assert got.tangents == (None,) * 4
-        assert got.concyclic and got.area == 1
+        _, _, tangents, area = rationals(got)
+        assert tangents == (None,) * 4
+        assert got.concyclic and area == 1
 
     @pytest.mark.parametrize(
         "pts, message",
@@ -534,7 +559,7 @@ class TestVerifyWindow:
         i %= len(window)
         value = getattr(window[i], attr)
         window[i] = window[i]._replace(**{attr: not value if attr == "is_heron" else value * k})
-        verdicts = [(member, bool(failed)) for member, failed in verify_window(window)]
+        verdicts = [(member, bool(failed)) for member, failed, _ in verify_window(window)]
         assert verdicts == [(member, verify_member(member).has_failures) for member in window]
 
     def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
@@ -543,7 +568,7 @@ class TestVerifyWindow:
         window = list(heron_multiples(2, 3))
         window[0] = window[0]._replace(area=window[0].area + 1)
         window[2] = window[2]._replace(area=window[2].area + 1)
-        failed = [names for _, names in verify_window(window)]
+        failed = [names for _, names, _ in verify_window(window)]
         # the next member runs the oracles and becomes the base the third scales from
         assert checked == window[:2]
         assert failed == [
@@ -624,3 +649,188 @@ def test_failing_member_payload_is_pinned(attr):
     assert report.has_failures
     got = json.dumps(report.to_payload(), indent=2) + "\n"
     assert got == pinned.read_text(encoding="utf-8")
+
+
+# -- the whole report, rebuilt in plain Fractions from the reference helpers
+
+_REF_ENDS = ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2))  # SEGMENTS order
+
+
+def _ref_square(length) -> Fraction:
+    """The square of a stored length, rational or surd."""
+    if hasattr(length, "radicand"):
+        return length.coefficient**2 * length.radicand
+    return Fraction(length) ** 2
+
+
+def _ref_construction_checks(q) -> list[tuple]:
+    """(name, passed, expected, actual) of each construction check, in order,
+    each value a Fraction computed from the construction's fields."""
+    pts = list(q.vertices())
+    g, b, g2, g1 = pts
+    alpha, beta, gamma = q.alpha, q.beta, q.gamma
+    checks = []
+
+    def same(name, expected, actual):
+        checks.append((name, expected == actual, expected, actual))
+
+    def dot_cross(here, p, r):
+        ux, uy, vx, vy = p.x - here.x, p.y - here.y, r.x - here.x, r.y - here.y
+        return ux * vx + uy * vy, ux * vy - uy * vx
+
+    det = _ref_determinant(pts)
+    collinear = any(_ref_orient(*t) == 0 for t in combinations(dict.fromkeys(pts), 3))
+    squares = [(pts[i].x - pts[j].x) ** 2 + (pts[i].y - pts[j].y) ** 2 for i, j in _REF_ENDS]
+    s0, s1, s2, s3, d0, d1 = squares
+    gap = d0 * d1 - s0 * s2 - s1 * s3
+    same("concyclicity-determinant", 0, det)
+    same("concyclic", True, not collinear and det == 0)
+    ptolemy = gap >= 0 and gap * gap == 4 * s0 * s2 * s1 * s3
+    same("ptolemy-identity", "holds", "holds" if ptolemy else "violated")
+    same("right-angle-at-B", 0, dot_cross(b, g2, g1)[0])
+    center = q.circumcenter
+    for vertex, p in zip(Vertex, pts):
+        radius_squared = (p.x - center.x) ** 2 + (p.y - center.y) ** 2
+        same(f"circumradius-{vertex.value}", q.radius_squared, radius_squared)
+    for (kind, label, _, attr), square in zip(SEGMENTS, squares):
+        same(f"{kind}-{label}", square, _ref_square(getattr(q, attr)))
+    for (vertex, attr), i in zip(ANGLES, (1, 0, 3, 2)):
+        same(f"tangent-{vertex.value}", _ref_tangent(pts, i), getattr(q, attr))
+    same("tangent-sum-B-Gamma1", 0, q.tan_b + q.tan_gamma1)
+    same("tangent-sum-Gamma-Gamma2", 0, q.tan_gamma + q.tan_gamma2)
+    area = abs(sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))) / 2
+    same("area-shoelace-vs-closed", q.area, area)
+    same("area-helper-agrees", area, quad_area(q))
+    theta = alpha / (beta + gamma)
+    same("theta-tangent", theta, q.tan_theta)
+    same("shared-base-angle-identity", theta, (gamma - beta) / alpha)
+    # the base angle at Gamma2 has tangent theta, whose double angle has a/b
+    dot, cross = dot_cross(g2, b, g)
+    spread_ok = dot > 0 and abs(cross) / dot == theta and 2 * theta / (1 - theta**2) == alpha / beta
+    checks.append(("angle-spread-below-1e-10-deg", spread_ok, "< 1e-10", angle_spread_degrees(q)))
+    dot, cross = dot_cross(q.v_a, b, g)  # |A-B| |A-Gamma| = gamma beta
+    same("double-angle-cos", beta / gamma, dot / (gamma * beta))
+    same("double-angle-sin", alpha / gamma, abs(cross) / (gamma * beta))
+    return checks
+
+
+def _ref_member_checks(member, q) -> list[tuple]:
+    """The member's own checks after its construction's, as above."""
+    pts = list(q.vertices())
+    squares = [(pts[i].x - pts[j].x) ** 2 + (pts[i].y - pts[j].y) ** 2 for i, j in _REF_ENDS]
+    area = abs(sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))) / 2
+    p = member.params
+    m, n, L, delta = p.m, p.n, p.L, p.delta
+    checks = []
+
+    def same(name, expected, actual):
+        checks.append((name, expected == actual, expected, actual))
+
+    for (kind, label, _, attr), square in zip(SEGMENTS, squares):
+        same(f"member-{kind}-{label}", square, _ref_square(getattr(member, attr)))
+    for (vertex, attr), i in zip(ANGLES, (1, 0, 3, 2)):
+        same(f"member-tangent-{vertex.value}", _ref_tangent(pts, i), getattr(member, attr))
+    same("member-area-vs-shoelace", area, member.area)
+    diff, total = m * m - n * n, m * m + n * n
+    bracket = delta**2 * m * n * (diff + Fraction(diff**2, total) + 2 * m * m)
+    same("member-area-bracket-form", bracket, member.area)
+    same("member-area-reduced-form", Fraction(4 * delta**2 * m**5 * n, L * L), member.area)
+    criterion = delta % L == 0
+    rational = (member.side_gamma_gamma1, member.diag_gamma_gamma2, member.area)
+    integral = all(Fraction(v).denominator == 1 for v in rational)
+    checks.append((
+        "heron-criterion-matches-integrality",
+        member.is_heron == criterion == integral,
+        f"is_heron={member.is_heron}",
+        f"delta%L==0: {criterion}, all integral: {integral}",
+    ))
+    same("member-theta-n-over-m", q.alpha / (q.beta + q.gamma), Fraction(n, m))
+    return checks
+
+
+def _ref_payload(subject: str, checks: list[tuple], errata) -> dict:
+    rows = [
+        {"name": name, "status": "pass" if ok else "fail", "expected": str(e), "actual": str(a)}
+        for name, ok, e, a in checks
+    ]
+    rows += [
+        {
+            "name": f"published-value:{er.ident}",
+            "status": "erratum",
+            "expected": er.printed,
+            "actual": er.computed,
+        }
+        for er in errata
+    ]
+    statuses = [row["status"] for row in rows]
+    counts = {status: statuses.count(status) for status in ("pass", "fail", "erratum")}
+    return {"subject": subject, "counts": counts, "checks": rows}
+
+
+def _edited(value, k: Fraction):
+    """A stored value times k: a surd's coefficient, or the rational itself."""
+    if hasattr(value, "radicand"):
+        return value._replace(coefficient=value.coefficient * k)
+    return value * k
+
+
+_POINTS = ["v_gamma", "v_b", "v_gamma2", "v_gamma1", "v_a", "circumcenter"]
+_FORMS = [attr for *_, attr in SEGMENTS] + [attr for _, attr in ANGLES]
+_CONSTRUCTION_EDITS = [None, "radius_squared", "tan_theta"] + _POINTS + _FORMS
+_MEMBER_EDITS = [None, "area", "is_heron"] + _FORMS
+_TINY = Fraction(1, 10**30)
+
+
+class TestReportEqualsFractionReference:
+    """The integer-lattice report renders, byte for byte, the payload that
+    plain Fraction arithmetic on the same fields gives."""
+
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([(m, n) for *_, m, n, _ in generating_pairs(9)]),
+        st.booleans(),
+        st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+        st.integers(-40, 40),
+        st.sampled_from(_CONSTRUCTION_EDITS),
+        st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+        st.booleans(),
+    )
+    @example(1, (4, 3), False, Fraction(1), 0, "v_gamma", Fraction(2), False)  # a move of 10^-30
+    # the worked example, with its errata
+    @example(5, (4, 3), False, Fraction(1), 0, None, Fraction(1), False)
+    def test_construction(self, delta, pair, odd_first, scale, j, edit, k, along_y):
+        t = scaled_triple(delta, *pair)
+        legs = (t.b, t.a) if odd_first else (t.a, t.b)
+        unit = scale * Fraction(2) ** j
+        q = construct_quad(*(v * unit for v in legs), t.c * unit)
+        if edit in _POINTS:
+            x, y = getattr(q, edit)
+            q = q._replace(**{edit: Point2(x, y + _TINY) if along_y else Point2(x + _TINY, y)})
+        elif edit is not None:
+            assume(k != 1)
+            q = q._replace(**{edit: _edited(getattr(q, edit), k)})
+        subject = f"construction({q.alpha}, {q.beta}, {q.gamma})"
+        errata = errata_for_triple(q.alpha, q.beta, q.gamma)
+        expected = _ref_payload(subject, _ref_construction_checks(q), errata)
+        assert json.dumps(verify_construction(q).to_payload()) == json.dumps(expected)
+
+    @given(
+        st.integers(1, 200),
+        st.sampled_from([(m, n) for *_, m, n, _ in generating_pairs(9)]),
+        st.sampled_from(_MEMBER_EDITS),
+        st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+    )
+    @example(5, (4, 3), "area", Fraction(12888, 12288))  # the published area misprint
+    def test_member(self, delta, pair, edit, k):
+        member = family_member(delta, *pair)
+        if edit == "is_heron":
+            member = member._replace(is_heron=not member.is_heron)
+        elif edit is not None:
+            assume(k != 1)
+            member = member._replace(**{edit: _edited(getattr(member, edit), k)})
+        q = construct_quad(*member.params.triple())
+        checks = _ref_construction_checks(q) + _ref_member_checks(member, q)
+        p = member.params
+        subject = f"member(delta={p.delta}, m={p.m}, n={p.n})"
+        expected = _ref_payload(subject, checks, errata_for_member(member))
+        assert json.dumps(verify_member(member).to_payload()) == json.dumps(expected)

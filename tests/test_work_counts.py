@@ -1,8 +1,9 @@
 """Work counts: each subject is constructed once, each member's closed
 forms are checked once, each oracle is evaluated once per verification,
-each coordinate quantity is measured once per verification, verifying a
-built construction factors nothing, and ``family`` and ``heron-table`` run
-the oracles once per pair and check every other member by its scaling."""
+each coordinate quantity is measured once per verification on one integer
+lattice, verifying a built construction factors nothing, and ``family`` and
+``heron-table`` run the oracles once per pair, check every other member by
+its scaling and look up each member's errata once."""
 
 import json
 import math
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from heronquad import cli, exactnum, family, geometry, verify
+from heronquad import cli, errata, exactnum, family, geometry, verify
 from heronquad.cli import main
 from heronquad.family import family_member
 
@@ -19,8 +20,10 @@ COUNTED = (
     (exactnum, "squarefree_decompose"),
     (exactnum, "check_generator_pair"),
     (exactnum, "scaled_floats"),
+    (exactnum, "common_denominator"),
+    (errata, "errata_for_member"),
     (geometry, "construct_quad"),
-    (geometry, "quad_area"),
+    (geometry, "twice_area"),
     (geometry, "lattice"),
     (geometry, "angle_spread_degrees"),
     (family, "_tangents"),
@@ -28,10 +31,10 @@ COUNTED = (
     (verify, "verify_scaling"),
     (cli, "_member_payload"),
     (geometry, "dist_squared"),
-    (geometry, "interior_tangent_from_coords"),
+    (geometry, "dot_cross"),
     (verify, "concyclicity_determinant"),
     (verify, "ptolemy_check"),
-    (verify, "shoelace"),
+    (verify, "_shoelace_sum"),
     (verify, "_orient"),
 )
 
@@ -80,9 +83,11 @@ def test_heron_table_constructs_each_pair_once(calls, capsys):
     # pair is checked by its scaling from the first
     assert calls["construct_quad"] == calls["verify_member"] == 15
     assert calls["verify_scaling"] == len(rows) - 15 == 30
-    # area-helper-agrees: one shoelace beside the measurement's, each on its own lattice
-    assert calls["quad_area"] == 15
-    assert calls["lattice"] == 30
+    # one lattice per oracle pass; area-helper-agrees: the helper's shoelace
+    # beside the measurement's, both on that one lattice
+    assert calls["lattice"] == calls["twice_area"] == calls["_shoelace_sum"] == 15
+    # the errata of each row, looked up once: the oracle pass's, or the scaled row's
+    assert calls["errata_for_member"] == len(rows)
 
 
 @pytest.mark.parametrize(
@@ -97,8 +102,7 @@ def test_verify_checks_the_member_once(calls, capsys, argv):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"]["subject"].startswith("member(")
     assert calls["verify_member"] == calls["construct_quad"] == 1
-    assert calls["quad_area"] == 1
-    assert calls["lattice"] == 2
+    assert calls["lattice"] == calls["twice_area"] == 1
 
 
 @pytest.mark.parametrize(
@@ -115,8 +119,9 @@ def test_family_checks_each_member_and_validates_each_pair_once(
     # one construction and one oracle pass per pair with members; every
     # other member of the pair is checked by its scaling from the first
     assert calls["construct_quad"] == calls["verify_member"] == pairs_with_members
-    assert calls["quad_area"] == pairs_with_members
+    assert calls["lattice"] == calls["twice_area"] == pairs_with_members
     assert calls["verify_scaling"] == len(members) - pairs_with_members > 0
+    assert calls["errata_for_member"] == len(members)
     # one generator-pair check per t-pair read; tangents only for pairs with members
     read = t_pairs_read(t_max, delta_max if heron_only else None)
     assert calls["check_generator_pair"] == len(read)
@@ -153,13 +158,17 @@ def test_verify_member_measures_each_quantity_once(calls):
     calls.clear()
     assert not verify.verify_member(member).has_failures
     assert calls["concyclicity_determinant"] == 1
-    assert calls["shoelace"] == 1
-    assert calls["interior_tangent_from_coords"] == 4
+    assert calls["_shoelace_sum"] == 1
     # 4 circumradii and 6 measured lengths; ptolemy_check reads the six
     assert calls["dist_squared"] == 10
-    # one orientation per vertex triple for the collinear-triple test, and
-    # four for each of the two non-adjacent edge pairs
-    assert calls["_orient"] == 12
+    # one (dot, cross) per corner, which gives the tangents; and one each for
+    # the right angle at B, the base angle at Gamma2 and the apex double angle
+    assert calls["dot_cross"] == 4 + 3
+    # in a quadrilateral every vertex triple is a corner: one orientation per
+    # corner serves the collinear-triple and the self-intersection tests
+    assert calls["_orient"] == 4
+    # the construction's triple and the one lattice of its vertices
+    assert calls["common_denominator"] <= 2
 
 
 def test_no_float_decides_a_check(calls, capsys):

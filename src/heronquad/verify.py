@@ -147,7 +147,7 @@ def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def _shoelace_sum(points: Sequence[Point2], signs: Sequence[int] = ()) -> int:
+def shoelace(points: Sequence[Point2], signs: Sequence[int] = ()) -> Fraction | int:
     """Twice the signed area of a simple polygon in traversal order, by the
     shoelace sum; ``signs``, if given, are a quadrilateral's corner orientations.
     Zero-length edges and self-intersections (tested exactly on every
@@ -175,11 +175,6 @@ def _shoelace_sum(points: Sequence[Point2], signs: Sequence[int] = ()) -> int:
                     f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
                 )
     return sum(px * ry - rx * py for (px, py), (rx, ry) in zip(points, points[1:] + points[:1]))
-
-
-def shoelace(points: Sequence[Point2]) -> Fraction:
-    """Exact area of a simple polygon given in traversal order (``_shoelace_sum``)."""
-    return Fraction(abs(_shoelace_sum(points)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +211,7 @@ def measure(points: Sequence[Point2]) -> Measurement:
     det = concyclicity_determinant(*quad)
     concyclic_quad = _no_collinear_triple(quad, signs) and det == 0
     squares = tuple([dist_squared(quad[i], quad[j]) for i, j in _ENDS])
-    twice = _shoelace_sum(quad, signs)
+    twice = shoelace(quad, signs)
     return Measurement(
         scale, pts, det, concyclic_quad, ptolemy_check(squares), squares, corners, twice
     )
@@ -289,13 +284,11 @@ def _equal(name: str, expected: tuple[int, int], actual: tuple[int, int], kept: 
     one side, as both values; a failure keeps each side as a Fraction."""
     (en, ed), (an, ad) = expected, actual
     if en * ad == an * ed:
-        return _passed((name, PASS, kept, kept))
+        return Check(name, PASS, kept, kept)
     return Check(name, FAIL, Fraction(en, ed), Fraction(an, ad))
 
 
-# a passing Check, built without NamedTuple's Python-level __new__; and the
-# (numerator, denominator) of an int or a Fraction, in one call
-_passed = partial(tuple.__new__, Check)
+# the (numerator, denominator) of an int or a Fraction, in one call
 _ratio = methodcaller("as_integer_ratio")
 
 
@@ -367,7 +360,7 @@ def _construction_checks(q: QuadConstruction, D: int, A: int, B: int, G: int) ->
     helper = (abs(twice_area(measured.points[:4])), 2 * s2)
     checks.append(_equal("area-helper-agrees", area, helper, shown))
     checks.append(_equal("theta-tangent", (A, BG), _ratio(q.tan_theta), q.tan_theta))
-    theta = checks[-1].expected  # A/(B+G): the stored tangent where it passed
+    theta = Fraction(A, BG)
     checks.append(_equal("shared-base-angle-identity", (A, BG), (G - B, A), theta))
     # phi, the base angle at Gamma2, and omega = atan2(a, b)/2 equal theta when
     # tan phi = a/(b+g) and tan 2theta = 2t/(1 - t^2) = a/b for t = a/(b+g)
@@ -456,18 +449,18 @@ def _scaling_parts(base: FamilyMember) -> list[tuple[int, int]]:
     return [(n, d * d0**k) for (_, k), (n, d) in zip(_SCALING, map(_ratio, leaves))]
 
 
-def verify_scaling(member: FamilyMember, base: FamilyMember, parts: list | None = None) -> tuple:
-    """The failing checks of ``member`` against ``base``, a member of its pair
-    that ``verify_member`` passed: each leaf must be the base's times s^degree,
-    s = delta/base delta, decided on ints; and the Heron criterion must hold.
-    ``parts``, if given, is ``_scaling_parts(base)``, read once per base."""
-    d = member.params.delta
-    powers = (1, d, d * d)
+def verify_scaling(member: FamilyMember, parts: list[tuple[int, int]]) -> tuple:
+    """The failing checks of ``member`` against ``parts``, the
+    ``_scaling_parts`` of a member of its pair that ``verify_member`` passed:
+    each leaf must be the base's times s^degree, s = delta/base delta, decided
+    on ints; and the Heron criterion must hold."""
+    delta = member.params.delta
+    powers = (1, delta, delta * delta)
     leaves = member.params.triple() + _LEAVES(member)
     failed = []
-    for (name, k), v, (n0, d0k) in zip(_SCALING, leaves, parts or _scaling_parts(base)):
-        n, d = _ratio(v)
-        if n * d0k != n0 * d * powers[k]:
+    for (name, k), v, (n0, d0k) in zip(_SCALING, leaves, parts):
+        num, den = _ratio(v)
+        if num * d0k != n0 * den * powers[k]:
             failed.append(Check(name, FAIL, Fraction(n0 * powers[k], d0k), v))
     criterion, integral = _heron_facts(member)
     if not member.is_heron == criterion == integral:
@@ -483,7 +476,7 @@ def verify_window(members: Iterable[FamilyMember]) -> Iterator[tuple]:
     for member in members:
         if base is not None and base.params[1:] == member.params[1:]:
             parts = parts or _scaling_parts(base)
-            failed = [check.name for check in verify_scaling(member, base, parts)]
+            failed = [check.name for check in verify_scaling(member, parts)]
             errata = errata_for_member(member)
         else:
             report = verify_member(member)

@@ -27,6 +27,7 @@ from heronquad.geometry import (
 )
 from heronquad.verify import (
     CheckStatus,
+    _scaling_parts,
     concyclic,
     concyclicity_determinant,
     errata_for_member,
@@ -202,7 +203,7 @@ class TestLatticeKernel:
         assert tangents == tuple(_ref_tangent(pts, i) for i in (1, 0, 3, 2))
         twice = sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))
         assert area == abs(twice) / 2
-        assert shoelace(pts) == area
+        assert abs(shoelace(pts)) == 2 * area
         distinct = list(dict.fromkeys(pts))
         collinear = any(_ref_orient(*t) == 0 for t in combinations(distinct, 3))
         assert got.concyclic == (not collinear and determinant == 0)
@@ -286,11 +287,11 @@ class TestPtolemy:
 
 class TestShoelace:
     def test_triangle(self):
-        assert shoelace([P(0, 0), P(4, 0), P(0, 3)]) == 6
+        assert shoelace([P(0, 0), P(4, 0), P(0, 3)]) == 2 * 6
 
     def test_orientation_invariant(self):
         square = [P(0, 0), P(2, 0), P(2, 2), P(0, 2)]
-        assert shoelace(square) == shoelace(list(reversed(square))) == 4
+        assert shoelace(square) == -shoelace(list(reversed(square))) == 2 * 4
 
     def test_rejects_too_few(self):
         with pytest.raises(DomainError):
@@ -311,7 +312,7 @@ class TestShoelace:
 
     def test_matches_quad_area(self):
         q = construct_quad(120, 35, 125)
-        assert shoelace(list(q.vertices())) == quad_area(q) == 12288
+        assert abs(shoelace(list(q.vertices()))) == 2 * quad_area(q) == 2 * 12288
 
 
 class TestErrataRegistry:
@@ -503,7 +504,8 @@ class TestVerifyScaling:
         bases = {}
         for member in enumerate_family(5, 12):
             p = member.params
-            assert verify_scaling(member, bases.setdefault((p.m, p.n), member)) == ()
+            base = bases.setdefault((p.m, p.n), member)
+            assert verify_scaling(member, _scaling_parts(base)) == ()
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -519,14 +521,15 @@ class TestVerifyScaling:
         member = family_member(delta, *pair)
         value = getattr(member, attr)
         edited = member._replace(**{attr: not value if attr == "is_heron" else value * k})
-        failed = [check.name for check in verify_scaling(edited, family_member(delta0, *pair))]
+        parts = _scaling_parts(family_member(delta0, *pair))
+        failed = [check.name for check in verify_scaling(edited, parts)]
         assert bool(failed) == verify_member(edited).has_failures
         if attr != "is_heron":
             assert failed[0] == _SCALED[attr]
 
     def test_renders_the_scaled_base_value(self):
         base, member = family_member(1, 4, 3), family_member(3, 4, 3)
-        (check,) = verify_scaling(member._replace(area=member.area + 1), base)
+        (check,) = verify_scaling(member._replace(area=member.area + 1), _scaling_parts(base))
         assert check.to_payload() == {
             "name": "member-scaling-area",
             "status": "fail",

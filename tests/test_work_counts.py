@@ -34,7 +34,7 @@ COUNTED = (
     (geometry, "dot_cross"),
     (verify, "concyclicity_determinant"),
     (verify, "ptolemy_check"),
-    (verify, "_shoelace_sum"),
+    (verify, "shoelace"),
     (verify, "_orient"),
 )
 
@@ -85,7 +85,7 @@ def test_heron_table_constructs_each_pair_once(calls, capsys):
     assert calls["verify_scaling"] == len(rows) - 15 == 30
     # one lattice per oracle pass; area-helper-agrees: the helper's shoelace
     # beside the measurement's, both on that one lattice
-    assert calls["lattice"] == calls["twice_area"] == calls["_shoelace_sum"] == 15
+    assert calls["lattice"] == calls["twice_area"] == calls["shoelace"] == 15
     # the errata of each row, looked up once: the oracle pass's, or the scaled row's
     assert calls["errata_for_member"] == len(rows)
 
@@ -158,7 +158,7 @@ def test_verify_member_measures_each_quantity_once(calls):
     calls.clear()
     assert not verify.verify_member(member).has_failures
     assert calls["concyclicity_determinant"] == 1
-    assert calls["_shoelace_sum"] == 1
+    assert calls["shoelace"] == 1
     # 4 circumradii and 6 measured lengths; ptolemy_check reads the six
     assert calls["dist_squared"] == 10
     # one (dot, cross) per corner, which gives the tangents; and one each for

@@ -26,8 +26,9 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -211,14 +212,16 @@ def _measures_payload(obj: QuadConstruction | FamilyMember, lengths) -> dict:
     return payload
 
 
-def _theta_leaves(alpha: Fraction | int, bg: Fraction | int) -> tuple[str, float, str]:
-    """``tan``, ``degrees`` and ``degrees_display`` of theta = atan(alpha/bg)."""
+def _theta_degrees(alpha: Fraction | int, bg: Fraction | int) -> tuple[float, str]:
+    """``degrees`` and ``degrees_display`` of theta = atan(alpha/bg)."""
     degrees = theta_degrees(alpha, bg)
-    return str(Fraction(alpha, bg)), _round10(degrees), f"{degrees:.5f}"
+    return _round10(degrees), f"{degrees:.5f}"
 
 
-def _theta_payload(tan: str, degrees: float, display: str) -> dict:
-    return {"tan": tan, "degrees": degrees, "degrees_display": display}
+def _theta_payload(alpha: Fraction | int, bg: Fraction | int, shown: tuple | None = None) -> dict:
+    """theta = atan(alpha/bg); ``shown`` stands in for ``_theta_degrees(alpha, bg)``."""
+    degrees, display = _theta_degrees(alpha, bg) if shown is None else shown
+    return {"tan": str(Fraction(alpha, bg)), "degrees": degrees, "degrees_display": display}
 
 
 def _envelope(command: str, inputs: dict, result: object, errata) -> dict:
@@ -430,7 +433,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         "angles_degrees": {
             vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
-        "theta": _theta_payload(*_theta_leaves(q.alpha, q.diag_b_gamma1)),
+        "theta": _theta_payload(q.alpha, q.diag_b_gamma1),
         "circumcircle": {
             "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
             "radius_squared": str(q.radius_squared),
@@ -470,18 +473,23 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
+# a member's six lengths, in ``SEGMENTS`` order, and its area
+_LENGTHS_AND_AREA = attrgetter(*[attr for *_, attr in SEGMENTS], "area")
+
+
 def _member_leaves(member: FamilyMember) -> tuple:
     """The leaves of a member's payload that change with delta, in output
-    order: delta, k, the triple, the six lengths, area, is_heron and theta."""
+    order: delta, k, the triple, the six lengths, area, is_heron and theta's
+    degrees. theta's tangent, 2dmn/(2dm^2) = n/m as gcd(m, n) = 1, is the same
+    at every delta (``verify_member`` checks it: member-theta-n-over-m)."""
     p = member.params
     return (
         p.delta,
         p.k,
         *p.triple(),
-        *[str(getattr(member, attr)) for *_, attr in SEGMENTS],
-        str(member.area),
+        *map(str, _LENGTHS_AND_AREA(member)),
         member.is_heron,
-        *_theta_leaves(member.side_gamma_b, member.diag_b_gamma1),
+        *_theta_degrees(member.side_gamma_b, member.diag_b_gamma1),
     )
 
 
@@ -489,7 +497,7 @@ def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -
     """The payload of a member; ``leaves`` stand in for ``_member_leaves(member)``."""
     p = member.params
     t1, t2 = p.t_pair
-    delta, k, a, b, c, *lengths, area, is_heron, tan, degrees, display = (
+    delta, k, a, b, c, *lengths, area, is_heron, degrees, display = (
         _member_leaves(member) if leaves is None else leaves
     )
     return {
@@ -507,7 +515,7 @@ def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -
         **_measures_payload(member, lengths),
         "area": area,
         "is_heron": is_heron,
-        "theta": _theta_payload(tan, degrees, display),
+        "theta": _theta_payload(member.side_gamma_b, member.diag_b_gamma1, (degrees, display)),
         "errata": [er.ident for er in errata],
     }
 
@@ -515,24 +523,38 @@ def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -
 # each delta-dependent leaf of a member template; ``encode_basestring``
 # escapes NUL, so no other JSON text holds it
 _HOLE = _Encoded("\0")
+# the %-conversion of a hole, by the type of its leaf: an int, and a p/q or
+# degrees string in quotes (its characters -0-9./ need no escaping), fill it
+# as they are; a "%s" hole takes its leaf's JSON text, ``_LEAF_TEXT`` (which
+# refuses a non-finite float)
+_HOLE_CONVERSION = {int: "%d", str: '"%s"', bool: "%s", float: "%s"}
 
 
 def _member_text(member: FamilyMember, errata: tuple, templates: dict) -> _Encoded:
     """``_encoded(_member_payload(member, errata))``.
 
     Outside its ``_member_leaves`` the text is the same for every member with
-    the same (m, n, errata), so it is encoded once per such key, into
-    ``templates``, and split at the leaves; a member fills in its own.
+    the same (m, n, errata), so it is encoded once per such key, with a hole
+    at each leaf, and compiled into ``templates`` as one format string, with
+    a conversion per hole from the type of its leaf; a member fills in its own.
     """
     leaves = _member_leaves(member)
     key = member.params.m, member.params.n, errata
     template = templates.get(key)
     if template is None:
-        holes = (_HOLE,) * len(leaves)
-        template = templates[key] = _encoded(_member_payload(member, errata, holes)).split(_HOLE)
-    texts = [_LEAF_TEXT[type(leaf)](leaf) for leaf in leaves]
-    texts.append("")
-    return _Encoded("".join(chain.from_iterable(zip(template, texts))))
+        conversions = tuple(_HOLE_CONVERSION[type(leaf)] for leaf in leaves)
+        text = _encoded(_member_payload(member, errata, (_HOLE,) * len(leaves)))
+        # escape the text's own "%", then write each hole's conversion into it
+        text_format = text.replace("%", "%%").replace(_HOLE, "%s") % conversions
+        as_text = tuple(
+            (i, _LEAF_TEXT[type(leaf)]) for i, leaf in enumerate(leaves) if conversions[i] == "%s"
+        )
+        template = templates[key] = text_format, as_text
+    text_format, as_text = template
+    args = list(leaves)
+    for i, to_text in as_text:
+        args[i] = to_text(args[i])
+    return _Encoded(text_format % tuple(args))
 
 
 def _cmd_family(args: argparse.Namespace) -> int:

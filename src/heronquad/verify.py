@@ -255,10 +255,10 @@ class VerificationReport(NamedTuple):
 
     @property
     def has_failures(self) -> bool:
-        return any(c.status is CheckStatus.FAIL for c in self.checks)
+        return any(c.status is FAIL for c in self.checks)
 
     def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if c.status is CheckStatus.FAIL]
+        return [c.name for c in self.checks if c.status is FAIL]
 
     def counts(self) -> dict[str, int]:
         out = {"pass": 0, "fail": 0, "erratum": 0}
@@ -444,24 +444,30 @@ _LEAVES = attrgetter(*[a for _, a in _LENGTH_CHECKS], "area", *[a for _, a in _T
 
 
 def _scaling_parts(base: FamilyMember) -> list[tuple[int, int]]:
-    """(numerator, denominator * delta^degree) of each leaf of ``base``."""
+    """Each leaf of ``base`` over delta^degree, in lowest terms, as (numerator,
+    denominator); for a verified member the triple and the four integral
+    lengths have denominator 1."""
     d0, leaves = base.params.delta, base.params.triple() + _LEAVES(base)
-    return [(n, d * d0**k) for (_, k), (n, d) in zip(_SCALING, map(_ratio, leaves))]
+    return [_ratio(Fraction(v, d0**k)) for (_, k), v in zip(_SCALING, leaves)]
 
 
 def verify_scaling(member: FamilyMember, parts: list[tuple[int, int]]) -> tuple:
     """The failing checks of ``member`` against ``parts``, the
     ``_scaling_parts`` of a member of its pair that ``verify_member`` passed:
-    each leaf must be the base's times s^degree, s = delta/base delta, decided
-    on ints; and the Heron criterion must hold."""
+    each leaf must be n0/d0 * delta^degree for its part (n0, d0), decided on
+    ints (an integral part by one product); and the Heron criterion must hold."""
     delta = member.params.delta
     powers = (1, delta, delta * delta)
     leaves = member.params.triple() + _LEAVES(member)
     failed = []
-    for (name, k), v, (n0, d0k) in zip(_SCALING, leaves, parts):
-        num, den = _ratio(v)
-        if num * d0k != n0 * den * powers[k]:
-            failed.append(Check(name, FAIL, Fraction(n0 * powers[k], d0k), v))
+    for (name, k), v, (n0, d0) in zip(_SCALING, leaves, parts):
+        expected = n0 * powers[k]
+        if d0 == 1:  # the triple and the four integral lengths
+            ok = v == expected
+        else:
+            ok = v.numerator * d0 == expected * v.denominator
+        if not ok:
+            failed.append(Check(name, FAIL, Fraction(expected, d0), v))
     criterion, integral = _heron_facts(member)
     if not member.is_heron == criterion == integral:
         failed.append(_heron_check(member.is_heron, criterion, integral))

@@ -645,6 +645,35 @@ class TestFamilyCommand:
         assert worked in {m.params for m in members}
         assert len(templates) == len({(m.params[1:], m.params == worked) for m in members})
 
+    @pytest.mark.parametrize("m, n", [(m, n) for *_, m, n, _ in family.generating_pairs(6)])
+    def test_template_text_is_the_member_encoding_at_large_delta(self, m, n):
+        # the template compiled from delta = 1 fills in every member of its
+        # pair up to delta = 10^30, whether delta is a multiple of L or not
+        from heronquad.errata import errata_for_member
+
+        L, top = math.isqrt(m * m + n * n), 10**30
+        templates: dict = {}
+        heron = set()
+        for delta in (1, 2 * L, 2 * L + 1, top // L * L, top // L * L + 1, top - 1, top):
+            member = family.family_member(delta, m, n)
+            errata = errata_for_member(member)
+            expected = cli._encoded(cli._member_payload(member, errata))
+            assert cli._member_text(member, errata, templates) == expected, member.params
+            heron.add(member.is_heron)
+        assert len(templates) == 1
+        assert heron == {False, True}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_template_refuses_a_non_finite_degree(self, monkeypatch, bad):
+        from heronquad.errata import errata_for_member
+
+        templates: dict = {}
+        first, second = family.family_member(1, 4, 3), family.family_member(2, 4, 3)
+        cli._member_text(first, errata_for_member(first), templates)
+        monkeypatch.setattr(cli, "theta_degrees", lambda alpha, bg: bad)
+        with pytest.raises(DomainError, match="not finite"):
+            cli._member_text(second, errata_for_member(second), templates)
+
     @settings(max_examples=12)
     @given(
         st.integers(min_value=2, max_value=5),

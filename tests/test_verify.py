@@ -537,6 +537,37 @@ class TestVerifyScaling:
             "actual": str(member.area + 1),
         }
 
+    @pytest.mark.parametrize(
+        "attr",
+        [
+            # ints at every delta
+            "side_gamma_b",
+            "side_b_gamma2",
+            "side_gamma2_gamma1",
+            "diag_b_gamma1",
+            # Fractions, of denominator 1 at a multiple of L
+            "side_gamma_gamma1",
+            "diag_gamma_gamma2",
+            "area",
+        ],
+    )
+    def test_an_int_leaf_and_its_equal_fraction_are_one_value(self, attr):
+        base, member = family_member(1, 12, 5), family_member(3 * 13, 12, 5)
+        value = getattr(member, attr)
+        swapped = Fraction(value) if isinstance(value, int) else int(value)
+        assert swapped == value and type(swapped) is not type(value)
+        parts = _scaling_parts(base)
+        edited = member._replace(**{attr: swapped})
+        assert verify_scaling(edited, parts) == ()
+        assert not verify_member(edited).has_failures
+        # one more fails, and keeps the scaled base value and the leaf
+        (check,) = verify_scaling(member._replace(**{attr: swapped + 1}), parts)
+        scale = Fraction(member.params.delta, base.params.delta) ** (2 if attr == "area" else 1)
+        assert check == verify.Check(
+            _SCALED[attr], CheckStatus.FAIL, getattr(base, attr) * scale, swapped + 1
+        )
+        assert type(check.expected) is Fraction
+
 
 # small windows in pair order, of both commands' shapes
 _WINDOWS = st.one_of(

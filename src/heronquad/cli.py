@@ -28,7 +28,6 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -59,7 +58,7 @@ from .geometry import (
 # subcommands that run them, once per call, so that a new process loads
 # only what its subcommand needs.
 if TYPE_CHECKING:
-    from .family import FamilyMember, GeneratorParams
+    from .family import FamilyMember, GeneratorParams, MemberRow
     from .verify import VerificationReport
 
 __all__ = ["ParseError", "main"]
@@ -179,6 +178,14 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 def _round10(x: float) -> float:
     """Round to 10 significant digits so emitted floats are stable."""
     return float(f"{x:.10g}")
+
+
+def _round10_text(x: float) -> str:
+    """``_float_text(_round10(x))``, without the float between: 10 significant
+    digits that ``format`` writes positionally with a fraction are the text
+    ``repr`` gives the float they parse to (they are its shortest round trip)."""
+    text = f"{x:.10g}"
+    return text if "." in text and "e" not in text else _float_text(float(text))
 
 
 def _num_payload(value: Fraction | float) -> str | float:
@@ -473,33 +480,42 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
-# a member's six lengths, in ``SEGMENTS`` order, and its area
-_LENGTHS_AND_AREA = attrgetter(*[attr for *_, attr in SEGMENTS], "area")
+def _exact_text(leaf: int | tuple[int, int]) -> str:
+    """``str`` of the exact value of a row leaf, an int or (p, q): p/q, or p when q = 1."""
+    if type(leaf) is int:
+        return str(leaf)
+    p, q = leaf
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
-def _member_leaves(member: FamilyMember) -> tuple:
-    """The leaves of a member's payload that change with delta, in output
-    order: delta, k, the triple, the six lengths, area, is_heron and theta's
-    degrees. theta's tangent, 2dmn/(2dm^2) = n/m as gcd(m, n) = 1, is the same
-    at every delta (``verify_member`` checks it: member-theta-n-over-m)."""
-    p = member.params
+def _member_leaves(row: MemberRow) -> tuple[str, ...]:
+    """The text of each leaf of a member's payload that changes with delta,
+    in output order: delta, k, the triple, the six lengths, area, is_heron
+    and theta's degrees; the string of a string leaf (a p/q, digits or
+    degrees string, of characters -0-9./ that need no escaping), the JSON
+    text of any other. theta's tangent, 2dmn/(2dm^2) = n/m as gcd(m, n) = 1,
+    is the same at every delta (``verify_member`` checks it:
+    member-theta-n-over-m)."""
+    delta, _m, _n, _L, _tangents, a, b, c, gb, bg2, k, gg1, bg1, gg2, area, is_heron = row
+    degrees = theta_degrees(gb, bg1)  # as ``_theta_degrees`` shows it
+    k = str(k)  # k is the side Gamma2-Gamma1
     return (
-        p.delta,
-        p.k,
-        *p.triple(),
-        *map(str, _LENGTHS_AND_AREA(member)),
-        member.is_heron,
-        *_theta_degrees(member.side_gamma_b, member.diag_b_gamma1),
+        str(delta), k, str(a), str(b), str(c),
+        str(gb), str(bg2), k, _exact_text(gg1), str(bg1), _exact_text(gg2),
+        _exact_text(area),
+        "true" if is_heron else "false",
+        _round10_text(degrees),
+        f"{degrees:.5f}",
     )
 
 
-def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -> dict:
-    """The payload of a member; ``leaves`` stand in for ``_member_leaves(member)``."""
+def _member_payload(member: FamilyMember, errata, leaves: tuple) -> dict:
+    """The payload of a member, with ``leaves`` in the places of its
+    ``_member_leaves``; the lengths, the area and the degrees display show
+    ``str`` of their leaf."""
     p = member.params
     t1, t2 = p.t_pair
-    delta, k, a, b, c, *lengths, area, is_heron, degrees, display = (
-        _member_leaves(member) if leaves is None else leaves
-    )
+    delta, k, a, b, c, *lengths, area, is_heron, degrees, display = leaves
     return {
         "params": {
             "t1": t1,
@@ -512,10 +528,10 @@ def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -
             "k": k,
         },
         "triple": [a, b, c],
-        **_measures_payload(member, lengths),
-        "area": area,
+        **_measures_payload(member, map(str, lengths)),
+        "area": str(area),
         "is_heron": is_heron,
-        "theta": _theta_payload(member.side_gamma_b, member.diag_b_gamma1, (degrees, display)),
+        "theta": _theta_payload(member.side_gamma_b, member.diag_b_gamma1, (degrees, str(display))),
         "errata": [er.ident for er in errata],
     }
 
@@ -523,38 +539,29 @@ def _member_payload(member: FamilyMember, errata, leaves: tuple | None = None) -
 # each delta-dependent leaf of a member template; ``encode_basestring``
 # escapes NUL, so no other JSON text holds it
 _HOLE = _Encoded("\0")
-# the %-conversion of a hole, by the type of its leaf: an int, and a p/q or
-# degrees string in quotes (its characters -0-9./ need no escaping), fill it
-# as they are; a "%s" hole takes its leaf's JSON text, ``_LEAF_TEXT`` (which
-# refuses a non-finite float)
-_HOLE_CONVERSION = {int: "%d", str: '"%s"', bool: "%s", float: "%s"}
 
 
-def _member_text(member: FamilyMember, errata: tuple, templates: dict) -> _Encoded:
-    """``_encoded(_member_payload(member, errata))``.
+def _member_text(row: MemberRow, errata: tuple, templates: dict) -> _Encoded:
+    """``_encoded(_member_payload(row.member(), errata, leaves))`` for the JSON
+    values of ``_member_leaves(row)``.
 
-    Outside its ``_member_leaves`` the text is the same for every member with
-    the same (m, n, errata), so it is encoded once per such key, with a hole
-    at each leaf, and compiled into ``templates`` as one format string, with
-    a conversion per hole from the type of its leaf; a member fills in its own.
+    Outside its leaves the text is the same for every member with the same
+    (m, n, errata), so it is encoded once per such key, with a hole at each
+    leaf, and kept in ``templates`` as the list of its text between the
+    holes, with a slot at each; a row writes its leaves into the slots.
     """
-    leaves = _member_leaves(member)
-    key = member.params.m, member.params.n, errata
+    leaves = _member_leaves(row)
+    key = row.m, row.n, errata
     template = templates.get(key)
     if template is None:
-        conversions = tuple(_HOLE_CONVERSION[type(leaf)] for leaf in leaves)
-        text = _encoded(_member_payload(member, errata, (_HOLE,) * len(leaves)))
-        # escape the text's own "%", then write each hole's conversion into it
-        text_format = text.replace("%", "%%").replace(_HOLE, "%s") % conversions
-        as_text = tuple(
-            (i, _LEAF_TEXT[type(leaf)]) for i, leaf in enumerate(leaves) if conversions[i] == "%s"
-        )
-        template = templates[key] = text_format, as_text
-    text_format, as_text = template
-    args = list(leaves)
-    for i, to_text in as_text:
-        args[i] = to_text(args[i])
-    return _Encoded(text_format % tuple(args))
+        text = _encoded(_member_payload(row.member(), errata, (_HOLE,) * len(leaves)))
+        # a hole shown as ``str`` is the string "\u0000": its quotes stay in the text
+        text = text.replace(encode_basestring(_HOLE), '"\0"')
+        template = templates[key] = [None] * (2 * len(leaves) + 1)
+        template[::2] = text.split(_HOLE)
+    filled = template[:]
+    filled[1::2] = leaves
+    return _Encoded("".join(filled))
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
@@ -564,11 +571,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
     templates: dict = {}
     members = []
     window = enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
-    for member, failed, errata in verify_window(window):
+    for row, failed, errata in verify_window(window):
         if failed:
-            _verification_failed(failed, member.params)
+            _verification_failed(failed, row.params)
             return 4
-        members.append(_member_text(member, errata, templates))
+        members.append(_member_text(row, errata, templates))
     # each erratum first appears with the first template that carries it
     seen = dict.fromkeys(er for *_, errata in templates for er in errata)
     result = {"count": len(members), "members": members}
@@ -586,7 +593,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # subcommand: heron-table
 
 # the published table's length and area columns, in its order and naming,
-# with the member attribute each one shows
+# with the row attribute each one shows
 _CSV_MEMBER_COLUMNS = (
     ("B_Gamma", "side_gamma_b"),
     ("Gamma_Gamma1", "side_gamma_gamma1"),
@@ -599,14 +606,13 @@ _CSV_MEMBER_COLUMNS = (
 _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_MEMBER_COLUMNS)
 
 
-def _heron_row(member: FamilyMember) -> dict:
+def _heron_row(row: MemberRow) -> dict:
     """The ``_CSV_COLUMNS`` of a member, in their order."""
-    p = member.params
-    t1, t2 = p.t_pair
-    row = {"t1": t1, "t2": t2, "m": p.m, "n": p.n, "delta": p.delta}
+    t1, t2 = row.params.t_pair
+    cells = {"t1": t1, "t2": t2, "m": row.m, "n": row.n, "delta": row.delta}
     for column, attr in _CSV_MEMBER_COLUMNS:
-        row[column] = str(getattr(member, attr))
-    return row
+        cells[column] = _exact_text(getattr(row, attr))
+    return cells
 
 
 def _verification_failed(names: list[str], p: GeneratorParams | None = None) -> None:
@@ -624,17 +630,19 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     rows = []
     seen: dict = {}
     failures = 0
-    for member, failed, errata in verify_window(heron_multiples(args.t_max, args.delta_multiples)):
+    window = heron_multiples(args.t_max, args.delta_multiples)
+    # CSV prints no errata: a scaled row's are not looked up
+    for row, failed, errata in verify_window(window, with_errata=not as_csv):
         if failed:
             failures += 1
-            _verification_failed(failed, member.params)
-        row = _heron_row(member)
+            _verification_failed(failed, row.params)
+        cells = _heron_row(row)
         if as_csv:  # every cell is an int or a p/q string: none needs quoting
-            rows.append(",".join(map(str, row.values())))
+            rows.append(",".join(map(str, cells.values())))
             continue
-        row["verified"] = not failed
-        row["errata"] = [er.ident for er in errata]
-        rows.append(_encoded(row))
+        cells["verified"] = not failed
+        cells["errata"] = [er.ident for er in errata]
+        rows.append(_encoded(cells))
         seen.update(dict.fromkeys(errata))
 
     if as_csv:

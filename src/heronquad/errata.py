@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from .family import FamilyMember
+from typing import NamedTuple
 
 __all__ = ["Erratum", "errata_for_member", "errata_for_triple"]
 
@@ -108,12 +105,11 @@ def errata_for_triple(alpha: Fraction, beta: Fraction, gamma: Fraction) -> tuple
     return ()
 
 
-def errata_for_member(member: FamilyMember) -> tuple[Erratum, ...]:
-    """Registry hits for a family member (the tangent closed-form misprint
-    touches every member; the worked example adds its value-level entries)."""
-    p = member.params
-    out: list[Erratum] = []
-    if (p.m, p.n, p.delta) == (4, 3, 5):
-        out += [_ERR_DIAG_92, _ERR_AREA_12888, _ERR_TAN_GAMMA, _ERR_TAN_GAMMA2]
-    out.append(_tangent_form_erratum(p.m, p.n))
-    return tuple(out)
+def errata_for_member(delta: int, m: int, n: int) -> tuple[Erratum, ...]:
+    """Registry hits for the family member (delta, m, n) (the tangent
+    closed-form misprint touches every member; the worked example adds its
+    value-level entries)."""
+    tangent_form = _tangent_form_erratum(m, n)
+    if (m, n, delta) == (4, 3, 5):
+        return _ERR_DIAG_92, _ERR_AREA_12888, _ERR_TAN_GAMMA, _ERR_TAN_GAMMA2, tangent_form
+    return (tangent_form,)

@@ -11,13 +11,15 @@ for the member:
     area       4*d^2*m^5*n/L^2
 
 All six lengths and the area are integers exactly when L divides d (the
-Heron members). ``enumerate_family`` (``family``: a delta range per pair)
-and ``heron_multiples`` (``heron-table``: delta = j*L) take their windows
-from one walker. It refuses a window of more than ``MEMBERS_MAX`` members,
-counted from the t-pairs alone, before any member is built; then it reads
-each pair once and builds its four tangents once. Only ``family_member``,
-which takes outside (delta, m, n), checks the pair and finds L. No member
-is checked here: ``verify`` runs the oracles and checks the closed forms.
+Heron members). ``_row``, their one home, gives a member as a ``MemberRow``
+of ints; ``MemberRow.member`` makes its ``Fraction``s. ``enumerate_family``
+(``family``: a delta range per pair) and ``heron_multiples``
+(``heron-table``: delta = j*L) take their rows from one walker. It refuses
+a window of more than ``MEMBERS_MAX`` members, counted from the t-pairs
+alone, before any row is built; then it reads each pair once and builds its
+four tangents once. Only ``family_member``, which takes outside (delta, m,
+n), checks the pair and finds L. No member is checked here: ``verify`` runs
+the oracles and checks the closed forms.
 
 Pairs (m, n) themselves come from a second Euclid layer:
 (t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
@@ -46,6 +48,7 @@ from .exactnum import (
 __all__ = [
     "FamilyMember",
     "GeneratorParams",
+    "MemberRow",
     "TForm",
     "coprimality_certificate",
     "enumerate_family",
@@ -82,11 +85,6 @@ class GeneratorParams(NamedTuple):
         """Which of (m, n) is the even value 2*t1*t2."""
         return TForm.ODD_M if self.m % 2 else TForm.EVEN_M
 
-    @property
-    def k(self) -> int:
-        """The integral hypotenuse-like length sqrt(a^2 + (b+g)^2) = 2*d*m*L."""
-        return 2 * self.delta * self.m * self.L
-
     def triple(self) -> tuple[int, int, int]:
         """The even-leg-first triple (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2))."""
         return euclid_triple(self.delta, self.m, self.n)
@@ -110,6 +108,38 @@ class FamilyMember(NamedTuple):
     is_heron: bool
 
 
+class MemberRow(NamedTuple):
+    """A member as ints (and its pair's one tuple of tangents): each rational
+    length and the area as (numerator, denominator) in lowest terms."""
+
+    delta: int
+    m: int
+    n: int
+    L: int
+    tangents: tuple
+    alpha: int
+    beta: int
+    gamma: int
+    side_gamma_b: int
+    side_b_gamma2: int
+    side_gamma2_gamma1: int  # k = sqrt(alpha^2 + (beta + gamma)^2) = 2*d*m*L
+    side_gamma_gamma1: tuple[int, int]
+    diag_b_gamma1: int
+    diag_gamma_gamma2: tuple[int, int]
+    area: tuple[int, int]
+    is_heron: bool
+
+    @property
+    def params(self) -> GeneratorParams:
+        """(delta, m, n, L) as ``GeneratorParams``."""
+        return GeneratorParams(*self[:4])
+
+    def member(self) -> FamilyMember:
+        """The ``FamilyMember`` of this row: each (numerator, denominator) as a ``Fraction``."""
+        *lengths, area = (Fraction(*v) if type(v) is tuple else v for v in self[8:15])
+        return FamilyMember(self.params, *lengths, *self.tangents, area, self.is_heron)
+
+
 def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
     """Map a t-pair (a generator pair itself) to (m, n, L), m the larger leg."""
     check_generator_pair(t1, t2)
@@ -127,18 +157,21 @@ def _tangents(m: int, n: int) -> tuple:
     )
 
 
-def _member(delta: int, m: int, n: int, L: int, tangents: tuple) -> FamilyMember:
-    """The member for ``delta`` (>= 1) of a valid pair (m, n) with m^2 + n^2 = L^2
-    and ``tangents = _tangents(m, n)``; its closed forms unchecked."""
-    params, dm = GeneratorParams(delta, m, n, L), 2 * delta * m
-    return FamilyMember(
-        params,
+def _row(delta: int, m: int, n: int, L: int, tangents: tuple) -> MemberRow:
+    """The row of ``delta`` (>= 1) for a valid pair (m, n) with m^2 + n^2 = L^2
+    and ``tangents = _tangents(m, n)``; its closed forms unchecked. L is prime
+    to 2m(m^2 - n^2) and to 4nm^2 (``coprimality_certificate``), so
+    g = gcd(delta, L) puts each rational one in lowest terms."""
+    dm, g = 2 * delta * m, gcd(delta, L)
+    dmn, q = dm * n, L // g
+    return MemberRow(
+        delta, m, n, L, tangents,
+        *euclid_triple(delta, m, n),
         # the sides in traversal order, then the diagonals, as in the table above
-        dm * n, dm * n, params.k, Fraction(dm * (m * m - n * n), L),
-        dm * m, Fraction(2 * dm * m * n, L),
-        *tangents,
-        area=Fraction(4 * delta * delta * m**5 * n, L * L),
-        is_heron=delta % L == 0,
+        dmn, dmn, dm * L, (dm * (m * m - n * n) // g, q),
+        dm * m, (2 * m * dmn // g, q),
+        (4 * delta * delta * m**5 * n // (g * g), q * q),
+        delta % L == 0,
     )
 
 
@@ -153,7 +186,7 @@ def family_member(delta: int, m: int, n: int) -> FamilyMember:
             f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
             f"(m={m}, n={n}) does not generate a family member"
         )
-    return _member(delta, m, n, L, _tangents(m, n))
+    return _row(delta, m, n, L, _tangents(m, n)).member()
 
 
 def _t_pairs(t_max: int) -> Iterator[tuple[int, int]]:
@@ -172,8 +205,8 @@ def generating_pairs(t_max: int) -> Iterator[tuple[int, int, int, int, int]]:
         yield (t1, t2, *mnl_from_t(t1, t2))
 
 
-def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[FamilyMember]:
-    """The members (delta, m, n) with delta in ``deltas(L)``, by (t1, t2, delta).
+def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[MemberRow]:
+    """The rows (delta, m, n) with delta in ``deltas(L)``, by (t1, t2, delta).
 
     ``deltas(L)`` must not grow with L: the count from the t-pairs stops at
     the first t1 whose least L, t1^2 + 1, has no delta.
@@ -193,14 +226,15 @@ def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[FamilyMember]:
         if span:
             tangents = _tangents(m, n)
             for delta in span:
-                yield _member(delta, m, n, L, tangents)
+                yield _row(delta, m, n, L, tangents)
 
 
 def enumerate_family(
     t_max: int, delta_max: int, *, heron_only: bool = False
-) -> Iterator[FamilyMember]:
-    """Enumerate members ordered by (t1, t2, delta), each exactly once; with
-    ``heron_only`` the delta loop walks the multiples of L up to delta_max.
+) -> Iterator[MemberRow]:
+    """Enumerate the rows of members ordered by (t1, t2, delta), each exactly
+    once; with ``heron_only`` the delta loop walks the multiples of L up to
+    delta_max.
 
     Only the even-leg-first family exists: with the odd leg first,
     |Gamma2 Gamma1|^2 = 2*d^2*(m + n)^2*(m^2 + n^2). A generator pair makes
@@ -214,8 +248,8 @@ def enumerate_family(
     )
 
 
-def heron_multiples(t_max: int, multiples: int) -> Iterator[FamilyMember]:
-    """The Heron members delta = j*L, j = 1..multiples, by (t1, t2, j)."""
+def heron_multiples(t_max: int, multiples: int) -> Iterator[MemberRow]:
+    """The rows of the Heron members delta = j*L, j = 1..multiples, by (t1, t2, j)."""
     if multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {multiples}")
     yield from _walk(t_max, lambda L: range(L, multiples * L + 1, L))

@@ -22,7 +22,9 @@ criterion is homogeneous in these, so ``verify_scaling`` skips no oracle: a
 member whose triple and closed forms scale from a verified member of its pair
 (degree 1 in delta, the area 2, the tangents 0) gets the same verdict from each.
 ``verify_window``, the one home of that policy for ``family`` and ``heron-table``,
-runs ``verify_member`` once per pair and ``verify_scaling`` on each other member.
+takes a window's members as int rows (``family.MemberRow``): it runs
+``verify_member`` on the ``FamilyMember`` of a pair's first row, and
+``verify_scaling`` decides each other row on its ints alone.
 
 Known misprints in the published reference values are kept in a small
 registry (``errata``): a verification that touches one reports an
@@ -58,7 +60,7 @@ from .geometry import (
 
 if TYPE_CHECKING:
     from .errata import Erratum
-    from .family import FamilyMember
+    from .family import FamilyMember, MemberRow
 
 __all__ = [
     "Check",
@@ -394,12 +396,6 @@ def verify_construction(q: QuadConstruction) -> VerificationReport:
     return VerificationReport(subject, tuple(checks), errata)
 
 
-def _heron_facts(member: FamilyMember) -> tuple[bool, bool]:
-    """(delta % L == 0, whether the rational lengths and the area are integers)."""
-    rational = member.side_gamma_gamma1, member.diag_gamma_gamma2, member.area
-    return member.params.delta % member.params.L == 0, all(v.denominator == 1 for v in rational)
-
-
 def _heron_check(is_heron: bool, criterion: bool, integral: bool) -> Check:
     ok = is_heron == criterion == integral
     actual = f"delta%L==0: {criterion}, all integral: {integral}"
@@ -424,68 +420,84 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     checks.append(_equal("member-area-vs-shoelace", measured_area, stored, area))
     checks.append(_equal("member-area-bracket-form", bracket, stored, area))
     checks.append(_equal("member-area-reduced-form", reduced, stored, area))
-    checks.append(_heron_check(member.is_heron, *_heron_facts(member)))
+    rational = member.side_gamma_gamma1, member.diag_gamma_gamma2, member.area
+    integral = all(v.denominator == 1 for v in rational)
+    checks.append(_heron_check(member.is_heron, delta % L == 0, integral))
     checks.append(_equal("member-theta-n-over-m", _ratio(theta), (n, m), theta))
 
-    errata = errata_for_member(member)
+    errata = errata_for_member(delta, m, n)
     checks += _erratum_checks(errata)
     subject = f"member(delta={delta}, m={m}, n={n})"
     return VerificationReport(subject, tuple(checks), errata)
 
 
-# (check name, degree in delta) of each leaf: the triple, then ``_LEAVES``
+# (check name, degree in delta) of each leaf of ``_LEAVES``: the triple, the
+# six lengths and the area of a row
 _SCALING = (
     *((f"member-scaling-{leg}", 1) for leg in ("alpha", "beta", "gamma")),
     *((f"member-scaling-{name}", 1) for name, _ in _LENGTH_CHECKS),
     ("member-scaling-area", 2),
-    *((f"member-scaling-{name}", 0) for name, _ in _TANGENT_CHECKS),
 )
-_LEAVES = attrgetter(*[a for _, a in _LENGTH_CHECKS], "area", *[a for _, a in _TANGENT_CHECKS])
+_LEAVES = attrgetter("alpha", "beta", "gamma", *[a for _, a in _LENGTH_CHECKS], "area")
 
 
-def _scaling_parts(base: FamilyMember) -> list[tuple[int, int]]:
-    """Each leaf of ``base`` over delta^degree, in lowest terms, as (numerator,
-    denominator); for a verified member the triple and the four integral
-    lengths have denominator 1."""
-    d0, leaves = base.params.delta, base.params.triple() + _LEAVES(base)
-    return [_ratio(Fraction(v, d0**k)) for (_, k), v in zip(_SCALING, leaves)]
+def _scaling_parts(base: MemberRow) -> tuple:
+    """The base of ``verify_scaling``: for each leaf, its check name, its degree
+    and its value in ``base`` over delta^degree, in lowest terms, as (numerator,
+    denominator); and the tangents of ``base``. For a verified row the triple
+    and the four integral lengths have denominator 1."""
+    d0, parts = base.delta, []
+    for (name, k), leaf in zip(_SCALING, _LEAVES(base)):
+        value = Fraction(*leaf) if type(leaf) is tuple else Fraction(leaf)
+        parts.append((name, k, *_ratio(value / d0**k)))
+    return parts, base.tangents
 
 
-def verify_scaling(member: FamilyMember, parts: list[tuple[int, int]]) -> tuple:
-    """The failing checks of ``member`` against ``parts``, the
-    ``_scaling_parts`` of a member of its pair that ``verify_member`` passed:
-    each leaf must be n0/d0 * delta^degree for its part (n0, d0), decided on
-    ints (an integral part by one product); and the Heron criterion must hold."""
-    delta = member.params.delta
+def verify_scaling(row: MemberRow, parts: tuple) -> tuple:
+    """The failing checks of ``row`` against ``parts``, the ``_scaling_parts``
+    of a row of its pair that ``verify_member`` passed: each leaf, an int or
+    (p, q), must be n0/d0 * delta^degree for its part (n0, d0), decided on ints
+    by cross-multiplying; its tangents must be the base's; and the Heron
+    criterion must hold."""
+    delta = row.delta
     powers = (1, delta, delta * delta)
-    leaves = member.params.triple() + _LEAVES(member)
+    scaled, tangents = parts
     failed = []
-    for (name, k), v, (n0, d0) in zip(_SCALING, leaves, parts):
-        expected = n0 * powers[k]
-        if d0 == 1:  # the triple and the four integral lengths
-            ok = v == expected
+    integral = True
+    for (name, k, n0, d0), leaf in zip(scaled, _LEAVES(row)):
+        if type(leaf) is tuple:
+            p, q = leaf
+            integral = integral and q == 1
         else:
-            ok = v.numerator * d0 == expected * v.denominator
-        if not ok:
-            failed.append(Check(name, FAIL, Fraction(expected, d0), v))
-    criterion, integral = _heron_facts(member)
-    if not member.is_heron == criterion == integral:
-        failed.append(_heron_check(member.is_heron, criterion, integral))
+            p, q = leaf, 1
+        if p * d0 != n0 * powers[k] * q:
+            failed.append(Check(name, FAIL, Fraction(n0 * powers[k], d0), Fraction(p, q)))
+    if row.tangents != tangents:
+        failed += [
+            Check(f"member-scaling-{name}", FAIL, t0, t)
+            for (name, _), t0, t in zip(_TANGENT_CHECKS, tangents, row.tangents)
+            if t0 != t
+        ]
+    criterion = delta % row.L == 0
+    if not row.is_heron == criterion == integral:
+        failed.append(_heron_check(row.is_heron, criterion, integral))
     return tuple(failed)
 
 
-def verify_window(members: Iterable[FamilyMember]) -> Iterator[tuple]:
-    """Each member of a window in pair order, with its failing checks' names
-    and its errata: ``verify_member`` until one of its pair passes, then
-    scaling from that one."""
+def verify_window(rows: Iterable[MemberRow], with_errata: bool = True) -> Iterator[tuple]:
+    """Each row of a window in pair order, with its failing checks' names
+    and its errata: ``verify_member`` until a row of its pair passes, then
+    scaling from that one. A scaled row's errata are looked up only
+    ``with_errata``, else they are ()."""
     base = parts = None
-    for member in members:
-        if base is not None and base.params[1:] == member.params[1:]:
+    for row in rows:
+        if base is not None and (base.m, base.n) == (row.m, row.n):
             parts = parts or _scaling_parts(base)
-            failed = [check.name for check in verify_scaling(member, parts)]
-            errata = errata_for_member(member)
+            checks = verify_scaling(row, parts)
+            failed = [check.name for check in checks] if checks else []
+            errata = errata_for_member(row.delta, row.m, row.n) if with_errata else ()
         else:
-            report = verify_member(member)
+            report = verify_member(row.member())
             failed, errata = report.failed_names(), report.errata
-            base, parts = None if failed else member, None
-        yield member, failed, errata
+            base, parts = None if failed else row, None
+        yield row, failed, errata

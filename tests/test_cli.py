@@ -13,7 +13,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heronquad import cli, family, verify
@@ -589,6 +589,52 @@ class TestConstructCommand:
         assert code == 2
 
 
+@given(
+    st.one_of(
+        _FLOATS,
+        st.floats(min_value=1e-6, max_value=1e17),
+        st.sampled_from(
+            [45.0, 1e-4, 9.99999999995e-05, 1e10, 12345678905.0, 1.7976931348623157e308]
+        ),
+    )
+)
+@example(36.86989765243)
+def test_round10_text_is_the_text_of_the_rounded_float(x):
+    try:
+        expected = cli._float_text(cli._round10(x))
+    except DomainError:  # rounds up past the float range
+        with pytest.raises(DomainError, match="not finite"):
+            cli._round10_text(x)
+    else:
+        assert cli._round10_text(x) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_round10_text_refuses_a_non_finite_float(bad):
+    with pytest.raises(DomainError, match="not finite"):
+        cli._round10_text(bad)
+
+
+def member_encoding(member) -> str:
+    """A member's JSON text, encoded in full from its ``FamilyMember``: the
+    bytes each compiled template must give."""
+    from heronquad.errata import errata_for_member
+    from heronquad.geometry import SEGMENTS
+
+    p = member.params
+    errata = errata_for_member(p.delta, p.m, p.n)
+    leaves = (
+        p.delta,
+        member.side_gamma2_gamma1,  # k
+        *p.triple(),
+        *(str(getattr(member, attr)) for *_, attr in SEGMENTS),
+        str(member.area),
+        member.is_heron,
+        *cli._theta_degrees(member.side_gamma_b, member.diag_b_gamma1),
+    )
+    return cli._encoded(cli._member_payload(member, errata, leaves))
+
+
 class TestFamilyCommand:
     def test_heron_only_window(self, capsys):
         doc = run_json(
@@ -634,16 +680,16 @@ class TestFamilyCommand:
         from heronquad.family import enumerate_family
 
         templates: dict = {}
-        members = list(enumerate_family(t_max, delta_max, heron_only=heron_only))
-        assert members
-        for member in members:
-            errata = errata_for_member(member)
-            expected = cli._encoded(cli._member_payload(member, errata))
-            assert cli._member_text(member, errata, templates) == expected, member.params
+        rows = list(enumerate_family(t_max, delta_max, heron_only=heron_only))
+        assert rows
+        for row in rows:
+            errata = errata_for_member(row.delta, row.m, row.n)
+            member = family.family_member(row.delta, row.m, row.n)
+            assert cli._member_text(row, errata, templates) == member_encoding(member), row.params
         # every window here holds the worked example, and it has its own template
         worked = (5, 4, 3, 5)
-        assert worked in {m.params for m in members}
-        assert len(templates) == len({(m.params[1:], m.params == worked) for m in members})
+        assert worked in {r.params for r in rows}
+        assert len(templates) == len({(r.params[1:], r.params == worked) for r in rows})
 
     @pytest.mark.parametrize("m, n", [(m, n) for *_, m, n, _ in family.generating_pairs(6)])
     def test_template_text_is_the_member_encoding_at_large_delta(self, m, n):
@@ -652,14 +698,15 @@ class TestFamilyCommand:
         from heronquad.errata import errata_for_member
 
         L, top = math.isqrt(m * m + n * n), 10**30
+        tangents = family._tangents(m, n)
         templates: dict = {}
         heron = set()
         for delta in (1, 2 * L, 2 * L + 1, top // L * L, top // L * L + 1, top - 1, top):
+            row = family._row(delta, m, n, L, tangents)
             member = family.family_member(delta, m, n)
-            errata = errata_for_member(member)
-            expected = cli._encoded(cli._member_payload(member, errata))
-            assert cli._member_text(member, errata, templates) == expected, member.params
-            heron.add(member.is_heron)
+            errata = errata_for_member(delta, m, n)
+            assert cli._member_text(row, errata, templates) == member_encoding(member), row.params
+            heron.add(row.is_heron)
         assert len(templates) == 1
         assert heron == {False, True}
 
@@ -668,11 +715,11 @@ class TestFamilyCommand:
         from heronquad.errata import errata_for_member
 
         templates: dict = {}
-        first, second = family.family_member(1, 4, 3), family.family_member(2, 4, 3)
-        cli._member_text(first, errata_for_member(first), templates)
+        first, second = list(family.enumerate_family(2, 2))
+        cli._member_text(first, errata_for_member(1, 4, 3), templates)
         monkeypatch.setattr(cli, "theta_degrees", lambda alpha, bg: bad)
         with pytest.raises(DomainError, match="not finite"):
-            cli._member_text(second, errata_for_member(second), templates)
+            cli._member_text(second, errata_for_member(2, 4, 3), templates)
 
     @settings(max_examples=12)
     @given(
@@ -925,22 +972,24 @@ class TestMisprintedClosedForm:
         assert not path.exists()
 
 
-def _degree_one_area(monkeypatch, right_at):
-    """Give every member the area 4*delta*e*m^5*n/L^2, e = ``right_at(L)``: of
-    degree 1 in delta, so right only at delta = e."""
-    member = family._member
+def _wrong_degree(monkeypatch, attr, right_at):
+    """Give every row the closed form ``attr`` (``side_gamma_gamma1`` or
+    ``area``) times e/delta, e = ``right_at(L)``: of one degree less in
+    delta (the area 4*delta*e*m^5*n/L^2), so right only at delta = e."""
+    row = family._row
 
-    def degree_one_area(delta, m, n, L, tangents):
-        area = Fraction(4 * delta * right_at(L) * m**5 * n, L * L)
-        return member(delta, m, n, L, tangents)._replace(area=area)
+    def wrong_degree(delta, m, n, L, tangents):
+        right = row(delta, m, n, L, tangents)
+        value = Fraction(*getattr(right, attr)) * Fraction(right_at(L), delta)
+        return right._replace(**{attr: value.as_integer_ratio()})
 
-    monkeypatch.setattr(family, "_member", degree_one_area)
+    monkeypatch.setattr(family, "_row", wrong_degree)
 
 
 def test_family_scaling_check_catches_a_closed_form_of_the_wrong_degree(capsys, monkeypatch):
     # right at delta = 1, so the oracles pass the first member of the pair;
     # only the scaling check of the next one fails
-    _degree_one_area(monkeypatch, lambda L: 1)
+    _wrong_degree(monkeypatch, "area", lambda L: 1)
     code, out, err = run(capsys, "family", "--t-max", "3", "--delta-max", "5")
     assert (code, out) == (4, "")
     assert err == (
@@ -955,7 +1004,7 @@ def test_heron_table_scaling_check_catches_a_closed_form_of_the_wrong_degree(
 ):
     # right at delta = L, so the oracles pass the first row of each pair;
     # only the scaling check of the second one fails
-    _degree_one_area(monkeypatch, lambda L: L)
+    _wrong_degree(monkeypatch, "area", lambda L: L)
     argv = ["--t-max", "3", "--delta-multiples", "2", "--format", fmt]
     code, out, err = run(capsys, "heron-table", *argv)
     assert code == 4
@@ -971,6 +1020,34 @@ def test_heron_table_scaling_check_catches_a_closed_form_of_the_wrong_degree(
         assert [row["verified"] for row in rows] == [True, False, True, False]
     else:
         assert len(out.splitlines()) == 5
+
+
+def test_family_scaling_check_catches_a_side_of_the_wrong_degree(capsys, monkeypatch):
+    # right at delta = 1, so the oracles pass the first member of the pair;
+    # only the scaling check of the next one fails
+    _wrong_degree(monkeypatch, "side_gamma_gamma1", lambda L: 1)
+    code, out, err = run(capsys, "family", "--t-max", "3", "--delta-max", "5")
+    assert (code, out) == (4, "")
+    assert err == (
+        "heron-quad: verification failed for (m=4, n=3, delta=2): "
+        "1 check(s): member-scaling-side-Gamma-Gamma1\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_heron_table_scaling_check_catches_a_side_of_the_wrong_degree(capsys, monkeypatch, fmt):
+    # right at delta = L, so the oracles pass the first row of each pair
+    _wrong_degree(monkeypatch, "side_gamma_gamma1", lambda L: L)
+    argv = ["--t-max", "3", "--delta-multiples", "2", "--format", fmt]
+    code, _out, err = run(capsys, "heron-table", *argv)
+    assert code == 4
+    assert err == (
+        "heron-quad: verification failed for (m=4, n=3, delta=10): "
+        "1 check(s): member-scaling-side-Gamma-Gamma1\n"
+        "heron-quad: verification failed for (m=12, n=5, delta=26): "
+        "1 check(s): member-scaling-side-Gamma-Gamma1\n"
+        "heron-quad: 2 row(s) failed verification\n"
+    )
 
 
 class TestVerifyCommand:

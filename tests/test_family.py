@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heronquad.exactnum import DomainError, exact_sqrt, scaled_triple, surd_normalize
@@ -169,11 +169,62 @@ class TestFamilyMember:
         assert failed[0] == "member-area-vs-shoelace"
 
     def test_k_parameter(self):
+        # k, the side Gamma2-Gamma1
         mem = family_member(5, 4, 3)
-        k = mem.params.k
+        k = mem.side_gamma2_gamma1
         assert k == 2 * 5 * 4 * 5
         a, b, g = (Fraction(v) for v in mem.params.triple())
         assert k * k == a * a + (b + g) ** 2
+
+
+class TestMemberRow:
+    """``family._row`` is the one home of the closed forms; a row keeps them as ints."""
+
+    @given(
+        st.sampled_from(list(generating_pairs(8))),
+        st.integers(min_value=1, max_value=10**30),
+        st.booleans(),
+    )
+    @example((2, 1, 4, 3, 5), 5, False)  # the worked example
+    @example((2, 1, 4, 3, 5), 10**30, True)
+    def test_row_is_the_members_closed_forms(self, pair, delta, multiple_of_l):
+        _t1, _t2, m, n, L = pair
+        if multiple_of_l:
+            delta = max(1, delta // L) * L
+        row = family._row(delta, m, n, L, family._tangents(m, n))
+        member = family_member(delta, m, n)
+        # the closed forms of the module docstring, written out
+        closed = {
+            "alpha": 2 * delta * m * n,
+            "beta": delta * (m * m - n * n),
+            "gamma": delta * (m * m + n * n),
+            "side_gamma_b": 2 * delta * m * n,
+            "side_b_gamma2": 2 * delta * m * n,
+            "side_gamma2_gamma1": 2 * delta * m * L,
+            "side_gamma_gamma1": Fraction(2 * delta * m * (m * m - n * n), L),
+            "diag_b_gamma1": 2 * delta * m * m,
+            "diag_gamma_gamma2": Fraction(4 * delta * m * m * n, L),
+            "area": Fraction(4 * delta * delta * m**5 * n, L * L),
+        }
+        for attr, value in closed.items():
+            leaf = getattr(row, attr)
+            if attr in ("side_gamma_gamma1", "diag_gamma_gamma2", "area"):
+                p, q = leaf
+                assert q >= 1 and math.gcd(p, q) == 1, (attr, leaf)
+                leaf = Fraction(p, q)
+            else:
+                assert type(leaf) is int
+            assert leaf == value
+            if attr in member._fields:
+                assert getattr(member, attr) == value
+        assert (row.alpha, row.beta, row.gamma) == member.params.triple()
+        assert row.params == member.params == (delta, m, n, L)
+        assert row.tangents == member[7:11] == (
+            Fraction(-2 * m * n, m * m - n * n), Fraction(-m, n),
+            Fraction(2 * m * n, m * m - n * n), Fraction(m, n),
+        )
+        assert row.is_heron is member.is_heron is (delta % L == 0)
+        assert row.member() == member
 
 
 class TestHeronCriterion:
@@ -283,7 +334,7 @@ class TestEnumerateFamily:
     )
     def test_over_cap_window_builds_no_member(self, monkeypatch, window):
         built = []
-        monkeypatch.setattr(family, "_member", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(family, "_row", lambda *a, **k: built.append(a))
         with pytest.raises(DomainError, match="more than"):
             next(window())
         assert built == []

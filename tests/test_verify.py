@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from heronquad import verify
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
-from heronquad.family import enumerate_family, family_member, generating_pairs, heron_multiples
+from heronquad.family import (
+    MemberRow,
+    enumerate_family,
+    family_member,
+    generating_pairs,
+    heron_multiples,
+)
 from heronquad.geometry import (
     ANGLES,
     SEGMENTS,
@@ -334,15 +340,15 @@ class TestErrataRegistry:
         assert errata_for_triple(Fraction(35), Fraction(120), Fraction(125)) == ()
 
     def test_member_registry(self):
-        worked = errata_for_member(family_member(5, 4, 3))
+        worked = errata_for_member(5, 4, 3)
         idents = [er.ident for er in worked]
         assert "published-table-area-12888" in idents
         assert "family-tangent-closed-form" in idents
-        generic = errata_for_member(family_member(1, 4, 3))
+        generic = errata_for_member(1, 4, 3)
         assert [er.ident for er in generic] == ["family-tangent-closed-form"]
 
     def test_erratum_payload_shape(self):
-        (erratum,) = errata_for_member(family_member(1, 12, 5))
+        (erratum,) = errata_for_member(1, 12, 5)
         payload = erratum.to_payload()
         assert set(payload) == {"id", "quantity", "printed", "computed", "note"}
         assert payload["printed"] == "-2m/n = -24/5 and 2m/n = 24/5"
@@ -468,8 +474,8 @@ class TestVerifyMember:
         assert "heron-criterion-matches-integrality" in names
 
     def test_small_window_members_all_pass(self):
-        for mem in enumerate_family(4, 6):
-            report = verify_member(mem)
+        for row in enumerate_family(4, 6):
+            report = verify_member(row.member())
             assert not report.has_failures, report.subject
 
     def test_report_payload_shape(self):
@@ -499,13 +505,29 @@ _SCALED = {
 }
 
 
+def row_of(member) -> MemberRow:
+    """The row of a member, edited or not: each Fraction leaf as (numerator, denominator)."""
+    p, lengths_and_area = member.params, (*member[1:7], member.area)
+    leaves = [v.as_integer_ratio() if isinstance(v, Fraction) else v for v in lengths_and_area]
+    return MemberRow(*p, member[7:11], *p.triple(), *leaves, member.is_heron)
+
+
+def _edit(member, attr, k):
+    """``member`` with ``is_heron`` negated, or with the closed form ``attr`` times ``k``."""
+    value = getattr(member, attr)
+    return member._replace(**{attr: not value if attr == "is_heron" else value * k})
+
+
 class TestVerifyScaling:
+    def test_a_row_is_its_member(self):
+        for row in enumerate_family(5, 12):
+            assert row_of(row.member()) == row
+
     def test_every_member_scales_from_the_first_of_its_pair(self):
         bases = {}
-        for member in enumerate_family(5, 12):
-            p = member.params
-            base = bases.setdefault((p.m, p.n), member)
-            assert verify_scaling(member, _scaling_parts(base)) == ()
+        for row in enumerate_family(5, 12):
+            base = bases.setdefault((row.m, row.n), row)
+            assert verify_scaling(row, _scaling_parts(base)) == ()
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -518,18 +540,17 @@ class TestVerifyScaling:
         # an edited closed form of a member, checked against a verified member
         # of its pair, fails the scaling check exactly when the oracles fail it
         assume(k != 1)
-        member = family_member(delta, *pair)
-        value = getattr(member, attr)
-        edited = member._replace(**{attr: not value if attr == "is_heron" else value * k})
-        parts = _scaling_parts(family_member(delta0, *pair))
-        failed = [check.name for check in verify_scaling(edited, parts)]
+        edited = _edit(family_member(delta, *pair), attr, k)
+        parts = _scaling_parts(row_of(family_member(delta0, *pair)))
+        failed = [check.name for check in verify_scaling(row_of(edited), parts)]
         assert bool(failed) == verify_member(edited).has_failures
         if attr != "is_heron":
             assert failed[0] == _SCALED[attr]
 
     def test_renders_the_scaled_base_value(self):
         base, member = family_member(1, 4, 3), family_member(3, 4, 3)
-        (check,) = verify_scaling(member._replace(area=member.area + 1), _scaling_parts(base))
+        edited = row_of(member._replace(area=member.area + 1))
+        (check,) = verify_scaling(edited, _scaling_parts(row_of(base)))
         assert check.to_payload() == {
             "name": "member-scaling-area",
             "status": "fail",
@@ -545,23 +566,25 @@ class TestVerifyScaling:
             "side_b_gamma2",
             "side_gamma2_gamma1",
             "diag_b_gamma1",
-            # Fractions, of denominator 1 at a multiple of L
+            # (p, q) pairs, of q = 1 at a multiple of L
             "side_gamma_gamma1",
             "diag_gamma_gamma2",
             "area",
         ],
     )
     def test_an_int_leaf_and_its_equal_fraction_are_one_value(self, attr):
+        # a row leaf is an int or (p, q): an int as (v, 1), and (p, 1) as p, is the same value
         base, member = family_member(1, 12, 5), family_member(3 * 13, 12, 5)
         value = getattr(member, attr)
         swapped = Fraction(value) if isinstance(value, int) else int(value)
         assert swapped == value and type(swapped) is not type(value)
-        parts = _scaling_parts(base)
+        parts = _scaling_parts(row_of(base))
         edited = member._replace(**{attr: swapped})
-        assert verify_scaling(edited, parts) == ()
+        assert type(getattr(row_of(edited), attr)) is not type(getattr(row_of(member), attr))
+        assert verify_scaling(row_of(edited), parts) == ()
         assert not verify_member(edited).has_failures
         # one more fails, and keeps the scaled base value and the leaf
-        (check,) = verify_scaling(member._replace(**{attr: swapped + 1}), parts)
+        (check,) = verify_scaling(row_of(member._replace(**{attr: swapped + 1})), parts)
         scale = Fraction(member.params.delta, base.params.delta) ** (2 if attr == "area" else 1)
         assert check == verify.Check(
             _SCALED[attr], CheckStatus.FAIL, getattr(base, attr) * scale, swapped + 1
@@ -591,20 +614,20 @@ class TestVerifyWindow:
         # verify_member gives it alone
         assume(window and k != 1)
         i %= len(window)
-        value = getattr(window[i], attr)
-        window[i] = window[i]._replace(**{attr: not value if attr == "is_heron" else value * k})
-        verdicts = [(member, bool(failed)) for member, failed, _ in verify_window(window)]
-        assert verdicts == [(member, verify_member(member).has_failures) for member in window]
+        window[i] = row_of(_edit(window[i].member(), attr, k))
+        verdicts = [(row, bool(failed)) for row, failed, _ in verify_window(window)]
+        assert verdicts == [(row, verify_member(row.member()).has_failures) for row in window]
 
     def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
         checked = []
         monkeypatch.setattr(verify, "verify_member", lambda m: checked.append(m) or verify_member(m))
         window = list(heron_multiples(2, 3))
-        window[0] = window[0]._replace(area=window[0].area + 1)
-        window[2] = window[2]._replace(area=window[2].area + 1)
+        for i in (0, 2):
+            member = window[i].member()
+            window[i] = row_of(member._replace(area=member.area + 1))
         failed = [names for _, names, _ in verify_window(window)]
         # the next member runs the oracles and becomes the base the third scales from
-        assert checked == window[:2]
+        assert checked == [row.member() for row in window[:2]]
         assert failed == [
             ["member-area-vs-shoelace", "member-area-bracket-form", "member-area-reduced-form"],
             [],
@@ -866,5 +889,5 @@ class TestReportEqualsFractionReference:
         checks = _ref_construction_checks(q) + _ref_member_checks(member, q)
         p = member.params
         subject = f"member(delta={p.delta}, m={p.m}, n={p.n})"
-        expected = _ref_payload(subject, checks, errata_for_member(member))
+        expected = _ref_payload(subject, checks, errata_for_member(p.delta, p.m, p.n))
         assert json.dumps(verify_member(member).to_payload()) == json.dumps(expected)

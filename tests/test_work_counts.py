@@ -3,7 +3,7 @@ forms are checked once, each oracle is evaluated once per verification,
 each coordinate quantity is measured once per verification on one integer
 lattice, verifying a built construction factors nothing, and ``family`` and
 ``heron-table`` run the oracles once per pair, check every other member by
-its scaling and look up each member's errata once."""
+its scaling and look up each member's errata once, where they are printed."""
 
 import json
 import math
@@ -88,6 +88,17 @@ def test_heron_table_constructs_each_pair_once(calls, capsys):
     assert calls["lattice"] == calls["twice_area"] == calls["shoelace"] == 15
     # the errata of each row, looked up once: the oracle pass's, or the scaled row's
     assert calls["errata_for_member"] == len(rows)
+
+
+def test_heron_table_csv_looks_up_no_scaled_rows_errata(calls, capsys):
+    argv = ["heron-table", "--t-max", "8", "--delta-multiples", "3", "--format", "csv"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 45
+    assert calls["verify_member"] == 15
+    assert calls["verify_scaling"] == 30
+    # CSV prints no errata: only each pair's oracle pass looks them up, none
+    # of the 30 scaled rows
+    assert calls["errata_for_member"] == calls["verify_member"]
 
 
 @pytest.mark.parametrize(

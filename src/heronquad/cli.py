@@ -430,6 +430,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         area = _length_payload(q.area)
     except OverflowError:
         raise DomainError("the area is too large for its float approximation") from None
+    center = q.circumcenter
     return {
         "triple": _triple_payload(q.alpha, q.beta, q.gamma),
         "vertices": {
@@ -442,7 +443,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         },
         "theta": _theta_payload(q.alpha, q.diag_b_gamma1),
         "circumcircle": {
-            "center": {"x": str(q.circumcenter.x), "y": str(q.circumcenter.y)},
+            "center": {"x": str(center.x), "y": str(center.y)},
             "radius_squared": str(q.radius_squared),
             "radius_approx": _round10(sqrt_approx(q.radius_squared)),
         },
@@ -608,8 +609,8 @@ _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_ME
 
 def _heron_row(row: MemberRow) -> dict:
     """The ``_CSV_COLUMNS`` of a member, in their order."""
-    t1, t2 = row.params.t_pair
-    cells = {"t1": t1, "t2": t2, "m": row.m, "n": row.n, "delta": row.delta}
+    pair = classify_triple(row.m, row.n, row.L)  # the t-pair, as ``t_pair`` finds it
+    cells = {"t1": pair.m, "t2": pair.n, "m": row.m, "n": row.n, "delta": row.delta}
     for column, attr in _CSV_MEMBER_COLUMNS:
         cells[column] = _exact_text(getattr(row, attr))
     return cells

@@ -47,6 +47,7 @@ __all__ = [
     "surd_normalize",
     "surd_scale",
     "surd_sqrt",
+    "surd_sqrt_ints",
 ]
 
 
@@ -255,9 +256,16 @@ def surd_sqrt(value: Fraction | int) -> Surd:
         raise DomainError(f"surd_sqrt needs a nonnegative value, got {value}")
     if value == 0:
         return Surd(Fraction(0), 1)
-    s, r = squarefree_decompose(value.numerator)
-    t, u = squarefree_decompose(value.denominator)
-    return Surd(Fraction(s, t * u), r * u)
+    s, tu, ru = surd_sqrt_ints(value.numerator, value.denominator)
+    return Surd(Fraction(s, tu), ru)
+
+
+def surd_sqrt_ints(p: int, q: int) -> tuple[int, int, int]:
+    """``surd_sqrt(p/q)`` as ints (s, t*u, r*u), its coefficient s/(t*u) in
+    lowest terms and its radicand r*u, for coprime p, q >= 1."""
+    s, r = squarefree_decompose(p)
+    t, u = squarefree_decompose(q)
+    return s, t * u, r * u
 
 
 def surd_scale(u: Surd, factor: Fraction | int) -> Surd:

@@ -13,6 +13,18 @@ The quadrilateral is traversed Gamma -> B -> Gamma2 -> Gamma1. Every
 vertex is rational, Gamma1-Gamma2 is a diameter of the circumcircle, and
 all lengths are rationals or quadratic surds, so downstream oracles can
 compare exactly.
+
+A construction keeps its triple (``alpha``, ``beta``, ``gamma``) as
+Fractions and everything else as ints. Its ``POINTS`` (the four vertices,
+the circumcentre and A) are one integer lattice, ``lattice``: int pairs
+over one scale S, the least that makes every coordinate an int.
+``construct_quad`` computes them as ints over 2GD for the triple
+(A, B, G)/D and reduces them once; the oracles measure those ints as they
+are. Its ``FORMS`` (lengths, tangents, squared radius) are int pairs,
+(n, d, r) for a surd. ``v_gamma``, ..., ``radius_squared`` are views that
+build the Fraction or Surd on access, and ``_replace`` takes them too: a
+moved point is put, with the others, on a fresh lattice, so it is measured
+where it is.
 """
 
 from __future__ import annotations
@@ -22,10 +34,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import DomainError, Surd, common_denominator, scaled_floats, surd_sqrt
+from .exactnum import DomainError, Surd, common_denominator, scaled_floats, surd_sqrt_ints
 
 __all__ = [
     "ANGLES",
+    "FORMS",
+    "POINTS",
     "Point2",
     "QuadConstruction",
     "SEGMENTS",
@@ -36,6 +50,7 @@ __all__ = [
     "corner",
     "dist_squared",
     "dot_cross",
+    "form_ints",
     "interior_angle_degrees",
     "lattice",
     "quad_area",
@@ -69,10 +84,16 @@ def dot_cross(here: Point2, p: Point2, q: Point2) -> tuple[Fraction, Fraction]:
     return ux * vx + uy * vy, ux * vy - uy * vx
 
 
-def lattice(points: Sequence[Point2]) -> tuple[int, tuple[Point2, ...]]:
-    """(S, the points times S): S, the lcm of their coordinate denominators,
-    makes them int pairs; squared lengths and areas scale by S^2."""
-    s, ints = common_denominator([c for p in points for c in p])
+def lattice(points: Sequence[Point2], denominator: int = 1) -> tuple[int, tuple[Point2, ...]]:
+    """(S, the points times S): S, the least scale that makes every coordinate
+    an int, of rational points, or of int points over ``denominator``;
+    squared lengths and areas scale by S^2."""
+    coords = [c for p in points for c in p]
+    if denominator == 1:  # rationals: S is the lcm of their denominators
+        s, ints = common_denominator(coords)
+    else:  # ints over one denominator: S is it in lowest terms
+        g = math.gcd(denominator, *coords)
+        s, ints = denominator // g, [c // g for c in coords]
     return s, tuple(map(Point2, ints[::2], ints[1::2]))
 
 
@@ -89,54 +110,6 @@ class Vertex(Enum):
     B = "B"
     GAMMA2 = "Gamma2"
     GAMMA1 = "Gamma1"
-
-
-class QuadConstruction(NamedTuple):
-    """The embedded quadrilateral with its exact lengths and angle tangents.
-
-    ``SEGMENTS`` names the six lengths and ``ANGLES`` the four interior
-    angle tangents, which are the exact closed forms -a/b, a/(b-g), a/b,
-    (b+g)/a at B, Gamma, Gamma1, Gamma2; coordinates reproduce them (see
-    the verifier).
-    """
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    v_gamma: Point2
-    v_b: Point2
-    v_gamma2: Point2
-    v_gamma1: Point2
-    v_a: Point2
-    side_gamma_b: Fraction
-    side_b_gamma2: Fraction
-    side_gamma2_gamma1: Surd
-    side_gamma_gamma1: Surd
-    diag_b_gamma1: Fraction
-    diag_gamma_gamma2: Surd
-    tan_b: Fraction
-    tan_gamma: Fraction
-    tan_gamma1: Fraction
-    tan_gamma2: Fraction
-    tan_theta: Fraction
-    circumcenter: Point2
-    radius_squared: Fraction
-
-    @property
-    def area(self) -> Fraction:
-        """Closed-form area from the triple alone, computed on access; the
-        oracles recompute it from the coordinates."""
-        D, (A, B, G) = common_denominator((self.alpha, self.beta, self.gamma))
-        return Fraction(*closed_area(D, A, B, G))
-
-    @property
-    def theta_degrees(self) -> float:
-        """``theta_degrees`` of this triple, for display: no check decides on it."""
-        return theta_degrees(self.alpha, self.diag_b_gamma1)
-
-    def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
-        """Traversal order Gamma, B, Gamma2, Gamma1."""
-        return (self.v_gamma, self.v_b, self.v_gamma2, self.v_gamma1)
 
 
 # The six lengths as (kind, label, endpoints, attribute): the four sides in
@@ -160,7 +133,100 @@ ANGLES = (
     (Vertex.GAMMA2, "tan_gamma2"),
 )
 _INDEX = {vertex: i for i, vertex in enumerate(Vertex)}
-_ZERO = Fraction(0)
+
+# a construction's points, in ``lattice`` order: the vertices in traversal
+# order, then the circumcentre and A
+POINTS = ("v_gamma", "v_b", "v_gamma2", "v_gamma1", "circumcenter", "v_a")
+# its closed forms, in ``forms`` order: the SEGMENTS lengths, the ANGLES
+# tangents, tan theta and the squared circumradius
+FORMS = (
+    *[attr for *_, attr in SEGMENTS], *[attr for _, attr in ANGLES], "tan_theta", "radius_squared"
+)
+
+
+class _Stored(NamedTuple):
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    lattice: tuple[int, tuple[Point2, ...]]  # (S, the POINTS times S: int pairs)
+    forms: tuple[tuple[int, ...], ...]  # the FORMS: (n, d) is n/d, (n, d, r) is (n/d)*sqrt(r)
+
+
+def _point(i: int) -> property:
+    def view(q: QuadConstruction) -> Point2:
+        scale, points = q.lattice
+        x, y = points[i]
+        return Point2(Fraction(x, scale), Fraction(y, scale))
+
+    return property(view, doc=f"{POINTS[i]}: a Point2 of Fractions, built from the lattice.")
+
+
+def _form(i: int) -> property:
+    def view(q: QuadConstruction) -> Fraction | Surd:
+        n, d, *radicand = q.forms[i]
+        return Surd(Fraction(n, d), *radicand) if radicand else Fraction(n, d)
+
+    return property(view, doc=f"{FORMS[i]}: a Fraction or Surd, built from its ints.")
+
+
+def form_ints(value: Fraction | int | Surd | tuple[int, int]) -> tuple[int, ...]:
+    """A closed form as ``QuadConstruction.forms`` keeps it; an int pair is kept."""
+    if type(value) is tuple:
+        return value
+    if isinstance(value, Surd):
+        return (*value.coefficient.as_integer_ratio(), value.radicand)
+    return value.as_integer_ratio()
+
+
+class QuadConstruction(_Stored):
+    """The embedded quadrilateral with its exact lengths and angle tangents.
+
+    ``SEGMENTS`` names the six lengths and ``ANGLES`` the four interior
+    angle tangents, which are the exact closed forms -a/b, a/(b-g), a/b,
+    (b+g)/a at B, Gamma, Gamma1, Gamma2; coordinates reproduce them (see
+    the verifier). The ``POINTS`` and ``FORMS`` are stored as ints and read
+    as views.
+    """
+
+    __slots__ = ()
+
+    v_gamma, v_b, v_gamma2, v_gamma1, circumcenter, v_a = map(_point, range(len(POINTS)))
+    (
+        side_gamma_b, side_b_gamma2, side_gamma2_gamma1, side_gamma_gamma1, diag_b_gamma1,
+        diag_gamma_gamma2, tan_b, tan_gamma, tan_gamma1, tan_gamma2, tan_theta, radius_squared,
+    ) = map(_form, range(len(FORMS)))
+
+    def _replace(self, **changes: object) -> QuadConstruction:
+        """``NamedTuple._replace``, which also takes the views: a point moved
+        puts all the ``POINTS`` on a fresh lattice, and a closed form is
+        stored as its ints."""
+        if not changes.keys().isdisjoint(POINTS):
+            points = [
+                changes.pop(name) if name in changes else getattr(self, name) for name in POINTS
+            ]
+            changes["lattice"] = lattice(points)
+        if not changes.keys().isdisjoint(FORMS):
+            changes["forms"] = tuple(
+                form_ints(changes.pop(name)) if name in changes else ints
+                for name, ints in zip(FORMS, self.forms)
+            )
+        return super()._replace(**changes)
+
+    @property
+    def area(self) -> Fraction:
+        """Closed-form area from the triple alone, computed on access; the
+        oracles recompute it from the coordinates."""
+        D, (A, B, G) = common_denominator((self.alpha, self.beta, self.gamma))
+        return Fraction(*closed_area(D, A, B, G))
+
+    @property
+    def theta_degrees(self) -> float:
+        """``theta_degrees`` of this triple, for display: no check decides on it."""
+        return theta_degrees(self.alpha, self.diag_b_gamma1)
+
+    def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
+        """Traversal order Gamma, B, Gamma2, Gamma1."""
+        return (self.v_gamma, self.v_b, self.v_gamma2, self.v_gamma1)
 
 
 def theta_degrees(alpha: Fraction | int, beta_plus_gamma: Fraction | int) -> float:
@@ -194,37 +260,24 @@ def construct_quad(
         raise DomainError(
             f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
         )
-    BG = B + G
-    bg = Fraction(BG, D)
-    # each value is one Fraction of ints from (A, B, G, D). hyp^2 = 2g(b+g), so
-    # hyp = (b+g)*sqrt(2G/(B+G)); the other surds are hyp*b/g and hyp*a/g. For a
-    # scaled Euclid triple 2G/(B+G) is c0/m^2 or 2c0/(m+n)^2: only c0 is split.
-    # With sqrt(2G/(B+G)) = coef*sqrt(r), hyp = (p/q)*sqrt(r) for p/q = coef*(B+G)/D
-    coef, r = surd_sqrt(Fraction(2 * G, BG))
-    p, q = coef.numerator * BG, coef.denominator * D
-    return QuadConstruction(
-        alpha=a,
-        beta=b,
-        gamma=g,
-        v_gamma=Point2(Fraction(A * A, G * D), Fraction(A * B, G * D)),
-        v_b=Point2(_ZERO, _ZERO),
-        v_gamma2=Point2(_ZERO, -a),
-        v_gamma1=Point2(bg, _ZERO),
-        v_a=Point2(g, _ZERO),
-        side_gamma_b=a,
-        side_b_gamma2=a,
-        side_gamma2_gamma1=Surd(Fraction(p, q), r),
-        side_gamma_gamma1=Surd(Fraction(p * B, q * G), r),
-        diag_b_gamma1=bg,
-        diag_gamma_gamma2=Surd(Fraction(p * A, q * G), r),
-        tan_b=Fraction(-A, B),
-        tan_gamma=Fraction(A, B - G),
-        tan_gamma1=Fraction(A, B),
-        tan_gamma2=Fraction(BG, A),
-        tan_theta=Fraction(A, BG),
-        circumcenter=Point2(Fraction(BG, 2 * D), Fraction(-A, 2 * D)),
-        radius_squared=Fraction(G * BG, 2 * D * D),
+    BG, G2 = B + G, 2 * G
+    # hyp^2 = 2g(b+g), so hyp = (b+g)*sqrt(2G/(B+G)); the other surds are hyp*b/g
+    # and hyp*a/g. For a scaled Euclid triple 2G/(B+G) is c0/m^2 or 2c0/(m+n)^2:
+    # only c0 is split. With sqrt(2G/(B+G)) = (s/t)*sqrt(r), hyp = (p/q)*sqrt(r)
+    # for p/q = s(B+G)/(tD)
+    common = math.gcd(G2, BG)
+    s, t, r = surd_sqrt_ints(G2 // common, BG // common)
+    p, q = s * BG, t * D
+    # the POINTS over 2GD: (a^2/g, ab/g), (0, 0), (0, -a), (b+g, 0), ((b+g)/2, -a/2), (g, 0)
+    over_2gd = (
+        (2 * A * A, 2 * A * B), (0, 0), (0, -A * G2), (G2 * BG, 0), (G * BG, -A * G), (G2 * G, 0)
     )
+    forms = (  # in FORMS order: a, a, hyp, hyp*b/g, b+g, hyp*a/g, the tangents, r^2
+        (A, D), (A, D), (p, q, r), (p * B, q * G, r), (BG, D), (p * A, q * G, r),
+        (-A, B), (A, B - G), (A, B), (BG, A),
+        (A, BG), (G * BG, 2 * D * D),
+    )
+    return QuadConstruction(a, b, g, lattice(over_2gd, G2 * D), forms)
 
 
 def corner(points: Sequence[Point2], i: int) -> tuple[Fraction, Fraction]:
@@ -235,17 +288,21 @@ def corner(points: Sequence[Point2], i: int) -> tuple[Fraction, Fraction]:
 
 def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
     """The interior angle at a vertex in degrees, from coordinates alone."""
-    dot, cross = corner(q.vertices(), _INDEX[which])
-    # the angle depends only on the ratio, so both may move into the float range
-    _, (dot, cross) = scaled_floats(dot, cross)
+    scale, points = q.lattice
+    dot, cross = corner(points[:4], _INDEX[which])
+    # the values at scale 1, so that the floats are those of the coordinates'
+    # own products; the angle depends only on their ratio, so both may move
+    # into the float range
+    s2 = scale * scale
+    _, (dot, cross) = scaled_floats(Fraction(dot, s2), Fraction(cross, s2))
     return math.degrees(math.atan2(abs(cross), dot))
 
 
 def quad_area(q: QuadConstruction) -> Fraction:
     """Exact area by the shoelace sum over the traversal order, taken on the
-    integer lattice of the vertices."""
-    scale, pts = lattice(q.vertices())
-    return Fraction(abs(twice_area(pts)), 2 * scale * scale)
+    construction's integer lattice."""
+    scale, points = q.lattice
+    return Fraction(abs(twice_area(points[:4])), 2 * scale * scale)
 
 
 def twice_area(points: Sequence[Point2]) -> int:

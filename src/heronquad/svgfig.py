@@ -24,13 +24,13 @@ def _fmt(value: float) -> str:
 
 
 def render_svg(q: QuadConstruction) -> str:
-    cx, cy = float(q.circumcenter.x), float(q.circumcenter.y)
+    scale, lattice = q.lattice
+    # x / S, int by int, is the float of the point's Fraction view
+    *corners, (cx, cy), helper = [(x / scale, y / scale) for x, y in lattice]
     radius = sqrt_approx(q.radius_squared)
 
-    points = {
-        _GLYPHS[vertex]: (float(p.x), float(p.y)) for vertex, p in zip(Vertex, q.vertices())
-    }
-    points["A"] = (float(q.v_a.x), float(q.v_a.y))
+    points = {_GLYPHS[vertex]: p for vertex, p in zip(Vertex, corners)}
+    points["A"] = helper
 
     xs = [p[0] for p in points.values()] + [cx - radius, cx + radius]
     ys = [p[1] for p in points.values()] + [cy - radius, cy + radius]

@@ -5,14 +5,23 @@ concyclicity determinant, the Ptolemy identity decided by squaring products
 of squared coordinate distances, and a general shoelace with an exact
 self-intersection test. None consults the closed forms it checks, so a bug
 in them cannot hide. A verification measures each coordinate quantity once,
-on one integer lattice: the construction's own vertex fields (a moved vertex
-is measured where it is) times S, the lcm of their denominators. S is read
-from those coordinates, never from a closed form, and scaling by S is a
-similarity: lengths grow by S; squared lengths, areas and the corners' dot
-and cross products by S^2; the concyclicity determinant by S^4; angles not at
-all. So a claim p/q on a quantity of degree k is decided on ints, by
-p * S^k == q * measured, never by a float; a Fraction is built only where a
-check fails or is rendered.
+on one integer lattice: the construction's own (``QuadConstruction.lattice``,
+its points times S, the least scale that makes them ints; a moved point is
+measured where it is). S is read from the construction, never rebuilt from a
+closed form, and scaling by S is a similarity: lengths grow by S; squared
+lengths, areas and the corners' dot and cross products by S^2; the
+concyclicity determinant by S^4; angles not at all. So a claim p/q on a
+quantity of degree k, read from the construction's ints, is decided on ints,
+by p * S^k == q * measured, never by a float.
+
+Each check is decided once, in report order, into a decision: its name, the
+bool and the two values it compared (int pairs where it is an equality of
+rationals). Two readers share the decisions. ``verify_window`` reads the
+names of the failing ones (``member_failures``), so a passing check builds
+no ``Check`` and no Fraction there. ``verify_construction`` and
+``verify_member`` return a report to render: they build a ``Check`` for each
+decision, keep an int pair as a Fraction, and compute the one float shown
+(the angle spread) only when the check is rendered.
 
 A family member is the quadrilateral of delta*(2mn, m^2 - n^2, m^2 + n^2),
 and ``construct_quad`` is homogeneous: a triple scaled by s > 0 scales its
@@ -22,8 +31,8 @@ criterion is homogeneous in these, so ``verify_scaling`` skips no oracle: a
 member whose triple and closed forms scale from a verified member of its pair
 (degree 1 in delta, the area 2, the tangents 0) gets the same verdict from each.
 ``verify_window``, the one home of that policy for ``family`` and ``heron-table``,
-takes a window's members as int rows (``family.MemberRow``): it runs
-``verify_member`` on the ``FamilyMember`` of a pair's first row, and
+takes a window's members as int rows (``family.MemberRow``): it decides the
+checks of ``verify_member`` on a pair's first row (``member_failures``), and
 ``verify_scaling`` decides each other row on its ints alone.
 
 Known misprints in the published reference values are kept in a small
@@ -41,7 +50,7 @@ from operator import attrgetter, methodcaller
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
-from .exactnum import DomainError, Surd, common_denominator
+from .exactnum import DomainError, common_denominator, euclid_triple
 from .geometry import (
     ANGLES,
     SEGMENTS,
@@ -54,13 +63,14 @@ from .geometry import (
     corner,
     dist_squared,
     dot_cross,
+    form_ints,
     lattice,
     twice_area,
 )
 
 if TYPE_CHECKING:
     from .errata import Erratum
-    from .family import FamilyMember, MemberRow
+    from .family import FamilyMember, GeneratorParams, MemberRow
 
 __all__ = [
     "Check",
@@ -70,6 +80,7 @@ __all__ = [
     "concyclic",
     "concyclicity_determinant",
     "measure",
+    "member_failures",
     "ptolemy_check",
     "shoelace",
     "verify_construction",
@@ -203,10 +214,14 @@ class Measurement(NamedTuple):
 
 
 def measure(points: Sequence[Point2]) -> Measurement:
-    """The oracles on the quadrilateral ``points[:4]``, in int arithmetic on the
-    lattice of all ``points`` (later ones only share the scale). Each vertex triple
-    is a corner: the corners give every orientation the degeneracy tests read."""
-    scale, pts = lattice(points)
+    """The oracles on the quadrilateral of rational ``points[:4]``, in int
+    arithmetic on the lattice of all ``points`` (later ones only share the scale)."""
+    return _measure(*lattice(points))
+
+
+def _measure(scale: int, pts: tuple[Point2, ...]) -> Measurement:
+    """``measure`` on a lattice as it is: int ``pts`` at ``scale``. Each vertex
+    triple is a corner: the corners give every orientation the degeneracy tests read."""
     quad = pts[:4]
     corners = tuple([corner(quad, i) for i in range(4)])
     signs = [_orient(cross) for _, cross in corners]
@@ -276,29 +291,26 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _check(name: str, ok: bool, expected: object, actual: object) -> Check:
-    return Check(name, PASS if ok else FAIL, expected, actual)
+# ---------------------------------------------------------------------------
+# decisions: (name, ok, expected, actual), in report order
 
 
-def _equal(name: str, expected: tuple[int, int], actual: tuple[int, int], kept: object) -> Check:
-    """An equality of two rationals, each an int (numerator, denominator)
-    pair, decided by cross-multiplying. A pass keeps ``kept``, the value of
-    one side, as both values; a failure keeps each side as a Fraction."""
+def _equal(name: str, expected: tuple[int, int], actual: tuple[int, int]) -> tuple:
+    """The decision of an equality of two rationals, each an int (numerator,
+    denominator) pair: by cross-multiplying."""
     (en, ed), (an, ad) = expected, actual
-    if en * ad == an * ed:
-        return Check(name, PASS, kept, kept)
-    return Check(name, FAIL, Fraction(en, ed), Fraction(an, ad))
+    return name, en * ad == an * ed, expected, actual
 
 
 # the (numerator, denominator) of an int or a Fraction, in one call
 _ratio = methodcaller("as_integer_ratio")
 
 
-def _squared(value: Fraction | int | Surd) -> tuple[int, int]:
-    """The exact square of a rational or surd length, as (numerator, denominator)."""
-    c, r = value if isinstance(value, Surd) else (value, 1)
-    n, d = _ratio(c)
-    return n * n * r, d * d
+def _squared(form: tuple[int, ...]) -> tuple[int, int]:
+    """The exact square of a length kept as ints, (n, d) for n/d or (n, d, r)
+    for (n/d)*sqrt(r), as (numerator, denominator)."""
+    n, d, *radicand = form
+    return n * n * (radicand[0] if radicand else 1), d * d
 
 
 class _OnRender(partial):
@@ -308,76 +320,102 @@ class _OnRender(partial):
         return str(self())
 
 
-# check names with the stored attribute each one reads
-_RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
-_LENGTH_CHECKS = tuple((f"{kind}-{label}", attr) for kind, label, _, attr in SEGMENTS)
-_TANGENT_CHECKS = tuple((f"tangent-{vertex.value}", attr) for vertex, attr in ANGLES)
-
-
-def _form_checks(prefix: str, forms: object, measured: Measurement, lengths: list) -> list[Check]:
-    """The stored lengths and tangents of ``forms``, a construction or a
-    member, against the measured squares (lengths compare exactly on squares,
-    rendered by ``lengths``) and corners (tan = |cross|/dot; none at dot 0)."""
-    s2 = measured.scale * measured.scale
-    checks = [
-        _equal(prefix + name, (sq, s2), _squared(getattr(forms, attr)), length)
-        for (name, attr), sq, length in zip(_LENGTH_CHECKS, measured.squares, lengths)
-    ]
-    for (name, attr), i in zip(_TANGENT_CHECKS, _AT):
-        (dot, cross), stored = measured.corners[i], getattr(forms, attr)
-        check = _equal(prefix + name, (abs(cross), dot), _ratio(stored), stored) if dot else None
-        checks.append(check or Check(prefix + name, FAIL, None, stored))
+def _checks(decisions: list[tuple], q: QuadConstruction) -> list[Check]:
+    """The ``Check`` of each decision. An equality that holds keeps its one
+    value as both; an int pair is kept as a Fraction, and a callable (the float
+    angle spread) is computed from ``q`` only when the check is rendered."""
+    checks = []
+    for name, ok, expected, actual in decisions:
+        if ok and type(expected) is tuple:
+            expected = actual = Fraction(*expected)
+        else:
+            expected, actual = _kept(expected, q), _kept(actual, q)
+        checks.append(Check(name, PASS if ok else FAIL, expected, actual))
     return checks
 
 
-def _construction_checks(q: QuadConstruction, D: int, A: int, B: int, G: int) -> tuple:
-    """The construction's checks, on one lattice of its vertex fields and on its
-    triple (A, B, G)/D; and what a member's checks read: the measurement, the
-    rendered squared lengths, the shoelace area as an int pair and theta."""
-    measured = measure(q.vertices() + (q.circumcenter, q.v_a))
-    g, b, g2, g1, center, v_a = measured.points
+def _kept(value: object, q: QuadConstruction) -> object:
+    if type(value) is tuple:
+        return Fraction(*value)
+    return _OnRender(value, q) if callable(value) else value
+
+
+# the check names of the circumradii, the SEGMENTS lengths and the ANGLES tangents
+_RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
+_LENGTH_NAMES = tuple(f"{kind}-{label}" for kind, label, _, _ in SEGMENTS)
+_TANGENT_NAMES = tuple(f"tangent-{vertex.value}" for vertex, _ in ANGLES)
+# a member's closed forms of those lengths and tangents
+_LENGTHS = attrgetter(*[attr for *_, attr in SEGMENTS])
+_TANGENTS = attrgetter(*[attr for _, attr in ANGLES])
+
+
+def _form_decisions(
+    prefix: str, lengths: Iterable[tuple], tangents: Iterable[tuple], measured: Measurement
+) -> list[tuple]:
+    """Stored lengths and tangents, as int pairs or (n, d, r) surds, against
+    the measured squares (lengths compare exactly on squares) and corners
+    (tan = |cross|/dot; none at dot 0)."""
     s2 = measured.scale * measured.scale
-    ptolemy = measured.ptolemy
-    checks = [
-        _equal("concyclicity-determinant", (0, 1), (measured.det, s2 * s2), 0),
-        _check("concyclic", measured.concyclic, True, measured.concyclic),
-        _check("ptolemy-identity", ptolemy, "holds", "holds" if ptolemy else "violated"),
-        _equal("right-angle-at-B", (0, 1), (dot_cross(b, g2, g1)[0], s2), 0),
+    decisions = [
+        _equal(prefix + name, (sq, s2), _squared(length))
+        for name, sq, length in zip(_LENGTH_NAMES, measured.squares, lengths)
     ]
-    radius, stored = q.radius_squared, _ratio(q.radius_squared)
+    for name, i, stored in zip(_TANGENT_NAMES, _AT, tangents):
+        dot, cross = measured.corners[i]
+        decisions.append(
+            _equal(prefix + name, (abs(cross), dot), stored)
+            if dot
+            else (prefix + name, False, None, stored)
+        )
+    return decisions
+
+
+def _construction_decisions(q: QuadConstruction, D: int, A: int, B: int, G: int) -> tuple:
+    """The construction's decisions, on its lattice and on its triple
+    (A, B, G)/D; and what a member's decisions read: the measurement, the
+    shoelace area as an int pair and tan theta as (A, B + G)."""
+    scale, points = q.lattice
+    measured = _measure(scale, points)
+    g, b, g2, g1, center, v_a = points
+    s2 = scale * scale
+    concyclic, ptolemy = measured.concyclic, measured.ptolemy
+    decisions = [
+        _equal("concyclicity-determinant", (0, 1), (measured.det, s2 * s2)),
+        ("concyclic", concyclic, True, concyclic),
+        ("ptolemy-identity", ptolemy, "holds", "holds" if ptolemy else "violated"),
+        _equal("right-angle-at-B", (0, 1), (dot_cross(b, g2, g1)[0], s2)),
+    ]
+    *lengths, tan_b, tan_gamma, tan_gamma1, tan_gamma2, tan_theta, radius = q.forms
     for name, point in zip(_RADIUS_NAMES, (g, b, g2, g1)):
-        checks.append(_equal(name, stored, (dist_squared(point, center), s2), radius))
-    lengths = [_OnRender(Fraction, square, s2) for square in measured.squares]
-    checks += _form_checks("", q, measured, lengths)
-    for name, (u, v) in (
-        ("tangent-sum-B-Gamma1", (q.tan_b, q.tan_gamma1)),
-        ("tangent-sum-Gamma-Gamma2", (q.tan_gamma, q.tan_gamma2)),
+        decisions.append(_equal(name, radius, (dist_squared(point, center), s2)))
+    tangents = tan_b, tan_gamma, tan_gamma1, tan_gamma2
+    decisions += _form_decisions("", lengths, tangents, measured)
+    for name, (un, ud), (vn, vd) in (
+        ("tangent-sum-B-Gamma1", tan_b, tan_gamma1),
+        ("tangent-sum-Gamma-Gamma2", tan_gamma, tan_gamma2),
     ):
-        (un, ud), (vn, vd) = _ratio(u), _ratio(v)
-        checks.append(_equal(name, (0, 1), (un * vd + vn * ud, ud * vd), 0))
+        decisions.append(_equal(name, (0, 1), (un * vd + vn * ud, ud * vd)))
 
     BG, area = B + G, (abs(measured.shoelace_sum), 2 * s2)
-    shown = _OnRender(Fraction, *area)
-    checks.append(_equal("area-shoelace-vs-closed", closed_area(D, A, B, G), area, shown))
-    helper = (abs(twice_area(measured.points[:4])), 2 * s2)
-    checks.append(_equal("area-helper-agrees", area, helper, shown))
-    checks.append(_equal("theta-tangent", (A, BG), _ratio(q.tan_theta), q.tan_theta))
-    theta = Fraction(A, BG)
-    checks.append(_equal("shared-base-angle-identity", (A, BG), (G - B, A), theta))
+    decisions.append(_equal("area-shoelace-vs-closed", closed_area(D, A, B, G), area))
+    helper = (abs(twice_area(points[:4])), 2 * s2)
+    decisions.append(_equal("area-helper-agrees", area, helper))
+    theta = (A, BG)
+    decisions.append(_equal("theta-tangent", theta, tan_theta))
+    decisions.append(_equal("shared-base-angle-identity", theta, (G - B, A)))
     # phi, the base angle at Gamma2, and omega = atan2(a, b)/2 equal theta when
-    # tan phi = a/(b+g) and tan 2theta = 2t/(1 - t^2) = a/b for t = a/(b+g)
+    # tan phi = a/(b+g) and tan 2theta = 2t/(1 - t^2) = a/b for t = a/(b+g);
+    # the float spread of the three is shown, never decides
     dot, cross = dot_cross(g2, b, g)
     spread_ok = dot > 0 and abs(cross) * BG == dot * A and 2 * B * BG == BG * BG - A * A
-    spread = _OnRender(angle_spread_degrees, q)
-    checks.append(_check("angle-spread-below-1e-10-deg", spread_ok, "< 1e-10", spread))
+    decisions.append(("angle-spread-below-1e-10-deg", spread_ok, "< 1e-10", angle_spread_degrees))
 
     # the apex coordinates encode the double angle: cos = beta/gamma, sin = alpha/gamma
     dot, cross = dot_cross(v_a, b, g)
     prod = G * B * s2  # |A-B| * |A-Gamma| for this embedding, on the lattice, times D^2
-    cos, sin = _OnRender(Fraction, B, G), _OnRender(Fraction, A, G)
-    checks.append(_equal("double-angle-cos", (B, G), (dot * D * D, prod), cos))
-    checks.append(_equal("double-angle-sin", (A, G), (abs(cross) * D * D, prod), sin))
-    return checks, measured, lengths, area, theta
+    decisions.append(_equal("double-angle-cos", (B, G), (dot * D * D, prod)))
+    decisions.append(_equal("double-angle-sin", (A, G), (abs(cross) * D * D, prod)))
+    return decisions, measured, area, theta
 
 
 def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
@@ -391,54 +429,78 @@ def verify_construction(q: QuadConstruction) -> VerificationReport:
     """Full oracle pass over one construction."""
     errata = errata_for_triple(q.alpha, q.beta, q.gamma)
     D, (A, B, G) = common_denominator((q.alpha, q.beta, q.gamma))
-    checks = _construction_checks(q, D, A, B, G)[0] + _erratum_checks(errata)
+    checks = _checks(_construction_decisions(q, D, A, B, G)[0], q) + _erratum_checks(errata)
     subject = f"construction({q.alpha}, {q.beta}, {q.gamma})"
     return VerificationReport(subject, tuple(checks), errata)
 
 
-def _heron_check(is_heron: bool, criterion: bool, integral: bool) -> Check:
-    ok = is_heron == criterion == integral
-    actual = f"delta%L==0: {criterion}, all integral: {integral}"
-    return _check("heron-criterion-matches-integrality", ok, f"is_heron={is_heron}", actual)
+def _heron(is_heron: bool, criterion: bool, integral: bool) -> tuple:
+    """The decision of the Heron criterion: ``is_heron`` iff delta%L == 0 iff every
+    rational closed form is an int."""
+    return (
+        "heron-criterion-matches-integrality",
+        is_heron == criterion == integral,
+        f"is_heron={is_heron}",
+        f"delta%L==0: {criterion}, all integral: {integral}",
+    )
+
+
+def _member_decisions(
+    p: GeneratorParams | MemberRow, forms: FamilyMember | MemberRow, tangents: Sequence
+) -> tuple[QuadConstruction, list[tuple]]:
+    """The construction of the triple of a member's ``p``, (delta, m, n, L),
+    and the decisions of its oracle pass: the generic construction checks,
+    then the member's closed forms (``forms``, whose lengths and area are ints,
+    pairs, Fractions or Surds, and its ``tangents``) and the Heron criterion."""
+    m, n, L, delta = p.m, p.n, p.L, p.delta
+    triple = euclid_triple(delta, m, n)  # ints: over D = 1
+    q = construct_quad(*triple)
+    decisions, measured, measured_area, theta = _construction_decisions(q, 1, *triple)
+    lengths = list(map(form_ints, _LENGTHS(forms)))
+    decisions += _form_decisions("member-", lengths, map(_ratio, tangents), measured)
+
+    mm_nn, mmnn = m * m - n * n, m * m + n * n
+    # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
+    bracket = (delta * delta * m * n * ((mm_nn + 2 * m * m) * mmnn + mm_nn * mm_nn), mmnn)
+    reduced = (4 * delta * delta * m**5 * n, L * L)
+    area = form_ints(forms.area)
+    decisions.append(_equal("member-area-vs-shoelace", measured_area, area))
+    decisions.append(_equal("member-area-bracket-form", bracket, area))
+    decisions.append(_equal("member-area-reduced-form", reduced, area))
+    # the rational closed forms, in lowest terms: Gamma-Gamma1, Gamma-Gamma2 and the area
+    integral = lengths[3][1] == lengths[5][1] == area[1] == 1
+    decisions.append(_heron(forms.is_heron, delta % L == 0, integral))
+    decisions.append(_equal("member-theta-n-over-m", theta, (n, m)))
+    return q, decisions
 
 
 def verify_member(member: FamilyMember) -> VerificationReport:
     """Full oracle pass over the construction of a family member's triple:
     the generic construction checks plus the member closed forms, the Heron
     criterion, and the registered errata."""
-    p, triple = member.params, member.params.triple()  # ints: over D = 1
-    q = construct_quad(*triple)
-    checks, measured, lengths, measured_area, theta = _construction_checks(q, 1, *triple)
-    checks += _form_checks("member-", member, measured, lengths)
-
-    m, n, L, delta = p.m, p.n, p.L, p.delta
-    mm_nn, mmnn = m * m - n * n, m * m + n * n
-    # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
-    bracket = (delta * delta * m * n * ((mm_nn + 2 * m * m) * mmnn + mm_nn * mm_nn), mmnn)
-    reduced = (4 * delta * delta * m**5 * n, L * L)
-    area, stored = member.area, _ratio(member.area)
-    checks.append(_equal("member-area-vs-shoelace", measured_area, stored, area))
-    checks.append(_equal("member-area-bracket-form", bracket, stored, area))
-    checks.append(_equal("member-area-reduced-form", reduced, stored, area))
-    rational = member.side_gamma_gamma1, member.diag_gamma_gamma2, member.area
-    integral = all(v.denominator == 1 for v in rational)
-    checks.append(_heron_check(member.is_heron, delta % L == 0, integral))
-    checks.append(_equal("member-theta-n-over-m", _ratio(theta), (n, m), theta))
-
-    errata = errata_for_member(delta, m, n)
-    checks += _erratum_checks(errata)
-    subject = f"member(delta={delta}, m={m}, n={n})"
+    p = member.params
+    q, decisions = _member_decisions(p, member, _TANGENTS(member))
+    errata = errata_for_member(p.delta, p.m, p.n)
+    checks = _checks(decisions, q) + _erratum_checks(errata)
+    subject = f"member(delta={p.delta}, m={p.m}, n={p.n})"
     return VerificationReport(subject, tuple(checks), errata)
+
+
+def member_failures(row: MemberRow) -> list[str]:
+    """``verify_member(row.member()).failed_names()``: the same decisions, read
+    from the row's ints, with no ``Check`` built and no errata looked up."""
+    decisions = _member_decisions(row, row, row.tangents)[1]
+    return [name for name, ok, _, _ in decisions if not ok]
 
 
 # (check name, degree in delta) of each leaf of ``_LEAVES``: the triple, the
 # six lengths and the area of a row
 _SCALING = (
     *((f"member-scaling-{leg}", 1) for leg in ("alpha", "beta", "gamma")),
-    *((f"member-scaling-{name}", 1) for name, _ in _LENGTH_CHECKS),
+    *((f"member-scaling-{name}", 1) for name in _LENGTH_NAMES),
     ("member-scaling-area", 2),
 )
-_LEAVES = attrgetter("alpha", "beta", "gamma", *[a for _, a in _LENGTH_CHECKS], "area")
+_LEAVES = attrgetter("alpha", "beta", "gamma", *[attr for *_, attr in SEGMENTS], "area")
 
 
 def _scaling_parts(base: MemberRow) -> tuple:
@@ -475,20 +537,20 @@ def verify_scaling(row: MemberRow, parts: tuple) -> tuple:
     if row.tangents != tangents:
         failed += [
             Check(f"member-scaling-{name}", FAIL, t0, t)
-            for (name, _), t0, t in zip(_TANGENT_CHECKS, tangents, row.tangents)
+            for name, t0, t in zip(_TANGENT_NAMES, tangents, row.tangents)
             if t0 != t
         ]
-    criterion = delta % row.L == 0
-    if not row.is_heron == criterion == integral:
-        failed.append(_heron_check(row.is_heron, criterion, integral))
+    name, ok, expected, actual = _heron(row.is_heron, delta % row.L == 0, integral)
+    if not ok:
+        failed.append(Check(name, FAIL, expected, actual))
     return tuple(failed)
 
 
 def verify_window(rows: Iterable[MemberRow], with_errata: bool = True) -> Iterator[tuple]:
     """Each row of a window in pair order, with its failing checks' names
-    and its errata: ``verify_member`` until a row of its pair passes, then
-    scaling from that one. A scaled row's errata are looked up only
-    ``with_errata``, else they are ()."""
+    and its errata: the checks of ``verify_member`` (``member_failures``)
+    until a row of its pair passes, then scaling from that one. A scaled
+    row's errata are looked up only ``with_errata``, else they are ()."""
     base = parts = None
     for row in rows:
         if base is not None and (base.m, base.n) == (row.m, row.n):
@@ -497,7 +559,7 @@ def verify_window(rows: Iterable[MemberRow], with_errata: bool = True) -> Iterat
             failed = [check.name for check in checks] if checks else []
             errata = errata_for_member(row.delta, row.m, row.n) if with_errata else ()
         else:
-            report = verify_member(row.member())
-            failed, errata = report.failed_names(), report.errata
+            failed = member_failures(row)
+            errata = errata_for_member(row.delta, row.m, row.n)
             base, parts = None if failed else row, None
         yield row, failed, errata

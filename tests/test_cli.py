@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from heronquad import cli, family, verify
 from heronquad.cli import main
 from heronquad.exactnum import DomainError
-from heronquad.verify import CheckStatus
 
 
 class _Late(Exception):
@@ -879,14 +878,14 @@ class TestHeronTableCommand:
         assert f"domain error: delta_multiples must be >= 1, got {multiples}" in err
 
     def test_failing_row_names_its_checks(self, capsys, monkeypatch):
-        real_verify = verify.verify_member
+        # the window's oracle pass of each pair fails its first check as well
+        real_failures = verify.member_failures
 
-        def one_failure(member):
-            report = real_verify(member)
-            first = report.checks[0]._replace(status=CheckStatus.FAIL)
-            return report._replace(checks=(first,) + report.checks[1:])
+        def one_failure(row):
+            first = verify.verify_member(row.member()).checks[0].name
+            return [first, *real_failures(row)]
 
-        monkeypatch.setattr(verify, "verify_member", one_failure)
+        monkeypatch.setattr(verify, "member_failures", one_failure)
         code, out, err = run(capsys, "heron-table", "--t-max", "3")
         assert code == 4
         assert (

@@ -18,6 +18,8 @@ from heronquad.exactnum import (
 )
 from heronquad.geometry import (
     ANGLES,
+    FORMS,
+    POINTS,
     Point2,
     QuadConstruction,
     Vertex,
@@ -27,8 +29,13 @@ from heronquad.geometry import (
     dot_cross,
     interior_angle_degrees,
     corner,
+    lattice,
     quad_area,
 )
+
+# every exact value of a construction, by name: the triple, the points (views
+# of its lattice) and the closed forms (views of its ints)
+VALUES = ("alpha", "beta", "gamma", *POINTS, *FORMS)
 
 
 class TestPoint2:
@@ -274,10 +281,12 @@ class TestConstructionReference:
             assert str(raised.value) == str(error)
             return
         q = construct_quad(*triple)
-        for name in QuadConstruction._fields:
+        for name in VALUES:
             got, want = getattr(q, name), expected[name]
             assert got == want, name
             assert all(type(part) is Fraction for part in _exact_parts(got)), name
+        # the stored lattice is the least one of the points
+        assert q.lattice == lattice([expected[name] for name in POINTS])
         assert q.theta_degrees.hex() == expected["theta_degrees"].hex()
         assert q.area == expected["area"]
         assert type(q.area) is Fraction
@@ -314,7 +323,7 @@ class TestHomogeneity:
         triple = (*legs, (m * m + n * n) * r)
         q = construct_quad(*triple)
         scaled = construct_quad(*(s * v for v in triple))
-        for name in QuadConstruction._fields:
+        for name in VALUES:
             # tangents keep their value, the squared radius scales by s^2,
             # every coordinate, length and surd coefficient by s
             degree = 0 if name.startswith("tan_") else 2 if name == "radius_squared" else 1

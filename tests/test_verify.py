@@ -13,6 +13,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from heronquad import verify
+from heronquad.cli import main
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
 from heronquad.family import (
     MemberRow,
@@ -620,14 +621,15 @@ class TestVerifyWindow:
 
     def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(verify, "verify_member", lambda m: checked.append(m) or verify_member(m))
+        failures = verify.member_failures
+        monkeypatch.setattr(verify, "member_failures", lambda m: checked.append(m) or failures(m))
         window = list(heron_multiples(2, 3))
         for i in (0, 2):
             member = window[i].member()
             window[i] = row_of(member._replace(area=member.area + 1))
         failed = [names for _, names, _ in verify_window(window)]
         # the next member runs the oracles and becomes the base the third scales from
-        assert checked == [row.member() for row in window[:2]]
+        assert checked == window[:2]
         assert failed == [
             ["member-area-vs-shoelace", "member-area-bracket-form", "member-area-reduced-form"],
             [],
@@ -891,3 +893,68 @@ class TestReportEqualsFractionReference:
         subject = f"member(delta={p.delta}, m={p.m}, n={p.n})"
         expected = _ref_payload(subject, checks, errata_for_member(p.delta, p.m, p.n))
         assert json.dumps(verify_member(member).to_payload()) == json.dumps(expected)
+
+
+def _moved(point: str, step: str, along_y: bool):
+    """A ``construct_quad`` whose construction has ``point`` moved along x or
+    y by 10^-30 or by one unit of its lattice."""
+
+    def construct(*triple):
+        q = construct_quad(*triple)
+        d = _TINY if step == "tiny" else Fraction(1, q.lattice[0])
+        x, y = getattr(q, point)
+        return q._replace(**{point: Point2(x, y + d) if along_y else Point2(x + d, y)})
+
+    return construct
+
+
+class TestWindowNamesTheReportsFailures:
+    """The failing names ``verify_window`` yields for a pair's first row, which
+    ``family`` and ``heron-table`` print, are ``verify_member(...).failed_names()``:
+    both read the same decisions."""
+
+    @given(
+        st.integers(1, 60),
+        st.sampled_from([(m, n) for *_, m, n, _ in generating_pairs(8)]),
+        st.sampled_from(sorted(_SCALED) + ["is_heron"]),
+        st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+    )
+    def test_an_edited_closed_form(self, delta, pair, attr, k):
+        edited = _edit(family_member(delta, *pair), attr, k)
+        ((_, failed, _),) = verify_window([row_of(edited)])
+        assert failed == verify_member(edited).failed_names()
+        assert bool(failed) == (k != 1 or attr == "is_heron")
+
+    @pytest.mark.parametrize("attr", sorted(_EDITED_MEMBER_VALUES))
+    def test_an_edited_member_value(self, attr):
+        edited = family_member(5, 4, 3)._replace(**{attr: _EDITED_MEMBER_VALUES[attr]})
+        ((_, failed, _),) = verify_window([row_of(edited)])
+        assert failed == verify_member(edited).failed_names() != []
+
+    @given(
+        st.integers(1, 60),
+        st.sampled_from([(m, n) for *_, m, n, _ in generating_pairs(8)]),
+        st.sampled_from(_POINTS),
+        st.sampled_from(["tiny", "unit"]),
+        st.booleans(),
+    )
+    @example(1, (4, 3), "v_gamma", "tiny", False)  # the move of 10^-30 that floats miss
+    def test_a_moved_point(self, delta, pair, point, step, along_y):
+        row = row_of(family_member(delta, *pair))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "construct_quad", _moved(point, step, along_y))
+            ((_, failed, _),) = verify_window([row])
+            assert failed == verify_member(row.member()).failed_names() != []
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_heron_table_prints_the_reports_names(self, monkeypatch, capsys, csv):
+        monkeypatch.setattr(verify, "construct_quad", _moved("v_gamma", "unit", False))
+        argv = ["heron-table", "--t-max", "3"] + ["--format", "csv"] * csv
+        assert main(argv) == 4
+        lines = capsys.readouterr().err.splitlines()
+        rows = list(heron_multiples(3, 1))
+        for line, row in zip(lines, rows):
+            names = verify_member(row.member()).failed_names()
+            where = f"(m={row.m}, n={row.n}, delta={row.delta})"
+            assert line.endswith(f"for {where}: {len(names)} check(s): {', '.join(names)}")
+        assert lines[len(rows):] == [f"heron-quad: {len(rows)} row(s) failed verification"]

@@ -3,7 +3,8 @@ forms are checked once, each oracle is evaluated once per verification,
 each coordinate quantity is measured once per verification on one integer
 lattice, verifying a built construction factors nothing, and ``family`` and
 ``heron-table`` run the oracles once per pair, check every other member by
-its scaling and look up each member's errata once, where they are printed."""
+its scaling and look up each member's errata once, where they are printed; a
+passing window builds no ``Check``, and ``verify`` one per rendered check."""
 
 import json
 import math
@@ -28,6 +29,7 @@ COUNTED = (
     (geometry, "angle_spread_degrees"),
     (family, "_tangents"),
     (verify, "verify_member"),
+    (verify, "member_failures"),
     (verify, "verify_scaling"),
     (cli, "_member_payload"),
     (geometry, "dist_squared"),
@@ -81,7 +83,8 @@ def test_heron_table_constructs_each_pair_once(calls, capsys):
     assert calls["_tangents"] == 15
     # one construction and one oracle pass per pair; every other row of the
     # pair is checked by its scaling from the first
-    assert calls["construct_quad"] == calls["verify_member"] == 15
+    assert calls["construct_quad"] == calls["member_failures"] == 15
+    assert calls["verify_member"] == 0
     assert calls["verify_scaling"] == len(rows) - 15 == 30
     # one lattice per oracle pass; area-helper-agrees: the helper's shoelace
     # beside the measurement's, both on that one lattice
@@ -94,11 +97,11 @@ def test_heron_table_csv_looks_up_no_scaled_rows_errata(calls, capsys):
     argv = ["heron-table", "--t-max", "8", "--delta-multiples", "3", "--format", "csv"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 45
-    assert calls["verify_member"] == 15
+    assert calls["member_failures"] == 15
     assert calls["verify_scaling"] == 30
     # CSV prints no errata: only each pair's oracle pass looks them up, none
     # of the 30 scaled rows
-    assert calls["errata_for_member"] == calls["verify_member"]
+    assert calls["errata_for_member"] == calls["member_failures"]
 
 
 @pytest.mark.parametrize(
@@ -129,7 +132,7 @@ def test_family_checks_each_member_and_validates_each_pair_once(
     members = json.loads(capsys.readouterr().out)["result"]["members"]
     # one construction and one oracle pass per pair with members; every
     # other member of the pair is checked by its scaling from the first
-    assert calls["construct_quad"] == calls["verify_member"] == pairs_with_members
+    assert calls["construct_quad"] == calls["member_failures"] == pairs_with_members
     assert calls["lattice"] == calls["twice_area"] == pairs_with_members
     assert calls["verify_scaling"] == len(members) - pairs_with_members > 0
     assert calls["errata_for_member"] == len(members)
@@ -225,3 +228,50 @@ def test_verify_renders_each_check_once(renders, capsys):
     checks = json.loads(capsys.readouterr().out)["result"]["checks"]
     assert len(checks) == 47
     assert renders["to_payload"] == 47
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Count the ``Check``s and ``_OnRender`` values built: counting subclasses
+    patched in under ``verify``, where every one of them is built."""
+    tally = Counter()
+
+    class CountedCheck(verify.Check):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            tally["Check"] += 1
+            return super().__new__(cls, *args)
+
+    class CountedOnRender(verify._OnRender):
+        def __new__(cls, *args):
+            tally["_OnRender"] += 1
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(verify, "Check", CountedCheck)
+    monkeypatch.setattr(verify, "_OnRender", CountedOnRender)
+    return tally
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heron-table", "--t-max", "8"],
+        ["heron-table", "--t-max", "8", "--format", "csv"],
+        ["family", "--t-max", "4", "--delta-max", "6"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_passing_window_builds_no_check(built, capsys, argv):
+    # each pair's oracle pass reads only its failing checks' names
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert built["Check"] == built["_OnRender"] == 0
+
+
+def test_verify_builds_one_check_per_rendered_check(built, capsys):
+    assert main(["verify", "--params", "5", "4", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["checks"]) == 47
+    assert built["Check"] == 47
+    # the float angle spread, the one value computed only when rendered
+    assert built["_OnRender"] == 1

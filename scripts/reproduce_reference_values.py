@@ -112,14 +112,15 @@ def report_heron_table(failures: list[str], verbose: bool) -> None:
     seen = set()
     for _t1, _t2, m, n, L in generating_pairs(3):
         member = family_member(L, m, n)
+        # a rational leaf is (numerator, denominator), of denominator 1 at delta = L
         row = (
             member.side_gamma_b,
-            int(member.side_gamma_gamma1),
+            int(Fraction(*member.side_gamma_gamma1)),
             member.side_gamma2_gamma1,
             member.side_b_gamma2,
             member.diag_b_gamma1,
-            int(member.diag_gamma_gamma2),
-            int(member.area),
+            int(Fraction(*member.diag_gamma_gamma2)),
+            int(Fraction(*member.area)),
         )
         _check(f"row (m={m}, n={n})", row, expected_rows[(m, n)], failures, verbose)
         seen.add((m, n))

@@ -58,7 +58,7 @@ from .geometry import (
 # subcommands that run them, once per call, so that a new process loads
 # only what its subcommand needs.
 if TYPE_CHECKING:
-    from .family import FamilyMember, GeneratorParams, MemberRow
+    from .family import MemberRow
     from .verify import VerificationReport
 
 __all__ = ["ParseError", "main"]
@@ -208,14 +208,14 @@ def _length_payload(value: Fraction | Surd) -> dict:
     return {"exact": exact, "approx": _round10(float(value))}
 
 
-def _measures_payload(obj: QuadConstruction | FamilyMember, lengths) -> dict:
+def _measures_payload(lengths, tangents) -> dict:
     """``sides``, ``diagonals`` and ``tangents``, named by the geometry tables:
-    ``lengths`` are the payloads of the ``SEGMENTS`` in their order, and the
-    tangents are those of ``obj``."""
+    ``lengths`` are the payloads of the ``SEGMENTS`` in their order, and
+    ``tangents`` the values of the ``ANGLES`` in theirs."""
     payload: dict = {"sides": {}, "diagonals": {}}
     for (kind, label, _, _), length in zip(SEGMENTS, lengths):
         payload[kind + "s"][label] = length
-    payload["tangents"] = {vertex.value: str(getattr(obj, attr)) for vertex, attr in ANGLES}
+    payload["tangents"] = {vertex.value: str(t) for (vertex, _), t in zip(ANGLES, tangents)}
     return payload
 
 
@@ -437,7 +437,10 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
             **{vertex.value: _vertex_payload(p) for vertex, p in zip(Vertex, q.vertices())},
             "A": _vertex_payload(q.v_a),
         },
-        **_measures_payload(q, [_length_payload(getattr(q, attr)) for *_, attr in SEGMENTS]),
+        **_measures_payload(
+            [_length_payload(getattr(q, attr)) for *_, attr in SEGMENTS],
+            [getattr(q, attr) for _, attr in ANGLES],
+        ),
         "angles_degrees": {
             vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
@@ -510,29 +513,28 @@ def _member_leaves(row: MemberRow) -> tuple[str, ...]:
     )
 
 
-def _member_payload(member: FamilyMember, errata, leaves: tuple) -> dict:
+def _member_payload(row: MemberRow, errata, leaves: tuple) -> dict:
     """The payload of a member, with ``leaves`` in the places of its
     ``_member_leaves``; the lengths, the area and the degrees display show
     ``str`` of their leaf."""
-    p = member.params
-    t1, t2 = p.t_pair
+    t1, t2 = row.t_pair
     delta, k, a, b, c, *lengths, area, is_heron, degrees, display = leaves
     return {
         "params": {
             "t1": t1,
             "t2": t2,
-            "t_form": p.t_form.value,
+            "t_form": row.t_form.value,
             "delta": delta,
-            "m": p.m,
-            "n": p.n,
-            "L": p.L,
+            "m": row.m,
+            "n": row.n,
+            "L": row.L,
             "k": k,
         },
         "triple": [a, b, c],
-        **_measures_payload(member, map(str, lengths)),
+        **_measures_payload(map(str, lengths), row.tangents),
         "area": str(area),
         "is_heron": is_heron,
-        "theta": _theta_payload(member.side_gamma_b, member.diag_b_gamma1, (degrees, str(display))),
+        "theta": _theta_payload(row.side_gamma_b, row.diag_b_gamma1, (degrees, str(display))),
         "errata": [er.ident for er in errata],
     }
 
@@ -543,7 +545,7 @@ _HOLE = _Encoded("\0")
 
 
 def _member_text(row: MemberRow, errata: tuple, templates: dict) -> _Encoded:
-    """``_encoded(_member_payload(row.member(), errata, leaves))`` for the JSON
+    """``_encoded(_member_payload(row, errata, leaves))`` for the JSON
     values of ``_member_leaves(row)``.
 
     Outside its leaves the text is the same for every member with the same
@@ -555,7 +557,7 @@ def _member_text(row: MemberRow, errata: tuple, templates: dict) -> _Encoded:
     key = row.m, row.n, errata
     template = templates.get(key)
     if template is None:
-        text = _encoded(_member_payload(row.member(), errata, (_HOLE,) * len(leaves)))
+        text = _encoded(_member_payload(row, errata, (_HOLE,) * len(leaves)))
         # a hole shown as ``str`` is the string "\u0000": its quotes stay in the text
         text = text.replace(encode_basestring(_HOLE), '"\0"')
         template = templates[key] = [None] * (2 * len(leaves) + 1)
@@ -574,7 +576,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     window = enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
     for row, failed, errata in verify_window(window):
         if failed:
-            _verification_failed(failed, row.params)
+            _verification_failed(failed, row)
             return 4
         members.append(_member_text(row, errata, templates))
     # each erratum first appears with the first template that carries it
@@ -609,16 +611,16 @@ _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_ME
 
 def _heron_row(row: MemberRow) -> dict:
     """The ``_CSV_COLUMNS`` of a member, in their order."""
-    pair = classify_triple(row.m, row.n, row.L)  # the t-pair, as ``t_pair`` finds it
-    cells = {"t1": pair.m, "t2": pair.n, "m": row.m, "n": row.n, "delta": row.delta}
+    t1, t2 = row.t_pair
+    cells = {"t1": t1, "t2": t2, "m": row.m, "n": row.n, "delta": row.delta}
     for column, attr in _CSV_MEMBER_COLUMNS:
         cells[column] = _exact_text(getattr(row, attr))
     return cells
 
 
-def _verification_failed(names: list[str], p: GeneratorParams | None = None) -> None:
-    """Report the failing checks ``names`` on stderr, of the member of ``p`` if given."""
-    member = "" if p is None else f" for (m={p.m}, n={p.n}, delta={p.delta})"
+def _verification_failed(names: list[str], row: MemberRow | None = None) -> None:
+    """Report the failing checks ``names`` on stderr, of the member ``row`` if given."""
+    member = "" if row is None else f" for (m={row.m}, n={row.n}, delta={row.delta})"
     failed = f"{len(names)} check(s): {', '.join(names)}"
     print(f"heron-quad: verification failed{member}: {failed}", file=sys.stderr)
 
@@ -636,7 +638,7 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     for row, failed, errata in verify_window(window, with_errata=not as_csv):
         if failed:
             failures += 1
-            _verification_failed(failed, row.params)
+            _verification_failed(failed, row)
         cells = _heron_row(row)
         if as_csv:  # every cell is an int or a p/q string: none needs quoting
             rows.append(",".join(map(str, cells.values())))

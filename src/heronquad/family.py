@@ -12,7 +12,7 @@ for the member:
 
 All six lengths and the area are integers exactly when L divides d (the
 Heron members). ``_row``, their one home, gives a member as a ``MemberRow``
-of ints; ``MemberRow.member`` makes its ``Fraction``s. ``enumerate_family``
+of ints, the one member type. ``enumerate_family``
 (``family``: a delta range per pair) and ``heron_multiples``
 (``heron-table``: delta = j*L) take their rows from one walker. It refuses
 a window of more than ``MEMBERS_MAX`` members, counted from the t-pairs
@@ -46,8 +46,6 @@ from .exactnum import (
 )
 
 __all__ = [
-    "FamilyMember",
-    "GeneratorParams",
     "MemberRow",
     "TForm",
     "coprimality_certificate",
@@ -66,51 +64,10 @@ class TForm(Enum):
     EVEN_M = "even-m"  # m = 2*t1*t2,     n = t1^2 - t2^2
 
 
-class GeneratorParams(NamedTuple):
-    """Generator data of a member: the scale and the pair with m^2 + n^2 = L^2."""
-
-    delta: int
-    m: int
-    n: int
-    L: int
-
-    @property
-    def t_pair(self) -> tuple[int, int]:
-        """(t1, t2), which ``mnl_from_t`` maps to (m, n, L): the Euclid pair of (m, n, L)."""
-        trip = classify_triple(self.m, self.n, self.L)
-        return trip.m, trip.n
-
-    @property
-    def t_form(self) -> TForm:
-        """Which of (m, n) is the even value 2*t1*t2."""
-        return TForm.ODD_M if self.m % 2 else TForm.EVEN_M
-
-    def triple(self) -> tuple[int, int, int]:
-        """The even-leg-first triple (2*d*m*n, d*(m^2 - n^2), d*(m^2 + n^2))."""
-        return euclid_triple(self.delta, self.m, self.n)
-
-
-class FamilyMember(NamedTuple):
-    """One quadrilateral of the family, in exact closed form."""
-
-    params: GeneratorParams
-    side_gamma_b: int
-    side_b_gamma2: int
-    side_gamma2_gamma1: int
-    side_gamma_gamma1: Fraction
-    diag_b_gamma1: int
-    diag_gamma_gamma2: Fraction
-    tan_b: Fraction
-    tan_gamma: Fraction
-    tan_gamma1: Fraction
-    tan_gamma2: Fraction
-    area: Fraction
-    is_heron: bool
-
-
 class MemberRow(NamedTuple):
-    """A member as ints (and its pair's one tuple of tangents): each rational
-    length and the area as (numerator, denominator) in lowest terms."""
+    """A family member as ints (and its pair's one tuple of tangents, at B,
+    Gamma, Gamma1 and Gamma2): each rational length and the area as
+    (numerator, denominator) in lowest terms, q >= 1."""
 
     delta: int
     m: int
@@ -130,14 +87,15 @@ class MemberRow(NamedTuple):
     is_heron: bool
 
     @property
-    def params(self) -> GeneratorParams:
-        """(delta, m, n, L) as ``GeneratorParams``."""
-        return GeneratorParams(*self[:4])
+    def t_pair(self) -> tuple[int, int]:
+        """(t1, t2), which ``mnl_from_t`` maps to (m, n, L): the Euclid pair of (m, n, L)."""
+        trip = classify_triple(self.m, self.n, self.L)
+        return trip.m, trip.n
 
-    def member(self) -> FamilyMember:
-        """The ``FamilyMember`` of this row: each (numerator, denominator) as a ``Fraction``."""
-        *lengths, area = (Fraction(*v) if type(v) is tuple else v for v in self[8:15])
-        return FamilyMember(self.params, *lengths, *self.tangents, area, self.is_heron)
+    @property
+    def t_form(self) -> TForm:
+        """Which of (m, n) is the even value 2*t1*t2."""
+        return TForm.ODD_M if self.m % 2 else TForm.EVEN_M
 
 
 def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
@@ -175,7 +133,7 @@ def _row(delta: int, m: int, n: int, L: int, tangents: tuple) -> MemberRow:
     )
 
 
-def family_member(delta: int, m: int, n: int) -> FamilyMember:
+def family_member(delta: int, m: int, n: int) -> MemberRow:
     """Build the member for (delta, m, n), unchecked; (m, n) must have integral L."""
     if delta < 1:
         raise DomainError(f"delta must be >= 1, got {delta}")
@@ -186,7 +144,7 @@ def family_member(delta: int, m: int, n: int) -> FamilyMember:
             f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
             f"(m={m}, n={n}) does not generate a family member"
         )
-    return _row(delta, m, n, L, _tangents(m, n)).member()
+    return _row(delta, m, n, L, _tangents(m, n))
 
 
 def _t_pairs(t_max: int) -> Iterator[tuple[int, int]]:

@@ -114,7 +114,7 @@ class Vertex(Enum):
 
 # The six lengths as (kind, label, endpoints, attribute): the four sides in
 # traversal order, then the two diagonals. ``QuadConstruction`` and
-# ``FamilyMember`` name each length by the same attribute.
+# ``family.MemberRow`` name each length by the same attribute.
 SEGMENTS = (
     ("side", "Gamma-B", (Vertex.GAMMA, Vertex.B), "side_gamma_b"),
     ("side", "B-Gamma2", (Vertex.B, Vertex.GAMMA2), "side_b_gamma2"),

@@ -23,16 +23,18 @@ no ``Check`` and no Fraction there. ``verify_construction`` and
 decision, keep an int pair as a Fraction, and compute the one float shown
 (the angle spread) only when the check is rendered.
 
-A family member is the quadrilateral of delta*(2mn, m^2 - n^2, m^2 + n^2),
-and ``construct_quad`` is homogeneous: a triple scaled by s > 0 scales its
-coordinates, lengths and surd coefficients by s and its squared radius and
-area by s^2, and keeps its radicands and tangents. Each check but the Heron
-criterion is homogeneous in these, so ``verify_scaling`` skips no oracle: a
-member whose triple and closed forms scale from a verified member of its pair
-(degree 1 in delta, the area 2, the tangents 0) gets the same verdict from each.
-``verify_window``, the one home of that policy for ``family`` and ``heron-table``,
-takes a window's members as int rows (``family.MemberRow``): it decides the
-checks of ``verify_member`` on a pair's first row (``member_failures``), and
+A family member (``family.MemberRow``) is the quadrilateral of its stored
+triple delta*(2mn, m^2 - n^2, m^2 + n^2), the one its payload prints:
+``verify_member`` builds that triple's construction and checks against it the
+closed forms that ``family._row`` derives from (delta, m, n). ``construct_quad``
+is homogeneous: a triple scaled by s > 0 scales its coordinates, lengths and
+surd coefficients by s and its squared radius and area by s^2, and keeps its
+radicands and tangents. Each check but the Heron criterion is homogeneous in
+these, so ``verify_scaling`` skips no oracle: a member whose triple and closed
+forms scale from a verified member of its pair (degree 1 in delta, the area 2,
+the tangents 0) gets the same verdict from each. ``verify_window``, the one
+home of that policy for ``family`` and ``heron-table``, decides the checks of
+``verify_member`` on a pair's first row (``member_failures``), and
 ``verify_scaling`` decides each other row on its ints alone.
 
 Known misprints in the published reference values are kept in a small
@@ -50,7 +52,7 @@ from operator import attrgetter, methodcaller
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
-from .exactnum import DomainError, common_denominator, euclid_triple
+from .exactnum import DomainError, common_denominator
 from .geometry import (
     ANGLES,
     SEGMENTS,
@@ -70,7 +72,7 @@ from .geometry import (
 
 if TYPE_CHECKING:
     from .errata import Erratum
-    from .family import FamilyMember, GeneratorParams, MemberRow
+    from .family import MemberRow
 
 __all__ = [
     "Check",
@@ -344,9 +346,8 @@ def _kept(value: object, q: QuadConstruction) -> object:
 _RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
 _LENGTH_NAMES = tuple(f"{kind}-{label}" for kind, label, _, _ in SEGMENTS)
 _TANGENT_NAMES = tuple(f"tangent-{vertex.value}" for vertex, _ in ANGLES)
-# a member's closed forms of those lengths and tangents
+# a member's closed forms of those lengths
 _LENGTHS = attrgetter(*[attr for *_, attr in SEGMENTS])
-_TANGENTS = attrgetter(*[attr for _, attr in ANGLES])
 
 
 def _form_decisions(
@@ -445,52 +446,49 @@ def _heron(is_heron: bool, criterion: bool, integral: bool) -> tuple:
     )
 
 
-def _member_decisions(
-    p: GeneratorParams | MemberRow, forms: FamilyMember | MemberRow, tangents: Sequence
-) -> tuple[QuadConstruction, list[tuple]]:
-    """The construction of the triple of a member's ``p``, (delta, m, n, L),
-    and the decisions of its oracle pass: the generic construction checks,
-    then the member's closed forms (``forms``, whose lengths and area are ints,
-    pairs, Fractions or Surds, and its ``tangents``) and the Heron criterion."""
-    m, n, L, delta = p.m, p.n, p.L, p.delta
-    triple = euclid_triple(delta, m, n)  # ints: over D = 1
+def _member_decisions(row: MemberRow) -> tuple[QuadConstruction, list[tuple]]:
+    """The construction of a member's stored triple (``row.alpha``, ``beta``,
+    ``gamma``: the triple its payload prints) and the decisions of its oracle
+    pass: the generic construction checks, then the closed forms that
+    ``family._row`` derives from (delta, m, n) (the lengths and area as ints,
+    pairs or Surds, and the ``tangents``), and the Heron criterion."""
+    m, n, L, delta = row.m, row.n, row.L, row.delta
+    triple = row.alpha, row.beta, row.gamma  # ints: over D = 1
     q = construct_quad(*triple)
     decisions, measured, measured_area, theta = _construction_decisions(q, 1, *triple)
-    lengths = list(map(form_ints, _LENGTHS(forms)))
-    decisions += _form_decisions("member-", lengths, map(_ratio, tangents), measured)
+    lengths = list(map(form_ints, _LENGTHS(row)))
+    decisions += _form_decisions("member-", lengths, map(_ratio, row.tangents), measured)
 
     mm_nn, mmnn = m * m - n * n, m * m + n * n
     # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
     bracket = (delta * delta * m * n * ((mm_nn + 2 * m * m) * mmnn + mm_nn * mm_nn), mmnn)
     reduced = (4 * delta * delta * m**5 * n, L * L)
-    area = form_ints(forms.area)
+    area = form_ints(row.area)
     decisions.append(_equal("member-area-vs-shoelace", measured_area, area))
     decisions.append(_equal("member-area-bracket-form", bracket, area))
     decisions.append(_equal("member-area-reduced-form", reduced, area))
     # the rational closed forms, in lowest terms: Gamma-Gamma1, Gamma-Gamma2 and the area
     integral = lengths[3][1] == lengths[5][1] == area[1] == 1
-    decisions.append(_heron(forms.is_heron, delta % L == 0, integral))
+    decisions.append(_heron(row.is_heron, delta % L == 0, integral))
     decisions.append(_equal("member-theta-n-over-m", theta, (n, m)))
     return q, decisions
 
 
-def verify_member(member: FamilyMember) -> VerificationReport:
+def verify_member(row: MemberRow) -> VerificationReport:
     """Full oracle pass over the construction of a family member's triple:
     the generic construction checks plus the member closed forms, the Heron
     criterion, and the registered errata."""
-    p = member.params
-    q, decisions = _member_decisions(p, member, _TANGENTS(member))
-    errata = errata_for_member(p.delta, p.m, p.n)
+    q, decisions = _member_decisions(row)
+    errata = errata_for_member(row.delta, row.m, row.n)
     checks = _checks(decisions, q) + _erratum_checks(errata)
-    subject = f"member(delta={p.delta}, m={p.m}, n={p.n})"
+    subject = f"member(delta={row.delta}, m={row.m}, n={row.n})"
     return VerificationReport(subject, tuple(checks), errata)
 
 
 def member_failures(row: MemberRow) -> list[str]:
-    """``verify_member(row.member()).failed_names()``: the same decisions, read
-    from the row's ints, with no ``Check`` built and no errata looked up."""
-    decisions = _member_decisions(row, row, row.tangents)[1]
-    return [name for name, ok, _, _ in decisions if not ok]
+    """``verify_member(row).failed_names()``: the same decisions, with no
+    ``Check`` built and no errata looked up."""
+    return [name for name, ok, _, _ in _member_decisions(row)[1] if not ok]
 
 
 # (check name, degree in delta) of each leaf of ``_LEAVES``: the triple, the

@@ -39,6 +39,7 @@ from heronquad.trigsolve import (
     residual,
 )
 from heronquad.verify import CheckStatus, verify_member
+from member_rows import value
 
 
 @contextmanager
@@ -336,9 +337,9 @@ def test_criterion_6_heron_criterion_equivalence():
                 member = family_member(delta, m, n)
                 divisible = delta % L == 0
                 integral = (
-                    member.side_gamma_gamma1.denominator == 1
-                    and member.diag_gamma_gamma2.denominator == 1
-                    and member.area.denominator == 1
+                    value(member, "side_gamma_gamma1").denominator == 1
+                    and value(member, "diag_gamma_gamma2").denominator == 1
+                    and value(member, "area").denominator == 1
                 )
                 # both directions of both equivalences
                 assert member.is_heron == divisible == integral, (m, n, delta)

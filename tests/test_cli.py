@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from heronquad import cli, family, verify
 from heronquad.cli import main
 from heronquad.exactnum import DomainError
+from member_rows import value
 
 
 class _Late(Exception):
@@ -615,19 +616,19 @@ def test_round10_text_refuses_a_non_finite_float(bad):
 
 
 def member_encoding(member) -> str:
-    """A member's JSON text, encoded in full from its ``FamilyMember``: the
-    bytes each compiled template must give."""
+    """A member's JSON text, encoded in full from its row, each (p, q) leaf
+    shown as its Fraction: the bytes each compiled template must give."""
     from heronquad.errata import errata_for_member
+    from heronquad.exactnum import euclid_triple
     from heronquad.geometry import SEGMENTS
 
-    p = member.params
-    errata = errata_for_member(p.delta, p.m, p.n)
+    errata = errata_for_member(member.delta, member.m, member.n)
     leaves = (
-        p.delta,
+        member.delta,
         member.side_gamma2_gamma1,  # k
-        *p.triple(),
-        *(str(getattr(member, attr)) for *_, attr in SEGMENTS),
-        str(member.area),
+        *euclid_triple(member.delta, member.m, member.n),
+        *(str(value(member, attr)) for *_, attr in SEGMENTS),
+        str(value(member, "area")),
         member.is_heron,
         *cli._theta_degrees(member.side_gamma_b, member.diag_b_gamma1),
     )
@@ -684,11 +685,11 @@ class TestFamilyCommand:
         for row in rows:
             errata = errata_for_member(row.delta, row.m, row.n)
             member = family.family_member(row.delta, row.m, row.n)
-            assert cli._member_text(row, errata, templates) == member_encoding(member), row.params
+            assert cli._member_text(row, errata, templates) == member_encoding(member), row[:4]
         # every window here holds the worked example, and it has its own template
         worked = (5, 4, 3, 5)
-        assert worked in {r.params for r in rows}
-        assert len(templates) == len({(r.params[1:], r.params == worked) for r in rows})
+        assert worked in {r[:4] for r in rows}
+        assert len(templates) == len({(r[1:4], r[:4] == worked) for r in rows})
 
     @pytest.mark.parametrize("m, n", [(m, n) for *_, m, n, _ in family.generating_pairs(6)])
     def test_template_text_is_the_member_encoding_at_large_delta(self, m, n):
@@ -704,7 +705,7 @@ class TestFamilyCommand:
             row = family._row(delta, m, n, L, tangents)
             member = family.family_member(delta, m, n)
             errata = errata_for_member(delta, m, n)
-            assert cli._member_text(row, errata, templates) == member_encoding(member), row.params
+            assert cli._member_text(row, errata, templates) == member_encoding(member), row[:4]
             heron.add(row.is_heron)
         assert len(templates) == 1
         assert heron == {False, True}
@@ -882,7 +883,7 @@ class TestHeronTableCommand:
         real_failures = verify.member_failures
 
         def one_failure(row):
-            first = verify.verify_member(row.member()).checks[0].name
+            first = verify.verify_member(row).checks[0].name
             return [first, *real_failures(row)]
 
         monkeypatch.setattr(verify, "member_failures", one_failure)
@@ -1047,6 +1048,60 @@ def test_heron_table_scaling_check_catches_a_side_of_the_wrong_degree(capsys, mo
         "1 check(s): member-scaling-side-Gamma-Gamma1\n"
         "heron-quad: 2 row(s) failed verification\n"
     )
+
+
+class TestTheOraclesReadTheStoredTriple:
+    """``family`` and ``heron-table`` print each row's stored triple, and the
+    oracle pass builds its construction from that triple: a wrong one ends in
+    exit 4 or 3, never in exit 0 or a traceback."""
+
+    SWAPPED = (
+        "12 check(s): member-side-Gamma-B, member-side-B-Gamma2, member-side-Gamma2-Gamma1, "
+        "member-side-Gamma-Gamma1, member-diagonal-B-Gamma1, member-diagonal-Gamma-Gamma2, "
+        "member-tangent-B, member-tangent-Gamma, member-tangent-Gamma1, member-tangent-Gamma2, "
+        "member-area-vs-shoelace, member-theta-n-over-m"
+    )
+    COMMANDS = [
+        ["family", "--t-max", "3", "--delta-max", "3"],
+        ["heron-table", "--t-max", "3", "--delta-multiples", "2"],
+        ["heron-table", "--t-max", "3", "--delta-multiples", "2", "--format", "csv"],
+    ]
+
+    @staticmethod
+    def _stored(monkeypatch, triple):
+        """Give every row the triple ``triple(row)`` in place of its own."""
+        row = family._row
+
+        def stored(delta, m, n, L, tangents):
+            right = row(delta, m, n, L, tangents)
+            return right._replace(**dict(zip(("alpha", "beta", "gamma"), triple(right))))
+
+        monkeypatch.setattr(family, "_row", stored)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["family", "heron-table", "heron-table-csv"])
+    def test_swapped_legs_exit_4_naming_the_member_checks(self, capsys, monkeypatch, argv):
+        self._stored(monkeypatch, lambda r: (r.beta, r.alpha, r.gamma))
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        if argv[0] == "family":  # it stops at the first pair
+            assert out == ""
+            assert err == (
+                f"heron-quad: verification failed for (m=4, n=3, delta=1): {self.SWAPPED}\n"
+            )
+        else:  # no row passes, so no pair has a base to scale from
+            assert err == "".join(
+                f"heron-quad: verification failed for (m={m}, n={n}, delta={delta}): "
+                f"{self.SWAPPED}\n"
+                for m, n, delta in ((4, 3, 5), (4, 3, 10), (12, 5, 13), (12, 5, 26))
+            ) + "heron-quad: 4 row(s) failed verification\n"
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["family", "heron-table", "heron-table-csv"])
+    def test_a_triple_that_is_not_right_exits_3(self, capsys, monkeypatch, argv):
+        self._stored(monkeypatch, lambda r: (r.alpha + r.delta, r.beta, r.gamma))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("heron-quad: domain error: alpha^2 + beta^2 != gamma^2: ")
+        assert err.count("\n") == 1  # no traceback
 
 
 class TestVerifyCommand:

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, exact_sqrt, scaled_triple, surd_normalize
+from heronquad.exactnum import DomainError, euclid_triple, exact_sqrt, scaled_triple, surd_normalize
 from heronquad.geometry import construct_quad
 from heronquad.verify import verify_member
 from heronquad import family
 from heronquad.family import (
     MEMBERS_MAX,
-    GeneratorParams,
+    MemberRow,
     TForm,
     coprimality_certificate,
     enumerate_family,
@@ -23,6 +23,7 @@ from heronquad.family import (
     heron_multiples,
     mnl_from_t,
 )
+from member_rows import edited, value
 
 
 class TestMnlFromT:
@@ -79,16 +80,18 @@ class TestOneEuclidFormula:
                 odd, even, L = t1 * t1 - t2 * t2, 2 * t1 * t2, t1 * t1 + t2 * t2
                 m, n = max(odd, even), min(odd, even)
                 assert mnl_from_t(t1, t2) == (m, n, L)
-                params = GeneratorParams(1, m, n, L)
-                assert params.t_pair == (t1, t2)
-                assert params.t_form is (TForm.ODD_M if odd > even else TForm.EVEN_M)
+                row = family_member(1, m, n)
+                assert row.L == L
+                assert row.t_pair == (t1, t2)
+                assert row.t_form is (TForm.ODD_M if odd > even else TForm.EVEN_M)
 
     def test_member_triple_matches_scaled_triple(self):
         for _t1, _t2, m, n, L in generating_pairs(T_MAX):
             for delta in (1, 7, L):
                 t = scaled_triple(delta, m, n)
                 literal = _literal_triple(delta, m, n)
-                assert GeneratorParams(delta, m, n, L).triple() == (t.a, t.b, t.c) == literal
+                row = family_member(delta, m, n)
+                assert (row.alpha, row.beta, row.gamma) == (t.a, t.b, t.c) == literal
 
     def test_generating_pairs_match_brute_force(self):
         expected = []
@@ -104,18 +107,17 @@ class TestOneEuclidFormula:
 class TestFamilyMember:
     def test_worked_example_member(self):
         mem = family_member(5, 4, 3)
-        assert mem.params.triple() == (120, 35, 125)
+        assert (mem.alpha, mem.beta, mem.gamma) == (120, 35, 125)
         assert mem.side_gamma_b == 120
         assert mem.side_b_gamma2 == 120
         assert mem.side_gamma2_gamma1 == 200
-        assert mem.side_gamma_gamma1 == 56
+        assert mem.side_gamma_gamma1 == (56, 1)
         assert mem.diag_b_gamma1 == 160
-        assert mem.diag_gamma_gamma2 == 192
-        assert mem.tan_b == Fraction(-24, 7)
-        assert mem.tan_gamma == Fraction(-4, 3)
-        assert mem.tan_gamma1 == Fraction(24, 7)
-        assert mem.tan_gamma2 == Fraction(4, 3)
-        assert mem.area == 12288
+        assert mem.diag_gamma_gamma2 == (192, 1)
+        assert mem.tangents == (
+            Fraction(-24, 7), Fraction(-4, 3), Fraction(24, 7), Fraction(4, 3)
+        )
+        assert mem.area == (12288, 1)
         assert mem.is_heron
 
     def test_tangent_closed_forms_are_m_over_n(self):
@@ -128,9 +130,9 @@ class TestFamilyMember:
                     family_member(delta, m, n)
                 continue
             mem = family_member(delta, m, n)
-            assert mem.tan_gamma == Fraction(-m, n)
-            assert mem.tan_gamma2 == Fraction(m, n)
-            assert mem.tan_b == Fraction(-2 * m * n, m * m - n * n)
+            assert value(mem, "tan_gamma") == Fraction(-m, n)
+            assert value(mem, "tan_gamma2") == Fraction(m, n)
+            assert value(mem, "tan_b") == Fraction(-2 * m * n, m * m - n * n)
 
     def test_requires_square_hypotenuse(self):
         # (m, n) = (2, 1): m^2 + n^2 = 5 is not a perfect square, so the
@@ -142,16 +144,16 @@ class TestFamilyMember:
         base = family_member(1, 4, 3)
         scaled = family_member(7, 4, 3)
         assert scaled.side_gamma_b == 7 * base.side_gamma_b
-        assert scaled.side_gamma_gamma1 == 7 * base.side_gamma_gamma1
-        assert scaled.diag_gamma_gamma2 == 7 * base.diag_gamma_gamma2
-        assert scaled.area == 49 * base.area
+        for attr in ("side_gamma_gamma1", "diag_gamma_gamma2"):
+            assert value(scaled, attr) == 7 * value(base, attr)
+        assert value(scaled, "area") == 49 * value(base, "area")
         # tangents are scale invariants
-        assert scaled.tan_b == base.tan_b
+        assert value(scaled, "tan_b") == value(base, "tan_b")
 
     # verify_member is the one cross-check of a member's closed forms against
     # the construction of its triple
     @pytest.mark.parametrize(
-        "attr, edited, name",
+        "attr, changed, name",
         [
             ("side_gamma2_gamma1", surd_normalize(200, 2), "member-side-Gamma2-Gamma1"),
             ("diag_gamma_gamma2", Fraction(193), "member-diagonal-Gamma-Gamma2"),
@@ -159,13 +161,13 @@ class TestFamilyMember:
         ],
         ids=["irrational-side", "rational-diagonal", "tangent"],
     )
-    def test_cross_check_names_the_disagreeing_closed_form(self, attr, edited, name):
-        member = family_member(5, 4, 3)._replace(**{attr: edited})
+    def test_cross_check_names_the_disagreeing_closed_form(self, attr, changed, name):
+        member = edited(family_member(5, 4, 3), **{attr: changed})
         assert verify_member(member).failed_names() == [name]
 
     def test_cross_check_compares_the_shoelace_area(self):
         member = family_member(5, 4, 3)
-        failed = verify_member(member._replace(area=member.area + 1)).failed_names()
+        failed = verify_member(edited(member, area=value(member, "area") + 1)).failed_names()
         assert failed[0] == "member-area-vs-shoelace"
 
     def test_k_parameter(self):
@@ -173,7 +175,7 @@ class TestFamilyMember:
         mem = family_member(5, 4, 3)
         k = mem.side_gamma2_gamma1
         assert k == 2 * 5 * 4 * 5
-        a, b, g = (Fraction(v) for v in mem.params.triple())
+        a, b, g = (Fraction(v) for v in (mem.alpha, mem.beta, mem.gamma))
         assert k * k == a * a + (b + g) ** 2
 
 
@@ -206,7 +208,7 @@ class TestMemberRow:
             "diag_gamma_gamma2": Fraction(4 * delta * m * m * n, L),
             "area": Fraction(4 * delta * delta * m**5 * n, L * L),
         }
-        for attr, value in closed.items():
+        for attr, closed_form in closed.items():
             leaf = getattr(row, attr)
             if attr in ("side_gamma_gamma1", "diag_gamma_gamma2", "area"):
                 p, q = leaf
@@ -214,17 +216,31 @@ class TestMemberRow:
                 leaf = Fraction(p, q)
             else:
                 assert type(leaf) is int
-            assert leaf == value
-            if attr in member._fields:
-                assert getattr(member, attr) == value
-        assert (row.alpha, row.beta, row.gamma) == member.params.triple()
-        assert row.params == member.params == (delta, m, n, L)
-        assert row.tangents == member[7:11] == (
+            assert leaf == closed_form
+            assert value(member, attr) == closed_form
+        assert (row.alpha, row.beta, row.gamma) == euclid_triple(delta, m, n)
+        assert row[:4] == member[:4] == (delta, m, n, L)
+        assert row.tangents == member.tangents == (
             Fraction(-2 * m * n, m * m - n * n), Fraction(-m, n),
             Fraction(2 * m * n, m * m - n * n), Fraction(m, n),
         )
         assert row.is_heron is member.is_heron is (delta % L == 0)
-        assert row.member() == member
+        assert row == member
+
+    @pytest.mark.parametrize(
+        "window",
+        [lambda: enumerate_family(8, 30), lambda: heron_multiples(8, 3)],
+        ids=["family", "heron-table"],
+    )
+    def test_every_rational_leaf_is_in_lowest_terms(self, window):
+        # the Heron decision reads the denominators, so it needs each (p, q) reduced
+        rows = list(window())
+        assert rows
+        for row in rows:
+            for attr in ("side_gamma_gamma1", "diag_gamma_gamma2", "area"):
+                p, q = getattr(row, attr)
+                assert q >= 1 and math.gcd(p, q) == 1, (row, attr)
+            assert family_member(row.delta, row.m, row.n) == row
 
 
 class TestHeronCriterion:
@@ -237,9 +253,9 @@ class TestHeronCriterion:
         base = family_member(5, 4, 3)
         for j in (1, 2, 3):
             mem = family_member(j * 5, 4, 3)
-            assert mem.params.delta == j * 5
+            assert mem.delta == j * 5
             assert mem.is_heron
-            assert mem.area == j * j * base.area
+            assert value(mem, "area") == j * j * value(base, "area")
 
     def test_family_member_validates(self):
         with pytest.raises(DomainError, match="not a perfect square"):
@@ -251,15 +267,15 @@ class TestHeronCriterion:
         for delta in (1, 2, 5, 10, 13):
             mem = family_member(delta, 4, 3)
             integral = (
-                mem.side_gamma_gamma1.denominator == 1
-                and mem.diag_gamma_gamma2.denominator == 1
-                and mem.area.denominator == 1
+                value(mem, "side_gamma_gamma1").denominator == 1
+                and value(mem, "diag_gamma_gamma2").denominator == 1
+                and value(mem, "area").denominator == 1
             )
             assert integral == mem.is_heron
 
 
 def member_quad(delta, m, n):
-    return construct_quad(*family_member(delta, m, n).params.triple())
+    return construct_quad(*euclid_triple(delta, m, n))
 
 
 class TestTheta:
@@ -293,7 +309,7 @@ class TestGeneratingPairs:
 class TestEnumerateFamily:
     def test_heron_only_count_small_window(self):
         members = list(enumerate_family(3, 13, heron_only=True))
-        got = [(mem.params.delta, mem.params.m, mem.params.n) for mem in members]
+        got = [(mem.delta, mem.m, mem.n) for mem in members]
         assert got == [(5, 4, 3), (10, 4, 3), (13, 12, 5)]
         assert all(mem.is_heron for mem in members)
 
@@ -305,13 +321,13 @@ class TestEnumerateFamily:
 
     def test_ordering_by_pair_then_delta(self):
         members = list(enumerate_family(3, 3))
-        keys = [(*mem.params.t_pair, mem.params.delta) for mem in members]
+        keys = [(*mem.t_pair, mem.delta) for mem in members]
         assert keys == sorted(keys)
 
     def test_cap_is_inclusive_and_stops_reading(self, monkeypatch):
         # exactly MEMBERS_MAX members is a window, in one pair or summed over two
-        assert next(enumerate_family(2, MEMBERS_MAX)).params == (1, 4, 3, 5)
-        assert next(heron_multiples(3, MEMBERS_MAX // 2)).params == (5, 4, 3, 5)
+        assert next(enumerate_family(2, MEMBERS_MAX))[:4] == (1, 4, 3, 5)
+        assert next(heron_multiples(3, MEMBERS_MAX // 2))[:4] == (5, 4, 3, 5)
         for over in (enumerate_family(2, MEMBERS_MAX + 1), heron_multiples(2, MEMBERS_MAX + 1)):
             with pytest.raises(DomainError, match=f"more than {MEMBERS_MAX} members"):
                 next(over)
@@ -349,7 +365,7 @@ class TestDerivedTLayer:
         st.integers(min_value=1, max_value=10**6),
     )
     def test_t_pair_and_form_round_trip(self, pair, delta):
-        p = family_member(delta, *pair).params
+        p = family_member(delta, *pair)
         t1, t2 = p.t_pair
         assert mnl_from_t(t1, t2) == (p.m, p.n, p.L)
         # the form names which of (m, n) is the even value 2*t1*t2
@@ -359,7 +375,7 @@ class TestDerivedTLayer:
         with pytest.raises(TypeError):
             family_member(5, 4, 3, t1=9, t2=7)
         with pytest.raises(TypeError):
-            GeneratorParams(5, 4, 3, 5, 9, 7, TForm.ODD_M)
+            MemberRow(*family_member(5, 4, 3), 9, 7, TForm.ODD_M)
 
 
 class TestCoprimality:

@@ -65,7 +65,7 @@ def _values():
 
 
 @pytest.mark.parametrize(
-    "index", range(5), ids=["Point2", "Surd", "QuadConstruction", "FamilyMember", "Check"]
+    "index", range(5), ids=["Point2", "Surd", "QuadConstruction", "MemberRow", "Check"]
 )
 class TestImmutable:
     def test_setting_a_field_raises(self, index):

@@ -16,7 +16,6 @@ from heronquad import verify
 from heronquad.cli import main
 from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
 from heronquad.family import (
-    MemberRow,
     enumerate_family,
     family_member,
     generating_pairs,
@@ -47,6 +46,7 @@ from heronquad.verify import (
     verify_scaling,
     verify_window,
 )
+from member_rows import edited, value
 
 
 def P(x, y) -> Point2:
@@ -476,7 +476,7 @@ class TestVerifyMember:
 
     def test_small_window_members_all_pass(self):
         for row in enumerate_family(4, 6):
-            report = verify_member(row.member())
+            report = verify_member(row)
             assert not report.has_failures, report.subject
 
     def test_report_payload_shape(self):
@@ -506,23 +506,17 @@ _SCALED = {
 }
 
 
-def row_of(member) -> MemberRow:
-    """The row of a member, edited or not: each Fraction leaf as (numerator, denominator)."""
-    p, lengths_and_area = member.params, (*member[1:7], member.area)
-    leaves = [v.as_integer_ratio() if isinstance(v, Fraction) else v for v in lengths_and_area]
-    return MemberRow(*p, member[7:11], *p.triple(), *leaves, member.is_heron)
-
-
-def _edit(member, attr, k):
-    """``member`` with ``is_heron`` negated, or with the closed form ``attr`` times ``k``."""
-    value = getattr(member, attr)
-    return member._replace(**{attr: not value if attr == "is_heron" else value * k})
+def _edit(row, attr, k):
+    """``row`` with ``is_heron`` negated, or with the closed form ``attr`` times ``k``."""
+    if attr == "is_heron":
+        return row._replace(is_heron=not row.is_heron)
+    return edited(row, **{attr: value(row, attr) * k})
 
 
 class TestVerifyScaling:
     def test_a_row_is_its_member(self):
         for row in enumerate_family(5, 12):
-            assert row_of(row.member()) == row
+            assert family_member(row.delta, row.m, row.n) == row
 
     def test_every_member_scales_from_the_first_of_its_pair(self):
         bases = {}
@@ -541,22 +535,22 @@ class TestVerifyScaling:
         # an edited closed form of a member, checked against a verified member
         # of its pair, fails the scaling check exactly when the oracles fail it
         assume(k != 1)
-        edited = _edit(family_member(delta, *pair), attr, k)
-        parts = _scaling_parts(row_of(family_member(delta0, *pair)))
-        failed = [check.name for check in verify_scaling(row_of(edited), parts)]
-        assert bool(failed) == verify_member(edited).has_failures
+        row = _edit(family_member(delta, *pair), attr, k)
+        parts = _scaling_parts(family_member(delta0, *pair))
+        failed = [check.name for check in verify_scaling(row, parts)]
+        assert bool(failed) == verify_member(row).has_failures
         if attr != "is_heron":
             assert failed[0] == _SCALED[attr]
 
     def test_renders_the_scaled_base_value(self):
         base, member = family_member(1, 4, 3), family_member(3, 4, 3)
-        edited = row_of(member._replace(area=member.area + 1))
-        (check,) = verify_scaling(edited, _scaling_parts(row_of(base)))
+        area = value(member, "area")
+        (check,) = verify_scaling(edited(member, area=area + 1), _scaling_parts(base))
         assert check.to_payload() == {
             "name": "member-scaling-area",
             "status": "fail",
-            "expected": str(9 * base.area),
-            "actual": str(member.area + 1),
+            "expected": str(9 * value(base, "area")),
+            "actual": str(area + 1),
         }
 
     @pytest.mark.parametrize(
@@ -576,19 +570,19 @@ class TestVerifyScaling:
     def test_an_int_leaf_and_its_equal_fraction_are_one_value(self, attr):
         # a row leaf is an int or (p, q): an int as (v, 1), and (p, 1) as p, is the same value
         base, member = family_member(1, 12, 5), family_member(3 * 13, 12, 5)
-        value = getattr(member, attr)
-        swapped = Fraction(value) if isinstance(value, int) else int(value)
-        assert swapped == value and type(swapped) is not type(value)
-        parts = _scaling_parts(row_of(base))
-        edited = member._replace(**{attr: swapped})
-        assert type(getattr(row_of(edited), attr)) is not type(getattr(row_of(member), attr))
-        assert verify_scaling(row_of(edited), parts) == ()
-        assert not verify_member(edited).has_failures
+        number = value(member, attr)
+        swapped = Fraction(number) if isinstance(number, int) else int(number)
+        assert swapped == number and type(swapped) is not type(number)
+        parts = _scaling_parts(base)
+        row = edited(member, **{attr: swapped})
+        assert type(getattr(row, attr)) is not type(getattr(member, attr))
+        assert verify_scaling(row, parts) == ()
+        assert not verify_member(row).has_failures
         # one more fails, and keeps the scaled base value and the leaf
-        (check,) = verify_scaling(row_of(member._replace(**{attr: swapped + 1})), parts)
-        scale = Fraction(member.params.delta, base.params.delta) ** (2 if attr == "area" else 1)
+        (check,) = verify_scaling(edited(member, **{attr: swapped + 1}), parts)
+        scale = Fraction(member.delta, base.delta) ** (2 if attr == "area" else 1)
         assert check == verify.Check(
-            _SCALED[attr], CheckStatus.FAIL, getattr(base, attr) * scale, swapped + 1
+            _SCALED[attr], CheckStatus.FAIL, value(base, attr) * scale, swapped + 1
         )
         assert type(check.expected) is Fraction
 
@@ -615,9 +609,9 @@ class TestVerifyWindow:
         # verify_member gives it alone
         assume(window and k != 1)
         i %= len(window)
-        window[i] = row_of(_edit(window[i].member(), attr, k))
+        window[i] = _edit(window[i], attr, k)
         verdicts = [(row, bool(failed)) for row, failed, _ in verify_window(window)]
-        assert verdicts == [(row, verify_member(row.member()).has_failures) for row in window]
+        assert verdicts == [(row, verify_member(row).has_failures) for row in window]
 
     def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
         checked = []
@@ -625,8 +619,7 @@ class TestVerifyWindow:
         monkeypatch.setattr(verify, "member_failures", lambda m: checked.append(m) or failures(m))
         window = list(heron_multiples(2, 3))
         for i in (0, 2):
-            member = window[i].member()
-            window[i] = row_of(member._replace(area=member.area + 1))
+            window[i] = edited(window[i], area=value(window[i], "area") + 1)
         failed = [names for _, names, _ in verify_window(window)]
         # the next member runs the oracles and becomes the base the third scales from
         assert checked == window[:2]
@@ -703,8 +696,7 @@ def test_failing_member_payload_is_pinned(attr):
     # every expected/actual string of a failing member run, byte for byte, as
     # the Fraction comparisons printed them before checks were decided on ints
     pinned = Path(__file__).with_name("golden") / f"payload-member-{attr.replace('_', '-')}.json"
-    member = family_member(5, 4, 3)
-    report = verify_member(member._replace(**{attr: _EDITED_MEMBER_VALUES[attr]}))
+    report = verify_member(edited(family_member(5, 4, 3), **{attr: _EDITED_MEMBER_VALUES[attr]}))
     assert report.has_failures
     got = json.dumps(report.to_payload(), indent=2) + "\n"
     assert got == pinned.read_text(encoding="utf-8")
@@ -778,24 +770,24 @@ def _ref_member_checks(member, q) -> list[tuple]:
     pts = list(q.vertices())
     squares = [(pts[i].x - pts[j].x) ** 2 + (pts[i].y - pts[j].y) ** 2 for i, j in _REF_ENDS]
     area = abs(sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))) / 2
-    p = member.params
-    m, n, L, delta = p.m, p.n, p.L, p.delta
+    m, n, L, delta = member.m, member.n, member.L, member.delta
     checks = []
 
     def same(name, expected, actual):
         checks.append((name, expected == actual, expected, actual))
 
     for (kind, label, _, attr), square in zip(SEGMENTS, squares):
-        same(f"member-{kind}-{label}", square, _ref_square(getattr(member, attr)))
+        same(f"member-{kind}-{label}", square, _ref_square(value(member, attr)))
     for (vertex, attr), i in zip(ANGLES, (1, 0, 3, 2)):
-        same(f"member-tangent-{vertex.value}", _ref_tangent(pts, i), getattr(member, attr))
-    same("member-area-vs-shoelace", area, member.area)
+        same(f"member-tangent-{vertex.value}", _ref_tangent(pts, i), value(member, attr))
+    member_area = value(member, "area")
+    same("member-area-vs-shoelace", area, member_area)
     diff, total = m * m - n * n, m * m + n * n
     bracket = delta**2 * m * n * (diff + Fraction(diff**2, total) + 2 * m * m)
-    same("member-area-bracket-form", bracket, member.area)
-    same("member-area-reduced-form", Fraction(4 * delta**2 * m**5 * n, L * L), member.area)
+    same("member-area-bracket-form", bracket, member_area)
+    same("member-area-reduced-form", Fraction(4 * delta**2 * m**5 * n, L * L), member_area)
     criterion = delta % L == 0
-    rational = (member.side_gamma_gamma1, member.diag_gamma_gamma2, member.area)
+    rational = [value(member, attr) for attr in ("side_gamma_gamma1", "diag_gamma_gamma2", "area")]
     integral = all(Fraction(v).denominator == 1 for v in rational)
     checks.append((
         "heron-criterion-matches-integrality",
@@ -886,12 +878,11 @@ class TestReportEqualsFractionReference:
             member = member._replace(is_heron=not member.is_heron)
         elif edit is not None:
             assume(k != 1)
-            member = member._replace(**{edit: _edited(getattr(member, edit), k)})
-        q = construct_quad(*member.params.triple())
+            member = edited(member, **{edit: _edited(value(member, edit), k)})
+        q = construct_quad(member.alpha, member.beta, member.gamma)
         checks = _ref_construction_checks(q) + _ref_member_checks(member, q)
-        p = member.params
-        subject = f"member(delta={p.delta}, m={p.m}, n={p.n})"
-        expected = _ref_payload(subject, checks, errata_for_member(p.delta, p.m, p.n))
+        subject = f"member(delta={delta}, m={member.m}, n={member.n})"
+        expected = _ref_payload(subject, checks, errata_for_member(delta, member.m, member.n))
         assert json.dumps(verify_member(member).to_payload()) == json.dumps(expected)
 
 
@@ -920,16 +911,16 @@ class TestWindowNamesTheReportsFailures:
         st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
     )
     def test_an_edited_closed_form(self, delta, pair, attr, k):
-        edited = _edit(family_member(delta, *pair), attr, k)
-        ((_, failed, _),) = verify_window([row_of(edited)])
-        assert failed == verify_member(edited).failed_names()
+        row = _edit(family_member(delta, *pair), attr, k)
+        ((_, failed, _),) = verify_window([row])
+        assert failed == verify_member(row).failed_names()
         assert bool(failed) == (k != 1 or attr == "is_heron")
 
     @pytest.mark.parametrize("attr", sorted(_EDITED_MEMBER_VALUES))
     def test_an_edited_member_value(self, attr):
-        edited = family_member(5, 4, 3)._replace(**{attr: _EDITED_MEMBER_VALUES[attr]})
-        ((_, failed, _),) = verify_window([row_of(edited)])
-        assert failed == verify_member(edited).failed_names() != []
+        row = edited(family_member(5, 4, 3), **{attr: _EDITED_MEMBER_VALUES[attr]})
+        ((_, failed, _),) = verify_window([row])
+        assert failed == verify_member(row).failed_names() != []
 
     @given(
         st.integers(1, 60),
@@ -940,11 +931,11 @@ class TestWindowNamesTheReportsFailures:
     )
     @example(1, (4, 3), "v_gamma", "tiny", False)  # the move of 10^-30 that floats miss
     def test_a_moved_point(self, delta, pair, point, step, along_y):
-        row = row_of(family_member(delta, *pair))
+        row = family_member(delta, *pair)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "construct_quad", _moved(point, step, along_y))
             ((_, failed, _),) = verify_window([row])
-            assert failed == verify_member(row.member()).failed_names() != []
+            assert failed == verify_member(row).failed_names() != []
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_heron_table_prints_the_reports_names(self, monkeypatch, capsys, csv):
@@ -954,7 +945,7 @@ class TestWindowNamesTheReportsFailures:
         lines = capsys.readouterr().err.splitlines()
         rows = list(heron_multiples(3, 1))
         for line, row in zip(lines, rows):
-            names = verify_member(row.member()).failed_names()
+            names = verify_member(row).failed_names()
             where = f"(m={row.m}, n={row.n}, delta={row.delta})"
             assert line.endswith(f"for {where}: {len(names)} check(s): {', '.join(names)}")
         assert lines[len(rows):] == [f"heron-quad: {len(rows)} row(s) failed verification"]

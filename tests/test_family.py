@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, euclid_triple, exact_sqrt, scaled_triple, surd_normalize
+from heronquad.exactnum import DomainError, euclid_triple, exact_sqrt, surd_normalize
 from heronquad.geometry import construct_quad
 from heronquad.verify import verify_member
 from heronquad import family
@@ -16,7 +16,6 @@ from heronquad.family import (
     MEMBERS_MAX,
     MemberRow,
     TForm,
-    coprimality_certificate,
     enumerate_family,
     family_member,
     generating_pairs,
@@ -88,10 +87,8 @@ class TestOneEuclidFormula:
     def test_member_triple_matches_scaled_triple(self):
         for _t1, _t2, m, n, L in generating_pairs(T_MAX):
             for delta in (1, 7, L):
-                t = scaled_triple(delta, m, n)
-                literal = _literal_triple(delta, m, n)
                 row = family_member(delta, m, n)
-                assert (row.alpha, row.beta, row.gamma) == (t.a, t.b, t.c) == literal
+                assert (row.alpha, row.beta, row.gamma) == _literal_triple(delta, m, n)
 
     def test_generating_pairs_match_brute_force(self):
         expected = []
@@ -376,18 +373,3 @@ class TestDerivedTLayer:
             family_member(5, 4, 3, t1=9, t2=7)
         with pytest.raises(TypeError):
             MemberRow(*family_member(5, 4, 3), 9, 7, TForm.ODD_M)
-
-
-class TestCoprimality:
-    def test_certificate_for_generating_pairs(self):
-        for _t1, _t2, m, n, L in generating_pairs(12):
-            assert coprimality_certificate(m, n, L) == (1, 1)
-
-    @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=59))
-    def test_certificate_raises_only_off_family(self, m, n):
-        if not (m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1):
-            return
-        L = exact_sqrt(m * m + n * n)
-        if L is None:
-            return
-        assert coprimality_certificate(m, n, L) == (1, 1)

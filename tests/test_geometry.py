@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from heronquad.exactnum import (
     DomainError,
     Surd,
-    scaled_triple,
+    euclid_triple,
     surd_normalize,
-    surd_scale,
-    surd_sqrt,
+    surd_sqrt_ints,
 )
 from heronquad.geometry import (
     ANGLES,
@@ -30,7 +29,7 @@ from heronquad.geometry import (
     interior_angle_degrees,
     corner,
     lattice,
-    quad_area,
+    twice_area,
 )
 
 # every exact value of a construction, by name: the triple, the points (views
@@ -76,12 +75,12 @@ class TestConstructSmallTriple:
         assert q.radius_squared == Fraction(90, 4)
         # right triangle B-Gamma2-Gamma1 contributes 27/2, the upper
         # triangle Gamma-B-Gamma1 contributes 9 * (12/5) / 2 = 54/5
-        assert quad_area(q) == Fraction(243, 10)
+        assert abs(twice_area(q.vertices())) / 2 == Fraction(243, 10)
 
     def test_accepts_rational_triples(self):
         q = construct_quad(Fraction(3, 2), 2, Fraction(5, 2))
         assert q.side_gamma_b == Fraction(3, 2)
-        assert quad_area(q) > 0
+        assert abs(twice_area(q.vertices())) > 0
 
     def test_accepts_string_inputs(self):
         q = construct_quad("3/2", "2", "5/2")
@@ -117,8 +116,7 @@ class TestRightAngleAndCircle:
     def test_invariants_across_primitive_pairs(self, delta, m, n):
         if not (m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1):
             return
-        t = scaled_triple(delta, m, n)
-        q = construct_quad(t.a, t.b, t.c)
+        q = construct_quad(*euclid_triple(delta, m, n))
         g, b, g2, g1 = q.vertices()
         # right angle at B, so Gamma2-Gamma1 must be a diameter
         assert dot_cross(b, g2, g1)[0] == 0
@@ -175,7 +173,7 @@ class TestInteriorTangents:
 class TestQuadArea:
     def test_worked_example_area(self):
         q = construct_quad(120, 35, 125)
-        assert quad_area(q) == 12288
+        assert abs(twice_area(q.vertices())) / 2 == 12288
 
     @given(
         st.integers(min_value=1, max_value=5),
@@ -185,11 +183,11 @@ class TestQuadArea:
     def test_area_closed_form(self, delta, m, n):
         if not (m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1):
             return
-        t = scaled_triple(delta, m, n)
-        q = construct_quad(t.a, t.b, t.c)
+        q = construct_quad(*euclid_triple(delta, m, n))
         a, b, g = q.alpha, q.beta, q.gamma
-        assert quad_area(q) == a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2
-        assert q.area == quad_area(q)
+        area = abs(twice_area(q.vertices())) / 2
+        assert area == a * b / 2 + (b * b / 2) * (a / g) + a * (b + g) / 2
+        assert q.area == area
 
 
 def _ref_construction(alpha, beta, gamma) -> dict:
@@ -204,7 +202,8 @@ def _ref_construction(alpha, beta, gamma) -> dict:
             f"alpha^2 + beta^2 != gamma^2: {a}^2 + {b}^2 = {a * a + b * b}, gamma^2 = {g * g}"
         )
     zero, bg = Fraction(0), b + g
-    hyp = surd_scale(surd_sqrt(2 * g / bg), bg)
+    s, tu, ru = surd_sqrt_ints(*(2 * g / bg).as_integer_ratio())
+    hyp = _times(Surd(Fraction(s, tu), ru), bg)
     return {
         "alpha": a,
         "beta": b,
@@ -217,9 +216,9 @@ def _ref_construction(alpha, beta, gamma) -> dict:
         "side_gamma_b": a,
         "side_b_gamma2": a,
         "side_gamma2_gamma1": hyp,
-        "side_gamma_gamma1": surd_scale(hyp, b / g),
+        "side_gamma_gamma1": _times(hyp, b / g),
         "diag_b_gamma1": bg,
-        "diag_gamma_gamma2": surd_scale(hyp, a / g),
+        "diag_gamma_gamma2": _times(hyp, a / g),
         "tan_b": -a / b,
         "tan_gamma": a / (b - g),
         "tan_gamma1": a / b,

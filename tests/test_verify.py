@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from heronquad import verify
 from heronquad.cli import main
-from heronquad.exactnum import DomainError, scaled_triple, surd_normalize
+from heronquad.exactnum import DomainError, euclid_triple, surd_normalize
 from heronquad.family import (
     enumerate_family,
     family_member,
@@ -29,7 +29,7 @@ from heronquad.geometry import (
     angle_spread_degrees,
     construct_quad,
     dist_squared,
-    quad_area,
+    twice_area,
 )
 from heronquad.verify import (
     CheckStatus,
@@ -283,8 +283,7 @@ class TestPtolemy:
         # Ptolemy's equality holds exactly for the cyclic order, so moving
         # Gamma1 along the x-axis must flip both oracles together
         assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
-        t = scaled_triple(delta, m, n)
-        q = construct_quad(t.a, t.b, t.c)
+        q = construct_quad(*euclid_triple(delta, m, n))
         moved = q._replace(
             v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
         )
@@ -319,7 +318,7 @@ class TestShoelace:
 
     def test_matches_quad_area(self):
         q = construct_quad(120, 35, 125)
-        assert abs(shoelace(list(q.vertices()))) == 2 * quad_area(q) == 2 * 12288
+        assert abs(shoelace(list(q.vertices()))) == abs(twice_area(q.vertices())) == 2 * 12288
 
 
 class TestErrataRegistry:
@@ -406,8 +405,7 @@ class TestVerifyConstruction:
     def test_generic_pairs_all_pass(self, delta, m, n):
         if not (m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1):
             return
-        t = scaled_triple(delta, m, n)
-        report = verify_construction(construct_quad(t.a, t.b, t.c))
+        report = verify_construction(construct_quad(*euclid_triple(delta, m, n)))
         assert not report.has_failures
 
 
@@ -425,11 +423,11 @@ class TestScaleInvariance:
     def test_power_of_two_scale_keeps_the_verdict(self, delta, m, n, odd_first, j):
         # tiny coordinates once underflowed in the angle identity's products
         assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
-        t = scaled_triple(delta, m, n)
-        legs = (t.b, t.a) if odd_first else (t.a, t.b)
+        even, odd, hyp = euclid_triple(delta, m, n)
+        legs = (odd, even) if odd_first else (even, odd)
         unit = Fraction(2) ** j
-        plain = verify_construction(construct_quad(*legs, t.c))
-        scaled = verify_construction(construct_quad(*(v * unit for v in legs), t.c * unit))
+        plain = verify_construction(construct_quad(*legs, hyp))
+        scaled = verify_construction(construct_quad(*(v * unit for v in legs), hyp * unit))
         assert not plain.has_failures and not scaled.has_failures
         assert [c.name for c in scaled.checks] == [c.name for c in plain.checks]
 
@@ -452,10 +450,10 @@ class TestAngleSpreadCheck:
     @example(1, 50, 49, True, 151)  # 99k, 4900k, 4901k with k = 10^151
     def test_exact_decision_agrees_with_the_float_spread(self, delta, m, n, odd_first, power):
         assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
-        t = scaled_triple(delta, m, n)
-        legs = (t.b, t.a) if odd_first else (t.a, t.b)
+        even, odd, hyp = euclid_triple(delta, m, n)
+        legs = (odd, even) if odd_first else (even, odd)
         unit = Fraction(10) ** power
-        q = construct_quad(*(v * unit for v in legs), t.c * unit)
+        q = construct_quad(*(v * unit for v in legs), hyp * unit)
         report = verify_construction(q)
         spread = next(c for c in report.checks if c.name == "angle-spread-below-1e-10-deg")
         assert (spread.status is CheckStatus.PASS) == (angle_spread_degrees(q) < 1e-10)
@@ -751,7 +749,7 @@ def _ref_construction_checks(q) -> list[tuple]:
     same("tangent-sum-Gamma-Gamma2", 0, q.tan_gamma + q.tan_gamma2)
     area = abs(sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))) / 2
     same("area-shoelace-vs-closed", q.area, area)
-    same("area-helper-agrees", area, quad_area(q))
+    same("area-helper-agrees", area, abs(twice_area(pts)) / 2)
     theta = alpha / (beta + gamma)
     same("theta-tangent", theta, q.tan_theta)
     same("shared-base-angle-identity", theta, (gamma - beta) / alpha)
@@ -850,10 +848,10 @@ class TestReportEqualsFractionReference:
     # the worked example, with its errata
     @example(5, (4, 3), False, Fraction(1), 0, None, Fraction(1), False)
     def test_construction(self, delta, pair, odd_first, scale, j, edit, k, along_y):
-        t = scaled_triple(delta, *pair)
-        legs = (t.b, t.a) if odd_first else (t.a, t.b)
+        even, odd, hyp = euclid_triple(delta, *pair)
+        legs = (odd, even) if odd_first else (even, odd)
         unit = scale * Fraction(2) ** j
-        q = construct_quad(*(v * unit for v in legs), t.c * unit)
+        q = construct_quad(*(v * unit for v in legs), hyp * unit)
         if edit in _POINTS:
             x, y = getattr(q, edit)
             q = q._replace(**{edit: Point2(x, y + _TINY) if along_y else Point2(x + _TINY, y)})

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errata import errata_for_triple
+from .errata import errata_for_member, errata_for_triple
 from .exactnum import (
     K_ABS_MAX,
     K_PERIODS_MAX,
@@ -225,10 +225,9 @@ def _theta_degrees(alpha: Fraction | int, bg: Fraction | int) -> tuple[float, st
     return _round10(degrees), f"{degrees:.5f}"
 
 
-def _theta_payload(alpha: Fraction | int, bg: Fraction | int, shown: tuple | None = None) -> dict:
-    """theta = atan(alpha/bg); ``shown`` stands in for ``_theta_degrees(alpha, bg)``."""
-    degrees, display = _theta_degrees(alpha, bg) if shown is None else shown
-    return {"tan": str(Fraction(alpha, bg)), "degrees": degrees, "degrees_display": display}
+def _theta_payload(tan: Fraction, degrees: float | str, display: str) -> dict:
+    """theta's tangent, ``degrees`` and ``degrees_display``, as ``_theta_degrees`` gives them."""
+    return {"tan": str(tan), "degrees": degrees, "degrees_display": display}
 
 
 def _envelope(command: str, inputs: dict, result: object, errata) -> dict:
@@ -444,7 +443,7 @@ def _construct_result_payload(q: QuadConstruction) -> dict:
         "angles_degrees": {
             vertex.value: _round10(interior_angle_degrees(q, vertex)) for vertex, _ in ANGLES
         },
-        "theta": _theta_payload(q.alpha, q.diag_b_gamma1),
+        "theta": _theta_payload(q.tan_theta, *_theta_degrees(q.alpha, q.diag_b_gamma1)),
         "circumcircle": {
             "center": {"x": str(center.x), "y": str(center.y)},
             "radius_squared": str(q.radius_squared),
@@ -534,7 +533,7 @@ def _member_payload(row: MemberRow, errata, leaves: tuple) -> dict:
         **_measures_payload(map(str, lengths), row.tangents),
         "area": str(area),
         "is_heron": is_heron,
-        "theta": _theta_payload(row.side_gamma_b, row.diag_b_gamma1, (degrees, str(display))),
+        "theta": _theta_payload(Fraction(row.n, row.m), degrees, str(display)),
         "errata": [er.ident for er in errata],
     }
 
@@ -574,11 +573,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
     templates: dict = {}
     members = []
     window = enumerate_family(args.t_max, args.delta_max, heron_only=args.heron_only)
-    for row, failed, errata in verify_window(window):
+    for row, failed in verify_window(window):
         if failed:
             _verification_failed(failed, row)
             return 4
-        members.append(_member_text(row, errata, templates))
+        members.append(_member_text(row, errata_for_member(row.delta, row.m, row.n), templates))
     # each erratum first appears with the first template that carries it
     seen = dict.fromkeys(er for *_, errata in templates for er in errata)
     result = {"count": len(members), "members": members}
@@ -634,15 +633,15 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     seen: dict = {}
     failures = 0
     window = heron_multiples(args.t_max, args.delta_multiples)
-    # CSV prints no errata: a scaled row's are not looked up
-    for row, failed, errata in verify_window(window, with_errata=not as_csv):
+    for row, failed in verify_window(window):
         if failed:
             failures += 1
             _verification_failed(failed, row)
         cells = _heron_row(row)
-        if as_csv:  # every cell is an int or a p/q string: none needs quoting
+        if as_csv:  # every cell is an int or a p/q string: none needs quoting; no errata
             rows.append(",".join(map(str, cells.values())))
             continue
+        errata = errata_for_member(row.delta, row.m, row.n)
         cells["verified"] = not failed
         cells["errata"] = [er.ident for er in errata]
         rows.append(_encoded(cells))

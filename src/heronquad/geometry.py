@@ -14,17 +14,15 @@ vertex is rational, Gamma1-Gamma2 is a diameter of the circumcircle, and
 all lengths are rationals or quadratic surds, so downstream oracles can
 compare exactly.
 
-A construction keeps its triple (``alpha``, ``beta``, ``gamma``) as
-Fractions and everything else as ints. Its ``POINTS`` (the four vertices,
-the circumcentre and A) are one integer lattice, ``lattice``: int pairs
-over one scale S, the least that makes every coordinate an int.
-``construct_quad`` computes them as ints over 2GD for the triple
-(A, B, G)/D and reduces them once; the oracles measure those ints as they
-are. Its ``FORMS`` (lengths, tangents, squared radius) are int pairs,
-(n, d, r) for a surd. ``v_gamma``, ..., ``radius_squared`` are views that
-build the Fraction or Surd on access, and ``_replace`` takes them too: a
-moved point is put, with the others, on a fresh lattice, so it is measured
-where it is.
+A construction is its ints. It keeps its triple as (D, A, B, G), the
+triple (A, B, G)/D with D the least common denominator. Its ``POINTS``
+(the four vertices, the circumcentre and A) are one integer lattice,
+``lattice``: int pairs over one scale S, the least that makes every
+coordinate an int. ``construct_quad`` computes them as ints over 2GD and
+reduces them once; the oracles measure those ints as they are. Its
+``FORMS`` (lengths, tangents, squared radius) are int pairs, (n, d, r) for
+a surd. ``alpha``, ``beta``, ``gamma``, ``v_gamma``, ..., ``radius_squared``
+are views that build the Fraction, Point2 or Surd on access.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ __all__ = [
     "corner",
     "dist_squared",
     "dot_cross",
-    "form_ints",
     "interior_angle_degrees",
     "lattice",
     "theta_degrees",
@@ -65,17 +62,17 @@ class Point2(NamedTuple):
     is cheaper than two attribute reads.
     """
 
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
 
 
-def dist_squared(p: Point2, q: Point2) -> Fraction:
+def dist_squared(p: Point2, q: Point2) -> int | Fraction:
     (px, py), (qx, qy) = p, q
     dx, dy = px - qx, py - qy
     return dx * dx + dy * dy
 
 
-def dot_cross(here: Point2, p: Point2, q: Point2) -> tuple[Fraction, Fraction]:
+def dot_cross(here: Point2, p: Point2, q: Point2) -> tuple[int | Fraction, int | Fraction]:
     """(u . v, u x v) of the vectors u = p - here and v = q - here."""
     (hx, hy), (px, py), (qx, qy) = here, p, q
     ux, uy = px - hx, py - hy
@@ -144,11 +141,17 @@ FORMS = (
 
 
 class _Stored(NamedTuple):
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    triple: tuple[int, int, int, int]  # (D, A, B, G): the triple (A, B, G)/D
     lattice: tuple[int, tuple[Point2, ...]]  # (S, the POINTS times S: int pairs)
     forms: tuple[tuple[int, ...], ...]  # the FORMS: (n, d) is n/d, (n, d, r) is (n/d)*sqrt(r)
+
+
+def _leg(i: int) -> property:
+    def view(q: QuadConstruction) -> Fraction:
+        return Fraction(q.triple[i], q.triple[0])
+
+    name = ("alpha", "beta", "gamma")[i - 1]
+    return property(view, doc=f"{name}: a Fraction, built from the triple's ints.")
 
 
 def _point(i: int) -> property:
@@ -168,55 +171,30 @@ def _form(i: int) -> property:
     return property(view, doc=f"{FORMS[i]}: a Fraction or Surd, built from its ints.")
 
 
-def form_ints(value: Fraction | int | Surd | tuple[int, int]) -> tuple[int, ...]:
-    """A closed form as ``QuadConstruction.forms`` keeps it; an int pair is kept."""
-    if type(value) is tuple:
-        return value
-    if isinstance(value, Surd):
-        return (*value.coefficient.as_integer_ratio(), value.radicand)
-    return value.as_integer_ratio()
-
-
 class QuadConstruction(_Stored):
     """The embedded quadrilateral with its exact lengths and angle tangents.
 
     ``SEGMENTS`` names the six lengths and ``ANGLES`` the four interior
     angle tangents, which are the exact closed forms -a/b, a/(b-g), a/b,
     (b+g)/a at B, Gamma, Gamma1, Gamma2; coordinates reproduce them (see
-    the verifier). The ``POINTS`` and ``FORMS`` are stored as ints and read
-    as views.
+    the verifier). The triple, the ``POINTS`` and the ``FORMS`` are stored
+    as ints and read as views.
     """
 
     __slots__ = ()
 
+    alpha, beta, gamma = map(_leg, range(1, 4))
     v_gamma, v_b, v_gamma2, v_gamma1, circumcenter, v_a = map(_point, range(len(POINTS)))
     (
         side_gamma_b, side_b_gamma2, side_gamma2_gamma1, side_gamma_gamma1, diag_b_gamma1,
         diag_gamma_gamma2, tan_b, tan_gamma, tan_gamma1, tan_gamma2, tan_theta, radius_squared,
     ) = map(_form, range(len(FORMS)))
 
-    def _replace(self, **changes: object) -> QuadConstruction:
-        """``NamedTuple._replace``, which also takes the views: a point moved
-        puts all the ``POINTS`` on a fresh lattice, and a closed form is
-        stored as its ints."""
-        if not changes.keys().isdisjoint(POINTS):
-            points = [
-                changes.pop(name) if name in changes else getattr(self, name) for name in POINTS
-            ]
-            changes["lattice"] = lattice(points)
-        if not changes.keys().isdisjoint(FORMS):
-            changes["forms"] = tuple(
-                form_ints(changes.pop(name)) if name in changes else ints
-                for name, ints in zip(FORMS, self.forms)
-            )
-        return super()._replace(**changes)
-
     @property
     def area(self) -> Fraction:
         """Closed-form area from the triple alone, computed on access; the
         oracles recompute it from the coordinates."""
-        D, (A, B, G) = common_denominator((self.alpha, self.beta, self.gamma))
-        return Fraction(*closed_area(D, A, B, G))
+        return Fraction(*closed_area(*self.triple))
 
     @property
     def theta_degrees(self) -> float:
@@ -233,7 +211,10 @@ def theta_degrees(alpha: Fraction | int, beta_plus_gamma: Fraction | int) -> flo
     return math.degrees(math.atan2(float(alpha), float(beta_plus_gamma)))
 
 
-def _as_rational(value: Fraction | int | str, name: str) -> Fraction:
+def _as_rational(value: Fraction | int | str, name: str) -> Fraction | int:
+    """``value`` as an exact rational: an int as it is, else a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise DomainError(
             f"{name} must be rational (an int, Fraction or decimal string), not a float"
@@ -276,10 +257,10 @@ def construct_quad(
         (-A, B), (A, B - G), (A, B), (BG, A),
         (A, BG), (G * BG, 2 * D * D),
     )
-    return QuadConstruction(a, b, g, lattice(over_2gd, G2 * D), forms)
+    return QuadConstruction((D, A, B, G), lattice(over_2gd, G2 * D), forms)
 
 
-def corner(points: Sequence[Point2], i: int) -> tuple[Fraction, Fraction]:
+def corner(points: Sequence[Point2], i: int) -> tuple[int | Fraction, int | Fraction]:
     """``dot_cross`` at vertex i to its neighbours in the traversal order: the
     interior angle's tangent is |cross|/dot at any scale (none where dot = 0)."""
     return dot_cross(points[i], points[i - 1], points[(i + 1) % len(points)])

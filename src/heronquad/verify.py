@@ -21,7 +21,7 @@ names of the failing ones (``member_failures``), so a passing check builds
 no ``Check`` and no Fraction there. ``verify_construction`` and
 ``verify_member`` return a report to render: they build a ``Check`` for each
 decision, keep an int pair as a Fraction, and compute the one float shown
-(the angle spread) only when the check is rendered.
+(the angle spread) when the report is built.
 
 A family member (``family.MemberRow``) is the quadrilateral of its stored
 triple delta*(2mn, m^2 - n^2, m^2 + n^2), the one its payload prints:
@@ -35,7 +35,9 @@ forms scale from a verified member of its pair (degree 1 in delta, the area 2,
 the tangents 0) gets the same verdict from each. ``verify_window``, the one
 home of that policy for ``family`` and ``heron-table``, decides the checks of
 ``verify_member`` on a pair's first row (``member_failures``), and
-``verify_scaling`` decides each other row on its ints alone.
+``verify_scaling`` decides each other row on its ints alone. It yields each
+row's verdict only: the errata registry runs no oracle, and the printers
+look up the errata of the rows they print.
 
 Known misprints in the published reference values are kept in a small
 registry (``errata``): a verification that touches one reports an
@@ -47,12 +49,11 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from operator import attrgetter, methodcaller
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
-from .exactnum import DomainError, common_denominator
+from .exactnum import DomainError
 from .geometry import (
     ANGLES,
     SEGMENTS,
@@ -65,7 +66,6 @@ from .geometry import (
     corner,
     dist_squared,
     dot_cross,
-    form_ints,
     lattice,
     twice_area,
 )
@@ -96,12 +96,12 @@ __all__ = [
 # oracles
 
 
-def _det3(rows: Sequence[tuple[Fraction, Fraction, Fraction]]) -> Fraction:
+def _det3(rows: Sequence[tuple[int | Fraction, ...]]) -> int | Fraction:
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> Fraction:
+def concyclicity_determinant(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> int | Fraction:
     """det of rows (x^2 + y^2, x, y, 1); zero iff the points share a circle
     (or a line, which the caller must exclude).
 
@@ -315,17 +315,10 @@ def _squared(form: tuple[int, ...]) -> tuple[int, int]:
     return n * n * (radicand[0] if radicand else 1), d * d
 
 
-class _OnRender(partial):
-    """A check value computed only when the check is rendered."""
-
-    def __str__(self) -> str:
-        return str(self())
-
-
 def _checks(decisions: list[tuple], q: QuadConstruction) -> list[Check]:
     """The ``Check`` of each decision. An equality that holds keeps its one
     value as both; an int pair is kept as a Fraction, and a callable (the float
-    angle spread) is computed from ``q`` only when the check is rendered."""
+    angle spread) is computed from ``q``."""
     checks = []
     for name, ok, expected, actual in decisions:
         if ok and type(expected) is tuple:
@@ -339,15 +332,15 @@ def _checks(decisions: list[tuple], q: QuadConstruction) -> list[Check]:
 def _kept(value: object, q: QuadConstruction) -> object:
     if type(value) is tuple:
         return Fraction(*value)
-    return _OnRender(value, q) if callable(value) else value
+    return value(q) if callable(value) else value
 
 
 # the check names of the circumradii, the SEGMENTS lengths and the ANGLES tangents
 _RADIUS_NAMES = tuple(f"circumradius-{vertex.value}" for vertex in Vertex)
 _LENGTH_NAMES = tuple(f"{kind}-{label}" for kind, label, _, _ in SEGMENTS)
 _TANGENT_NAMES = tuple(f"tangent-{vertex.value}" for vertex, _ in ANGLES)
-# a member's closed forms of those lengths
-_LENGTHS = attrgetter(*[attr for *_, attr in SEGMENTS])
+# a member's closed forms of those lengths, and its area
+_LENGTHS_AREA = attrgetter(*[attr for *_, attr in SEGMENTS], "area")
 
 
 def _form_decisions(
@@ -371,10 +364,11 @@ def _form_decisions(
     return decisions
 
 
-def _construction_decisions(q: QuadConstruction, D: int, A: int, B: int, G: int) -> tuple:
+def _construction_decisions(q: QuadConstruction) -> tuple:
     """The construction's decisions, on its lattice and on its triple
     (A, B, G)/D; and what a member's decisions read: the measurement, the
     shoelace area as an int pair and tan theta as (A, B + G)."""
+    D, A, B, G = q.triple
     scale, points = q.lattice
     measured = _measure(scale, points)
     g, b, g2, g1, center, v_a = points
@@ -429,8 +423,7 @@ def _erratum_checks(errata: tuple[Erratum, ...]) -> list[Check]:
 def verify_construction(q: QuadConstruction) -> VerificationReport:
     """Full oracle pass over one construction."""
     errata = errata_for_triple(q.alpha, q.beta, q.gamma)
-    D, (A, B, G) = common_denominator((q.alpha, q.beta, q.gamma))
-    checks = _checks(_construction_decisions(q, D, A, B, G)[0], q) + _erratum_checks(errata)
+    checks = _checks(_construction_decisions(q)[0], q) + _erratum_checks(errata)
     subject = f"construction({q.alpha}, {q.beta}, {q.gamma})"
     return VerificationReport(subject, tuple(checks), errata)
 
@@ -450,20 +443,18 @@ def _member_decisions(row: MemberRow) -> tuple[QuadConstruction, list[tuple]]:
     """The construction of a member's stored triple (``row.alpha``, ``beta``,
     ``gamma``: the triple its payload prints) and the decisions of its oracle
     pass: the generic construction checks, then the closed forms that
-    ``family._row`` derives from (delta, m, n) (the lengths and area as ints,
-    pairs or Surds, and the ``tangents``), and the Heron criterion."""
+    ``family._row`` derives from (delta, m, n) (the lengths and area, each an
+    int or a (p, q) pair, and the ``tangents``), and the Heron criterion."""
     m, n, L, delta = row.m, row.n, row.L, row.delta
-    triple = row.alpha, row.beta, row.gamma  # ints: over D = 1
-    q = construct_quad(*triple)
-    decisions, measured, measured_area, theta = _construction_decisions(q, 1, *triple)
-    lengths = list(map(form_ints, _LENGTHS(row)))
+    q = construct_quad(row.alpha, row.beta, row.gamma)
+    decisions, measured, measured_area, theta = _construction_decisions(q)
+    *lengths, area = [v if type(v) is tuple else (v, 1) for v in _LENGTHS_AREA(row)]
     decisions += _form_decisions("member-", lengths, map(_ratio, row.tangents), measured)
 
     mm_nn, mmnn = m * m - n * n, m * m + n * n
     # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
     bracket = (delta * delta * m * n * ((mm_nn + 2 * m * m) * mmnn + mm_nn * mm_nn), mmnn)
     reduced = (4 * delta * delta * m**5 * n, L * L)
-    area = form_ints(row.area)
     decisions.append(_equal("member-area-vs-shoelace", measured_area, area))
     decisions.append(_equal("member-area-bracket-form", bracket, area))
     decisions.append(_equal("member-area-reduced-form", reduced, area))
@@ -544,23 +535,20 @@ def verify_scaling(row: MemberRow, parts: tuple) -> tuple:
     return tuple(failed)
 
 
-def verify_window(rows: Iterable[MemberRow], with_errata: bool = True) -> Iterator[tuple]:
-    """Each row of a window in pair order, with its failing checks' names
-    and its errata: the checks of ``verify_member`` (``member_failures``)
-    until a row of its pair passes, then scaling from that one. A scaled
-    row's errata are looked up only ``with_errata``, else they are ()."""
+def verify_window(rows: Iterable[MemberRow]) -> Iterator[tuple[MemberRow, list[str]]]:
+    """Each row of a window in pair order, with its failing checks' names:
+    the checks of ``verify_member`` (``member_failures``) until a row of its
+    pair passes, then scaling from that one."""
     base = parts = None
     for row in rows:
         if base is not None and (base.m, base.n) == (row.m, row.n):
             parts = parts or _scaling_parts(base)
             checks = verify_scaling(row, parts)
             failed = [check.name for check in checks] if checks else []
-            errata = errata_for_member(row.delta, row.m, row.n) if with_errata else ()
         else:
             try:
                 failed = member_failures(row)
             except DomainError as exc:  # construct_quad refuses a triple that is not right
                 raise DomainError(f"{exc} for {row.label}") from None
-            errata = errata_for_member(row.delta, row.m, row.n)
             base, parts = None if failed else row, None
-        yield row, failed, errata
+        yield row, failed

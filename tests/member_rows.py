@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from constructions import form_ints
+from heronquad.exactnum import Surd
 from heronquad.geometry import ANGLES
 
 # the names of a row's ``tangents``, in their order
@@ -10,19 +12,25 @@ TANGENTS = tuple(attr for _, attr in ANGLES)
 
 def value(row, attr):
     """The number a row stores under ``attr`` (or the tangent ``attr``): an
-    int, bool or Surd as it is, a (p, q) leaf as the Fraction p/q."""
+    int or bool as it is, a (p, q) leaf as the Fraction p/q and an (n, d, r)
+    leaf as the Surd (n/d)*sqrt(r)."""
     if attr in TANGENTS:
         return row.tangents[TANGENTS.index(attr)]
     leaf = getattr(row, attr)
-    return Fraction(*leaf) if type(leaf) is tuple else leaf
+    if type(leaf) is not tuple:
+        return leaf
+    n, d, *radicand = leaf
+    return Surd(Fraction(n, d), *radicand) if radicand else Fraction(n, d)
 
 
 def edited(row, **changes):
     """``row`` with ``changes``, each a number: a Fraction stored as its
-    (numerator, denominator), in lowest terms with q >= 1; an int, bool or
-    Surd as it is; a tangent put in its place in ``tangents``."""
+    (numerator, denominator), in lowest terms with q >= 1, and a Surd as its
+    (n, d, r), as a construction stores its closed forms; an int or bool as
+    it is; a tangent put in its place in ``tangents``."""
     tangents = tuple(changes.pop(attr, t) for attr, t in zip(TANGENTS, row.tangents))
     leaves = {
-        attr: v.as_integer_ratio() if isinstance(v, Fraction) else v for attr, v in changes.items()
+        attr: form_ints(v) if isinstance(v, (Fraction, Surd)) else v
+        for attr, v in changes.items()
     }
     return row._replace(tangents=tangents, **leaves)

@@ -138,6 +138,15 @@ class TestRightAngleAndCircle:
         with pytest.raises(ValueError, match="theta_degrees"):
             q._replace(theta_degrees=q.theta_degrees + 1e-9)
 
+    def test_a_construction_is_its_ints(self):
+        # the triple as (D, A, B, G), the lattice and the closed forms: ints only
+        q = construct_quad(Fraction(3, 2), 2, "5/2")
+        assert q.triple == (2, 3, 4, 5)
+        assert (q.alpha, q.beta, q.gamma) == (Fraction(3, 2), 2, Fraction(5, 2))
+        scale, points = q.lattice
+        stored = [*q.triple, scale, *(c for p in points for c in p), *(v for f in q.forms for v in f)]
+        assert all(type(v) is int for v in stored)
+
 
 def interior_tangent(q, vertex) -> Fraction:
     """|cross|/dot of the corner at ``vertex``, from the coordinates alone."""

@@ -46,6 +46,7 @@ from heronquad.verify import (
     verify_scaling,
     verify_window,
 )
+from constructions import edited as edited_quad
 from member_rows import edited, value
 
 
@@ -255,8 +256,8 @@ class TestPtolemy:
         q = construct_quad(3, 4, 5)
         # move Gamma1 along the x-axis by 1/1000: floats barely notice,
         # the exact identity must
-        tampered = q._replace(
-            v_gamma1=Point2(q.v_gamma1.x + Fraction(1, 1000), q.v_gamma1.y)
+        tampered = edited_quad(
+            q, v_gamma1=Point2(q.v_gamma1.x + Fraction(1, 1000), q.v_gamma1.y)
         )
         assert not ptolemy_check(lengths_squared(tampered))
 
@@ -265,8 +266,8 @@ class TestPtolemy:
         # tiny moves give 20-digit squared products, which the check must
         # decide without factoring them
         for move in (Fraction(1, 10**6), Fraction(1, 10**7)):
-            tampered = q._replace(
-                v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + move)
+            tampered = edited_quad(
+                q, v_gamma=Point2(q.v_gamma.x, q.v_gamma.y + move)
             )
             assert not ptolemy_check(lengths_squared(tampered))
 
@@ -284,8 +285,8 @@ class TestPtolemy:
         # Gamma1 along the x-axis must flip both oracles together
         assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
         q = construct_quad(*euclid_triple(delta, m, n))
-        moved = q._replace(
-            v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
+        moved = edited_quad(
+            q, v_gamma1=Point2(q.v_gamma1.x + eps, q.v_gamma1.y)
         )
         concyclic_moved = concyclicity_determinant(*moved.vertices()) == 0
         assert ptolemy_check(lengths_squared(moved)) == concyclic_moved
@@ -377,7 +378,7 @@ class TestVerifyConstruction:
 
     def test_detects_tampered_tangent(self):
         q = construct_quad(120, 35, 125)
-        tampered = q._replace(tan_gamma=Fraction(-8, 3))
+        tampered = edited_quad(q, tan_gamma=Fraction(-8, 3))
         report = verify_construction(tampered)
         assert report.has_failures
         failing = {c.name for c in report.checks if c.status is CheckStatus.FAIL}
@@ -385,13 +386,13 @@ class TestVerifyConstruction:
 
     def test_detects_tampered_length(self):
         q = construct_quad(3, 4, 5)
-        tampered = q._replace(side_gamma2_gamma1=surd_normalize(4, 10))
+        tampered = edited_quad(q, side_gamma2_gamma1=surd_normalize(4, 10))
         report = verify_construction(tampered)
         assert report.has_failures
 
     def test_detects_tampered_vertex(self):
         q = construct_quad(3, 4, 5)
-        tampered = q._replace(v_gamma=Point2(Fraction(2), Fraction(12, 5)))
+        tampered = edited_quad(q, v_gamma=Point2(Fraction(2), Fraction(12, 5)))
         report = verify_construction(tampered)
         failing = {c.name for c in report.checks if c.status is CheckStatus.FAIL}
         assert failing  # concyclicity, circumradius, lengths all blow up
@@ -436,7 +437,7 @@ class TestAngleSpreadCheck:
     def test_a_move_below_the_float_tolerance_fails_it(self):
         # the float spread of this edit reads 0.0; the exact identities do not hold
         q = construct_quad(3, 4, 5)
-        moved = q._replace(v_gamma=Point2(q.v_gamma.x + Fraction(1, 10**30), q.v_gamma.y))
+        moved = edited_quad(q, v_gamma=Point2(q.v_gamma.x + Fraction(1, 10**30), q.v_gamma.y))
         assert "angle-spread-below-1e-10-deg" in verify_construction(moved).failed_names()
 
     @given(
@@ -608,7 +609,7 @@ class TestVerifyWindow:
         assume(window and k != 1)
         i %= len(window)
         window[i] = _edit(window[i], attr, k)
-        verdicts = [(row, bool(failed)) for row, failed, _ in verify_window(window)]
+        verdicts = [(row, bool(failed)) for row, failed in verify_window(window)]
         assert verdicts == [(row, verify_member(row).has_failures) for row in window]
 
     def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
@@ -618,7 +619,7 @@ class TestVerifyWindow:
         window = list(heron_multiples(2, 3))
         for i in (0, 2):
             window[i] = edited(window[i], area=value(window[i], "area") + 1)
-        failed = [names for _, names, _ in verify_window(window)]
+        failed = [names for _, names in verify_window(window)]
         # the next member runs the oracles and becomes the base the third scales from
         assert checked == window[:2]
         assert failed == [
@@ -661,12 +662,12 @@ class TestReportRendering:
 def _tampered(name: str):
     if name == "tampered-vertex":
         q = construct_quad(3, 4, 5)
-        return q._replace(v_gamma=P(2, Fraction(12, 5)))
+        return edited_quad(q, v_gamma=P(2, Fraction(12, 5)))
     q = construct_quad(120, 35, 125)
     if name == "tampered-tangent":
-        return q._replace(tan_gamma=Fraction(-8, 3))
+        return edited_quad(q, tan_gamma=Fraction(-8, 3))
     moved = Point2(q.v_gamma.x, q.v_gamma.y + Fraction(1, 10**7))
-    return q._replace(v_gamma=moved)
+    return edited_quad(q, v_gamma=moved)
 
 
 @pytest.mark.parametrize("name", ["tampered-vertex", "tampered-tangent", "moved-vertex"])
@@ -854,10 +855,10 @@ class TestReportEqualsFractionReference:
         q = construct_quad(*(v * unit for v in legs), hyp * unit)
         if edit in _POINTS:
             x, y = getattr(q, edit)
-            q = q._replace(**{edit: Point2(x, y + _TINY) if along_y else Point2(x + _TINY, y)})
+            q = edited_quad(q, **{edit: Point2(x, y + _TINY) if along_y else Point2(x + _TINY, y)})
         elif edit is not None:
             assume(k != 1)
-            q = q._replace(**{edit: _edited(getattr(q, edit), k)})
+            q = edited_quad(q, **{edit: _edited(getattr(q, edit), k)})
         subject = f"construction({q.alpha}, {q.beta}, {q.gamma})"
         errata = errata_for_triple(q.alpha, q.beta, q.gamma)
         expected = _ref_payload(subject, _ref_construction_checks(q), errata)
@@ -892,7 +893,7 @@ def _moved(point: str, step: str, along_y: bool):
         q = construct_quad(*triple)
         d = _TINY if step == "tiny" else Fraction(1, q.lattice[0])
         x, y = getattr(q, point)
-        return q._replace(**{point: Point2(x, y + d) if along_y else Point2(x + d, y)})
+        return edited_quad(q, **{point: Point2(x, y + d) if along_y else Point2(x + d, y)})
 
     return construct
 
@@ -910,14 +911,14 @@ class TestWindowNamesTheReportsFailures:
     )
     def test_an_edited_closed_form(self, delta, pair, attr, k):
         row = _edit(family_member(delta, *pair), attr, k)
-        ((_, failed, _),) = verify_window([row])
+        ((_, failed),) = verify_window([row])
         assert failed == verify_member(row).failed_names()
         assert bool(failed) == (k != 1 or attr == "is_heron")
 
     @pytest.mark.parametrize("attr", sorted(_EDITED_MEMBER_VALUES))
     def test_an_edited_member_value(self, attr):
         row = edited(family_member(5, 4, 3), **{attr: _EDITED_MEMBER_VALUES[attr]})
-        ((_, failed, _),) = verify_window([row])
+        ((_, failed),) = verify_window([row])
         assert failed == verify_member(row).failed_names() != []
 
     @given(
@@ -932,7 +933,7 @@ class TestWindowNamesTheReportsFailures:
         row = family_member(delta, *pair)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "construct_quad", _moved(point, step, along_y))
-            ((_, failed, _),) = verify_window([row])
+            ((_, failed),) = verify_window([row])
             assert failed == verify_member(row).failed_names() != []
 
     @pytest.mark.parametrize("csv", [False, True])

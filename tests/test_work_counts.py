@@ -1,10 +1,11 @@
 """Work counts: each subject is constructed once, each member's closed
 forms are checked once, each oracle is evaluated once per verification,
 each coordinate quantity is measured once per verification on one integer
-lattice, verifying a built construction factors nothing, and ``family`` and
-``heron-table`` run the oracles once per pair, check every other member by
-its scaling and look up each member's errata once, where they are printed; a
-passing window builds no ``Check``, and ``verify`` one per rendered check."""
+lattice, verifying a built construction factors nothing and writes no
+rational over a common denominator, and ``family`` and ``heron-table`` run
+the oracles once per pair, check every other member by its scaling and look
+up each member's errata once, where they are printed; a passing window
+builds no ``Check``, and ``verify`` one per rendered check."""
 
 import json
 import math
@@ -99,9 +100,8 @@ def test_heron_table_csv_looks_up_no_scaled_rows_errata(calls, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 45
     assert calls["member_failures"] == 15
     assert calls["verify_scaling"] == 30
-    # CSV prints no errata: only each pair's oracle pass looks them up, none
-    # of the 30 scaled rows
-    assert calls["errata_for_member"] == calls["member_failures"]
+    # CSV prints no errata: no row's are looked up
+    assert calls["errata_for_member"] == 0
 
 
 @pytest.mark.parametrize(
@@ -157,6 +157,8 @@ def test_verify_construction_evaluates_each_oracle_once(calls):
     assert calls["ptolemy_check"] == 1
     assert calls["construct_quad"] == 0
     assert calls["squarefree_decompose"] == 0
+    # the construction stores its triple as ints over one denominator
+    assert calls["common_denominator"] == 0
 
 
 def test_verify_member_builds_the_one_construction(calls):
@@ -176,25 +178,30 @@ def test_verify_member_measures_each_quantity_once(calls):
     # 4 circumradii and 6 measured lengths; ptolemy_check reads the six
     assert calls["dist_squared"] == 10
     # one (dot, cross) per corner, which gives the tangents; and one each for
-    # the right angle at B, the base angle at Gamma2 and the apex double angle
-    assert calls["dot_cross"] == 4 + 3
+    # the right angle at B, the base angle at Gamma2 and the apex double angle;
+    # and one on float coordinates, for the angle spread the report shows
+    assert calls["dot_cross"] == 4 + 3 + 1
     # in a quadrilateral every vertex triple is a corner: one orientation per
     # corner serves the collinear-triple and the self-intersection tests
     assert calls["_orient"] == 4
-    # the construction's triple and the one lattice of its vertices
-    assert calls["common_denominator"] <= 2
+    # construct_quad writes the member's triple over one denominator; the
+    # lattice of its points is reduced from ints
+    assert calls["common_denominator"] == 1
 
 
-def test_no_float_decides_a_check(calls, capsys):
+def test_no_float_decides_a_check(calls, capsys, monkeypatch):
     # heron-table renders no check, so it computes no float spread at all
     assert main(["heron-table", "--t-max", "8"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == 15
     assert calls["angle_spread_degrees"] == calls["scaled_floats"] == 0
-    assert not verify.verify_member(family_member(5, 4, 3)).has_failures
-    assert calls["angle_spread_degrees"] == 0
-    # verify renders the spread check's float actual once
+    # a spread far past 1e-10 is shown as the check's actual, and decides nothing
+    spreads = []
+    monkeypatch.setattr(verify, "angle_spread_degrees", lambda q: spreads.append(q) or 1.0)
     assert main(["verify", "--params", "5", "4", "3"]) == 0
-    assert calls["angle_spread_degrees"] == 1
+    checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+    (spread,) = [c for c in checks if c["name"] == "angle-spread-below-1e-10-deg"]
+    assert (spread["status"], spread["actual"]) == ("pass", "1.0")
+    assert len(spreads) == 1
 
 
 @pytest.fixture
@@ -232,8 +239,8 @@ def test_verify_renders_each_check_once(renders, capsys):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Count the ``Check``s and ``_OnRender`` values built: counting subclasses
-    patched in under ``verify``, where every one of them is built."""
+    """Count the ``Check``s built: counting a subclass patched in under
+    ``verify``, where every one of them is built."""
     tally = Counter()
 
     class CountedCheck(verify.Check):
@@ -243,13 +250,7 @@ def built(monkeypatch):
             tally["Check"] += 1
             return super().__new__(cls, *args)
 
-    class CountedOnRender(verify._OnRender):
-        def __new__(cls, *args):
-            tally["_OnRender"] += 1
-            return super().__new__(cls, *args)
-
     monkeypatch.setattr(verify, "Check", CountedCheck)
-    monkeypatch.setattr(verify, "_OnRender", CountedOnRender)
     return tally
 
 
@@ -266,12 +267,10 @@ def test_a_passing_window_builds_no_check(built, capsys, argv):
     # each pair's oracle pass reads only its failing checks' names
     assert main(argv) == 0
     assert capsys.readouterr().out
-    assert built["Check"] == built["_OnRender"] == 0
+    assert built["Check"] == 0
 
 
 def test_verify_builds_one_check_per_rendered_check(built, capsys):
     assert main(["verify", "--params", "5", "4", "3"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["checks"]) == 47
     assert built["Check"] == 47
-    # the float angle spread, the one value computed only when rendered
-    assert built["_OnRender"] == 1

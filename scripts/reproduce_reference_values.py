@@ -119,16 +119,17 @@ def report_heron_table(failures: list[str], verbose: bool) -> None:
     seen = set()
     for _t1, _t2, m, n, L in generating_pairs(3):
         member = family_member(L, m, n)
-        # a rational leaf is (numerator, denominator), of denominator 1 at delta = L
-        row = (
+        # each leaf is (numerator, denominator), of denominator 1 at delta = L
+        leaves = (
             member.side_gamma_b,
-            int(Fraction(*member.side_gamma_gamma1)),
+            member.side_gamma_gamma1,
             member.side_gamma2_gamma1,
             member.side_b_gamma2,
             member.diag_b_gamma1,
-            int(Fraction(*member.diag_gamma_gamma2)),
-            int(Fraction(*member.area)),
+            member.diag_gamma_gamma2,
+            member.area,
         )
+        row = tuple(int(Fraction(*leaf)) for leaf in leaves)
         _check(f"row (m={m}, n={n})", row, expected_rows[(m, n)], failures, verbose)
         seen.add((m, n))
 

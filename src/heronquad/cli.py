@@ -225,7 +225,7 @@ def _theta_degrees(alpha: Fraction | int, bg: Fraction | int) -> tuple[float, st
     return _round10(degrees), f"{degrees:.5f}"
 
 
-def _theta_payload(tan: Fraction, degrees: float | str, display: str) -> dict:
+def _theta_payload(tan: Fraction | str, degrees: float | str, display: str) -> dict:
     """theta's tangent, ``degrees`` and ``degrees_display``, as ``_theta_degrees`` gives them."""
     return {"tan": str(tan), "degrees": degrees, "degrees_display": display}
 
@@ -483,10 +483,8 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 # subcommand: family
 
 
-def _exact_text(leaf: int | tuple[int, int]) -> str:
-    """``str`` of the exact value of a row leaf, an int or (p, q): p/q, or p when q = 1."""
-    if type(leaf) is int:
-        return str(leaf)
+def _exact_text(leaf: tuple[int, int]) -> str:
+    """``str`` of the exact value of a row leaf (p, q): p/q, or p when q = 1."""
     p, q = leaf
     return f"{p}/{q}" if q != 1 else str(p)
 
@@ -500,12 +498,12 @@ def _member_leaves(row: MemberRow) -> tuple[str, ...]:
     is the same at every delta (``verify_member`` checks it:
     member-theta-n-over-m)."""
     delta, _m, _n, _L, _tangents, a, b, c, gb, bg2, k, gg1, bg1, gg2, area, is_heron = row
-    degrees = theta_degrees(gb, bg1)  # as ``_theta_degrees`` shows it
-    k = str(k)  # k is the side Gamma2-Gamma1
+    degrees = theta_degrees(a, b + c)  # as ``_theta_degrees`` shows it
+    k = _exact_text(k)  # k is the side Gamma2-Gamma1
     return (
         str(delta), k, str(a), str(b), str(c),
-        str(gb), str(bg2), k, _exact_text(gg1), str(bg1), _exact_text(gg2),
-        _exact_text(area),
+        _exact_text(gb), _exact_text(bg2), k, _exact_text(gg1), _exact_text(bg1),
+        _exact_text(gg2), _exact_text(area),
         "true" if is_heron else "false",
         _round10_text(degrees),
         f"{degrees:.5f}",
@@ -530,10 +528,10 @@ def _member_payload(row: MemberRow, errata, leaves: tuple) -> dict:
             "k": k,
         },
         "triple": [a, b, c],
-        **_measures_payload(map(str, lengths), row.tangents),
+        **_measures_payload(map(str, lengths), map(_exact_text, row.tangents)),
         "area": str(area),
         "is_heron": is_heron,
-        "theta": _theta_payload(Fraction(row.n, row.m), degrees, str(display)),
+        "theta": _theta_payload(_exact_text((row.n, row.m)), degrees, str(display)),
         "errata": [er.ident for er in errata],
     }
 

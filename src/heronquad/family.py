@@ -7,12 +7,13 @@ for the member:
 
     sides      2*d*m*n, 2*d*m*n, 2*d*m*L, 2*d*m*(m^2 - n^2)/L
     diagonals  2*d*m^2, 4*d*m^2*n/L
-    tangents   2mn/(n^2 - m^2), -m/n, 2mn/(m^2 - n^2), m/n
+    tangents   -2mn/(m^2 - n^2), -m/n, 2mn/(m^2 - n^2), m/n
     area       4*d^2*m^5*n/L^2
 
 All six lengths and the area are integers exactly when L divides d (the
-Heron members). ``_row``, their one home, gives a member as a ``MemberRow``
-of ints, the one member type. ``enumerate_family``
+Heron members). ``_row``, their one home, gives a member as a ``MemberRow``,
+the one member type: a member is its ints, each length, the area and each
+tangent one (p, q) in lowest terms, q >= 1. ``enumerate_family``
 (``family``: a delta range per pair) and ``heron_multiples``
 (``heron-table``: delta = j*L) take their rows from one walker. It refuses
 a window of more than ``MEMBERS_MAX`` members, counted from the t-pairs
@@ -31,7 +32,6 @@ even-m: m = 2*t1*t2) follow from (m, n, L), so a member derives them.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
@@ -64,23 +64,24 @@ class TForm(Enum):
 
 
 class MemberRow(NamedTuple):
-    """A family member as ints (and its pair's one tuple of tangents, at B,
-    Gamma, Gamma1 and Gamma2): each rational length and the area as
-    (numerator, denominator) in lowest terms, q >= 1."""
+    """A family member as its ints: (delta, m, n, L), its pair's one tuple of
+    tangents (at B, Gamma, Gamma1 and Gamma2), the triple, and each length and
+    the area, every rational one as (numerator, denominator) in lowest terms,
+    q >= 1, the form ``QuadConstruction.forms`` uses."""
 
     delta: int
     m: int
     n: int
     L: int
-    tangents: tuple
+    tangents: tuple[tuple[int, int], ...]
     alpha: int
     beta: int
     gamma: int
-    side_gamma_b: int
-    side_b_gamma2: int
-    side_gamma2_gamma1: int  # k = sqrt(alpha^2 + (beta + gamma)^2) = 2*d*m*L
+    side_gamma_b: tuple[int, int]
+    side_b_gamma2: tuple[int, int]
+    side_gamma2_gamma1: tuple[int, int]  # k = sqrt(alpha^2 + (beta + gamma)^2) = 2*d*m*L
     side_gamma_gamma1: tuple[int, int]
-    diag_b_gamma1: int
+    diag_b_gamma1: tuple[int, int]
     diag_gamma_gamma2: tuple[int, int]
     area: tuple[int, int]
     is_heron: bool
@@ -109,14 +110,11 @@ def mnl_from_t(t1: int, t2: int) -> tuple[int, int, int]:
     return max(double_prod, square_diff), min(double_prod, square_diff), L
 
 
-def _tangents(m: int, n: int) -> tuple:
-    """The tangents at B, Gamma, Gamma1 and Gamma2 of every member of (m, n)."""
-    return (
-        Fraction(2 * m * n, n * n - m * m),
-        Fraction(-m, n),
-        Fraction(2 * m * n, m * m - n * n),
-        Fraction(m, n),
-    )
+def _tangents(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The tangents at B, Gamma, Gamma1 and Gamma2 of every member of (m, n),
+    in lowest terms: m^2 - n^2 is odd and prime to m and n."""
+    mn2, mm_nn = 2 * m * n, m * m - n * n
+    return (-mn2, mm_nn), (-m, n), (mn2, mm_nn), (m, n)
 
 
 def _row(delta: int, m: int, n: int, L: int, tangents: tuple) -> MemberRow:
@@ -130,8 +128,8 @@ def _row(delta: int, m: int, n: int, L: int, tangents: tuple) -> MemberRow:
         delta, m, n, L, tangents,
         *euclid_triple(delta, m, n),
         # the sides in traversal order, then the diagonals, as in the table above
-        dmn, dmn, dm * L, (dm * (m * m - n * n) // g, q),
-        dm * m, (2 * m * dmn // g, q),
+        (dmn, 1), (dmn, 1), (dm * L, 1), (dm * (m * m - n * n) // g, q),
+        (dm * m, 1), (2 * m * dmn // g, q),
         (4 * delta * delta * m**5 * n // (g * g), q * q),
         delta % L == 0,
     )

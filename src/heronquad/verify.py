@@ -23,10 +23,11 @@ no ``Check`` and no Fraction there. ``verify_construction`` and
 decision, keep an int pair as a Fraction, and compute the one float shown
 (the angle spread) when the report is built.
 
-A family member (``family.MemberRow``) is the quadrilateral of its stored
-triple delta*(2mn, m^2 - n^2, m^2 + n^2), the one its payload prints:
-``verify_member`` builds that triple's construction and checks against it the
-closed forms that ``family._row`` derives from (delta, m, n). ``construct_quad``
+A family member (``family.MemberRow``) is its ints: the quadrilateral of its
+stored triple delta*(2mn, m^2 - n^2, m^2 + n^2), the one its payload prints,
+and each closed form that ``family._row`` derives from (delta, m, n) as one
+(p, q). ``verify_member`` builds that triple's construction and checks those
+pairs against it, as it checks the construction's own. ``construct_quad``
 is homogeneous: a triple scaled by s > 0 scales its coordinates, lengths and
 surd coefficients by s and its squared radius and area by s^2, and keeps its
 radicands and tangents. Each check but the Heron criterion is homogeneous in
@@ -35,7 +36,8 @@ forms scale from a verified member of its pair (degree 1 in delta, the area 2,
 the tangents 0) gets the same verdict from each. ``verify_window``, the one
 home of that policy for ``family`` and ``heron-table``, decides the checks of
 ``verify_member`` on a pair's first row (``member_failures``), and
-``verify_scaling`` decides each other row on its ints alone. It yields each
+``verify_scaling`` decides each other row by cross-multiplying its ints with
+that row's. Neither builds a Fraction. It yields each
 row's verdict only: the errata registry runs no oracle, and the printers
 look up the errata of the rows they print.
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errata import errata_for_member, errata_for_triple
@@ -304,10 +306,6 @@ def _equal(name: str, expected: tuple[int, int], actual: tuple[int, int]) -> tup
     return name, en * ad == an * ed, expected, actual
 
 
-# the (numerator, denominator) of an int or a Fraction, in one call
-_ratio = methodcaller("as_integer_ratio")
-
-
 def _squared(form: tuple[int, ...]) -> tuple[int, int]:
     """The exact square of a length kept as ints, (n, d) for n/d or (n, d, r)
     for (n/d)*sqrt(r), as (numerator, denominator)."""
@@ -428,13 +426,20 @@ def verify_construction(q: QuadConstruction) -> VerificationReport:
     return VerificationReport(subject, tuple(checks), errata)
 
 
-def _heron(is_heron: bool, criterion: bool, integral: bool) -> tuple:
+# a member's rational closed forms, in lowest terms: Gamma-Gamma1, Gamma-Gamma2 and the area
+_RATIONAL = attrgetter("side_gamma_gamma1", "diag_gamma_gamma2", "area")
+
+
+def _heron(row: MemberRow) -> tuple:
     """The decision of the Heron criterion: ``is_heron`` iff delta%L == 0 iff every
     rational closed form is an int."""
+    criterion = row.delta % row.L == 0
+    gg1, gg2, area = _RATIONAL(row)
+    integral = gg1[1] == gg2[1] == area[1] == 1
     return (
         "heron-criterion-matches-integrality",
-        is_heron == criterion == integral,
-        f"is_heron={is_heron}",
+        row.is_heron == criterion == integral,
+        f"is_heron={row.is_heron}",
         f"delta%L==0: {criterion}, all integral: {integral}",
     )
 
@@ -443,13 +448,13 @@ def _member_decisions(row: MemberRow) -> tuple[QuadConstruction, list[tuple]]:
     """The construction of a member's stored triple (``row.alpha``, ``beta``,
     ``gamma``: the triple its payload prints) and the decisions of its oracle
     pass: the generic construction checks, then the closed forms that
-    ``family._row`` derives from (delta, m, n) (the lengths and area, each an
-    int or a (p, q) pair, and the ``tangents``), and the Heron criterion."""
+    ``family._row`` derives from (delta, m, n) (the lengths, the area and the
+    ``tangents``, each a (p, q) pair), and the Heron criterion."""
     m, n, L, delta = row.m, row.n, row.L, row.delta
     q = construct_quad(row.alpha, row.beta, row.gamma)
     decisions, measured, measured_area, theta = _construction_decisions(q)
-    *lengths, area = [v if type(v) is tuple else (v, 1) for v in _LENGTHS_AREA(row)]
-    decisions += _form_decisions("member-", lengths, map(_ratio, row.tangents), measured)
+    *lengths, area = _LENGTHS_AREA(row)
+    decisions += _form_decisions("member-", lengths, row.tangents, measured)
 
     mm_nn, mmnn = m * m - n * n, m * m + n * n
     # delta^2 m n (m^2 - n^2 + (m^2 - n^2)^2/(m^2 + n^2) + 2m^2), over m^2 + n^2
@@ -458,9 +463,7 @@ def _member_decisions(row: MemberRow) -> tuple[QuadConstruction, list[tuple]]:
     decisions.append(_equal("member-area-vs-shoelace", measured_area, area))
     decisions.append(_equal("member-area-bracket-form", bracket, area))
     decisions.append(_equal("member-area-reduced-form", reduced, area))
-    # the rational closed forms, in lowest terms: Gamma-Gamma1, Gamma-Gamma2 and the area
-    integral = lengths[3][1] == lengths[5][1] == area[1] == 1
-    decisions.append(_heron(row.is_heron, delta % L == 0, integral))
+    decisions.append(_heron(row))
     decisions.append(_equal("member-theta-n-over-m", theta, (n, m)))
     return q, decisions
 
@@ -482,73 +485,51 @@ def member_failures(row: MemberRow) -> list[str]:
     return [name for name, ok, _, _ in _member_decisions(row)[1] if not ok]
 
 
-# (check name, degree in delta) of each leaf of ``_LEAVES``: the triple, the
-# six lengths and the area of a row
+# (check name, degree in delta) of each leaf of ``_leaves``
 _SCALING = (
     *((f"member-scaling-{leg}", 1) for leg in ("alpha", "beta", "gamma")),
     *((f"member-scaling-{name}", 1) for name in _LENGTH_NAMES),
     ("member-scaling-area", 2),
 )
-_LEAVES = attrgetter("alpha", "beta", "gamma", *[attr for *_, attr in SEGMENTS], "area")
 
 
-def _scaling_parts(base: MemberRow) -> tuple:
-    """The base of ``verify_scaling``: for each leaf, its check name, its degree
-    and its value in ``base`` over delta^degree, in lowest terms, as (numerator,
-    denominator); and the tangents of ``base``. For a verified row the triple
-    and the four integral lengths have denominator 1."""
-    d0, parts = base.delta, []
-    for (name, k), leaf in zip(_SCALING, _LEAVES(base)):
-        value = Fraction(*leaf) if type(leaf) is tuple else Fraction(leaf)
-        parts.append((name, k, *_ratio(value / d0**k)))
-    return parts, base.tangents
+def _leaves(row: MemberRow) -> tuple[tuple[int, int], ...]:
+    """The triple, the six lengths and the area of a row, each as (p, q)."""
+    return ((row.alpha, 1), (row.beta, 1), (row.gamma, 1), *_LENGTHS_AREA(row))
 
 
-def verify_scaling(row: MemberRow, parts: tuple) -> tuple:
-    """The failing checks of ``row`` against ``parts``, the ``_scaling_parts``
-    of a row of its pair that ``verify_member`` passed: each leaf, an int or
-    (p, q), must be n0/d0 * delta^degree for its part (n0, d0), decided on ints
+def verify_scaling(row: MemberRow, base: MemberRow) -> list[str]:
+    """The names of the failing checks of ``row`` against ``base``, a row of
+    its pair that ``verify_member`` passed: each leaf p/q must be
+    p0/q0 * (delta/delta0)^degree for the base's leaf p0/q0, decided on ints
     by cross-multiplying; its tangents must be the base's; and the Heron
     criterion must hold."""
-    delta = row.delta
-    powers = (1, delta, delta * delta)
-    scaled, tangents = parts
+    delta, d0 = row.delta, base.delta
+    powers, powers0 = (1, delta, delta * delta), (1, d0, d0 * d0)
     failed = []
-    integral = True
-    for (name, k, n0, d0), leaf in zip(scaled, _LEAVES(row)):
-        if type(leaf) is tuple:
-            p, q = leaf
-            integral = integral and q == 1
-        else:
-            p, q = leaf, 1
-        if p * d0 != n0 * powers[k] * q:
-            failed.append(Check(name, FAIL, Fraction(n0 * powers[k], d0), Fraction(p, q)))
-    if row.tangents != tangents:
-        failed += [
-            Check(f"member-scaling-{name}", FAIL, t0, t)
-            for name, t0, t in zip(_TANGENT_NAMES, tangents, row.tangents)
-            if t0 != t
-        ]
-    name, ok, expected, actual = _heron(row.is_heron, delta % row.L == 0, integral)
-    if not ok:
-        failed.append(Check(name, FAIL, expected, actual))
-    return tuple(failed)
+    for (name, k), (p0, q0), (p, q) in zip(_SCALING, _leaves(base), _leaves(row)):
+        if p * q0 * powers0[k] != p0 * q * powers[k]:
+            failed.append(name)
+    if row.tangents != base.tangents:  # a pair's rows share one tuple
+        for name, (p0, q0), (p, q) in zip(_TANGENT_NAMES, base.tangents, row.tangents):
+            if p * q0 != p0 * q:
+                failed.append(f"member-scaling-{name}")
+    name, ok, _, _ = _heron(row)
+    return failed if ok else [*failed, name]
 
 
 def verify_window(rows: Iterable[MemberRow]) -> Iterator[tuple[MemberRow, list[str]]]:
     """Each row of a window in pair order, with its failing checks' names:
     the checks of ``verify_member`` (``member_failures``) until a row of its
     pair passes, then scaling from that one."""
-    base = parts = None
+    base = None
     for row in rows:
         if base is not None and (base.m, base.n) == (row.m, row.n):
-            parts = parts or _scaling_parts(base)
-            checks = verify_scaling(row, parts)
-            failed = [check.name for check in checks] if checks else []
+            failed = verify_scaling(row, base)
         else:
             try:
                 failed = member_failures(row)
             except DomainError as exc:  # construct_quad refuses a triple that is not right
                 raise DomainError(f"{exc} for {row.label}") from None
-            base, parts = None if failed else row, None
+            base = None if failed else row
         yield row, failed

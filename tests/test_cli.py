@@ -625,12 +625,12 @@ def member_encoding(member) -> str:
     errata = errata_for_member(member.delta, member.m, member.n)
     leaves = (
         member.delta,
-        member.side_gamma2_gamma1,  # k
+        int(value(member, "side_gamma2_gamma1")),  # k
         *euclid_triple(member.delta, member.m, member.n),
         *(str(value(member, attr)) for *_, attr in SEGMENTS),
         str(value(member, "area")),
         member.is_heron,
-        *cli._theta_degrees(member.side_gamma_b, member.diag_b_gamma1),
+        *cli._theta_degrees(value(member, "side_gamma_b"), value(member, "diag_b_gamma1")),
     )
     return cli._encoded(cli._member_payload(member, errata, leaves))
 
@@ -918,12 +918,7 @@ class TestHeronTableCommand:
 def _misprinted_tangents(m, n):
     """The published family tangents, -2m/n at Gamma and 2m/n at Gamma2 (the
     ``family-tangent-closed-form`` erratum), in place of ``family._tangents``."""
-    return (
-        Fraction(2 * m * n, n * n - m * m),
-        Fraction(-2 * m, n),
-        Fraction(2 * m * n, m * m - n * n),
-        Fraction(2 * m, n),
-    )
+    return (-2 * m * n, m * m - n * n), (-2 * m, n), (2 * m * n, m * m - n * n), (2 * m, n)
 
 
 class TestMisprintedClosedForm:

@@ -22,7 +22,7 @@ from heronquad.family import (
     heron_multiples,
     mnl_from_t,
 )
-from member_rows import edited, value
+from member_rows import FORMS, TANGENTS, edited, value
 
 
 class TestMnlFromT:
@@ -105,13 +105,13 @@ class TestFamilyMember:
     def test_worked_example_member(self):
         mem = family_member(5, 4, 3)
         assert (mem.alpha, mem.beta, mem.gamma) == (120, 35, 125)
-        assert mem.side_gamma_b == 120
-        assert mem.side_b_gamma2 == 120
-        assert mem.side_gamma2_gamma1 == 200
+        assert value(mem, "side_gamma_b") == 120
+        assert value(mem, "side_b_gamma2") == 120
+        assert value(mem, "side_gamma2_gamma1") == 200
         assert mem.side_gamma_gamma1 == (56, 1)
-        assert mem.diag_b_gamma1 == 160
+        assert value(mem, "diag_b_gamma1") == 160
         assert mem.diag_gamma_gamma2 == (192, 1)
-        assert mem.tangents == (
+        assert tuple(value(mem, attr) for attr in TANGENTS) == (
             Fraction(-24, 7), Fraction(-4, 3), Fraction(24, 7), Fraction(4, 3)
         )
         assert mem.area == (12288, 1)
@@ -140,7 +140,7 @@ class TestFamilyMember:
     def test_delta_scaling_is_linear_in_lengths_quadratic_in_area(self):
         base = family_member(1, 4, 3)
         scaled = family_member(7, 4, 3)
-        assert scaled.side_gamma_b == 7 * base.side_gamma_b
+        assert value(scaled, "side_gamma_b") == 7 * value(base, "side_gamma_b")
         for attr in ("side_gamma_gamma1", "diag_gamma_gamma2"):
             assert value(scaled, attr) == 7 * value(base, attr)
         assert value(scaled, "area") == 49 * value(base, "area")
@@ -170,10 +170,15 @@ class TestFamilyMember:
     def test_k_parameter(self):
         # k, the side Gamma2-Gamma1
         mem = family_member(5, 4, 3)
-        k = mem.side_gamma2_gamma1
+        k = value(mem, "side_gamma2_gamma1")
         assert k == 2 * 5 * 4 * 5
         a, b, g = (Fraction(v) for v in (mem.alpha, mem.beta, mem.gamma))
         assert k * k == a * a + (b + g) ** 2
+
+
+def _ints(leaf) -> bool:
+    """Whether ``leaf`` is an int, or a tuple of them at any depth."""
+    return type(leaf) is int or type(leaf) is tuple and all(map(_ints, leaf))
 
 
 class TestMemberRow:
@@ -207,7 +212,7 @@ class TestMemberRow:
         }
         for attr, closed_form in closed.items():
             leaf = getattr(row, attr)
-            if attr in ("side_gamma_gamma1", "diag_gamma_gamma2", "area"):
+            if attr in FORMS:
                 p, q = leaf
                 assert q >= 1 and math.gcd(p, q) == 1, (attr, leaf)
                 leaf = Fraction(p, q)
@@ -217,7 +222,8 @@ class TestMemberRow:
             assert value(member, attr) == closed_form
         assert (row.alpha, row.beta, row.gamma) == euclid_triple(delta, m, n)
         assert row[:4] == member[:4] == (delta, m, n, L)
-        assert row.tangents == member.tangents == (
+        assert row.tangents == member.tangents
+        assert tuple(value(row, attr) for attr in TANGENTS) == (
             Fraction(-2 * m * n, m * m - n * n), Fraction(-m, n),
             Fraction(2 * m * n, m * m - n * n), Fraction(m, n),
         )
@@ -230,12 +236,15 @@ class TestMemberRow:
         ids=["family", "heron-table"],
     )
     def test_every_rational_leaf_is_in_lowest_terms(self, window):
-        # the Heron decision reads the denominators, so it needs each (p, q) reduced
+        # a member is its ints; the Heron decision reads the denominators, so
+        # it needs each (p, q) reduced
         rows = list(window())
         assert rows
         for row in rows:
-            for attr in ("side_gamma_gamma1", "diag_gamma_gamma2", "area"):
-                p, q = getattr(row, attr)
+            for leaf in row:
+                assert type(leaf) is bool or _ints(leaf), (row, leaf)
+            for attr in FORMS:
+                p, q = row.tangents[TANGENTS.index(attr)] if attr in TANGENTS else getattr(row, attr)
                 assert q >= 1 and math.gcd(p, q) == 1, (row, attr)
             assert family_member(row.delta, row.m, row.n) == row
 

@@ -33,7 +33,6 @@ from heronquad.geometry import (
 )
 from heronquad.verify import (
     CheckStatus,
-    _scaling_parts,
     concyclic,
     concyclicity_determinant,
     errata_for_member,
@@ -521,7 +520,7 @@ class TestVerifyScaling:
         bases = {}
         for row in enumerate_family(5, 12):
             base = bases.setdefault((row.m, row.n), row)
-            assert verify_scaling(row, _scaling_parts(base)) == ()
+            assert verify_scaling(row, base) == []
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -535,55 +534,49 @@ class TestVerifyScaling:
         # of its pair, fails the scaling check exactly when the oracles fail it
         assume(k != 1)
         row = _edit(family_member(delta, *pair), attr, k)
-        parts = _scaling_parts(family_member(delta0, *pair))
-        failed = [check.name for check in verify_scaling(row, parts)]
+        failed = verify_scaling(row, family_member(delta0, *pair))
         assert bool(failed) == verify_member(row).has_failures
         if attr != "is_heron":
             assert failed[0] == _SCALED[attr]
 
-    def test_renders_the_scaled_base_value(self):
-        base, member = family_member(1, 4, 3), family_member(3, 4, 3)
-        area = value(member, "area")
-        (check,) = verify_scaling(edited(member, area=area + 1), _scaling_parts(base))
-        assert check.to_payload() == {
-            "name": "member-scaling-area",
-            "status": "fail",
-            "expected": str(9 * value(base, "area")),
-            "actual": str(area + 1),
-        }
+    @pytest.mark.parametrize("delta", [1, 5, 13, 10**20])
+    def test_a_triple_scaled_alone_fails_each_legs_scaling(self, delta):
+        # the triple of delta + 1, a right triple, in a row whose other leaves are delta's
+        member = family_member(delta, 12, 5)
+        row = edited(member, **{
+            leg: getattr(member, leg) * (delta + 1) // delta for leg in ("alpha", "beta", "gamma")
+        })
+        assert (row.alpha, row.beta, row.gamma) == euclid_triple(delta + 1, 12, 5)
+        assert verify_scaling(row, family_member(2, 12, 5)) == [
+            "member-scaling-alpha", "member-scaling-beta", "member-scaling-gamma"
+        ]
+        assert verify_member(row).has_failures
 
     @pytest.mark.parametrize(
         "attr",
         [
-            # ints at every delta
+            # of q = 1 at every delta
             "side_gamma_b",
             "side_b_gamma2",
             "side_gamma2_gamma1",
             "diag_b_gamma1",
-            # (p, q) pairs, of q = 1 at a multiple of L
+            # of q = 1 at a multiple of L
             "side_gamma_gamma1",
             "diag_gamma_gamma2",
             "area",
         ],
     )
     def test_an_int_leaf_and_its_equal_fraction_are_one_value(self, attr):
-        # a row leaf is an int or (p, q): an int as (v, 1), and (p, 1) as p, is the same value
+        # a row keeps an int v as (v, 1), the one form of the Fraction v too
         base, member = family_member(1, 12, 5), family_member(3 * 13, 12, 5)
         number = value(member, attr)
-        swapped = Fraction(number) if isinstance(number, int) else int(number)
-        assert swapped == number and type(swapped) is not type(number)
-        parts = _scaling_parts(base)
-        row = edited(member, **{attr: swapped})
-        assert type(getattr(row, attr)) is not type(getattr(member, attr))
-        assert verify_scaling(row, parts) == ()
+        assert number.denominator == 1
+        row = edited(member, **{attr: int(number)})
+        assert row == edited(member, **{attr: Fraction(number)}) == member
+        assert verify_scaling(row, base) == []
         assert not verify_member(row).has_failures
-        # one more fails, and keeps the scaled base value and the leaf
-        (check,) = verify_scaling(edited(member, **{attr: swapped + 1}), parts)
-        scale = Fraction(member.delta, base.delta) ** (2 if attr == "area" else 1)
-        assert check == verify.Check(
-            _SCALED[attr], CheckStatus.FAIL, value(base, attr) * scale, swapped + 1
-        )
-        assert type(check.expected) is Fraction
+        # one more fails the scaling of that leaf alone
+        assert verify_scaling(edited(member, **{attr: number + 1}), base) == [_SCALED[attr]]
 
 
 # small windows in pair order, of both commands' shapes

@@ -5,12 +5,14 @@ lattice, verifying a built construction factors nothing and writes no
 rational over a common denominator, and ``family`` and ``heron-table`` run
 the oracles once per pair, check every other member by its scaling and look
 up each member's errata once, where they are printed; a passing window
-builds no ``Check``, and ``verify`` one per rendered check."""
+builds no ``Check`` and no ``verify`` Fraction, and ``verify`` one ``Check``
+per rendered check."""
 
 import json
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -239,9 +241,13 @@ def test_verify_renders_each_check_once(renders, capsys):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Count the ``Check``s built: counting a subclass patched in under
-    ``verify``, where every one of them is built."""
+    """Count the ``Check``s built, by a subclass patched in under ``verify``,
+    where every one of them is built; and the Fractions built there."""
     tally = Counter()
+
+    def fraction(*args):
+        tally["Fraction"] += 1
+        return Fraction(*args)
 
     class CountedCheck(verify.Check):
         __slots__ = ()
@@ -251,6 +257,7 @@ def built(monkeypatch):
             return super().__new__(cls, *args)
 
     monkeypatch.setattr(verify, "Check", CountedCheck)
+    monkeypatch.setattr(verify, "Fraction", fraction)
     return tally
 
 
@@ -274,3 +281,19 @@ def test_verify_builds_one_check_per_rendered_check(built, capsys):
     assert main(["verify", "--params", "5", "4", "3"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["checks"]) == 47
     assert built["Check"] == 47
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--t-max", "4", "--delta-max", "30"],
+        ["heron-table", "--t-max", "8", "--delta-multiples", "3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_passing_window_builds_no_fraction(built, calls, capsys, argv):
+    # a scaled row is decided on its own ints and its base row's
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert calls["verify_scaling"] > 0
+    assert built["Fraction"] == 0

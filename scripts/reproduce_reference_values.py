@@ -17,10 +17,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from heronquad.exactnum import Surd, surd_normalize
+from heronquad.exactnum import Surd
 from heronquad.family import family_member, generating_pairs
-from heronquad.geometry import construct_quad
-from heronquad.verify import shoelace, verify_construction, verify_member
+from heronquad.geometry import construct_quad, twice_area
+from heronquad.verify import verify_construction, verify_member
 
 
 def _check(label: str, computed, expected, failures: list[str], verbose: bool) -> None:
@@ -41,22 +41,10 @@ def _rational(u: Surd) -> Fraction | Surd:
 def report_small_triple(failures: list[str], verbose: bool) -> None:
     print("construction (3, 4, 5):")
     q = construct_quad(3, 4, 5)
-    _check("|Gamma2 Gamma1|", q.side_gamma2_gamma1, surd_normalize(3, 10), failures, verbose)
-    _check(
-        "|Gamma Gamma1|",
-        q.side_gamma_gamma1,
-        surd_normalize(Fraction(12, 5), 10),
-        failures,
-        verbose,
-    )
+    _check("|Gamma2 Gamma1|", q.side_gamma2_gamma1, Surd(Fraction(3), 10), failures, verbose)
+    _check("|Gamma Gamma1|", q.side_gamma_gamma1, Surd(Fraction(12, 5), 10), failures, verbose)
     _check("|B Gamma1|", q.diag_b_gamma1, Fraction(9), failures, verbose)
-    _check(
-        "|Gamma Gamma2|",
-        q.diag_gamma_gamma2,
-        surd_normalize(Fraction(9, 5), 10),
-        failures,
-        verbose,
-    )
+    _check("|Gamma Gamma2|", q.diag_gamma_gamma2, Surd(Fraction(9, 5), 10), failures, verbose)
     _check(
         "tangents (B, Gamma, Gamma1, Gamma2)",
         (q.tan_b, q.tan_gamma, q.tan_gamma1, q.tan_gamma2),
@@ -65,7 +53,7 @@ def report_small_triple(failures: list[str], verbose: bool) -> None:
         verbose,
     )
     _check("tan(theta)", q.tan_theta, Fraction(1, 3), failures, verbose)
-    area = Fraction(abs(shoelace(list(q.vertices()))), 2)
+    area = Fraction(abs(twice_area(q.vertices())), 2)
     _check("area", area, Fraction(243, 10), failures, verbose)
     print(f"  theta = {q.theta_degrees:.10f} degrees")
 

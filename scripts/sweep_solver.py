@@ -45,6 +45,27 @@ def case_label(solutions) -> str:
     return f"families[{len(tags)}]: " + ", ".join(tags)
 
 
+def scan_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 1e-5 grid over [-pi, 3*pi), with its sines and cosines."""
+    grid = np.arange(-math.pi, 3 * math.pi, 1e-5)
+    return grid, np.sin(grid), np.cos(grid)
+
+
+def crossing_gap(coeffs: EquationCoeffs, xs: list[float], scan) -> float | None:
+    """The largest distance from a sign change of alpha*sin(x) + beta*cos(x)
+    - gamma on the ``scan`` grid to its nearest solution in ``xs``: None where
+    the grid has no sign change, inf where it has one and ``xs`` is empty."""
+    grid, sin_grid, cos_grid = scan
+    a, b, c = map(float, coeffs)
+    signs = np.signbit(a * sin_grid + b * cos_grid - c)
+    crossings = grid[np.nonzero(signs[:-1] != signs[1:])[0]]
+    if not crossings.size:
+        return None
+    if not xs:
+        return math.inf
+    return float(np.min(np.abs(crossings[:, None] - np.array(xs)[None, :]), axis=1).max())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", type=int, default=1000, help="number of random draws")
@@ -67,11 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     worst_case = None
     scan_failures = 0
 
-    grid = sin_grid = cos_grid = None
-    if args.scan:
-        grid = np.arange(-math.pi, 3 * math.pi, 1e-5)
-        sin_grid = np.sin(grid)
-        cos_grid = np.cos(grid)
+    scan = scan_grid() if args.scan else None
 
     for index in range(args.cases):
         a = random_coefficient(rng, args.bound, args.max_den)
@@ -90,23 +107,16 @@ def main(argv: list[str] | None = None) -> int:
                 worst_residual = r
                 worst_case = (index, a, b, c, x)
 
-        if args.scan:
-            defect = float(a) * sin_grid + float(b) * cos_grid - float(c)
-            signs = np.signbit(defect)
-            crossings = grid[np.nonzero(signs[:-1] != signs[1:])[0]]
-            if crossings.size:
-                if not xs:
-                    scan_failures += 1
-                    print(f"MISSED FAMILY at case {index}: {(a, b, c)}", file=sys.stderr)
-                    continue
-                gaps = np.min(np.abs(crossings[:, None] - np.array(xs)[None, :]), axis=1)
-                if float(gaps.max()) >= 1e-4:
-                    scan_failures += 1
-                    print(
-                        f"UNMATCHED CROSSING at case {index}: {(a, b, c)} "
-                        f"gap={float(gaps.max()):.2e}",
-                        file=sys.stderr,
-                    )
+        gap = crossing_gap(coeffs, xs, scan) if args.scan else None
+        if gap == math.inf:
+            scan_failures += 1
+            print(f"MISSED FAMILY at case {index}: {(a, b, c)}", file=sys.stderr)
+        elif gap is not None and gap >= 1e-4:
+            scan_failures += 1
+            print(
+                f"UNMATCHED CROSSING at case {index}: {(a, b, c)} gap={gap:.2e}",
+                file=sys.stderr,
+            )
 
     print(f"cases: {args.cases} (seed {args.seed}, |coef| <= {args.bound})")
     for label in sorted(histogram):

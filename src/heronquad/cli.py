@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errata import errata_for_member, errata_for_triple
 from .exactnum import (
+    INPUT_BYTES_MAX,
     K_ABS_MAX,
     K_PERIODS_MAX,
     MEMBERS_MAX,
@@ -709,10 +710,14 @@ def _verify_input_file(path: str) -> VerificationReport:
     from .verify import verify_construction, verify_member
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(INPUT_BYTES_MAX + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    if len(data) > INPUT_BYTES_MAX:
+        raise ParseError(f"{path} is larger than {INPUT_BYTES_MAX} bytes")
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too long or deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -821,7 +826,9 @@ def _verify_arguments(vp: argparse.ArgumentParser) -> None:
         "--params", nargs=3, type=_parse_int, metavar=("DELTA", "M", "N"), default=None
     )
     group.add_argument(
-        "--input", default=None, help=f"JSON document to verify (numbers: {_DIGITS})"
+        "--input",
+        default=None,
+        help=f"JSON document to verify, at most {INPUT_BYTES_MAX} bytes (numbers: {_DIGITS})",
     )
     vp.add_argument("--out", default=None, help="write output to this file")
 

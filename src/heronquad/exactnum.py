@@ -4,15 +4,16 @@ Three layers live here:
 
 * arbitrary-precision rationals (the stdlib ``Fraction``) plus exact
   square-root helpers,
-* quadratic surds ``coefficient * sqrt(radicand)`` kept in a normal form
-  with a squarefree radicand, so equality is structural,
+* quadratic surds ``coefficient * sqrt(radicand)``: ``surd_sqrt_ints``
+  splits sqrt(p/q) into ints with a squarefree radicand, and ``Surd`` is
+  the value a construction's closed form shows,
 * the Euclid parametrization of Pythagorean triples and its inverse.
 
 Everything downstream (coordinates, lengths, areas, oracles) is built on
 these so that derived quantities compare exactly, never by tolerance.
-The input caps (``MEMBERS_MAX``, ``K_ABS_MAX``, ``K_PERIODS_MAX``) live here
-too, so the CLI's help can name them without loading ``family`` or
-``trigsolve``.
+The input caps (``MEMBERS_MAX``, ``INPUT_BYTES_MAX``, ``K_ABS_MAX``,
+``K_PERIODS_MAX``) live here too, so the CLI's help can name them without
+loading ``family`` or ``trigsolve``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from math import gcd
 
 __all__ = [
     "DomainError",
+    "INPUT_BYTES_MAX",
     "K_ABS_MAX",
     "K_PERIODS_MAX",
     "LegForm",
@@ -42,7 +44,6 @@ __all__ = [
     "scaled_floats",
     "sqrt_approx",
     "squarefree_decompose",
-    "surd_normalize",
     "surd_sqrt_ints",
 ]
 
@@ -95,16 +96,11 @@ def sqrt_approx(value: Fraction | int) -> float:
 
 
 def fraction_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None when irrational.
+    """Exact square root of a positive rational, or None when irrational.
 
     A reduced p/q is a rational square exactly when p and q are both
     perfect squares.
     """
-    value = Fraction(value)
-    if value < 0:
-        raise DomainError(f"fraction_sqrt needs a nonnegative value, got {value}")
-    if value == 0:
-        return Fraction(0)
     num = exact_sqrt(value.numerator)
     if num is None:
         return None
@@ -120,6 +116,9 @@ _TRIAL_DIVISION_LIMIT = 2**20
 
 # the most members (or heron-table rows) one family window may hold
 MEMBERS_MAX = 100_000
+
+# the most bytes ``verify --input`` reads from its file
+INPUT_BYTES_MAX = 2**20
 
 # Enumeration bounds of ``trigsolve.enumerate_solutions``: |k| past K_ABS_MAX
 # leaves too few float digits for x = base + 2*k*pi to mean much, and
@@ -170,50 +169,17 @@ def squarefree_decompose(c: int) -> tuple[int, int]:
     return outside, radicand
 
 
-class _SurdFields(NamedTuple):
+class Surd(NamedTuple):
+    """The exact value ``coefficient * sqrt(radicand)``: the view of a
+    construction's (n, d, r) closed form. Its ints come from
+    :func:`surd_sqrt_ints`, so ``radicand`` is squarefree and equal values
+    have equal fields; ``radicand == 1`` marks a rational value."""
+
     coefficient: Fraction
     radicand: int
 
-
-class Surd(_SurdFields):
-    """Exact value ``coefficient * sqrt(radicand)`` in normal form.
-
-    Invariants: ``radicand`` is squarefree and >= 1, and a zero value is
-    stored as ``Surd(0, 1)``; ``radicand == 1`` marks a rational value.
-    Build instances through :func:`surd_normalize` or from the ints of
-    :func:`surd_sqrt_ints`, so the normal form (and structural equality) holds.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, coefficient: Fraction, radicand: int) -> Surd:
-        if radicand < 1:
-            raise DomainError(f"surd radicand must be >= 1, got {radicand}")
-        if coefficient == 0 and radicand != 1:
-            raise DomainError("the zero surd must carry radicand 1")
-        return tuple.__new__(cls, (coefficient, radicand))
-
     def __float__(self) -> float:
         return float(self.coefficient) * math.sqrt(self.radicand)
-
-    def __str__(self) -> str:
-        if self.radicand == 1:
-            return str(self.coefficient)
-        coef = str(self.coefficient)
-        if "/" in coef or coef.startswith("-"):
-            return f"({coef})√{self.radicand}"
-        return f"{coef}√{self.radicand}"
-
-
-def surd_normalize(coefficient: Fraction | int, radicand: int) -> Surd:
-    """Normalize ``coefficient * sqrt(radicand)`` to a squarefree radicand."""
-    coefficient = Fraction(coefficient)
-    if radicand < 1:
-        raise DomainError(f"radicand must be >= 1, got {radicand}")
-    if coefficient == 0:
-        return Surd(Fraction(0), 1)
-    outside, squarefree = squarefree_decompose(radicand)
-    return Surd(coefficient * outside, squarefree)
 
 
 def surd_sqrt_ints(p: int, q: int) -> tuple[int, int, int]:

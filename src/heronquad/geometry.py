@@ -80,17 +80,14 @@ def dot_cross(here: Point2, p: Point2, q: Point2) -> tuple[int | Fraction, int |
     return ux * vx + uy * vy, ux * vy - uy * vx
 
 
-def lattice(points: Sequence[Point2], denominator: int = 1) -> tuple[int, tuple[Point2, ...]]:
-    """(S, the points times S): S, the least scale that makes every coordinate
-    an int, of rational points, or of int points over ``denominator``;
-    squared lengths and areas scale by S^2."""
+def lattice(points: Sequence[tuple[int, int]], denominator: int) -> tuple[int, tuple[Point2, ...]]:
+    """(S, the points times S) of int points over ``denominator``: S, the
+    least scale that makes every coordinate an int, is ``denominator`` in
+    lowest terms; squared lengths and areas scale by S^2."""
     coords = [c for p in points for c in p]
-    if denominator == 1:  # rationals: S is the lcm of their denominators
-        s, ints = common_denominator(coords)
-    else:  # ints over one denominator: S is it in lowest terms
-        g = math.gcd(denominator, *coords)
-        s, ints = denominator // g, [c // g for c in coords]
-    return s, tuple(map(Point2, ints[::2], ints[1::2]))
+    g = math.gcd(denominator, *coords)
+    ints = [c // g for c in coords]
+    return denominator // g, tuple(map(Point2, ints[::2], ints[1::2]))
 
 
 def closed_area(D: int, A: int, B: int, G: int) -> tuple[int, int]:

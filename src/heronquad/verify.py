@@ -1,18 +1,18 @@
 """Independent oracles and verification reports for the constructions.
 
 The oracles work from vertex coordinates and exact arithmetic only: a 4x4
-concyclicity determinant, the Ptolemy identity decided by squaring products
-of squared coordinate distances, and a general shoelace with an exact
-self-intersection test. None consults the closed forms it checks, so a bug
-in them cannot hide. A verification measures each coordinate quantity once,
-on one integer lattice: the construction's own (``QuadConstruction.lattice``,
-its points times S, the least scale that makes them ints; a moved point is
-measured where it is). S is read from the construction, never rebuilt from a
-closed form, and scaling by S is a similarity: lengths grow by S; squared
-lengths, areas and the corners' dot and cross products by S^2; the
-concyclicity determinant by S^4; angles not at all. So a claim p/q on a
-quantity of degree k, read from the construction's ints, is decided on ints,
-by p * S^k == q * measured, never by a float.
+concyclicity determinant, the Ptolemy identity decided by squaring products of
+squared coordinate distances, and the quadrilateral's shoelace with an exact
+self-intersection test. None consults the closed forms it checks, so a bug in
+them cannot hide. A verification measures each coordinate quantity once, on one
+integer lattice: the construction's own (``QuadConstruction.lattice``, its
+points times S, the least scale that makes them ints; a moved point is measured
+where it is). S is read from the construction, never rebuilt from a closed
+form, and scaling by S is a similarity: lengths grow by S; squared lengths,
+areas and the corners' dot and cross products by S^2; the concyclicity
+determinant by S^4; angles not at all. So a claim p/q on a quantity of degree
+k, read from the construction's ints, is decided on ints, by
+p * S^k == q * measured, never by a float.
 
 Each check is decided once, in report order, into a decision: its name, the
 bool and the two values it compared (int pairs where it is an equality of
@@ -21,7 +21,7 @@ names of the failing ones (``member_failures``), so a passing check builds
 no ``Check`` and no Fraction there. ``verify_construction`` and
 ``verify_member`` return a report to render: they build a ``Check`` for each
 decision, keep an int pair as a Fraction, and compute the one float shown
-(the angle spread) when the report is built.
+(the angle spread) and the Heron criterion's texts when the report is built.
 
 A family member (``family.MemberRow``) is its ints: the quadrilateral of its
 stored triple delta*(2mn, m^2 - n^2, m^2 + n^2), the one its payload prints,
@@ -68,7 +68,6 @@ from .geometry import (
     corner,
     dist_squared,
     dot_cross,
-    lattice,
     twice_area,
 )
 
@@ -81,9 +80,7 @@ __all__ = [
     "CheckStatus",
     "Measurement",
     "VerificationReport",
-    "concyclic",
     "concyclicity_determinant",
-    "measure",
     "member_failures",
     "ptolemy_check",
     "shoelace",
@@ -132,17 +129,6 @@ def _no_collinear_triple(pts: Sequence[Point2], signs: Sequence[int]) -> bool:
     return all(signs) if distinct == 4 else any(signs)
 
 
-def concyclic(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
-    """Whether four points lie on one circle, decided exactly.
-
-    Degenerate inputs: fewer than three distinct points is an error; a
-    collinear triple returns False because no circle passes through it.
-    """
-    pts = (p1, p2, p3, p4)
-    signs = [_orient(corner(pts, i)[1]) for i in range(4)]
-    return _no_collinear_triple(pts, signs) and concyclicity_determinant(*pts) == 0
-
-
 def ptolemy_check(lengths_squared: Sequence[Fraction | int]) -> bool:
     """Ptolemy identity from the six squared coordinate lengths, in
     ``SEGMENTS`` order and at any common scale: for a cyclic quadrilateral
@@ -164,34 +150,27 @@ def _on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def shoelace(points: Sequence[Point2], signs: Sequence[int] = ()) -> Fraction | int:
-    """Twice the signed area of a simple polygon in traversal order, by the
-    shoelace sum; ``signs``, if given, are a quadrilateral's corner orientations.
-    Zero-length edges and self-intersections (tested exactly on every
-    non-adjacent edge pair) are errors, not silently wrong areas."""
-    n = len(points)
-    if n < 3:
-        raise DomainError(f"a polygon needs at least 3 vertices, got {n}")
-    for i in range(n):
-        if points[i] == points[(i + 1) % n]:
+def shoelace(quad: Sequence[Point2], signs: Sequence[int]) -> int:
+    """Twice the signed area of a quadrilateral in traversal order, by the
+    shoelace sum; ``signs`` are its corner orientations. Zero-length edges and
+    self-intersections (tested exactly on both pairs of opposite edges) are
+    errors, not silently wrong areas."""
+    for i in range(4):
+        if quad[i] == quad[(i + 1) % 4]:
             raise DomainError(f"zero-length edge at vertex {i}")
-    for i in range(n):
-        for j in range(i + 2, n - (i == 0)):
-            a, b, c, d = points[i], points[(i + 1) % n], points[j], points[(j + 1) % n]
-            if signs:  # the corners at i + 1, i, j + 1, j orient (a, b, c), (a, b, d), ... negated
-                o1, o2, o3, o4 = signs[i + 1], signs[i], signs[(j + 1) % 4], signs[j]
-            else:
-                trios = ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
-                o1, o2, o3, o4 = (_orient(dot_cross(*trio)[1]) for trio in trios)
-            # a proper crossing, or (searched only then) an endpoint on the other edge
-            if (o1 != o2 and o3 != o4) or not (o1 and o2 and o3 and o4) and any(
-                o == 0 and _on_segment(one, other, p)
-                for o, one, other, p in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b))
-            ):
-                raise DomainError(
-                    f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
-                )
-    return sum(px * ry - rx * py for (px, py), (rx, ry) in zip(points, points[1:] + points[:1]))
+    for i, j in ((0, 2), (1, 3)):
+        a, b, c, d = quad[i], quad[i + 1], quad[j], quad[(j + 1) % 4]
+        # the corners at i + 1, i, j + 1, j orient (a, b, c), (a, b, d), ... negated
+        o1, o2, o3, o4 = signs[i + 1], signs[i], signs[(j + 1) % 4], signs[j]
+        # a proper crossing, or (searched only then) an endpoint on the other edge
+        if (o1 != o2 and o3 != o4) or not (o1 and o2 and o3 and o4) and any(
+            o == 0 and _on_segment(one, other, p)
+            for o, one, other, p in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b))
+        ):
+            raise DomainError(
+                f"traversal order self-intersects (edges {i} and {j}); not a simple polygon"
+            )
+    return sum(px * ry - rx * py for (px, py), (rx, ry) in zip(quad, quad[1:] + quad[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +196,11 @@ class Measurement(NamedTuple):
     shoelace_sum: int  # twice the signed area
 
 
-def measure(points: Sequence[Point2]) -> Measurement:
-    """The oracles on the quadrilateral of rational ``points[:4]``, in int
-    arithmetic on the lattice of all ``points`` (later ones only share the scale)."""
-    return _measure(*lattice(points))
-
-
 def _measure(scale: int, pts: tuple[Point2, ...]) -> Measurement:
-    """``measure`` on a lattice as it is: int ``pts`` at ``scale``. Each vertex
-    triple is a corner: the corners give every orientation the degeneracy tests read."""
+    """The oracles on the quadrilateral of ``pts[:4]``, in int arithmetic on a
+    lattice as it is: int ``pts`` at ``scale`` (later points only share the
+    scale). Each vertex triple is a corner: the corners give every orientation
+    the degeneracy tests read."""
     quad = pts[:4]
     corners = tuple([corner(quad, i) for i in range(4)])
     signs = [_orient(cross) for _, cross in corners]
@@ -316,7 +291,7 @@ def _squared(form: tuple[int, ...]) -> tuple[int, int]:
 def _checks(decisions: list[tuple], q: QuadConstruction) -> list[Check]:
     """The ``Check`` of each decision. An equality that holds keeps its one
     value as both; an int pair is kept as a Fraction, and a callable (the float
-    angle spread) is computed from ``q``."""
+    angle spread, the Heron criterion's texts) is computed from ``q``."""
     checks = []
     for name, ok, expected, actual in decisions:
         if ok and type(expected) is tuple:
@@ -432,15 +407,16 @@ _RATIONAL = attrgetter("side_gamma_gamma1", "diag_gamma_gamma2", "area")
 
 def _heron(row: MemberRow) -> tuple:
     """The decision of the Heron criterion: ``is_heron`` iff delta%L == 0 iff every
-    rational closed form is an int."""
+    rational closed form is an int. Its two texts are formatted when a report
+    is built, so a reader of the bool alone formats nothing."""
     criterion = row.delta % row.L == 0
     gg1, gg2, area = _RATIONAL(row)
     integral = gg1[1] == gg2[1] == area[1] == 1
     return (
         "heron-criterion-matches-integrality",
         row.is_heron == criterion == integral,
-        f"is_heron={row.is_heron}",
-        f"delta%L==0: {criterion}, all integral: {integral}",
+        lambda _: f"is_heron={row.is_heron}",
+        lambda _: f"delta%L==0: {criterion}, all integral: {integral}",
     )
 
 

@@ -1,7 +1,14 @@
 """Editing a construction (``geometry.QuadConstruction``) in tests."""
 
-from heronquad.exactnum import Surd
+from heronquad.exactnum import Surd, common_denominator
 from heronquad.geometry import FORMS, POINTS, lattice
+
+
+def rational_lattice(points):
+    """``geometry.lattice`` of rational points: their coordinates as ints over
+    their common denominator, then that lattice in lowest terms."""
+    d, ints = common_denominator([c for p in points for c in p])
+    return lattice(list(zip(ints[::2], ints[1::2])), d)
 
 
 def form_ints(value):
@@ -18,7 +25,8 @@ def edited(q, **changes):
     measured where it is, and a closed form is stored as its ints."""
     stored = {}
     if not changes.keys().isdisjoint(POINTS):
-        stored["lattice"] = lattice([changes.pop(name, getattr(q, name)) for name in POINTS])
+        points = [changes.pop(name, getattr(q, name)) for name in POINTS]
+        stored["lattice"] = rational_lattice(points)
     if not changes.keys().isdisjoint(FORMS):
         stored["forms"] = tuple(
             form_ints(changes.pop(name)) if name in changes else ints

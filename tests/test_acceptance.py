@@ -17,10 +17,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
-
 from heronquad.cli import main
-from heronquad.exactnum import exact_sqrt, surd_normalize
+from heronquad.exactnum import Surd, exact_sqrt
 from heronquad.family import family_member, generating_pairs
 from heronquad.geometry import construct_quad
 from heronquad.trigsolve import (
@@ -32,6 +30,7 @@ from heronquad.trigsolve import (
 )
 from heronquad.verify import CheckStatus, verify_member
 from member_rows import value
+from script_loader import load_script
 
 
 @contextmanager
@@ -59,10 +58,10 @@ def run_cli_json(capsys, *argv) -> dict:
 def test_criterion_1_small_triple_construction(capsys):
     with criterion(1, "construct 3 4 5 exact values", budget=1.0):
         q = construct_quad(3, 4, 5)
-        assert q.side_gamma2_gamma1 == surd_normalize(3, 10)  # 3*sqrt(10)
-        assert q.side_gamma_gamma1 == surd_normalize(Fraction(12, 5), 10)
+        assert q.side_gamma2_gamma1 == Surd(Fraction(3), 10)  # 3*sqrt(10)
+        assert q.side_gamma_gamma1 == Surd(Fraction(12, 5), 10)
         assert q.diag_b_gamma1 == 9
-        assert q.diag_gamma_gamma2 == surd_normalize(Fraction(9, 5), 10)
+        assert q.diag_gamma_gamma2 == Surd(Fraction(9, 5), 10)
         assert (q.tan_b, q.tan_gamma, q.tan_gamma1, q.tan_gamma2) == (
             Fraction(-3, 4),
             Fraction(-3),
@@ -98,8 +97,8 @@ def test_criterion_2_worked_example_with_errata(capsys):
             q.side_b_gamma2,
             q.side_gamma2_gamma1,
             q.side_gamma_gamma1,
-        ) == (120, 120, surd_normalize(200, 1), surd_normalize(56, 1))
-        assert (q.diag_b_gamma1, q.diag_gamma_gamma2) == (160, surd_normalize(192, 1))
+        ) == (120, 120, Surd(Fraction(200), 1), Surd(Fraction(56), 1))
+        assert (q.diag_b_gamma1, q.diag_gamma_gamma2) == (160, Surd(Fraction(192), 1))
         # oracle values; the published -8/3 and 8/3 are registered errata
         assert (q.tan_b, q.tan_gamma, q.tan_gamma1, q.tan_gamma2) == (
             Fraction(-24, 7),
@@ -230,9 +229,8 @@ def test_criterion_4_solver_sweep_with_scan():
         cases = _solver_cases(rng)
         assert len(cases) == 1000
 
-        grid = np.arange(-math.pi, 3 * math.pi, 1e-5)
-        sin_grid = np.sin(grid)
-        cos_grid = np.cos(grid)
+        sweep = load_script("sweep_solver")
+        scan = sweep.scan_grid()
 
         kinds_seen = set()
         family_counts_seen = set()
@@ -249,16 +247,9 @@ def test_criterion_4_solver_sweep_with_scan():
             for x in xs:
                 assert abs(residual(coeffs, x)) < 1e-9, (a, b, c, x)
 
-            defect = float(a) * sin_grid + float(b) * cos_grid - float(c)
-            signs = np.signbit(defect)
-            crossings = grid[np.nonzero(signs[:-1] != signs[1:])[0]]
-            if crossings.size:
-                assert xs, f"scan found solutions the classifier missed: {(a, b, c)}"
-                gaps = np.min(
-                    np.abs(crossings[:, None] - np.array(xs)[None, :]), axis=1
-                )
-                worst = float(gaps.max())
-                assert worst < 1e-4, (a, b, c, worst)
+            worst = sweep.crossing_gap(coeffs, xs, scan)
+            assert worst != math.inf, f"scan found solutions the classifier missed: {(a, b, c)}"
+            assert worst is None or worst < 1e-4, (a, b, c, worst)
 
         assert kinds_seen == {
             SolutionKind.ALL_REALS,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from heronquad import cli, family, verify
 from heronquad.cli import main
-from heronquad.exactnum import DomainError
+from heronquad.exactnum import INPUT_BYTES_MAX, DomainError
 from member_rows import value
 
 
@@ -1213,6 +1213,28 @@ class TestVerifyCommand:
         assert err.startswith(f"heron-quad: parse error: {path} is not valid JSON: ")
         assert reason in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["/dev/zero", "one-byte-past"])
+    def test_input_mode_reads_at_most_the_byte_cap(self, capsys, tmp_path, source):
+        path = source
+        if source == "one-byte-past":
+            path = str(tmp_path / "big.json")
+            with open(path, "wb") as fh:
+                fh.write(b" " * INPUT_BYTES_MAX + b"{}")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"heron-quad: parse error: {path} is larger than 1048576 bytes\n"
+
+    def test_input_mode_envelope_at_the_byte_cap(self, capsys, tmp_path):
+        text = json.dumps(run_json(capsys, "construct", "120", "35", "125"))
+        path = tmp_path / "envelope.json"
+        path.write_text(text + " " * (INPUT_BYTES_MAX - len(text)), encoding="utf-8")
+        assert path.stat().st_size == INPUT_BYTES_MAX
+        doc = run_json(capsys, "verify", "--input", str(path))
+        assert doc["result"]["verdict"] == "pass"
 
     @pytest.mark.parametrize(
         "field, value",

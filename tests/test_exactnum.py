@@ -22,9 +22,9 @@ from heronquad.exactnum import (
     scaled_floats,
     sqrt_approx,
     squarefree_decompose,
-    surd_normalize,
     surd_sqrt_ints,
 )
+from heronquad.geometry import construct_quad
 
 
 class TestScaledFloats:
@@ -149,9 +149,10 @@ class TestFractionSqrt:
         assert fraction_sqrt(Fraction(9, 5)) is None
 
     def test_zero_and_negative(self):
-        assert fraction_sqrt(Fraction(0)) == Fraction(0)
-        with pytest.raises(DomainError):
-            fraction_sqrt(Fraction(-1))
+        # outside its domain of positive rationals: exact_sqrt refuses the numerator
+        for value in (Fraction(0), Fraction(-1), Fraction(-9, 4)):
+            with pytest.raises(DomainError, match="exact_sqrt needs a positive integer"):
+                fraction_sqrt(value)
 
 
 class TestSquarefreeDecompose:
@@ -195,19 +196,9 @@ class TestSquarefreeDecompose:
 
 class TestSurd:
     def test_normalization_pulls_square_factor(self):
-        u = surd_normalize(Fraction(1), 12)
-        assert u == Surd(Fraction(2), 3)
-
-    def test_zero_canonical_form(self):
-        assert surd_normalize(0, 17) == Surd(Fraction(0), 1)
-
-    def test_rejects_nonpositive_radicand(self):
-        with pytest.raises(DomainError):
-            surd_normalize(1, 0)
-        with pytest.raises(DomainError):
-            Surd(Fraction(1), 0)
-        with pytest.raises(DomainError):
-            Surd(Fraction(0), 7)  # zero must carry radicand 1
+        # sqrt(12) = 2*sqrt(3) and sqrt(8/9) = (2/3)*sqrt(2)
+        assert surd_sqrt_ints(12, 1) == (2, 1, 3)
+        assert surd_sqrt_ints(8, 9) == (2, 3, 2)
 
     def test_sqrt_of_fraction(self):
         # sqrt(9/5) = (3/5)*sqrt(5); sqrt(49/4) = 7/2 is rational: radicand 1
@@ -224,15 +215,19 @@ class TestSurd:
         assert math.gcd(s, tu) == 1
         assert all(ru % (k * k) for k in range(2, math.isqrt(ru) + 1))
 
-    def test_float_and_str(self):
-        u = surd_normalize(Fraction(3), 10)
-        assert math.isclose(float(u), 3 * math.sqrt(10))
-        assert str(u) == "3√10"
-        assert str(surd_normalize(Fraction(12, 5), 10)) == "(12/5)√10"
+    def test_float(self):
+        assert math.isclose(float(Surd(Fraction(3), 10)), 3 * math.sqrt(10))
+        assert math.isclose(float(Surd(Fraction(12, 5), 10)), 12 / 5 * math.sqrt(10))
 
     def test_surd_eq_structural(self):
-        assert surd_normalize(2, 12) == surd_normalize(4, 3)
-        assert surd_normalize(1, 2) != surd_normalize(1, 3)
+        # a construction's surds come from surd_sqrt_ints with a squarefree
+        # radicand, so a value built from other ints has the same fields:
+        # the hypotenuse 3*sqrt(10) of (3, 4, 5) over 2, 4 and 10
+        hypotenuses = {
+            construct_quad(Fraction(3, k), Fraction(4, k), Fraction(5, k)).side_gamma2_gamma1
+            for k in (2, 4, 10)
+        }
+        assert hypotenuses == {Surd(Fraction(3, k), 10) for k in (2, 4, 10)}
 
 
 class TestTripleParametrization:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heronquad.exactnum import DomainError, euclid_triple, exact_sqrt, surd_normalize
+from heronquad.exactnum import DomainError, Surd, euclid_triple, exact_sqrt
 from heronquad.geometry import construct_quad
 from heronquad.verify import verify_member
 from heronquad import family
@@ -152,7 +152,7 @@ class TestFamilyMember:
     @pytest.mark.parametrize(
         "attr, changed, name",
         [
-            ("side_gamma2_gamma1", surd_normalize(200, 2), "member-side-Gamma2-Gamma1"),
+            ("side_gamma2_gamma1", Surd(Fraction(200), 2), "member-side-Gamma2-Gamma1"),
             ("diag_gamma_gamma2", Fraction(193), "member-diagonal-Gamma-Gamma2"),
             ("tan_gamma", Fraction(-8, 3), "member-tangent-Gamma"),
         ],

@@ -12,7 +12,6 @@ from heronquad.exactnum import (
     DomainError,
     Surd,
     euclid_triple,
-    surd_normalize,
     surd_sqrt_ints,
 )
 from heronquad.geometry import (
@@ -28,9 +27,9 @@ from heronquad.geometry import (
     dot_cross,
     interior_angle_degrees,
     corner,
-    lattice,
     twice_area,
 )
+from constructions import rational_lattice
 
 # every exact value of a construction, by name: the triple, the points (views
 # of its lattice) and the closed forms (views of its ints)
@@ -60,10 +59,10 @@ class TestConstructSmallTriple:
         assert q.v_a == Point2(Fraction(5), Fraction(0))
         assert q.side_gamma_b == 3
         assert q.side_b_gamma2 == 3
-        assert q.side_gamma2_gamma1 == surd_normalize(3, 10)
-        assert q.side_gamma_gamma1 == surd_normalize(Fraction(12, 5), 10)
+        assert q.side_gamma2_gamma1 == Surd(Fraction(3), 10)
+        assert q.side_gamma_gamma1 == Surd(Fraction(12, 5), 10)
         assert q.diag_b_gamma1 == 9
-        assert q.diag_gamma_gamma2 == surd_normalize(Fraction(9, 5), 10)
+        assert q.diag_gamma_gamma2 == Surd(Fraction(9, 5), 10)
         assert (q.tan_b, q.tan_gamma, q.tan_gamma1, q.tan_gamma2) == (
             Fraction(-3, 4),
             Fraction(-3),
@@ -294,7 +293,7 @@ class TestConstructionReference:
             assert got == want, name
             assert all(type(part) is Fraction for part in _exact_parts(got)), name
         # the stored lattice is the least one of the points
-        assert q.lattice == lattice([expected[name] for name in POINTS])
+        assert q.lattice == rational_lattice([expected[name] for name in POINTS])
         assert q.theta_degrees.hex() == expected["theta_degrees"].hex()
         assert q.area == expected["area"]
         assert type(q.area) is Fraction

@@ -1,19 +1,13 @@
 """The scripts under ``scripts/`` import library names directly, so they
 run here as part of the suite: a renamed or deleted name breaks them."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from script_loader import load_script
 
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+GOLDEN = Path(__file__).with_name("golden")
 
 
 @pytest.mark.parametrize(
@@ -24,5 +18,11 @@ def _load(name: str):
     ],
 )
 def test_script_exits_zero(name, argv, capsys):
-    assert _load(name).main(argv) == 0
+    assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_reference_values_verbose_output(capsys):
+    assert load_script("reproduce_reference_values").main(["--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "reproduce-reference-values.out").read_text(encoding="utf-8")

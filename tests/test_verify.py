@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from heronquad import verify
 from heronquad.cli import main
-from heronquad.exactnum import DomainError, euclid_triple, surd_normalize
+from heronquad.exactnum import DomainError, Surd, euclid_triple
 from heronquad.family import (
     enumerate_family,
     family_member,
@@ -28,16 +28,18 @@ from heronquad.geometry import (
     Vertex,
     angle_spread_degrees,
     construct_quad,
+    corner,
     dist_squared,
     twice_area,
 )
 from heronquad.verify import (
     CheckStatus,
-    concyclic,
+    _measure,
+    _no_collinear_triple,
+    _orient,
     concyclicity_determinant,
     errata_for_member,
     errata_for_triple,
-    measure,
     ptolemy_check,
     shoelace,
     verify_construction,
@@ -46,11 +48,29 @@ from heronquad.verify import (
     verify_window,
 )
 from constructions import edited as edited_quad
+from constructions import rational_lattice
 from member_rows import edited, value
 
 
 def P(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))
+
+
+def signs(pts) -> list[int]:
+    """The corner orientations of a quadrilateral, as ``verify._measure`` reads them."""
+    return [_orient(corner(pts, i)[1]) for i in range(4)]
+
+
+def concyclic(*pts) -> bool:
+    """``Measurement.concyclic`` of four points, decided as ``verify._measure``
+    decides it, without its simple-polygon test: no collinear triple, then a
+    zero determinant."""
+    return _no_collinear_triple(pts, signs(pts)) and concyclicity_determinant(*pts) == 0
+
+
+def measure(pts):
+    """``verify._measure`` on the lattice of rational points."""
+    return _measure(*rational_lattice(pts))
 
 
 def lengths_squared(q) -> list[Fraction]:
@@ -210,7 +230,6 @@ class TestLatticeKernel:
         assert tangents == tuple(_ref_tangent(pts, i) for i in (1, 0, 3, 2))
         twice = sum(p.x * r.y - r.x * p.y for p, r in zip(pts, pts[1:] + pts[:1]))
         assert area == abs(twice) / 2
-        assert abs(shoelace(pts)) == 2 * area
         distinct = list(dict.fromkeys(pts))
         collinear = any(_ref_orient(*t) == 0 for t in combinations(distinct, 3))
         assert got.concyclic == (not collinear and determinant == 0)
@@ -239,7 +258,7 @@ class TestLatticeKernel:
 
     def test_lattice_scale_comes_from_the_coordinates(self):
         q = construct_quad(3, 4, 5)
-        got = measure(q.vertices() + (q.circumcenter,))
+        got = _measure(*q.lattice)
         # Gamma = (9/5, 12/5) and the circumcenter (9/2, -3/2): S = lcm(5, 2)
         assert got.scale == 10
         assert got.points[0] == Point2(18, 24)
@@ -291,34 +310,31 @@ class TestPtolemy:
         assert ptolemy_check(lengths_squared(moved)) == concyclic_moved
 
 
-class TestShoelace:
-    def test_triangle(self):
-        assert shoelace([P(0, 0), P(4, 0), P(0, 3)]) == 2 * 6
+def signed_shoelace(pts):
+    return shoelace(pts, signs(pts))
 
+
+class TestShoelace:
     def test_orientation_invariant(self):
         square = [P(0, 0), P(2, 0), P(2, 2), P(0, 2)]
-        assert shoelace(square) == -shoelace(list(reversed(square))) == 2 * 4
-
-    def test_rejects_too_few(self):
-        with pytest.raises(DomainError):
-            shoelace([P(0, 0), P(1, 1)])
+        assert signed_shoelace(square) == -signed_shoelace(square[::-1]) == 2 * 4
 
     def test_rejects_repeated_consecutive(self):
         with pytest.raises(DomainError, match="zero-length"):
-            shoelace([P(0, 0), P(0, 0), P(1, 1), P(2, 0)])
+            signed_shoelace([P(0, 0), P(0, 0), P(1, 1), P(2, 0)])
 
     def test_rejects_bowtie(self):
         with pytest.raises(DomainError, match="self-intersects"):
-            shoelace([P(0, 0), P(2, 2), P(2, 0), P(0, 2)])
+            signed_shoelace([P(0, 0), P(2, 2), P(2, 0), P(0, 2)])
 
     def test_rejects_edge_through_vertex(self):
         # fourth vertex sits on the first edge
         with pytest.raises(DomainError):
-            shoelace([P(0, 0), P(4, 0), P(4, 4), P(2, 0)])
+            signed_shoelace([P(0, 0), P(4, 0), P(4, 4), P(2, 0)])
 
     def test_matches_quad_area(self):
         q = construct_quad(120, 35, 125)
-        assert abs(shoelace(list(q.vertices()))) == abs(twice_area(q.vertices())) == 2 * 12288
+        assert abs(signed_shoelace(q.vertices())) == abs(twice_area(q.vertices())) == 2 * 12288
 
 
 class TestErrataRegistry:
@@ -385,7 +401,7 @@ class TestVerifyConstruction:
 
     def test_detects_tampered_length(self):
         q = construct_quad(3, 4, 5)
-        tampered = edited_quad(q, side_gamma2_gamma1=surd_normalize(4, 10))
+        tampered = edited_quad(q, side_gamma2_gamma1=Surd(Fraction(4), 10))
         report = verify_construction(tampered)
         assert report.has_failures
 

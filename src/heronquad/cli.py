@@ -490,24 +490,28 @@ def _exact_text(leaf: tuple[int, int]) -> str:
     return f"{p}/{q}" if q != 1 else str(p)
 
 
-def _member_leaves(row: MemberRow) -> tuple[str, ...]:
+def _member_leaves(row: MemberRow, theta: list) -> tuple[str, ...]:
     """The text of each leaf of a member's payload that changes with delta,
     in output order: delta, k, the triple, the six lengths, area, is_heron
     and theta's degrees; the string of a string leaf (a p/q, digits or
     degrees string, of characters -0-9./ that need no escaping), the JSON
     text of any other. theta's tangent, 2dmn/(2dm^2) = n/m as gcd(m, n) = 1,
     is the same at every delta (``verify_member`` checks it:
-    member-theta-n-over-m)."""
+    member-theta-n-over-m). ``theta`` keeps the last degrees and their two
+    texts, as ``_theta_degrees`` shows them: each distinct float of a pair
+    is formatted once."""
     delta, _m, _n, _L, _tangents, a, b, c, gb, bg2, k, gg1, bg1, gg2, area, is_heron = row
-    degrees = theta_degrees(a, b + c)  # as ``_theta_degrees`` shows it
+    degrees = theta_degrees(a, b + c)  # the member's own float, from its own triple
+    if degrees != theta[0]:  # equal floats have one text: none is -0.0, as a > 0
+        theta[1] = _round10_text(degrees), f"{degrees:.5f}"
+        theta[0] = degrees
     k = _exact_text(k)  # k is the side Gamma2-Gamma1
     return (
         str(delta), k, str(a), str(b), str(c),
         _exact_text(gb), _exact_text(bg2), k, _exact_text(gg1), _exact_text(bg1),
         _exact_text(gg2), _exact_text(area),
         "true" if is_heron else "false",
-        _round10_text(degrees),
-        f"{degrees:.5f}",
+        *theta[1],
     )
 
 
@@ -542,6 +546,27 @@ def _member_payload(row: MemberRow, errata, leaves: tuple) -> dict:
 _HOLE = _Encoded("\0")
 
 
+_MEMBER_LEAVES = 15  # the count of a member's ``_member_leaves``
+
+
+def _template(payload: dict) -> list:
+    """The text of ``_encoded(payload)`` between its holes, with a slot at
+    each: a ``_HOLE`` leaf is a slot for JSON text, and ``str`` of one a
+    slot for the characters of a string that need no escaping."""
+    # a hole shown as ``str`` is the string "\u0000": its quotes stay in the text
+    parts = _encoded(payload).replace(encode_basestring(_HOLE), '"\0"').split(_HOLE)
+    template = [None] * (2 * len(parts) - 1)
+    template[::2] = parts
+    return template
+
+
+def _filled(template: list, leaves) -> _Encoded:
+    """The text of a ``_template`` with ``leaves`` in its slots, in order."""
+    filled = template[:]
+    filled[1::2] = leaves
+    return _Encoded("".join(filled))
+
+
 def _member_text(row: MemberRow, errata: tuple, templates: dict) -> _Encoded:
     """``_encoded(_member_payload(row, errata, leaves))`` for the JSON
     values of ``_member_leaves(row)``.
@@ -549,20 +574,16 @@ def _member_text(row: MemberRow, errata: tuple, templates: dict) -> _Encoded:
     Outside its leaves the text is the same for every member with the same
     (m, n, errata), so it is encoded once per such key, with a hole at each
     leaf, and kept in ``templates`` as the list of its text between the
-    holes, with a slot at each; a row writes its leaves into the slots.
+    holes, with a slot at each, beside the key's last theta degrees and
+    their texts; a row writes its leaves into the slots.
     """
-    leaves = _member_leaves(row)
     key = row.m, row.n, errata
-    template = templates.get(key)
-    if template is None:
-        text = _encoded(_member_payload(row, errata, (_HOLE,) * len(leaves)))
-        # a hole shown as ``str`` is the string "\u0000": its quotes stay in the text
-        text = text.replace(encode_basestring(_HOLE), '"\0"')
-        template = templates[key] = [None] * (2 * len(leaves) + 1)
-        template[::2] = text.split(_HOLE)
-    filled = template[:]
-    filled[1::2] = leaves
-    return _Encoded("".join(filled))
+    entry = templates.get(key)
+    if entry is None:
+        leaves = (_HOLE,) * _MEMBER_LEAVES
+        entry = templates[key] = _template(_member_payload(row, errata, leaves)), [None, ()]
+    template, theta = entry
+    return _filled(template, _member_leaves(row, theta))
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
@@ -607,13 +628,23 @@ _CSV_MEMBER_COLUMNS = (
 _CSV_COLUMNS = ("t1", "t2", "m", "n", "delta") + tuple(col for col, _ in _CSV_MEMBER_COLUMNS)
 
 
-def _heron_row(row: MemberRow) -> dict:
-    """The ``_CSV_COLUMNS`` of a member, in their order."""
+def _heron_cells(row: MemberRow) -> list[str]:
+    """The text of each of the ``_CSV_COLUMNS`` of a member, in their order:
+    every cell is an int or a p/q, so none needs quoting or escaping."""
     t1, t2 = row.t_pair
-    cells = {"t1": t1, "t2": t2, "m": row.m, "n": row.n, "delta": row.delta}
-    for column, attr in _CSV_MEMBER_COLUMNS:
-        cells[column] = _exact_text(getattr(row, attr))
-    return cells
+    return [
+        str(t1), str(t2), str(row.m), str(row.n), str(row.delta),
+        *[_exact_text(getattr(row, attr)) for _, attr in _CSV_MEMBER_COLUMNS],
+    ]
+
+
+# a JSON row of ``heron-table`` with a hole for each cell (the ints of the
+# first five columns, the strings of the rest) and for verified
+_HERON_ROW = {
+    **dict.fromkeys(_CSV_COLUMNS[:5], _HOLE),
+    **dict.fromkeys(_CSV_COLUMNS[5:], str(_HOLE)),
+    "verified": _HOLE,
+}
 
 
 def _verification_failed(names: list[str], row: MemberRow | None = None) -> None:
@@ -630,20 +661,24 @@ def _cmd_heron_table(args: argparse.Namespace) -> int:
     as_csv = args.format == "csv"
     rows = []
     seen: dict = {}
+    templates: dict = {}  # the row template of each tuple of errata ids
     failures = 0
     window = heron_multiples(args.t_max, args.delta_multiples)
     for row, failed in verify_window(window):
         if failed:
             failures += 1
             _verification_failed(failed, row)
-        cells = _heron_row(row)
-        if as_csv:  # every cell is an int or a p/q string: none needs quoting; no errata
-            rows.append(",".join(map(str, cells.values())))
+        cells = _heron_cells(row)
+        if as_csv:  # no errata
+            rows.append(",".join(cells))
             continue
         errata = errata_for_member(row.delta, row.m, row.n)
-        cells["verified"] = not failed
-        cells["errata"] = [er.ident for er in errata]
-        rows.append(_encoded(cells))
+        idents = tuple(er.ident for er in errata)
+        template = templates.get(idents)
+        if template is None:
+            template = templates[idents] = _template({**_HERON_ROW, "errata": list(idents)})
+        cells.append("false" if failed else "true")
+        rows.append(_filled(template, cells))
         seen.update(dict.fromkeys(errata))
 
     if as_csv:

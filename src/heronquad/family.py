@@ -11,16 +11,21 @@ for the member:
     area       4*d^2*m^5*n/L^2
 
 All six lengths and the area are integers exactly when L divides d (the
-Heron members). ``_row``, their one home, gives a member as a ``MemberRow``,
-the one member type: a member is its ints, each length, the area and each
-tangent one (p, q) in lowest terms, q >= 1. ``enumerate_family``
-(``family``: a delta range per pair) and ``heron_multiples``
-(``heron-table``: delta = j*L) take their rows from one walker. It refuses
+Heron members). ``_pair_rows``, their one home, gives the members of one
+pair as ``MemberRow``s, the one member type: a member is its ints, each
+length, the area and each tangent one (p, q) in lowest terms, q >= 1. It
+computes the pair's factors (2mn, m^2 - n^2, 2mL, 4m^5n, ...) once and
+scales them by each delta.
+
+A pair is the unit of a window: ``enumerate_family`` (``family``: a delta
+range per pair) and ``heron_multiples`` (``heron-table``: delta = j*L) yield
+one pair at a time, as the iterator of its rows, from one walker. It refuses
 a window of more than ``MEMBERS_MAX`` members, counted from the t-pairs
 alone, before any row is built; then it reads each pair once and builds its
-four tangents once. Only ``family_member``, which takes outside (delta, m,
-n), checks the pair and finds L. No member is checked here: ``verify`` runs
-the oracles and checks the closed forms.
+four tangents once. ``family_member``, which takes outside (delta, m, n),
+checks the pair, finds L and builds its one row by ``_pair_rows`` too. No
+member is checked here: ``verify`` runs the oracles and checks the closed
+forms.
 
 Pairs (m, n) themselves come from a second Euclid layer:
 (t1, t2) with t1 > t2 >= 1, gcd = 1, t1 + t2 odd gives the legs
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exactnum import (
     MEMBERS_MAX,
@@ -117,22 +122,29 @@ def _tangents(m: int, n: int) -> tuple[tuple[int, int], ...]:
     return (-mn2, mm_nn), (-m, n), (mn2, mm_nn), (m, n)
 
 
-def _row(delta: int, m: int, n: int, L: int, tangents: tuple) -> MemberRow:
-    """The row of ``delta`` (>= 1) for a valid pair (m, n) with m^2 + n^2 = L^2
-    and ``tangents = _tangents(m, n)``; its closed forms unchecked. L is prime
-    to 2m(m^2 - n^2) and to 4nm^2 (tests/test_acceptance.py, criterion 6), so
+def _pair_rows(
+    m: int, n: int, L: int, tangents: tuple, deltas: Iterable[int]
+) -> Iterator[MemberRow]:
+    """The row of each delta (>= 1) of ``deltas`` for a valid pair (m, n) with
+    m^2 + n^2 = L^2 and ``tangents = _tangents(m, n)``; its closed forms
+    unchecked: the pair's factors, computed once, times delta. L is prime to
+    2m(m^2 - n^2) and to 4nm^2 (tests/test_acceptance.py, criterion 6), so
     g = gcd(delta, L) puts each rational one in lowest terms."""
-    dm, g = 2 * delta * m, gcd(delta, L)
-    dmn, q = dm * n, L // g
-    return MemberRow(
-        delta, m, n, L, tangents,
-        *euclid_triple(delta, m, n),
-        # the sides in traversal order, then the diagonals, as in the table above
-        (dmn, 1), (dmn, 1), (dm * L, 1), (dm * (m * m - n * n) // g, q),
-        (dm * m, 1), (2 * m * dmn // g, q),
-        (4 * delta * delta * m**5 * n // (g * g), q * q),
-        delta % L == 0,
-    )
+    mn2, mm_nn, mmnn = euclid_triple(1, m, n)  # the pair's primitive triple
+    mm, k, gg1, gg2, area = 2 * m * m, 2 * m * L, 2 * m * mm_nn, 4 * m * m * n, 4 * m**5 * n
+    for delta in deltas:
+        g = gcd(delta, L)
+        dg, q = delta // g, L // g
+        side = delta * mn2, 1
+        yield MemberRow(
+            delta, m, n, L, tangents,
+            side[0], delta * mm_nn, delta * mmnn,
+            # the sides in traversal order, then the diagonals, as in the table above
+            side, side, (delta * k, 1), (dg * gg1, q),
+            (delta * mm, 1), (dg * gg2, q),
+            (dg * dg * area, q * q),
+            g == L,
+        )
 
 
 def family_member(delta: int, m: int, n: int) -> MemberRow:
@@ -146,7 +158,7 @@ def family_member(delta: int, m: int, n: int) -> MemberRow:
             f"m^2 + n^2 = {m * m + n * n} is not a perfect square; "
             f"(m={m}, n={n}) does not generate a family member"
         )
-    return _row(delta, m, n, L, _tangents(m, n))
+    return next(_pair_rows(m, n, L, _tangents(m, n), range(delta, delta + 1)))
 
 
 def _t_pairs(t_max: int) -> Iterator[tuple[int, int]]:
@@ -165,8 +177,9 @@ def generating_pairs(t_max: int) -> Iterator[tuple[int, int, int, int, int]]:
         yield (t1, t2, *mnl_from_t(t1, t2))
 
 
-def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[MemberRow]:
-    """The rows (delta, m, n) with delta in ``deltas(L)``, by (t1, t2, delta).
+def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[Iterator[MemberRow]]:
+    """Each pair (m, n) with a delta in ``deltas(L)``, by (t1, t2): the
+    iterator of its rows, by delta.
 
     ``deltas(L)`` must not grow with L: the count from the t-pairs stops at
     the first t1 whose least L, t1^2 + 1, has no delta.
@@ -184,17 +197,15 @@ def _walk(t_max: int, deltas: Callable[[int], range]) -> Iterator[MemberRow]:
     for _t1, _t2, m, n, L in islice(generating_pairs(t_max), pairs):
         span = deltas(L)
         if span:
-            tangents = _tangents(m, n)
-            for delta in span:
-                yield _row(delta, m, n, L, tangents)
+            yield _pair_rows(m, n, L, _tangents(m, n), span)
 
 
 def enumerate_family(
     t_max: int, delta_max: int, *, heron_only: bool = False
-) -> Iterator[MemberRow]:
-    """Enumerate the rows of members ordered by (t1, t2, delta), each exactly
-    once; with ``heron_only`` the delta loop walks the multiples of L up to
-    delta_max.
+) -> Iterator[Iterator[MemberRow]]:
+    """Enumerate the members by pair, in (t1, t2) order, each pair the
+    iterator of its rows by delta, every member exactly once; with
+    ``heron_only`` the delta loop walks the multiples of L up to delta_max.
 
     Only the even-leg-first family exists: with the odd leg first,
     |Gamma2 Gamma1|^2 = 2*d^2*(m + n)^2*(m^2 + n^2). A generator pair makes
@@ -208,8 +219,9 @@ def enumerate_family(
     )
 
 
-def heron_multiples(t_max: int, multiples: int) -> Iterator[MemberRow]:
-    """The rows of the Heron members delta = j*L, j = 1..multiples, by (t1, t2, j)."""
+def heron_multiples(t_max: int, multiples: int) -> Iterator[Iterator[MemberRow]]:
+    """The Heron members delta = j*L, j = 1..multiples, by pair in (t1, t2)
+    order, each pair the iterator of its rows by j."""
     if multiples < 1:
         raise DomainError(f"delta_multiples must be >= 1, got {multiples}")
     yield from _walk(t_max, lambda L: range(L, multiples * L + 1, L))

@@ -25,21 +25,26 @@ decision, keep an int pair as a Fraction, and compute the one float shown
 
 A family member (``family.MemberRow``) is its ints: the quadrilateral of its
 stored triple delta*(2mn, m^2 - n^2, m^2 + n^2), the one its payload prints,
-and each closed form that ``family._row`` derives from (delta, m, n) as one
-(p, q). ``verify_member`` builds that triple's construction and checks those
-pairs against it, as it checks the construction's own. ``construct_quad``
-is homogeneous: a triple scaled by s > 0 scales its coordinates, lengths and
-surd coefficients by s and its squared radius and area by s^2, and keeps its
-radicands and tangents. Each check but the Heron criterion is homogeneous in
-these, so ``verify_scaling`` skips no oracle: a member whose triple and closed
-forms scale from a verified member of its pair (degree 1 in delta, the area 2,
-the tangents 0) gets the same verdict from each. ``verify_window``, the one
-home of that policy for ``family`` and ``heron-table``, decides the checks of
-``verify_member`` on a pair's first row (``member_failures``), and
-``verify_scaling`` decides each other row by cross-multiplying its ints with
-that row's. Neither builds a Fraction. It yields each
-row's verdict only: the errata registry runs no oracle, and the printers
-look up the errata of the rows they print.
+and each closed form that ``family._pair_rows`` derives from (delta, m, n) as
+one (p, q). ``verify_member`` builds that triple's construction and checks
+those pairs against it, as it checks the construction's own.
+``construct_quad`` is homogeneous: a triple scaled by s > 0 scales its
+coordinates, lengths and surd coefficients by s and its squared radius and
+area by s^2, and keeps its radicands and tangents. Each check but the Heron
+criterion is homogeneous in these, so scaling skips no oracle: a member whose
+triple and closed forms scale from a verified member of its pair (degree 1
+in delta, the area 2, the tangents 0) gets the same verdict from each.
+
+``verify_window``, the one home of that policy for ``family`` and
+``heron-table``, reads a window pair by pair. It decides the checks of
+``verify_member`` on a pair's first row (``member_failures``), and on the
+next while a row fails. If the pair has more rows, it builds one scaler
+(``_scaler``) from the first row that passes: that row's ten leaves times
+its powers of delta, and its tangents. The scaler decides each later row by
+cross-multiplying the row's ints with those, and the Heron criterion as a
+bool (its texts are formatted only for a report). Neither builds a
+Fraction. It yields each row's verdict only: the errata registry runs no
+oracle, and the printers look up the errata of the rows they print.
 
 Known misprints in the published reference values are kept in a small
 registry (``errata``): a verification that touches one reports an
@@ -86,7 +91,6 @@ __all__ = [
     "shoelace",
     "verify_construction",
     "verify_member",
-    "verify_scaling",
     "verify_window",
 ]
 
@@ -403,29 +407,22 @@ def verify_construction(q: QuadConstruction) -> VerificationReport:
 
 # a member's rational closed forms, in lowest terms: Gamma-Gamma1, Gamma-Gamma2 and the area
 _RATIONAL = attrgetter("side_gamma_gamma1", "diag_gamma_gamma2", "area")
+_HERON = "heron-criterion-matches-integrality"
 
 
-def _heron(row: MemberRow) -> tuple:
-    """The decision of the Heron criterion: ``is_heron`` iff delta%L == 0 iff every
-    rational closed form is an int. Its two texts are formatted when a report
-    is built, so a reader of the bool alone formats nothing."""
-    criterion = row.delta % row.L == 0
+def _heron(row: MemberRow) -> tuple[bool, bool]:
+    """What the Heron criterion compares ``is_heron`` with: delta%L == 0, and
+    whether every rational closed form is an int. It holds when all three agree."""
     gg1, gg2, area = _RATIONAL(row)
-    integral = gg1[1] == gg2[1] == area[1] == 1
-    return (
-        "heron-criterion-matches-integrality",
-        row.is_heron == criterion == integral,
-        lambda _: f"is_heron={row.is_heron}",
-        lambda _: f"delta%L==0: {criterion}, all integral: {integral}",
-    )
+    return row.delta % row.L == 0, gg1[1] == gg2[1] == area[1] == 1
 
 
 def _member_decisions(row: MemberRow) -> tuple[QuadConstruction, list[tuple]]:
     """The construction of a member's stored triple (``row.alpha``, ``beta``,
     ``gamma``: the triple its payload prints) and the decisions of its oracle
     pass: the generic construction checks, then the closed forms that
-    ``family._row`` derives from (delta, m, n) (the lengths, the area and the
-    ``tangents``, each a (p, q) pair), and the Heron criterion."""
+    ``family._pair_rows`` derives from (delta, m, n) (the lengths, the area
+    and the ``tangents``, each a (p, q) pair), and the Heron criterion."""
     m, n, L, delta = row.m, row.n, row.L, row.delta
     q = construct_quad(row.alpha, row.beta, row.gamma)
     decisions, measured, measured_area, theta = _construction_decisions(q)
@@ -439,7 +436,14 @@ def _member_decisions(row: MemberRow) -> tuple[QuadConstruction, list[tuple]]:
     decisions.append(_equal("member-area-vs-shoelace", measured_area, area))
     decisions.append(_equal("member-area-bracket-form", bracket, area))
     decisions.append(_equal("member-area-reduced-form", reduced, area))
-    decisions.append(_heron(row))
+    # the criterion's texts are formatted when a report is built
+    criterion, integral = _heron(row)
+    decisions.append((
+        _HERON,
+        row.is_heron == criterion == integral,
+        lambda _: f"is_heron={row.is_heron}",
+        lambda _: f"delta%L==0: {criterion}, all integral: {integral}",
+    ))
     decisions.append(_equal("member-theta-n-over-m", theta, (n, m)))
     return q, decisions
 
@@ -467,6 +471,7 @@ _SCALING = (
     *((f"member-scaling-{name}", 1) for name in _LENGTH_NAMES),
     ("member-scaling-area", 2),
 )
+_SCALED_TANGENTS = tuple(f"member-scaling-{name}" for name in _TANGENT_NAMES)
 
 
 def _leaves(row: MemberRow) -> tuple[tuple[int, int], ...]:
@@ -474,38 +479,54 @@ def _leaves(row: MemberRow) -> tuple[tuple[int, int], ...]:
     return ((row.alpha, 1), (row.beta, 1), (row.gamma, 1), *_LENGTHS_AREA(row))
 
 
-def verify_scaling(row: MemberRow, base: MemberRow) -> list[str]:
-    """The names of the failing checks of ``row`` against ``base``, a row of
-    its pair that ``verify_member`` passed: each leaf p/q must be
-    p0/q0 * (delta/delta0)^degree for the base's leaf p0/q0, decided on ints
-    by cross-multiplying; its tangents must be the base's; and the Heron
+def _scaler(base: MemberRow) -> tuple:
+    """What each other row of the pair of ``base``, a row that
+    ``verify_member`` passed, is decided against: each leaf p0/q0 of the base
+    with its check name, degree k and q0 * delta0^k, and the base's tangents."""
+    powers0 = (1, base.delta, base.delta * base.delta)
+    leaves = zip(_SCALING, _leaves(base))
+    return [(name, k, p0, q0 * powers0[k]) for (name, k), (p0, q0) in leaves], base.tangents
+
+
+def _scaled_failures(scaler: tuple, row: MemberRow) -> list[str]:
+    """The names of the failing checks of ``row`` by the ``_scaler`` of a row
+    of its pair: each leaf p/q must be p0/q0 * (delta/delta0)^k, decided on
+    ints by cross-multiplying; its tangents must be the base's; and the Heron
     criterion must hold."""
-    delta, d0 = row.delta, base.delta
-    powers, powers0 = (1, delta, delta * delta), (1, d0, d0 * d0)
-    failed = []
-    for (name, k), (p0, q0), (p, q) in zip(_SCALING, _leaves(base), _leaves(row)):
-        if p * q0 * powers0[k] != p0 * q * powers[k]:
-            failed.append(name)
-    if row.tangents != base.tangents:  # a pair's rows share one tuple
-        for name, (p0, q0), (p, q) in zip(_TANGENT_NAMES, base.tangents, row.tangents):
+    leaves0, tangents0 = scaler
+    delta = row.delta
+    powers = (1, delta, delta * delta)
+    failed = [
+        name
+        for (name, k, p0, q0), (p, q) in zip(leaves0, _leaves(row))
+        if p * q0 != p0 * q * powers[k]
+    ]
+    if row.tangents != tangents0:  # a pair's rows share one tuple
+        for name, (p0, q0), (p, q) in zip(_SCALED_TANGENTS, tangents0, row.tangents):
             if p * q0 != p0 * q:
-                failed.append(f"member-scaling-{name}")
-    name, ok, _, _ = _heron(row)
-    return failed if ok else [*failed, name]
+                failed.append(name)
+    criterion, integral = _heron(row)
+    if not row.is_heron == criterion == integral:
+        failed.append(_HERON)
+    return failed
 
 
-def verify_window(rows: Iterable[MemberRow]) -> Iterator[tuple[MemberRow, list[str]]]:
-    """Each row of a window in pair order, with its failing checks' names:
-    the checks of ``verify_member`` (``member_failures``) until a row of its
-    pair passes, then scaling from that one."""
-    base = None
-    for row in rows:
-        if base is not None and (base.m, base.n) == (row.m, row.n):
-            failed = verify_scaling(row, base)
-        else:
-            try:
-                failed = member_failures(row)
-            except DomainError as exc:  # construct_quad refuses a triple that is not right
-                raise DomainError(f"{exc} for {row.label}") from None
-            base = None if failed else row
-        yield row, failed
+def verify_window(pairs: Iterable[Iterable[MemberRow]]) -> Iterator[tuple[MemberRow, list[str]]]:
+    """Each row of a window of pairs, each pair the rows of one (m, n), in
+    order, with its failing checks' names: the checks of ``verify_member``
+    (``member_failures``) until a row of its pair passes, then one
+    ``_scaler`` of that row decides each later row."""
+    for rows in pairs:
+        base = scaler = None
+        for row in rows:
+            if base is None:
+                try:
+                    failed = member_failures(row)
+                except DomainError as exc:  # construct_quad refuses a triple that is not right
+                    raise DomainError(f"{exc} for {row.label}") from None
+                base = None if failed else row
+            else:
+                if scaler is None:  # built at the next row, so a one-row pair builds none
+                    scaler = _scaler(base)
+                failed = _scaled_failures(scaler, row)
+            yield row, failed

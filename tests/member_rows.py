@@ -1,6 +1,7 @@
 """Reading and editing a family member's row (``family.MemberRow``) in tests."""
 
 from fractions import Fraction
+from itertools import groupby
 
 from constructions import form_ints
 from heronquad.exactnum import Surd
@@ -31,3 +32,14 @@ def edited(row, **changes):
     stored = {attr: form_ints(v) if attr in FORMS else v for attr, v in changes.items()}
     tangents = tuple(stored.pop(attr, t) for attr, t in zip(TANGENTS, row.tangents))
     return row._replace(tangents=tangents, **stored)
+
+
+def rows_of(window):
+    """The rows of a window of pairs (``enumerate_family``, ``heron_multiples``), in order."""
+    return [row for rows in window for row in rows]
+
+
+def pairs_of(rows):
+    """Rows in pair order, as the window of pairs that ``verify_window`` reads:
+    a list of each run of rows of one (m, n)."""
+    return [list(run) for _, run in groupby(rows, key=lambda row: (row.m, row.n))]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from heronquad import cli, family, verify
 from heronquad.cli import main
 from heronquad.exactnum import INPUT_BYTES_MAX, DomainError
-from member_rows import value
+from member_rows import rows_of, value
 
 
 class _Late(Exception):
@@ -680,7 +680,7 @@ class TestFamilyCommand:
         from heronquad.family import enumerate_family
 
         templates: dict = {}
-        rows = list(enumerate_family(t_max, delta_max, heron_only=heron_only))
+        rows = rows_of(enumerate_family(t_max, delta_max, heron_only=heron_only))
         assert rows
         for row in rows:
             errata = errata_for_member(row.delta, row.m, row.n)
@@ -692,34 +692,46 @@ class TestFamilyCommand:
         assert len(templates) == len({(r[1:4], r[:4] == worked) for r in rows})
 
     @pytest.mark.parametrize("m, n", [(m, n) for *_, m, n, _ in family.generating_pairs(6)])
-    def test_template_text_is_the_member_encoding_at_large_delta(self, m, n):
+    def test_template_text_is_the_member_encoding_at_large_delta(self, monkeypatch, m, n):
         # the template compiled from delta = 1 fills in every member of its
         # pair up to delta = 10^30, whether delta is a multiple of L or not
         from heronquad.errata import errata_for_member
+        from heronquad.geometry import theta_degrees
 
+        formatted = []
+        round10_text = cli._round10_text
+        monkeypatch.setattr(cli, "_round10_text", lambda x: formatted.append(x) or round10_text(x))
         L, top = math.isqrt(m * m + n * n), 10**30
-        tangents = family._tangents(m, n)
+        deltas = (1, 2 * L, 2 * L + 1, top // L * L, top // L * L + 1, top - 1, top)
         templates: dict = {}
         heron = set()
-        for delta in (1, 2 * L, 2 * L + 1, top // L * L, top // L * L + 1, top - 1, top):
-            row = family._row(delta, m, n, L, tangents)
+        floats = []
+        for row in family._pair_rows(m, n, L, family._tangents(m, n), deltas):
+            delta = row.delta
             member = family.family_member(delta, m, n)
             errata = errata_for_member(delta, m, n)
             assert cli._member_text(row, errata, templates) == member_encoding(member), row[:4]
             heron.add(row.is_heron)
+            floats.append(theta_degrees(row.alpha, row.beta + row.gamma))
         assert len(templates) == 1
         assert heron == {False, True}
+        # each member's own degrees float; the texts of a run of equal ones are formatted once
+        runs = [x for i, x in enumerate(floats) if i == 0 or x != floats[i - 1]]
+        assert formatted == runs
+        assert len(runs) < len(deltas)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_template_refuses_a_non_finite_degree(self, monkeypatch, bad):
         from heronquad.errata import errata_for_member
 
         templates: dict = {}
-        first, second = list(family.enumerate_family(2, 2))
+        ((first, second),) = map(list, family.enumerate_family(2, 2))
         cli._member_text(first, errata_for_member(1, 4, 3), templates)
         monkeypatch.setattr(cli, "theta_degrees", lambda alpha, bg: bad)
-        with pytest.raises(DomainError, match="not finite"):
-            cli._member_text(second, errata_for_member(2, 4, 3), templates)
+        # the pair's template and its last degrees are kept; a refused float is not
+        for _ in range(2):
+            with pytest.raises(DomainError, match="not finite"):
+                cli._member_text(second, errata_for_member(2, 4, 3), templates)
 
     @settings(max_examples=12)
     @given(
@@ -971,14 +983,14 @@ def _wrong_degree(monkeypatch, attr, right_at):
     """Give every row the closed form ``attr`` (``side_gamma_gamma1`` or
     ``area``) times e/delta, e = ``right_at(L)``: of one degree less in
     delta (the area 4*delta*e*m^5*n/L^2), so right only at delta = e."""
-    row = family._row
+    pair_rows = family._pair_rows
 
-    def wrong_degree(delta, m, n, L, tangents):
-        right = row(delta, m, n, L, tangents)
-        value = Fraction(*getattr(right, attr)) * Fraction(right_at(L), delta)
-        return right._replace(**{attr: value.as_integer_ratio()})
+    def wrong_degree(m, n, L, tangents, deltas):
+        for right in pair_rows(m, n, L, tangents, deltas):
+            value = Fraction(*getattr(right, attr)) * Fraction(right_at(L), right.delta)
+            yield right._replace(**{attr: value.as_integer_ratio()})
 
-    monkeypatch.setattr(family, "_row", wrong_degree)
+    monkeypatch.setattr(family, "_pair_rows", wrong_degree)
 
 
 def test_family_scaling_check_catches_a_closed_form_of_the_wrong_degree(capsys, monkeypatch):
@@ -1065,13 +1077,13 @@ class TestTheOraclesReadTheStoredTriple:
     @staticmethod
     def _stored(monkeypatch, triple):
         """Give every row the triple ``triple(row)`` in place of its own."""
-        row = family._row
+        pair_rows = family._pair_rows
 
-        def stored(delta, m, n, L, tangents):
-            right = row(delta, m, n, L, tangents)
-            return right._replace(**dict(zip(("alpha", "beta", "gamma"), triple(right))))
+        def stored(m, n, L, tangents, deltas):
+            for right in pair_rows(m, n, L, tangents, deltas):
+                yield right._replace(**dict(zip(("alpha", "beta", "gamma"), triple(right))))
 
-        monkeypatch.setattr(family, "_row", stored)
+        monkeypatch.setattr(family, "_pair_rows", stored)
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=["family", "heron-table", "heron-table-csv"])
     def test_swapped_legs_exit_4_naming_the_member_checks(self, capsys, monkeypatch, argv):

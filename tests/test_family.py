@@ -22,7 +22,7 @@ from heronquad.family import (
     heron_multiples,
     mnl_from_t,
 )
-from member_rows import FORMS, TANGENTS, edited, value
+from member_rows import FORMS, TANGENTS, edited, rows_of, value
 
 
 class TestMnlFromT:
@@ -182,7 +182,7 @@ def _ints(leaf) -> bool:
 
 
 class TestMemberRow:
-    """``family._row`` is the one home of the closed forms; a row keeps them as ints."""
+    """``family._pair_rows`` is the one home of the closed forms; a row keeps them as ints."""
 
     @given(
         st.sampled_from(list(generating_pairs(8))),
@@ -195,7 +195,8 @@ class TestMemberRow:
         _t1, _t2, m, n, L = pair
         if multiple_of_l:
             delta = max(1, delta // L) * L
-        row = family._row(delta, m, n, L, family._tangents(m, n))
+        # the row of delta after another of its pair: each row scales the pair's own factors
+        *_, row = family._pair_rows(m, n, L, family._tangents(m, n), (1, 7, delta))
         member = family_member(delta, m, n)
         # the closed forms of the module docstring, written out
         closed = {
@@ -238,7 +239,7 @@ class TestMemberRow:
     def test_every_rational_leaf_is_in_lowest_terms(self, window):
         # a member is its ints; the Heron decision reads the denominators, so
         # it needs each (p, q) reduced
-        rows = list(window())
+        rows = rows_of(window())
         assert rows
         for row in rows:
             for leaf in row:
@@ -314,26 +315,31 @@ class TestGeneratingPairs:
 
 class TestEnumerateFamily:
     def test_heron_only_count_small_window(self):
-        members = list(enumerate_family(3, 13, heron_only=True))
+        members = rows_of(enumerate_family(3, 13, heron_only=True))
         got = [(mem.delta, mem.m, mem.n) for mem in members]
         assert got == [(5, 4, 3), (10, 4, 3), (13, 12, 5)]
         assert all(mem.is_heron for mem in members)
 
     def test_full_enumeration_counts(self):
-        members = list(enumerate_family(3, 6))
+        members = rows_of(enumerate_family(3, 6))
         # deltas 1..6 for both generating pairs
         assert len(members) == 12
         assert sum(mem.is_heron for mem in members) == 1  # only (5, 4, 3)
 
     def test_ordering_by_pair_then_delta(self):
-        members = list(enumerate_family(3, 3))
+        # one pair at a time, each the iterator of its rows
+        pairs = [list(rows) for rows in enumerate_family(3, 3)]
+        assert [[(mem.m, mem.n, mem.delta) for mem in rows] for rows in pairs] == [
+            [(4, 3, 1), (4, 3, 2), (4, 3, 3)], [(12, 5, 1), (12, 5, 2), (12, 5, 3)]
+        ]
+        members = rows_of(enumerate_family(3, 3))
         keys = [(*mem.t_pair, mem.delta) for mem in members]
         assert keys == sorted(keys)
 
     def test_cap_is_inclusive_and_stops_reading(self, monkeypatch):
         # exactly MEMBERS_MAX members is a window, in one pair or summed over two
-        assert next(enumerate_family(2, MEMBERS_MAX))[:4] == (1, 4, 3, 5)
-        assert next(heron_multiples(3, MEMBERS_MAX // 2))[:4] == (5, 4, 3, 5)
+        assert next(next(enumerate_family(2, MEMBERS_MAX)))[:4] == (1, 4, 3, 5)
+        assert next(next(heron_multiples(3, MEMBERS_MAX // 2)))[:4] == (5, 4, 3, 5)
         for over in (enumerate_family(2, MEMBERS_MAX + 1), heron_multiples(2, MEMBERS_MAX + 1)):
             with pytest.raises(DomainError, match=f"more than {MEMBERS_MAX} members"):
                 next(over)
@@ -356,7 +362,7 @@ class TestEnumerateFamily:
     )
     def test_over_cap_window_builds_no_member(self, monkeypatch, window):
         built = []
-        monkeypatch.setattr(family, "_row", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(family, "_pair_rows", lambda *a, **k: built.append(a))
         with pytest.raises(DomainError, match="more than"):
             next(window())
         assert built == []

@@ -314,7 +314,7 @@ _positive_rationals = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 
 
 class TestHomogeneity:
     """construct_quad(s * triple) is construct_quad(triple) scaled by s; the
-    scaling check of ``verify.verify_scaling`` rests on this."""
+    scaling check of ``verify_window`` (a pair's ``verify._scaler``) rests on this."""
 
     @given(
         st.integers(2, 10**4).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),

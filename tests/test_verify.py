@@ -44,12 +44,11 @@ from heronquad.verify import (
     shoelace,
     verify_construction,
     verify_member,
-    verify_scaling,
     verify_window,
 )
 from constructions import edited as edited_quad
 from constructions import rational_lattice
-from member_rows import edited, value
+from member_rows import edited, pairs_of, rows_of, value
 
 
 def P(x, y) -> Point2:
@@ -448,6 +447,12 @@ class TestScaleInvariance:
         assert [c.name for c in scaled.checks] == [c.name for c in plain.checks]
 
 
+# the generator pairs (m, n) with m <= 50: m > n >= 1, coprime, of opposite parity
+_GENERATOR_PAIRS_TO_50 = [
+    (m, n) for m in range(2, 51) for n in range(1, m) if math.gcd(m, n) == 1 and (m + n) % 2
+]
+
+
 class TestAngleSpreadCheck:
     def test_a_move_below_the_float_tolerance_fails_it(self):
         # the float spread of this edit reads 0.0; the exact identities do not hold
@@ -457,15 +462,14 @@ class TestAngleSpreadCheck:
 
     @given(
         st.integers(min_value=1, max_value=4),
-        st.integers(min_value=2, max_value=50),
-        st.integers(min_value=1, max_value=49),
+        st.sampled_from(_GENERATOR_PAIRS_TO_50),
         st.booleans(),
         st.integers(min_value=-300, max_value=300),
     )
-    @example(1, 2, 1, True, -200)  # 3/k, 4/k, 5/k with k = 10^200
-    @example(1, 50, 49, True, 151)  # 99k, 4900k, 4901k with k = 10^151
-    def test_exact_decision_agrees_with_the_float_spread(self, delta, m, n, odd_first, power):
-        assume(m > n and math.gcd(m, n) == 1 and (m + n) % 2 == 1)
+    @example(1, (2, 1), True, -200)  # 3/k, 4/k, 5/k with k = 10^200
+    @example(1, (50, 49), True, 151)  # 99k, 4900k, 4901k with k = 10^151
+    def test_exact_decision_agrees_with_the_float_spread(self, delta, pair, odd_first, power):
+        m, n = pair
         even, odd, hyp = euclid_triple(delta, m, n)
         legs = (odd, even) if odd_first else (even, odd)
         unit = Fraction(10) ** power
@@ -489,7 +493,7 @@ class TestVerifyMember:
         assert "heron-criterion-matches-integrality" in names
 
     def test_small_window_members_all_pass(self):
-        for row in enumerate_family(4, 6):
+        for row in rows_of(enumerate_family(4, 6)):
             report = verify_member(row)
             assert not report.has_failures, report.subject
 
@@ -512,7 +516,7 @@ class TestVerifyMember:
         assert_rendered(report)
 
 
-# the member closed forms verify_scaling compares, and the name of its check
+# the member closed forms a pair's scaler compares, and the name of its check
 _SCALED = {
     **{attr: f"member-scaling-{kind}-{label}" for kind, label, _, attr in SEGMENTS},
     "area": "member-scaling-area",
@@ -527,16 +531,24 @@ def _edit(row, attr, k):
     return edited(row, **{attr: value(row, attr) * k})
 
 
+def scaled_failures(row, base):
+    """The failing names of ``row`` in a window of its pair after ``base``, a
+    row that passes the oracles: the decision of ``base``'s scaler."""
+    (_, base_failed), (_, failed) = verify_window([[base, row]])
+    assert base_failed == []
+    return failed
+
+
 class TestVerifyScaling:
     def test_a_row_is_its_member(self):
-        for row in enumerate_family(5, 12):
+        for row in rows_of(enumerate_family(5, 12)):
             assert family_member(row.delta, row.m, row.n) == row
 
     def test_every_member_scales_from_the_first_of_its_pair(self):
-        bases = {}
-        for row in enumerate_family(5, 12):
-            base = bases.setdefault((row.m, row.n), row)
-            assert verify_scaling(row, base) == []
+        for rows in enumerate_family(5, 12):
+            base, *scaled = rows
+            for row in scaled:
+                assert scaled_failures(row, base) == []
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -550,7 +562,7 @@ class TestVerifyScaling:
         # of its pair, fails the scaling check exactly when the oracles fail it
         assume(k != 1)
         row = _edit(family_member(delta, *pair), attr, k)
-        failed = verify_scaling(row, family_member(delta0, *pair))
+        failed = scaled_failures(row, family_member(delta0, *pair))
         assert bool(failed) == verify_member(row).has_failures
         if attr != "is_heron":
             assert failed[0] == _SCALED[attr]
@@ -563,7 +575,7 @@ class TestVerifyScaling:
             leg: getattr(member, leg) * (delta + 1) // delta for leg in ("alpha", "beta", "gamma")
         })
         assert (row.alpha, row.beta, row.gamma) == euclid_triple(delta + 1, 12, 5)
-        assert verify_scaling(row, family_member(2, 12, 5)) == [
+        assert scaled_failures(row, family_member(2, 12, 5)) == [
             "member-scaling-alpha", "member-scaling-beta", "member-scaling-gamma"
         ]
         assert verify_member(row).has_failures
@@ -589,17 +601,17 @@ class TestVerifyScaling:
         assert number.denominator == 1
         row = edited(member, **{attr: int(number)})
         assert row == edited(member, **{attr: Fraction(number)}) == member
-        assert verify_scaling(row, base) == []
+        assert scaled_failures(row, base) == []
         assert not verify_member(row).has_failures
         # one more fails the scaling of that leaf alone
-        assert verify_scaling(edited(member, **{attr: number + 1}), base) == [_SCALED[attr]]
+        assert scaled_failures(edited(member, **{attr: number + 1}), base) == [_SCALED[attr]]
 
 
 # small windows in pair order, of both commands' shapes
 _WINDOWS = st.one_of(
     st.builds(heron_multiples, st.integers(2, 4), st.integers(1, 3)),
     st.builds(enumerate_family, st.integers(2, 3), st.integers(1, 30), heron_only=st.booleans()),
-).map(list)
+).map(rows_of)
 
 
 class TestVerifyWindow:
@@ -610,25 +622,25 @@ class TestVerifyWindow:
         st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
     )
     # the first member of the second pair, and of the first
-    @example(list(heron_multiples(3, 3)), 3, "tan_gamma", Fraction(2))
-    @example(list(enumerate_family(2, 4)), 0, "is_heron", Fraction(2))
+    @example(rows_of(heron_multiples(3, 3)), 3, "tan_gamma", Fraction(2))
+    @example(rows_of(enumerate_family(2, 4)), 0, "is_heron", Fraction(2))
     def test_each_verdict_is_the_oracles_verdict(self, window, i, attr, k):
         # one member edited: the window's verdict on every member is the one
         # verify_member gives it alone
         assume(window and k != 1)
         i %= len(window)
         window[i] = _edit(window[i], attr, k)
-        verdicts = [(row, bool(failed)) for row, failed in verify_window(window)]
+        verdicts = [(row, bool(failed)) for row, failed in verify_window(pairs_of(window))]
         assert verdicts == [(row, verify_member(row).has_failures) for row in window]
 
     def test_a_failing_first_member_is_never_the_base(self, monkeypatch):
         checked = []
         failures = verify.member_failures
         monkeypatch.setattr(verify, "member_failures", lambda m: checked.append(m) or failures(m))
-        window = list(heron_multiples(2, 3))
+        window = rows_of(heron_multiples(2, 3))
         for i in (0, 2):
             window[i] = edited(window[i], area=value(window[i], "area") + 1)
-        failed = [names for _, names in verify_window(window)]
+        failed = [names for _, names in verify_window([window])]
         # the next member runs the oracles and becomes the base the third scales from
         assert checked == window[:2]
         assert failed == [
@@ -920,14 +932,14 @@ class TestWindowNamesTheReportsFailures:
     )
     def test_an_edited_closed_form(self, delta, pair, attr, k):
         row = _edit(family_member(delta, *pair), attr, k)
-        ((_, failed),) = verify_window([row])
+        ((_, failed),) = verify_window([[row]])
         assert failed == verify_member(row).failed_names()
         assert bool(failed) == (k != 1 or attr == "is_heron")
 
     @pytest.mark.parametrize("attr", sorted(_EDITED_MEMBER_VALUES))
     def test_an_edited_member_value(self, attr):
         row = edited(family_member(5, 4, 3), **{attr: _EDITED_MEMBER_VALUES[attr]})
-        ((_, failed),) = verify_window([row])
+        ((_, failed),) = verify_window([[row]])
         assert failed == verify_member(row).failed_names() != []
 
     @given(
@@ -942,7 +954,7 @@ class TestWindowNamesTheReportsFailures:
         row = family_member(delta, *pair)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "construct_quad", _moved(point, step, along_y))
-            ((_, failed),) = verify_window([row])
+            ((_, failed),) = verify_window([[row]])
             assert failed == verify_member(row).failed_names() != []
 
     @pytest.mark.parametrize("csv", [False, True])
@@ -951,7 +963,7 @@ class TestWindowNamesTheReportsFailures:
         argv = ["heron-table", "--t-max", "3"] + ["--format", "csv"] * csv
         assert main(argv) == 4
         lines = capsys.readouterr().err.splitlines()
-        rows = list(heron_multiples(3, 1))
+        rows = rows_of(heron_multiples(3, 1))
         for line, row in zip(lines, rows):
             names = verify_member(row).failed_names()
             where = f"(m={row.m}, n={row.n}, delta={row.delta})"

@@ -3,10 +3,11 @@ forms are checked once, each oracle is evaluated once per verification,
 each coordinate quantity is measured once per verification on one integer
 lattice, verifying a built construction factors nothing and writes no
 rational over a common denominator, and ``family`` and ``heron-table`` run
-the oracles once per pair, check every other member by its scaling and look
-up each member's errata once, where they are printed; a passing window
-builds no ``Check`` and no ``verify`` Fraction, and ``verify`` one ``Check``
-per rendered check."""
+the oracles once per pair, build at most one scaler per pair from its base
+row's leaves, which decides every other member, and look up each member's
+errata once, where they are printed; a passing window builds no ``Check``
+and no ``verify`` Fraction, and ``verify`` one ``Check`` per rendered
+check."""
 
 import json
 import math
@@ -33,7 +34,9 @@ COUNTED = (
     (family, "_tangents"),
     (verify, "verify_member"),
     (verify, "member_failures"),
-    (verify, "verify_scaling"),
+    (verify, "_scaler"),
+    (verify, "_scaled_failures"),
+    (verify, "_leaves"),
     (cli, "_member_payload"),
     (geometry, "dist_squared"),
     (geometry, "dot_cross"),
@@ -84,11 +87,11 @@ def test_heron_table_constructs_each_pair_once(calls, capsys):
     assert len({(row["m"], row["n"]) for row in rows}) == len(t_pairs_read(8)) == 15
     assert calls["check_generator_pair"] == 15
     assert calls["_tangents"] == 15
-    # one construction and one oracle pass per pair; every other row of the
-    # pair is checked by its scaling from the first
-    assert calls["construct_quad"] == calls["member_failures"] == 15
+    # one construction, one oracle pass and one scaler per pair (each has
+    # three rows); the scaler decides every other row of the pair
+    assert calls["construct_quad"] == calls["member_failures"] == calls["_scaler"] == 15
     assert calls["verify_member"] == 0
-    assert calls["verify_scaling"] == len(rows) - 15 == 30
+    assert calls["_scaled_failures"] == len(rows) - 15 == 30
     # one lattice per oracle pass; area-helper-agrees: the helper's shoelace
     # beside the measurement's, both on that one lattice
     assert calls["lattice"] == calls["twice_area"] == calls["shoelace"] == 15
@@ -100,8 +103,8 @@ def test_heron_table_csv_looks_up_no_scaled_rows_errata(calls, capsys):
     argv = ["heron-table", "--t-max", "8", "--delta-multiples", "3", "--format", "csv"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 45
-    assert calls["member_failures"] == 15
-    assert calls["verify_scaling"] == 30
+    assert calls["member_failures"] == calls["_scaler"] == 15
+    assert calls["_scaled_failures"] == 30
     # CSV prints no errata: no row's are looked up
     assert calls["errata_for_member"] == 0
 
@@ -132,11 +135,13 @@ def test_family_checks_each_member_and_validates_each_pair_once(
     argv = ["family", "--t-max", str(t_max), "--delta-max", str(delta_max)]
     assert main(argv + ["--heron-only"] * heron_only) == 0
     members = json.loads(capsys.readouterr().out)["result"]["members"]
-    # one construction and one oracle pass per pair with members; every
-    # other member of the pair is checked by its scaling from the first
+    # one construction and one oracle pass per pair with members, and one
+    # scaler per pair with a second member, which decides every later member
     assert calls["construct_quad"] == calls["member_failures"] == pairs_with_members
     assert calls["lattice"] == calls["twice_area"] == pairs_with_members
-    assert calls["verify_scaling"] == len(members) - pairs_with_members > 0
+    sizes = Counter((mb["params"]["m"], mb["params"]["n"]) for mb in members).values()
+    assert calls["_scaler"] == sum(size > 1 for size in sizes) == pairs_with_members - 3 * heron_only
+    assert calls["_scaled_failures"] == len(members) - pairs_with_members > 0
     assert calls["errata_for_member"] == len(members)
     # one generator-pair check per t-pair read; tangents only for pairs with members
     read = t_pairs_read(t_max, delta_max if heron_only else None)
@@ -295,5 +300,25 @@ def test_a_passing_window_builds_no_fraction(built, calls, capsys, argv):
     # a scaled row is decided on its own ints and its base row's
     assert main(argv) == 0
     assert capsys.readouterr().out
-    assert calls["verify_scaling"] > 0
+    assert calls["_scaled_failures"] > 0
     assert built["Fraction"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["family", "--t-max", "5", "--delta-max", "12"], 6),
+        (["heron-table", "--t-max", "8", "--delta-multiples", "3"], 15),
+        (["heron-table", "--t-max", "8", "--delta-multiples", "3", "--format", "csv"], 15),
+    ],
+    ids=lambda arg: " ".join(arg) if isinstance(arg, list) else str(arg),
+)
+def test_a_passing_window_builds_each_base_rows_leaves_once(calls, capsys, argv, pairs):
+    # the scaler keeps its base row's leaves times the powers of delta; a
+    # scaled row builds its own leaves and is decided against those, not
+    # against a rebuilt base
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert calls["_scaler"] == pairs
+    assert calls["_scaled_failures"] > pairs
+    assert calls["_leaves"] == calls["_scaler"] + calls["_scaled_failures"]
